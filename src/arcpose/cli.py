@@ -77,6 +77,7 @@ def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrins
         raise InvalidConfigError("unsupported observation schema_version")
     k = _intrinsics_from_dict(data.get("intrinsics"))
     observations = []
+    seen_ids = set()
     for item in data.get("observations", []):
         extra = set(item) - {
             "luminaire_id", "ellipse", "contour_pixels",
@@ -84,6 +85,10 @@ def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrins
         }
         if extra:
             raise InvalidConfigError(f"unknown observation fields: {sorted(extra)}")
+        lum_id = str(item["luminaire_id"])
+        if lum_id in seen_ids:
+            raise InvalidConfigError(f"repeated luminaire_id {lum_id!r}")
+        seen_ids.add(lum_id)
         if ("ellipse" in item) == ("contour_pixels" in item):
             raise InvalidConfigError(
                 "each observation needs exactly one of ellipse/contour_pixels"
@@ -96,7 +101,7 @@ def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrins
             ellipse = fit_ellipse(pixel_to_image(contour, k))
         observations.append(
             Observation(
-                luminaire_id=str(item["luminaire_id"]),
+                luminaire_id=lum_id,
                 ellipse=ellipse,
                 complete=bool(item.get("complete", False)),
                 center_proj=(

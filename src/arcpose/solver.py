@@ -476,11 +476,47 @@ def _pnp_residuals(
     return np.concatenate([u - pixels[:, 0], v - pixels[:, 1]])
 
 
+def _pnp_jacobian(
+    x: np.ndarray, world: np.ndarray, k: CameraIntrinsics
+) -> np.ndarray:
+    """Analytic Jacobian of `_pnp_residuals` with respect to (phi, theta, psi, t).
+
+    Chain rule through R = Rz(psi) Ry(theta) Rx(phi), cam = (world - t) @ R
+    (so d cam / d t_j is -R[j] for every point) and the pinhole division.
+    Where the depth is clamped behind the camera it is constant, so its
+    derivative term vanishes. See Hartley & Zisserman, Multiple View
+    Geometry, 2nd ed., A6.
+    """
+    rx, ry, rz = rot_x(x[0]), rot_y(x[1]), rot_z(x[2])
+    sp, cp = math.sin(x[0]), math.cos(x[0])
+    st, ct = math.sin(x[1]), math.cos(x[1])
+    ss, cs = math.sin(x[2]), math.cos(x[2])
+    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sp, -cp], [0.0, cp, -sp]])
+    dry = np.array([[-st, 0.0, ct], [0.0, 0.0, 0.0], [-ct, 0.0, -st]])
+    drz = np.array([[-ss, -cs, 0.0], [cs, -ss, 0.0], [0.0, 0.0, 0.0]])
+    rzy = rz @ ry
+    r = rzy @ rx
+    dr = np.stack([rzy @ drx, rz @ dry @ rx, drz @ ry @ rx])
+
+    d = world - x[3:6]
+    cam = d @ r
+    # dcam[p, i]: derivative of point i's camera coordinates by parameter p.
+    dcam = np.empty((6, len(d), 3))
+    dcam[:3] = d @ dr
+    dcam[3:] = -r[:, None, :]
+    live = cam[:, 2] > 1e-6
+    z = np.where(live, cam[:, 2], 1e-6)[:, None]
+    dz = dcam[:, :, 2:] * live[:, None]
+    duv = (dcam[:, :, :2] - cam[:, :2] / z * dz) / z * (k.f / np.array([k.dx, k.dy]))
+    # (param, point, u/v) -> rows u_0..u_n-1, v_0..v_n-1 as in _pnp_residuals.
+    return duv.transpose(2, 1, 0).reshape(-1, 6)
+
+
 def _gauss_newton(
     x0: np.ndarray, world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
-    max_iter: int = 100, step_tol: float = 1e-10, fd_step: float = 1e-6,
+    max_iter: int = 100, step_tol: float = 1e-10,
 ) -> tuple[np.ndarray, float, int]:
-    """Plain Gauss-Newton with a numerical central-difference Jacobian.
+    """Plain Gauss-Newton with the analytic reprojection Jacobian.
 
     Returns (parameters, final cost, iterations). Steps that increase the
     cost are halved a few times before giving up on the iteration.
@@ -490,15 +526,7 @@ def _gauss_newton(
     cost = float(res @ res)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        jac = np.empty((res.size, x.size))
-        for j in range(x.size):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += fd_step
-            xm[j] -= fd_step
-            jac[:, j] = (
-                _pnp_residuals(xp, world, pixels, k)
-                - _pnp_residuals(xm, world, pixels, k)
-            ) / (2 * fd_step)
+        jac = _pnp_jacobian(x, world, k)
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         alpha = 1.0
         improved = False

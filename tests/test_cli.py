@@ -6,7 +6,8 @@ from importlib import resources
 
 import pytest
 
-from arcpose.cli import main
+from arcpose.cli import main, observations_from_dict
+from arcpose.errors import InvalidConfigError
 
 # Ground truth of the bundled zero-noise fixture (generated by the simulator
 # with seed 0; see data/fixture_observations.json).
@@ -109,6 +110,19 @@ def test_solve_single_observation_exits_1(tmp_path, capsys):
     rc = main(["solve", data_path("fixture_scene.json"), str(obs_path)])
     assert rc == 1
     assert "TooFewLuminaires" in capsys.readouterr().err
+
+
+def test_solve_repeated_luminaire_id_exits_2(tmp_path, capsys):
+    # Relabelling the complete L1 capture as L2 once solved to a pose 4 m off.
+    data = json.loads((resources.files("arcpose") / "data" /
+                       "fixture_observations.json").read_text())
+    data["observations"][0]["luminaire_id"] = "L2"
+    with pytest.raises(InvalidConfigError, match="'L2'"):
+        observations_from_dict(data)
+    obs_path = tmp_path / "repeated.json"
+    obs_path.write_text(json.dumps(data))
+    assert main(["solve", data_path("fixture_scene.json"), str(obs_path)]) == 2
+    assert "'L2'" in capsys.readouterr().err
 
 
 # --- run -----------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arcpose.conic import candidate_normals, cone_from_ellipse, decompose_cone, fit_ellipse
 from arcpose.errors import (
@@ -15,11 +17,14 @@ from arcpose.errors import (
     TooFewLuminairesError,
     UnknownLuminaireError,
 )
-from arcpose.frames import EulerAngles, euler_to_rotation
+from arcpose.frames import CameraIntrinsics, EulerAngles, euler_to_rotation
 from arcpose.conic import CandidateNormal
 from arcpose.solver import (
     LuminaireInfo,
     Observation,
+    _pnp_jacobian,
+    _pnp_residuals,
+    _rotation_from_angles,
     disambiguate_normal,
     euler_from_normal,
     pnp_baseline,
@@ -484,3 +489,60 @@ def test_pnp_noisy_residual_is_local_minimum(intrinsics):
             cost_probe = float(_pnp_residuals(x_probe, world, pixels, intrinsics) @
                                _pnp_residuals(x_probe, world, pixels, intrinsics))
             assert cost_probe >= cost_est - 1e-7 * max(cost_est, 1.0)
+
+
+# --- analytic PnP Jacobian ------------------------------------------------------
+
+PNP_K = CameraIntrinsics(
+    f=0.4, dx=1.25e-3, dy=1.25e-3, u0=320.0, v0=240.0, width=640, height=480
+)
+
+
+def assert_jacobian_matches_central_differences(x, world):
+    pixels = np.zeros((len(world), 2))
+    jac = _pnp_jacobian(x, world, PNP_K)
+    fd = np.empty_like(jac)
+    h = 1e-6
+    for j in range(6):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        fd[:, j] = (
+            _pnp_residuals(xp, world, pixels, PNP_K)
+            - _pnp_residuals(xm, world, pixels, PNP_K)
+        ) / (2 * h)
+    # A column that is zero in truth holds only rounding noise, so the scale
+    # has a floor of 1 px per radian or metre.
+    scale = np.maximum(np.abs(fd).max(axis=0), 1.0)
+    assert np.all(np.abs(jac - fd) <= 1e-6 * scale)
+
+
+def camera_depths(x, world):
+    return ((world - x[3:6]) @ _rotation_from_angles(x[0], x[1], x[2]))[:, 2]
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    angles=st.tuples(
+        st.floats(-1.2, 1.2), st.floats(-1.2, 1.2), st.floats(-math.pi, math.pi)
+    ),
+    position=st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 6.0), st.floats(0.5, 2.5)),
+    ceiling_xy=st.lists(
+        st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 6.0)), min_size=4, max_size=4
+    ),
+)
+def test_pnp_jacobian_matches_central_differences(angles, position, ceiling_xy):
+    x = np.array(angles + position)
+    world = np.array([(px, py, 3.0) for px, py in ceiling_xy])
+    # Central differences lose accuracy at tiny depths and across the clamp.
+    assume(np.all(np.abs(camera_depths(x, world)) > 0.05))
+    assert_jacobian_matches_central_differences(x, world)
+
+
+def test_pnp_jacobian_point_behind_camera():
+    x = np.array([1.0, 0.3, 0.5, 4.0, 3.0, 2.0])
+    world = np.array(
+        [[4.5, 3.2, 3.0], [5.0, 2.0, 3.0], [2.0, 4.0, 3.0], [6.0, 5.0, 3.0]]
+    )
+    assert camera_depths(x, world)[2] < 0  # clamped depth: no depth term
+    assert_jacobian_matches_central_differences(x, world)
