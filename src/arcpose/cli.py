@@ -37,7 +37,7 @@ from .harness import (
     sweep,
     write_results,
 )
-from .sim import default_intrinsics, scene_from_dict
+from .sim import default_intrinsics, intrinsics_from_dict, scene_from_dict
 from .solver import Observation, solve_vpa
 
 OBSERVATION_SCHEMA_VERSION = 1
@@ -54,16 +54,21 @@ def _load_json(path: str) -> dict:
     return json.loads(p.read_text())
 
 
-def _intrinsics_from_dict(data: dict | None) -> CameraIntrinsics:
-    if data is None:
-        return default_intrinsics()
-    extra = set(data) - {"f", "dx", "dy", "u0", "v0", "width", "height"}
-    if extra:
-        raise InvalidConfigError(f"unknown intrinsics fields: {sorted(extra)}")
+def _finite_pixels(value, name: str, where: str, contour: bool = False):
+    """Pixel coordinates as a finite (2,) point or, for a contour, (N, 2) array."""
     try:
-        return CameraIntrinsics(**data)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"bad intrinsics: {exc}") from exc
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if (
+        arr is None
+        or arr.ndim != (2 if contour else 1)
+        or arr.shape[-1] != 2
+        or not np.isfinite(arr).all()
+    ):
+        shape = "an (N, 2) array" if contour else "a [u, v] pair"
+        raise InvalidConfigError(f"{where}: {name} must be {shape} of finite numbers")
+    return arr
 
 
 def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrinsics]:
@@ -75,43 +80,57 @@ def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrins
         raise InvalidConfigError(f"unknown observation-file fields: {sorted(unknown)}")
     if data.get("schema_version", OBSERVATION_SCHEMA_VERSION) != OBSERVATION_SCHEMA_VERSION:
         raise InvalidConfigError("unsupported observation schema_version")
-    k = _intrinsics_from_dict(data.get("intrinsics"))
+    k = (
+        default_intrinsics() if data.get("intrinsics") is None
+        else intrinsics_from_dict(data["intrinsics"])
+    )
     observations = []
     seen_ids = set()
-    for item in data.get("observations", []):
+    for index, item in enumerate(data.get("observations", [])):
+        where = f"observation {index}"
+        if not isinstance(item, dict):
+            raise InvalidConfigError(f"{where} must be a JSON object")
         extra = set(item) - {
             "luminaire_id", "ellipse", "contour_pixels",
             "complete", "center_proj", "mark_proj",
         }
         if extra:
-            raise InvalidConfigError(f"unknown observation fields: {sorted(extra)}")
+            raise InvalidConfigError(
+                f"{where}: unknown observation fields: {sorted(extra)}"
+            )
+        if "luminaire_id" not in item:
+            raise InvalidConfigError(f"{where}: missing field 'luminaire_id'")
         lum_id = str(item["luminaire_id"])
         if lum_id in seen_ids:
             raise InvalidConfigError(f"repeated luminaire_id {lum_id!r}")
         seen_ids.add(lum_id)
+        where = f"observation {index} ({lum_id!r})"
         if ("ellipse" in item) == ("contour_pixels" in item):
             raise InvalidConfigError(
-                "each observation needs exactly one of ellipse/contour_pixels"
+                f"{where} needs exactly one of ellipse/contour_pixels"
             )
         contour = None
         if "ellipse" in item:
-            ellipse = EllipseCoeffs(**item["ellipse"])
+            try:
+                ellipse = EllipseCoeffs(**item["ellipse"])
+            except TypeError as exc:
+                raise InvalidConfigError(f"{where}: bad ellipse: {exc}") from exc
         else:
-            contour = np.asarray(item["contour_pixels"], dtype=float)
+            contour = _finite_pixels(item["contour_pixels"], "contour_pixels", where,
+                                     contour=True)
             ellipse = fit_ellipse(pixel_to_image(contour, k))
+        points = {
+            name: _finite_pixels(item[name], name, where)
+            for name in ("center_proj", "mark_proj")
+            if item.get(name) is not None
+        }
         observations.append(
             Observation(
                 luminaire_id=lum_id,
                 ellipse=ellipse,
                 complete=bool(item.get("complete", False)),
-                center_proj=(
-                    np.asarray(item["center_proj"], float)
-                    if item.get("center_proj") is not None else None
-                ),
-                mark_proj=(
-                    np.asarray(item["mark_proj"], float)
-                    if item.get("mark_proj") is not None else None
-                ),
+                center_proj=points.get("center_proj"),
+                mark_proj=points.get("mark_proj"),
                 contour_pixels=contour,
             )
         )

@@ -91,10 +91,6 @@ class ArcTooShortError(ArcPoseError):
     """Fewer than 5 contour points survived truncation."""
 
 
-class MismatchedCapturesError(ArcPoseError):
-    """Captures to be averaged differ in angles, truncation, or luminaire."""
-
-
 # --- harness errors ----------------------------------------------------------
 
 class InvalidConfigError(ArcPoseError):

@@ -45,6 +45,7 @@ from .sim import (
     average_observations,
     default_intrinsics,
     default_scene,
+    intrinsics_from_dict,
     luminaire_visibility,
     project_luminaire_burst,
     sample_pose,
@@ -185,14 +186,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "scene" in data:
         kwargs["scene"] = scene_from_dict(data["scene"])
     if "intrinsics" in data:
-        item = data["intrinsics"]
-        extra = set(item) - {"f", "dx", "dy", "u0", "v0", "width", "height"}
-        if extra:
-            raise InvalidConfigError(f"unknown intrinsics fields: {sorted(extra)}")
-        try:
-            kwargs["intrinsics"] = CameraIntrinsics(**item)
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfigError(f"bad intrinsics: {exc}") from exc
+        kwargs["intrinsics"] = intrinsics_from_dict(data["intrinsics"])
     for name in ("sigma", "radius", "arc_fraction"):
         if name in data:
             kwargs[name] = None if data[name] is None else float(data[name])
@@ -333,7 +327,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             for alg in cfg.algorithms:
                 records.append(
                     ResultRecord(
-                        sample_index=index, algorithm=alg, truth=truth.pose,
+                        sample_index=index, algorithm=alg, truth=truth,
                         error=type(exc).__name__,
                     )
                 )
@@ -348,43 +342,39 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
 def _capture_sample(cfg, scene, truth, noise, cap, rng) -> list[Observation]:
     """Project, truncate, and average the two best-visible luminaires."""
     k = cfg.intrinsics
-    visibility = [
-        (lum, luminaire_visibility(lum, truth.pose, k, cfg.contour_samples))
-        for lum in scene.luminaires
-    ]
     # Longest extractable contour first: the nearest luminaire carries the
     # most information, and the dispatcher ranks partners the same way.
-    visibility.sort(key=lambda t: (-t[1].contour_px, t[0].id))
+    visibility = sorted(
+        luminaire_visibility(scene.luminaires, truth, k, cfg.contour_samples),
+        key=lambda v: (-v.contour_px, v.luminaire_id),
+    )
 
     if cfg.scenario == "mixed":
-        completes = [v for v in visibility if v[1].complete]
+        completes = [v for v in visibility if v.complete]
         if completes:
             primary = completes[0]
             partner = next(v for v in visibility if v is not primary)
             chosen = [primary, partner]
         else:
             chosen = visibility[:2]
-        modes = ["complete" if vis.complete else "image_bounds" for _, vis in chosen]
+        modes = ["complete" if vis.complete else "image_bounds" for vis in chosen]
     else:
         chosen = visibility[:2]
         modes = list(cfg.scenario)
 
     observations = []
-    for (lum, _), mode in zip(chosen, modes):
+    for vis, mode in zip(chosen, modes):
         start = (
             int(rng.integers(cfg.contour_samples))
             if mode in ("semicircle", "superior_arc")
             else None
         )
-        burst = project_luminaire_burst(lum, truth, k, noise, cap, rng)
+        burst = project_luminaire_burst(vis, noise, cap, rng)
         if mode != "complete":
-            burst = [
-                truncate_arc(
-                    c, mode, start_index=start,
-                    arc_fraction=cfg.arc_fraction, intrinsics=k,
-                )
-                for c in burst
-            ]
+            burst = truncate_arc(
+                burst, mode, start_index=start,
+                arc_fraction=cfg.arc_fraction, intrinsics=k,
+            )
         observations.append(average_observations(burst, k))
     return observations
 
@@ -407,17 +397,17 @@ def _solve_one(index, alg, observations, lum_map, k, truth) -> ResultRecord:
             estimate = pnp_baseline(_pnp_correspondences(observations, lum_map), k)
     except (ArcPoseError, ValueError, np.linalg.LinAlgError) as exc:
         return ResultRecord(
-            sample_index=index, algorithm=alg, truth=truth.pose,
+            sample_index=index, algorithm=alg, truth=truth,
             error=type(exc).__name__,
         )
     return ResultRecord(
         sample_index=index,
         algorithm=alg,
-        truth=truth.pose,
+        truth=truth,
         estimate=estimate.pose,
         solver_tag=estimate.algorithm,
-        e_loc=e_loc(truth.pose.translation, estimate.pose.translation),
-        e_pos=e_pos(truth.pose.rotation, estimate.pose.rotation),
+        e_loc=e_loc(truth.translation, estimate.pose.translation),
+        e_pos=e_pos(truth.rotation, estimate.pose.rotation),
     )
 
 

@@ -4,7 +4,8 @@ A scene is a rectangular room with circular luminaires on (or hanging below)
 the ceiling. A sample draws a random camera pose, projects each luminaire's
 margin circle through the pinhole model, perturbs the pixels with Gaussian
 noise, optionally truncates the contour to a partial arc (occlusion), and
-averages a burst of images into one observation per luminaire.
+averages a burst of images into one observation per luminaire. A burst is one
+(images, contour points, 2) array, so every step works on whole arrays.
 
 Determinism: every function that draws randomness takes a numpy Generator.
 Noise is always drawn as standard normals and scaled by sigma afterwards, so
@@ -16,7 +17,7 @@ and stay pairwise comparable. Visibility is always classified on the clean
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .conic import fit_ellipse
 from .errors import (
     ArcTooShortError,
     InvalidConfigError,
-    MismatchedCapturesError,
     NotVisibleError,
     SamplingExhaustedError,
 )
@@ -32,7 +32,6 @@ from .frames import (
     CameraIntrinsics,
     EulerAngles,
     Pose,
-    _freeze,
     _wrap_angle,
     euler_to_rotation,
     pixel_to_image,
@@ -70,7 +69,6 @@ class NoiseModel:
     """Pixel noise: i.i.d. zero-mean Gaussian with std sigma on u and v."""
 
     sigma: float
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.sigma >= 0:
@@ -99,13 +97,6 @@ class CaptureConfig:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """The sampled true camera pose."""
-
-    pose: Pose
-
-
-@dataclass(frozen=True)
 class VisibilityConstraint:
     """Acceptance rule for rejection-sampled poses.
 
@@ -126,11 +117,15 @@ class VisibilityConstraint:
 
 @dataclass(frozen=True)
 class Capture:
-    """One image of one luminaire: noisy pixels plus their clean reference.
+    """A burst of images of one luminaire: noisy pixels plus their clean
+    reference.
 
-    `angles` holds the circle parameter of each contour sample so that
-    corresponding points across a burst of images (and their world positions)
-    stay identifiable after truncation.
+    `pixels` has shape (images, points, 2); `clean_pixels` and `angles` hold
+    one row per contour point, so the circle parameter of every sample (and
+    its world position) stays identifiable after truncation. `center` and
+    `mark` are the clean center and mark projections, None once truncated.
+    Arrays are read-only views; the clean ones are shared with the
+    `Visibility` they came from.
     """
 
     luminaire_id: str
@@ -139,20 +134,13 @@ class Capture:
     clean_pixels: np.ndarray
     center: np.ndarray | None = None
     mark: np.ndarray | None = None
-    clean_center: np.ndarray | None = None
-    clean_mark: np.ndarray | None = None
     mode: str = "complete"
 
     def __post_init__(self):
-        arrays = {
-            name: getattr(self, name)
-            for name in (
-                "angles", "pixels", "clean_pixels",
-                "center", "mark", "clean_center", "clean_mark",
-            )
-            if getattr(self, name) is not None
-        }
-        _freeze(self, **arrays)
+        for value in (self.angles, self.pixels, self.clean_pixels,
+                      self.center, self.mark):
+            if value is not None:
+                value.flags.writeable = False
 
 
 def default_intrinsics() -> CameraIntrinsics:
@@ -200,31 +188,64 @@ def _in_bounds(pixels: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Visibility:
-    """How much of a luminaire the camera sees, on the clean projection."""
+    """How much of a luminaire the camera sees, on the clean projection.
 
+    Also carries that projection: `pixels` (one row per contour sample, NaN
+    behind the camera) and the `center` and `mark` pixels, all read-only.
+    """
+
+    luminaire_id: str
     fraction: float     # share of contour samples inside the image
     complete: bool      # full contour plus center and mark readable
     contour_px: float   # pixel length of the visible part of the contour
+    pixels: np.ndarray
+    center: np.ndarray
+    mark: np.ndarray
+
+
+def _luminaire_points(luminaires, contour_samples: int):
+    """World contour rings (L, n, 3) and center/mark pairs (L, 2, 3)."""
+    angles = contour_angles(contour_samples)
+    rings = np.stack([lum.circle_points(angles) for lum in luminaires])
+    marks = np.stack([np.stack([lum.center_w, lum.mark_w]) for lum in luminaires])
+    return rings, marks
 
 
 def luminaire_visibility(
-    lum: LuminaireInfo, pose: Pose, k: CameraIntrinsics, contour_samples: int = 360
-) -> Visibility:
-    """Classify visibility and measure the extractable contour length."""
-    pts = lum.circle_points(contour_angles(contour_samples))
-    pixels = _project_points_pixel(pts, pose, k)
+    luminaires: tuple[LuminaireInfo, ...],
+    pose: Pose,
+    k: CameraIntrinsics,
+    contour_samples: int = 360,
+) -> tuple[Visibility, ...]:
+    """Classify each luminaire's visibility and measure its extractable
+    contour length, from one projection of all contours at once."""
+    rings, marks = _luminaire_points(luminaires, contour_samples)
+    pixels = _project_points_pixel(rings, pose, k)
+    gm = _project_points_pixel(marks, pose, k)
+    pixels.flags.writeable = False
+    gm.flags.writeable = False
     inside = _in_bounds(pixels, k)
-    frac = float(inside.mean())
-    gm = _project_points_pixel(np.stack([lum.center_w, lum.mark_w]), pose, k)
-    complete = frac == 1.0 and bool(_in_bounds(gm, k).all())
-    seg = np.linalg.norm(np.diff(pixels, axis=0, append=pixels[:1]), axis=1)
-    contour_px = float(seg[inside & np.roll(inside, -1)].sum())
-    return Visibility(fraction=frac, complete=complete, contour_px=contour_px)
+    fractions = inside.mean(axis=1)
+    gm_inside = _in_bounds(gm, k).all(axis=1)
+    seg = np.linalg.norm(np.diff(pixels, axis=1, append=pixels[:, :1]), axis=-1)
+    both = inside & np.roll(inside, -1, axis=1)
+    return tuple(
+        Visibility(
+            luminaire_id=lum.id,
+            fraction=float(fractions[i]),
+            complete=bool(fractions[i] == 1.0 and gm_inside[i]),
+            contour_px=float(seg[i][both[i]].sum()),
+            pixels=pixels[i],
+            center=gm[i, 0],
+            mark=gm[i, 1],
+        )
+        for i, lum in enumerate(luminaires)
+    )
 
 
 def sample_pose(
     scene: Scene, rng: np.random.Generator, constraint: VisibilityConstraint
-) -> GroundTruth:
+) -> Pose:
     """Rejection-sample a camera pose satisfying the visibility constraint.
 
     Position is uniform over the room footprint with height in
@@ -239,11 +260,7 @@ def sample_pose(
             f"constraint needs {constraint.min_visible}"
         )
 
-    angles = contour_angles(constraint.contour_samples)
-    rings = np.stack([lum.circle_points(angles) for lum in scene.luminaires])
-    marks = np.stack(
-        [np.stack([lum.center_w, lum.mark_w]) for lum in scene.luminaires]
-    )
+    rings, marks = _luminaire_points(scene.luminaires, constraint.contour_samples)
 
     for _ in range(constraint.max_attempts):
         draw = rng.uniform(size=6)
@@ -272,23 +289,22 @@ def sample_pose(
             n_complete = int(((fractions == 1.0) & gm_ok).sum())
             if n_complete < constraint.require_complete:
                 continue
-        return GroundTruth(pose=pose)
+        return pose
     raise SamplingExhaustedError(
         f"no pose satisfied the constraint in {constraint.max_attempts} attempts"
     )
 
 
 def project_luminaire_burst(
-    lum: LuminaireInfo,
-    truth: GroundTruth,
-    k: CameraIntrinsics,
+    vis: Visibility,
     noise: NoiseModel,
     cap: CaptureConfig,
     rng: np.random.Generator,
-) -> list[Capture]:
-    """Project one luminaire into `images_per_location` noisy images.
+) -> Capture:
+    """Project one luminaire into a burst of `images_per_location` noisy
+    images, as one (images, points, 2) pixel array.
 
-    The clean projection is computed once; each image gets independent
+    The clean projection comes from `vis`; each image gets independent
     Gaussian pixel noise on the contour samples. Standard normals are drawn
     regardless of sigma so random streams align across noise levels. The
     center and mark projections are reported noise-free: they stand in for
@@ -297,47 +313,20 @@ def project_luminaire_burst(
     measuring as single contour pixels. Raises NotVisibleError when no
     contour point lands inside the image.
     """
-    angles = contour_angles(cap.contour_samples)
-    clean = _project_points_pixel(lum.circle_points(angles), truth.pose, k)
-    if not _in_bounds(clean, k).any():
-        raise NotVisibleError(f"luminaire {lum.id!r} does not project into the image")
-    clean_gm = _project_points_pixel(
-        np.stack([lum.center_w, lum.mark_w]), truth.pose, k
-    )
-
-    n_img = cap.images_per_location
-    contour_noise = rng.standard_normal((n_img,) + clean.shape) * noise.sigma
-
-    captures = []
-    for i in range(n_img):
-        captures.append(
-            Capture(
-                luminaire_id=lum.id,
-                angles=angles,
-                pixels=clean + contour_noise[i],
-                clean_pixels=clean,
-                center=clean_gm[0],
-                mark=clean_gm[1],
-                clean_center=clean_gm[0],
-                clean_mark=clean_gm[1],
-            )
+    if vis.fraction == 0.0:
+        raise NotVisibleError(
+            f"luminaire {vis.luminaire_id!r} does not project into the image"
         )
-    return captures
-
-
-def project_luminaire(
-    lum: LuminaireInfo,
-    truth: GroundTruth,
-    k: CameraIntrinsics,
-    noise: NoiseModel,
-    cap: CaptureConfig,
-    rng: np.random.Generator | None = None,
-) -> Capture:
-    """Single noisy image of one luminaire (see project_luminaire_burst)."""
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
-    single = replace(cap, images_per_location=1)
-    return project_luminaire_burst(lum, truth, k, noise, single, rng)[0]
+    clean = vis.pixels
+    shape = (cap.images_per_location,) + clean.shape
+    return Capture(
+        luminaire_id=vis.luminaire_id,
+        angles=contour_angles(len(clean)),
+        pixels=clean + rng.standard_normal(shape) * noise.sigma,
+        clean_pixels=clean,
+        center=vis.center,
+        mark=vis.mark,
+    )
 
 
 def truncate_arc(
@@ -349,13 +338,13 @@ def truncate_arc(
     arc_fraction: float = 0.6,
     intrinsics: CameraIntrinsics | None = None,
 ) -> Capture:
-    """Reduce a capture to the part of the contour that survives occlusion.
+    """Reduce a burst to the part of the contour that survives occlusion.
 
     semicircle keeps a random contiguous 50% span, superior_arc keeps
     `arc_fraction`, image_bounds keeps the points whose clean projection lies
-    inside the image. Partial captures lose the center and mark projections
-    (the coded points cannot be read from a partial image). Pass the same
-    `start_index` to every image of a burst so they stay aligned.
+    inside the image. Every image of the burst keeps the same points. Partial
+    captures lose the center and mark projections (the coded points cannot
+    be read from a partial image).
     """
     if mode not in ARC_MODES:
         raise ValueError(f"mode must be one of {ARC_MODES}")
@@ -381,51 +370,38 @@ def truncate_arc(
     return Capture(
         luminaire_id=capture.luminaire_id,
         angles=capture.angles[keep],
-        pixels=capture.pixels[keep],
+        pixels=capture.pixels[:, keep],
         clean_pixels=capture.clean_pixels[keep],
-        center=None,
-        mark=None,
-        clean_center=None,
-        clean_mark=None,
         mode=mode,
     )
 
 
-def average_observations(captures, k: CameraIntrinsics) -> Observation:
-    """Average a burst of captures into one observation and fit its ellipse.
+def average_observations(capture: Capture, k: CameraIntrinsics) -> Observation:
+    """Average a burst into one observation and fit its ellipse.
 
-    Corresponding pixels (same contour parameter index) are averaged across
-    images before fitting, which shrinks the effective pixel noise by
-    sqrt(n_images). All captures must share luminaire, angles, and truncation.
+    Corresponding pixels (same contour sample) are averaged across images
+    before fitting, which shrinks the effective pixel noise by
+    sqrt(n_images).
     """
-    captures = list(captures)
-    if not captures:
-        raise MismatchedCapturesError("no captures to average")
-    first = captures[0]
-    for c in captures[1:]:
-        if (
-            c.luminaire_id != first.luminaire_id
-            or c.mode != first.mode
-            or c.angles.shape != first.angles.shape
-            or not np.array_equal(c.angles, first.angles)
-        ):
-            raise MismatchedCapturesError(
-                "captures differ in luminaire, truncation, or sampling angles"
-            )
-
-    mean_pixels = np.mean([c.pixels for c in captures], axis=0)
+    mean_pixels = capture.pixels.mean(axis=0)
     ellipse = fit_ellipse(pixel_to_image(mean_pixels, k))
-    complete = first.mode == "complete" and first.center is not None
-    center = np.mean([c.center for c in captures], axis=0) if complete else None
-    mark = np.mean([c.mark for c in captures], axis=0) if complete else None
+    complete = capture.mode == "complete"
+    center = mark = None
+    if complete:
+        # Every image reads the same clean center and mark, and the burst
+        # average is taken over those copies: the mean of n copies of a float
+        # can differ from it in the last bit, and records keep that mean.
+        n_img = len(capture.pixels)
+        center = np.repeat(capture.center[None], n_img, 0).mean(axis=0)
+        mark = np.repeat(capture.mark[None], n_img, 0).mean(axis=0)
     return Observation(
-        luminaire_id=first.luminaire_id,
+        luminaire_id=capture.luminaire_id,
         ellipse=ellipse,
         complete=complete,
         center_proj=center,
         mark_proj=mark,
         contour_pixels=mean_pixels,
-        contour_angles=first.angles,
+        contour_angles=capture.angles,
     )
 
 
@@ -444,6 +420,19 @@ def scene_to_dict(scene: Scene) -> dict:
             for lum in scene.luminaires
         ],
     }
+
+
+def intrinsics_from_dict(data: dict) -> CameraIntrinsics:
+    """Parse an intrinsics mapping, rejecting unknown fields by name."""
+    if not isinstance(data, dict):
+        raise InvalidConfigError("intrinsics must be a JSON object")
+    extra = set(data) - {"f", "dx", "dy", "u0", "v0", "width", "height"}
+    if extra:
+        raise InvalidConfigError(f"unknown intrinsics fields: {sorted(extra)}")
+    try:
+        return CameraIntrinsics(**data)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"bad intrinsics: {exc}") from exc
 
 
 def scene_from_dict(data: dict) -> Scene:

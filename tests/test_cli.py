@@ -125,6 +125,34 @@ def test_solve_repeated_luminaire_id_exits_2(tmp_path, capsys):
     assert "'L2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"luminaire_id": None}, "observation 0: missing field 'luminaire_id'"),
+    ({"center_proj": [float("nan"), 240.0]}, "observation 0 ('L1'): center_proj"),
+    ({"contour_pixels": [[1.0, 2.0, 3.0]] * 20}, "observation 0 ('L1'): contour_pixels"),
+    ({"contour_pixels": None, "ellipse": {"a": 1.0}}, "observation 0 ('L1'): bad ellipse"),
+    (["x"], "observation 0 must be a JSON object"),
+], ids=["missing_id", "nan_center", "three_columns", "bad_ellipse", "non_object"])
+def test_solve_malformed_observation_exits_2(tmp_path, capsys, patch, message):
+    # Each of these once ended in a traceback or in an error that named
+    # neither the field nor the observation. None deletes the field.
+    data = json.loads((resources.files("arcpose") / "data" /
+                       "fixture_observations.json").read_text())
+    if isinstance(patch, dict):
+        obs = data["observations"][0]
+        obs.update(patch)
+        for name in [n for n, v in patch.items() if v is None]:
+            del obs[name]
+    else:
+        data["observations"][0] = patch
+    with pytest.raises(InvalidConfigError) as exc:
+        observations_from_dict(data)
+    assert message in str(exc.value)
+    obs_path = tmp_path / "malformed.json"
+    obs_path.write_text(json.dumps(data))
+    assert main(["solve", data_path("fixture_scene.json"), str(obs_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 # --- run -----------------------------------------------------------------------
 
 def test_run_writes_outputs(tmp_path, capsys):
