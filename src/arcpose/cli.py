@@ -124,11 +124,15 @@ def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrins
             for name in ("center_proj", "mark_proj")
             if item.get(name) is not None
         }
+        complete = bool(item.get("complete", False))
+        for name in ("center_proj", "mark_proj"):
+            if complete and name not in points:
+                raise InvalidConfigError(f"{where}: complete observation needs {name!r}")
         observations.append(
             Observation(
                 luminaire_id=lum_id,
                 ellipse=ellipse,
-                complete=bool(item.get("complete", False)),
+                complete=complete,
                 center_proj=points.get("center_proj"),
                 mark_proj=points.get("mark_proj"),
                 contour_pixels=contour,

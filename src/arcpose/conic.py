@@ -13,8 +13,11 @@ k = +-sqrt((l1-l2)/(l2-l3)) yields the two candidate orientations of the
 luminaire; the known physical radius then fixes the plane offset and lets any
 image point be lifted onto the luminaire plane.
 
-All directions here live in the camera frame (CCS) or the auxiliary frame
-(ACS); lengths on the image plane are cm, lifted points are meters.
+The cone functions take batches, M cones or points at once, and report each
+row's failures as masks; `solver.solve_pairs` chains them and turns the first
+failure of a row into its error. All directions here live in the camera frame
+(CCS) or the auxiliary frame (ACS); lengths on the image plane are cm, lifted
+points are meters.
 """
 
 from __future__ import annotations
@@ -23,15 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BehindCameraError,
-    DegenerateConicError,
-    LineParallelToPlaneError,
-    NotAConeError,
-    ParallelLineError,
-    TooFewPointsError,
-)
-from .frames import CameraIntrinsics, _freeze, embed_on_image_plane, pixel_to_image
+from .errors import DegenerateConicError, TooFewPointsError
 
 # Slack on the strict ellipse discriminant test b^2 - 4ac < 0.
 DISCRIMINANT_SLACK = 1e-12
@@ -57,60 +52,13 @@ class EllipseCoeffs:
             )
 
     @property
+    def coefficients(self) -> np.ndarray:
+        """The row (a, b, c, d, e) that the batched cone functions take."""
+        return np.array([self.a, self.b, self.c, self.d, self.e])
+
+    @property
     def discriminant(self) -> float:
         return self.b * self.b - 4.0 * self.a * self.c
-
-    def evaluate(self, points) -> np.ndarray:
-        """Algebraic residual a*x^2 + b*x*y + c*y^2 + d*x + e*y + 1."""
-        p = np.asarray(points, dtype=float)
-        x, y = p[..., 0], p[..., 1]
-        return (
-            self.a * x * x + self.b * x * y + self.c * y * y
-            + self.d * x + self.e * y + 1.0
-        )
-
-
-@dataclass(frozen=True)
-class ConeDecomposition:
-    """Eigendecomposition q = r_a_c @ diag(lambdas) @ r_a_c.T of a cone matrix.
-
-    lambdas are ordered lambda3 < 0 < lambda2 <= lambda1 and the third column
-    of r_a_c (the cone axis) points toward positive z in the camera frame.
-    """
-
-    q: np.ndarray
-    lambdas: np.ndarray
-    r_a_c: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, q=self.q, lambdas=self.lambdas, r_a_c=self.r_a_c)
-
-
-@dataclass(frozen=True)
-class CandidateNormal:
-    """One of the two possible luminaire orientations: section slope + normal."""
-
-    k: float
-    normal_ccs: np.ndarray
-
-    def __post_init__(self):
-        n = np.array(self.normal_ccs, dtype=float)
-        norm = np.linalg.norm(n)
-        if abs(norm - 1.0) > 1e-9:
-            n = n / norm
-        _freeze(self, normal_ccs=n)
-
-
-@dataclass(frozen=True)
-class PlaneACS:
-    """Luminaire plane z = k*x + b_led in the auxiliary frame, b_led in meters."""
-
-    k: float
-    b_led: float
-
-    def __post_init__(self):
-        if not self.b_led > 0:
-            raise ValueError(f"plane intercept must be positive, got {self.b_led}")
 
 
 def fit_ellipse(points) -> EllipseCoeffs:
@@ -159,126 +107,115 @@ def fit_ellipse(points) -> EllipseCoeffs:
     return EllipseCoeffs(a / const, b / const, c / const, d / const, e / const)
 
 
-def ellipse_center(e: EllipseCoeffs) -> np.ndarray:
-    """Center of the ellipse in ICS (cm)."""
-    den = 4.0 * e.a * e.c - e.b * e.b
-    if abs(den) < 1e-14 * max(e.a * e.a, e.c * e.c, 1.0):
-        raise DegenerateConicError("4ac - b^2 ~ 0: conic has no finite center")
-    return np.array(
-        [(e.b * e.e - 2.0 * e.c * e.d) / den, (e.b * e.d - 2.0 * e.a * e.e) / den]
-    )
+def ellipse_centers(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (M, 2) in ICS (cm) of ellipses given as (M, 5) rows
+    (a, b, c, d, e), and a mask of the conics with no finite center."""
+    co = np.asarray(coeffs, dtype=float)
+    a, b, c, _, _ = co.T
+    den = 4.0 * a * c - b * b
+    flat = np.abs(den) < 1e-14 * np.maximum(np.maximum(a * a, c * c), 1.0)
+    # (b*e - 2*c*d, b*d - 2*a*e) / den
+    num = b[:, None] * co[:, [4, 3]] - 2.0 * co[:, [2, 0]] * co[:, [3, 4]]
+    return num / den[:, None], flat
 
 
-def cone_from_ellipse(e: EllipseCoeffs, f: float) -> np.ndarray:
-    """Symmetric matrix of the viewing cone through the ellipse.
+# Cone matrix entries, row-major, as indices into (a*f^2, b*f^2/2, c*f^2,
+# d*f/2, e*f/2, 1).
+_CONE_ENTRIES = np.array([0, 1, 3, 1, 2, 4, 3, 4, 5])
+_HALVES = np.array([1.0, 0.5, 1.0, 0.5, 0.5])
+_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
+_PLUS_MINUS = np.array([1.0, -1.0])
 
-    A camera point lies on the cone iff v.T @ Q @ v = 0. The matrix is
-    sign-normalized so its eigenvalue signature is (+, +, -).
+
+def cone_matrices(coeffs, f: float) -> np.ndarray:
+    """Viewing-cone matrices (M, 3, 3) of ellipses given as (M, 5) rows
+    (a, b, c, d, e); a camera point v lies on a cone iff v.T @ Q @ v = 0.
+
+    The sign is left as it comes; `decompose_cones` normalizes it.
     """
-    q = np.array(
-        [
-            [e.a * f * f, e.b * f * f / 2.0, e.d * f / 2.0],
-            [e.b * f * f / 2.0, e.c * f * f, e.e * f / 2.0],
-            [e.d * f / 2.0, e.e * f / 2.0, 1.0],
-        ]
-    )
-    if np.sum(np.linalg.eigvalsh(q) < 0) == 2:
-        q = -q
-    return q
+    c = np.asarray(coeffs, dtype=float)
+    entries = np.ones((len(c), 6))
+    entries[:, :5] = c * f
+    entries[:, :3] *= f
+    entries[:, :5] *= _HALVES
+    return entries[:, _CONE_ENTRIES].reshape(-1, 3, 3)
 
 
-def decompose_cone(q: np.ndarray) -> ConeDecomposition:
-    """Diagonalize a cone matrix into the auxiliary coordinate system.
+def decompose_cones(q) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonalize cone matrices (M, 3, 3) into auxiliary coordinate systems.
 
-    Orders eigenpairs so lambda3 < 0 < lambda2 <= lambda1 with the negative
-    pair in the third column, fixes the axis sign toward the scene
-    (positive z in CCS), and returns a right-handed rotation.
+    Q and -Q are the same cone, so a matrix with two negative eigenvalues is
+    decomposed as -Q. Returns the eigenvalues (M, 3) ordered
+    lambda1 >= lambda2 > 0 > lambda3, the right-handed rotations r_a_c
+    (M, 3, 3) whose third column (the cone axis) points toward positive z in
+    the camera frame, a mask of the matrices taken as -Q, and a mask of the
+    matrices that are no elliptical cone (a numerically zero eigenvalue, or
+    a signature other than (+, +, -) up to sign).
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (3, 3) or np.abs(q - q.T).max() > 1e-9 * max(1.0, np.abs(q).max()):
-        raise ValueError("cone matrix must be symmetric 3x3")
-    eigvals, eigvecs = np.linalg.eigh(q)
-
-    tol = 1e-10 * np.abs(eigvals).sum()
-    if np.any(np.abs(eigvals) <= tol):
-        raise NotAConeError("eigenvalue is numerically zero")
-    if np.sum(eigvals < 0) != 1:
-        raise NotAConeError(
-            f"eigenvalue signature {np.sign(eigvals).astype(int).tolist()} "
-            "is not (+, +, -)"
-        )
-
-    order = np.argsort(eigvals)[::-1]  # descending: l1 >= l2 > 0 > l3
-    lambdas = eigvals[order]
-    e1, _, e3 = eigvecs[:, order].T
-
-    if e3[2] < 0:
-        e3 = -e3
-    # Canonical sign for the transverse axis so repeated runs agree bit-for-bit.
-    if e1[np.argmax(np.abs(e1))] < 0:
-        e1 = -e1
-    e2 = np.cross(e3, e1)
-    r_a_c = np.column_stack([e1, e2, e3])
-    return ConeDecomposition(q=q, lambdas=lambdas, r_a_c=r_a_c)
+    w, v = np.linalg.eigh(q)
+    w0, w1, w2 = w.T
+    flipped = (w1 < 0) & (w2 >= 0)
+    size = np.abs(w)
+    not_cone = ~((w0 < 0) & (w2 >= 0)) | (
+        size <= 1e-10 * size.sum(axis=1, keepdims=True)
+    ).any(axis=1)
+    # eigh sorts ascending and -Q has the spectrum -w with Q's eigenvectors,
+    # so (e1, e3) are Q's last and first eigenvectors, or -Q's first and last.
+    lambdas = np.where(flipped[:, None], -w, w[:, ::-1])
+    ends = np.where(flipped[:, None, None], v[:, :, ::2], v[:, :, ::-2])
+    # The axis points to positive z; the transverse axis gets a canonical
+    # sign (its largest component positive) so repeated runs agree bit for bit.
+    e1 = ends[:, :, 0]
+    lead = e1[np.arange(len(w)), np.abs(e1).argmax(axis=1)]
+    ends = np.where(np.array([lead, ends[:, 2, 1]]).T[:, None] < 0, -ends, ends)
+    e1, e3 = ends[:, :, 0], ends[:, :, 1]
+    e2 = e3[:, _YZX] * e1[:, _ZXY] - e3[:, _ZXY] * e1[:, _YZX]
+    r_a_c = np.concatenate([ends[:, :, :1], e2[:, :, None], ends[:, :, 1:]], axis=2)
+    return lambdas, r_a_c, flipped, not_cone
 
 
-def candidate_normals(d: ConeDecomposition) -> tuple[CandidateNormal, CandidateNormal]:
-    """The two possible luminaire normals, unit vectors in the camera frame.
+def section_normals(lambdas, r_a_c) -> tuple[np.ndarray, np.ndarray]:
+    """The two circle sections of decomposed cones: slopes (M, 2) = (k, -k)
+    with k = sqrt((l1-l2)/(l2-l3)), and unit normals (M, 2, 3) in the camera
+    frame, r_a_c @ (k, 0, -1)/sqrt(k^2+1) flipped to a negative z-component
+    (a ceiling luminaire faces down toward the camera)."""
+    l1, l2, l3 = np.asarray(lambdas).T
+    k = np.sqrt(np.maximum(0.0, (l1 - l2) / (l2 - l3)))
+    slopes = np.multiply.outer(k, _PLUS_MINUS)
+    n = slopes[:, :, None] * r_a_c[:, None, :, 0] - r_a_c[:, None, :, 2]
+    n /= np.sqrt(slopes * slopes + 1.0)[:, :, None]
+    return slopes, np.where(n[:, :, 2:] > 0, -n, n)
 
-    The slopes are k = +-sqrt((l1-l2)/(l2-l3)); each normal is
-    r_a_c @ (k, 0, -1)/sqrt(k^2+1), flipped if needed so its z-component is
-    negative (a ceiling luminaire faces down toward the camera). A head-on
-    view has l1 = l2 and both candidates collapse onto the cone axis.
+
+def plane_intercepts(lambdas, k, r_lum, probe_b: float = 1.0):
+    """Intercepts b_led (m) of the planes z = k*x + b_led in ACS that cut
+    decomposed cones in circles of radius r_lum, and a mask of slopes
+    parallel to a cone generator (no finite chord). Arrays of M rows.
+
+    Cuts the cone's x-z silhouette lines z = +-m*x, m = sqrt(-l1/l3), with
+    the probe plane z = k*x + probe_b; the probe chord scales to the true
+    diameter 2R, so b_led = 2*R*probe_b/|chord|, whatever probe_b is.
     """
-    l1, l2, l3 = d.lambdas
-    k = float(np.sqrt(max(0.0, (l1 - l2) / (l2 - l3))))
-    out = []
-    for ki in (k, -k):
-        n = d.r_a_c @ np.array([ki, 0.0, -1.0]) / np.sqrt(ki * ki + 1.0)
-        if n[2] > 0:
-            n = -n
-        out.append(CandidateNormal(k=ki, normal_ccs=n))
-    return out[0], out[1]
+    m = np.sqrt(-lambdas[:, 0] / lambdas[:, 2])
+    parallel = np.abs(m - np.abs(k)) <= 1e-9 * m
+    x1, x2 = probe_b / (m - k), probe_b / (m + k)
+    chord = np.hypot(x1 + x2, m * x1 - m * x2)
+    return 2.0 * r_lum * probe_b / chord, parallel
 
 
-def luminaire_plane(
-    d: ConeDecomposition, k: float, r_lum: float, probe_b: float = 1.0
-) -> PlaneACS:
-    """Locate the luminaire plane z = k*x + b_led in ACS from the known radius.
+def lift_to_planes(xy, k, b_led, r_a_c, f: float):
+    """Intersect the viewing rays of image points (M, 2) (cm) with the
+    planes z = k*x + b_led in ACS.
 
-    Cuts the cone's x-z silhouette lines z = +-sqrt(-l1/l3)*x with the probe
-    plane z = k*x + probe_b; the probe chord scales to the true diameter 2R,
-    so b_led = 2*R*probe_b/|chord|. The result is independent of probe_b.
+    Returns the intersections (M, 3) in the camera frame (m), a mask of rays
+    that run along their plane and a mask of intersections with z <= 0
+    (behind the camera).
     """
-    if not r_lum > 0:
-        raise ValueError(f"luminaire radius must be positive, got {r_lum}")
-    if not probe_b > 0:
-        raise ValueError(f"probe intercept must be positive, got {probe_b}")
-    l1, _, l3 = d.lambdas
-    m = float(np.sqrt(-l1 / l3))
-    if abs(m - abs(k)) <= 1e-9 * m:
-        raise ParallelLineError("section plane is parallel to a cone generator")
-    p1 = np.array([probe_b / (m - k), 0.0, m * probe_b / (m - k)])
-    p2 = np.array([-probe_b / (m + k), 0.0, m * probe_b / (m + k)])
-    chord = np.linalg.norm(p1 - p2)
-    return PlaneACS(k=k, b_led=2.0 * r_lum * probe_b / chord)
-
-
-def backproject_to_plane(
-    q_pixel, plane: PlaneACS, d: ConeDecomposition, k: CameraIntrinsics
-) -> np.ndarray:
-    """Intersect the viewing ray of a pixel with the luminaire plane.
-
-    Returns the intersection in the camera frame, in meters. Raises
-    LineParallelToPlaneError when the ray runs along the plane and
-    BehindCameraError when the intersection has z <= 0.
-    """
-    ray_a = d.r_a_c.T @ embed_on_image_plane(pixel_to_image(q_pixel, k), k)
-    denom = ray_a[2] - plane.k * ray_a[0]
-    if abs(denom) <= 1e-12 * np.linalg.norm(ray_a):
-        raise LineParallelToPlaneError("viewing ray is parallel to the plane")
-    point_a = (plane.b_led / denom) * ray_a
-    point_c = d.r_a_c @ point_a
-    if point_c[2] <= 0:
-        raise BehindCameraError("plane intersection is behind the camera")
-    return point_c
+    embedded = np.empty((len(xy), 3, 1))
+    embedded[:, :2, 0] = xy
+    embedded[:, 2] = f
+    ray = (r_a_c.transpose(0, 2, 1) @ embedded)[:, :, 0]
+    denom = ray[:, 2] - k * ray[:, 0]
+    parallel = np.abs(denom) <= 1e-12 * np.sqrt((ray * ray).sum(axis=1))
+    point = (r_a_c @ ((b_led / denom)[:, None] * ray)[:, :, None])[:, :, 0]
+    return point, parallel, point[:, 2] <= 0

@@ -38,7 +38,6 @@ from .frames import (
     rotation_to_quaternion,
 )
 from .sim import (
-    CaptureConfig,
     NoiseModel,
     Scene,
     VisibilityConstraint,
@@ -46,6 +45,7 @@ from .sim import (
     default_intrinsics,
     default_scene,
     intrinsics_from_dict,
+    luminaire_points,
     luminaire_visibility,
     project_luminaire_burst,
     sample_pose,
@@ -56,10 +56,10 @@ from .sim import (
 from .solver import (
     LuminaireInfo,
     Observation,
+    pair_inputs,
+    pair_observations,
     pnp_baseline,
-    solve_oavpa,
-    solve_vpa,
-    solve_vpca,
+    solve_pairs,
 )
 
 ALGORITHMS = ("VPA", "VPCA", "OAVPA", "PNP")
@@ -304,6 +304,12 @@ def _euler_or_nan(rotation) -> tuple[float, float, float]:
 def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Run the configured experiment; one record per sample per algorithm.
 
+    Two phases. Per sample, draw the pose and the noise, fit the ellipses and
+    keep, per geometric algorithm, the compact `pair_inputs` row of the pair
+    it solves (PNP solves there, from the contour points). Then one
+    `solve_pairs` call takes every row of the run from ellipse coefficients
+    to pose. Records come out by sample, then in `cfg.algorithms` order.
+
     Solver failures never abort the run: the record carries the error class
     name and no metrics. Pose-sampling exhaustion does propagate, since a
     constraint no pose can satisfy would fail every remaining sample too.
@@ -312,55 +318,65 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     lum_map = scene.luminaire_map()
     constraint = _constraint_for(cfg)
     noise = NoiseModel(sigma=cfg.sigma)
-    cap = CaptureConfig(
-        contour_samples=cfg.contour_samples,
-        images_per_location=cfg.images_per_location,
-    )
+    points = luminaire_points(scene.luminaires, cfg.contour_samples)
+    k = cfg.intrinsics
 
-    records: list[ResultRecord] = []
+    samples: list[list] = []  # per sample, its records in algorithm order
+    jobs = []  # (sample index, slot, algorithm, truth) of each batch row
+    batch = {}  # the jobs' pair_inputs rows, one array per input
     for index in range(cfg.samples):
         rng = np.random.default_rng([cfg.seed, index])
-        truth = sample_pose(scene, rng, constraint)
+        truth = sample_pose(scene, rng, constraint, points)
+        records = [None] * len(cfg.algorithms)
+        samples.append(records)
         try:
-            observations = _capture_sample(cfg, scene, truth, noise, cap, rng)
+            obs = _capture_sample(cfg, scene, truth, noise, rng, points)
         except (ArcPoseError, ValueError) as exc:
-            for alg in cfg.algorithms:
-                records.append(
-                    ResultRecord(
-                        sample_index=index, algorithm=alg, truth=truth,
-                        error=type(exc).__name__,
-                    )
-                )
+            records[:] = [_failed(index, alg, truth, exc) for alg in cfg.algorithms]
             continue
-        for alg in cfg.algorithms:
-            records.append(
-                _solve_one(index, alg, observations, lum_map, cfg.intrinsics, truth)
+        pair = pair_observations(obs)
+        for slot, alg in enumerate(cfg.algorithms):
+            first, second = (0, 1) if alg == "OAVPA" else pair
+            vpca = alg != "OAVPA" and obs[first].complete
+            if alg == "PNP":
+                records[slot] = _solve_pnp(index, obs, lum_map, k, truth)
+            elif alg == "VPCA" and not vpca:
+                records[slot] = _failed(index, alg, truth, ValueError(
+                    "no complete capture for the circle-and-arc solver"))
+            else:
+                row = pair_inputs(obs[first], obs[second], lum_map, k, vpca)
+                for key, value in row.items():
+                    if key not in batch:
+                        shape = (cfg.samples * len(cfg.algorithms),) + value.shape[1:]
+                        batch[key] = np.empty(shape, value.dtype)
+                    batch[key][len(jobs)] = value[0]
+                jobs.append((index, slot, alg, truth))
+
+    if jobs:
+        sol = solve_pairs(**{key: v[:len(jobs)] for key, v in batch.items()}, f=k.f)
+        for j, (index, slot, alg, truth) in enumerate(jobs):
+            error = sol.error(j)
+            samples[index][slot] = (
+                _failed(index, alg, truth, error) if error is not None
+                else _solved(index, alg, truth, "VPCA" if batch["vpca"][j] else "OAVPA",
+                             Pose(rotation=sol.rotation[j], translation=sol.translation[j]))
             )
-    return records
+    return [r for records in samples for r in records]
 
 
-def _capture_sample(cfg, scene, truth, noise, cap, rng) -> list[Observation]:
+def _capture_sample(cfg, scene, truth, noise, rng, points) -> list[Observation]:
     """Project, truncate, and average the two best-visible luminaires."""
     k = cfg.intrinsics
+    visibility = luminaire_visibility(scene.luminaires, truth, k, cfg.contour_samples,
+                                      points=points)
     # Longest extractable contour first: the nearest luminaire carries the
-    # most information, and the dispatcher ranks partners the same way.
-    visibility = sorted(
-        luminaire_visibility(scene.luminaires, truth, k, cfg.contour_samples),
-        key=lambda v: (-v.contour_px, v.luminaire_id),
-    )
-
-    if cfg.scenario == "mixed":
-        completes = [v for v in visibility if v.complete]
-        if completes:
-            primary = completes[0]
-            partner = next(v for v in visibility if v is not primary)
-            chosen = [primary, partner]
-        else:
-            chosen = visibility[:2]
-        modes = ["complete" if vis.complete else "image_bounds" for vis in chosen]
-    else:
-        chosen = visibility[:2]
-        modes = list(cfg.scenario)
+    # most information. `mixed` pairs the best complete luminaire with the
+    # best other one, as the dispatcher does; the explicit scenarios take the
+    # best two.
+    mixed = cfg.scenario == "mixed"
+    chosen = [visibility[i] for i in pair_observations(visibility, mixed)]
+    modes = (["complete" if v.complete else "image_bounds" for v in chosen] if mixed
+             else list(cfg.scenario))
 
     observations = []
     for vis, mode in zip(chosen, modes):
@@ -369,7 +385,7 @@ def _capture_sample(cfg, scene, truth, noise, cap, rng) -> list[Observation]:
             if mode in ("semicircle", "superior_arc")
             else None
         )
-        burst = project_luminaire_burst(vis, noise, cap, rng)
+        burst = project_luminaire_burst(vis, noise, cfg.images_per_location, rng)
         if mode != "complete":
             burst = truncate_arc(
                 burst, mode, start_index=start,
@@ -379,36 +395,30 @@ def _capture_sample(cfg, scene, truth, noise, cap, rng) -> list[Observation]:
     return observations
 
 
-def _solve_one(index, alg, observations, lum_map, k, truth) -> ResultRecord:
-    try:
-        if alg == "VPA":
-            estimate = solve_vpa(observations, lum_map, k)
-        elif alg == "VPCA":
-            ranked = sorted(observations, key=lambda o: (-o.contour_px, o.luminaire_id))
-            complete = [o for o in ranked if o.complete]
-            if not complete:
-                raise ValueError("no complete capture for the circle-and-arc solver")
-            primary = complete[0]
-            partner = next(o for o in ranked if o is not primary)
-            estimate = solve_vpca(primary, partner, lum_map, k)
-        elif alg == "OAVPA":
-            estimate = solve_oavpa(observations[0], observations[1], lum_map, k)
-        else:  # PNP
-            estimate = pnp_baseline(_pnp_correspondences(observations, lum_map), k)
-    except (ArcPoseError, ValueError, np.linalg.LinAlgError) as exc:
-        return ResultRecord(
-            sample_index=index, algorithm=alg, truth=truth,
-            error=type(exc).__name__,
-        )
+def _failed(index, alg, truth, exc) -> ResultRecord:
+    return ResultRecord(
+        sample_index=index, algorithm=alg, truth=truth, error=type(exc).__name__,
+    )
+
+
+def _solved(index, alg, truth, tag, pose) -> ResultRecord:
     return ResultRecord(
         sample_index=index,
         algorithm=alg,
         truth=truth,
-        estimate=estimate.pose,
-        solver_tag=estimate.algorithm,
-        e_loc=e_loc(truth.translation, estimate.pose.translation),
-        e_pos=e_pos(truth.rotation, estimate.pose.rotation),
+        estimate=pose,
+        solver_tag=tag,
+        e_loc=e_loc(truth.translation, pose.translation),
+        e_pos=e_pos(truth.rotation, pose.rotation),
     )
+
+
+def _solve_pnp(index, observations, lum_map, k, truth) -> ResultRecord:
+    try:
+        estimate = pnp_baseline(_pnp_correspondences(observations, lum_map), k)
+    except (ArcPoseError, ValueError, np.linalg.LinAlgError) as exc:
+        return _failed(index, "PNP", truth, exc)
+    return _solved(index, "PNP", truth, estimate.algorithm, estimate.pose)
 
 
 # --- aggregation -----------------------------------------------------------------

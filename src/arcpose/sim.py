@@ -76,27 +76,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class CaptureConfig:
-    """How contours are sampled, how many images are averaged, and how arcs
-    get truncated."""
-
-    contour_samples: int = 360
-    images_per_location: int = 20
-    arc_mode: str = "complete"
-    arc_fraction: float = 0.6
-
-    def __post_init__(self):
-        if self.contour_samples < 8:
-            raise ValueError("contour_samples must be >= 8")
-        if self.images_per_location < 1:
-            raise ValueError("images_per_location must be >= 1")
-        if self.arc_mode not in ARC_MODES:
-            raise ValueError(f"arc_mode must be one of {ARC_MODES}")
-        if not 0 < self.arc_fraction <= 1:
-            raise ValueError("arc_fraction must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class VisibilityConstraint:
     """Acceptance rule for rejection-sampled poses.
 
@@ -203,8 +182,10 @@ class Visibility:
     mark: np.ndarray
 
 
-def _luminaire_points(luminaires, contour_samples: int):
-    """World contour rings (L, n, 3) and center/mark pairs (L, 2, 3)."""
+def luminaire_points(luminaires, contour_samples: int):
+    """World contour rings (L, n, 3) and center/mark pairs (L, 2, 3); they
+    depend only on the scene and the point count, so a run builds them once
+    for `sample_pose` and `luminaire_visibility`."""
     angles = contour_angles(contour_samples)
     rings = np.stack([lum.circle_points(angles) for lum in luminaires])
     marks = np.stack([np.stack([lum.center_w, lum.mark_w]) for lum in luminaires])
@@ -216,10 +197,12 @@ def luminaire_visibility(
     pose: Pose,
     k: CameraIntrinsics,
     contour_samples: int = 360,
+    points=None,
 ) -> tuple[Visibility, ...]:
     """Classify each luminaire's visibility and measure its extractable
-    contour length, from one projection of all contours at once."""
-    rings, marks = _luminaire_points(luminaires, contour_samples)
+    contour length, from one projection of all contours at once: of `points`,
+    the luminaires' `luminaire_points`, built here when not given."""
+    rings, marks = points or luminaire_points(luminaires, contour_samples)
     pixels = _project_points_pixel(rings, pose, k)
     gm = _project_points_pixel(marks, pose, k)
     pixels.flags.writeable = False
@@ -244,13 +227,16 @@ def luminaire_visibility(
 
 
 def sample_pose(
-    scene: Scene, rng: np.random.Generator, constraint: VisibilityConstraint
+    scene: Scene, rng: np.random.Generator, constraint: VisibilityConstraint,
+    points=None,
 ) -> Pose:
     """Rejection-sample a camera pose satisfying the visibility constraint.
 
     Position is uniform over the room footprint with height in
     `height_range`; roll and pitch are uniform within +-max_tilt and the
-    heading is uniform. Raises SamplingExhaustedError after max_attempts.
+    heading is uniform. `points` are the scene's `luminaire_points` at the
+    constraint's point count, built here when not given. Raises
+    SamplingExhaustedError after max_attempts.
     """
     k = constraint.intrinsics
     length, width, _ = scene.room
@@ -260,7 +246,8 @@ def sample_pose(
             f"constraint needs {constraint.min_visible}"
         )
 
-    rings, marks = _luminaire_points(scene.luminaires, constraint.contour_samples)
+    rings, marks = points or luminaire_points(scene.luminaires,
+                                              constraint.contour_samples)
 
     for _ in range(constraint.max_attempts):
         draw = rng.uniform(size=6)
@@ -298,7 +285,7 @@ def sample_pose(
 def project_luminaire_burst(
     vis: Visibility,
     noise: NoiseModel,
-    cap: CaptureConfig,
+    images_per_location: int,
     rng: np.random.Generator,
 ) -> Capture:
     """Project one luminaire into a burst of `images_per_location` noisy
@@ -313,12 +300,14 @@ def project_luminaire_burst(
     measuring as single contour pixels. Raises NotVisibleError when no
     contour point lands inside the image.
     """
+    if images_per_location < 1:
+        raise ValueError("images_per_location must be >= 1")
     if vis.fraction == 0.0:
         raise NotVisibleError(
             f"luminaire {vis.luminaire_id!r} does not project into the image"
         )
     clean = vis.pixels
-    shape = (cap.images_per_location,) + clean.shape
+    shape = (images_per_location,) + clean.shape
     return Capture(
         luminaire_id=vis.luminaire_id,
         angles=contour_angles(len(clean)),

@@ -12,6 +12,11 @@ Two geometric solvers plus a dispatcher and a generic baseline:
 * a Gauss-Newton reprojection-error minimizer over >= 4 world/pixel
   correspondences serves as the comparison baseline.
 
+Both geometric solvers are one array kernel, `solve_pairs`, which takes N
+luminaire pairs from ellipse coefficients to poses at once; the Monte Carlo
+harness runs a whole experiment through it, and `solve_vpca`, `solve_oavpa`
+and `solve_vpa` call it with a batch of one.
+
 World knowledge (luminaire centers, radii, mark orientation) arrives with the
 observation ids, the way an optical broadcast channel would deliver it.
 """
@@ -25,22 +30,25 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .conic import (
-    CandidateNormal,
-    ConeDecomposition,
     EllipseCoeffs,
-    backproject_to_plane,
-    candidate_normals,
-    cone_from_ellipse,
-    decompose_cone,
-    ellipse_center,
-    luminaire_plane,
+    cone_matrices,
+    decompose_cones,
+    ellipse_centers,
+    lift_to_planes,
+    plane_intercepts,
+    section_normals,
 )
 from .errors import (
     AmbiguousDisambiguationError,
+    BehindCameraError,
+    DegenerateConicError,
     DegenerateDirectionError,
     GimbalLockError,
     InconsistentInputError,
+    LineParallelToPlaneError,
     NonConvergenceError,
+    NotAConeError,
+    ParallelLineError,
     TooFewLuminairesError,
     UnknownLuminaireError,
 )
@@ -49,18 +57,20 @@ from .frames import (
     Pose,
     _freeze,
     _wrap_angle,
-    image_to_pixel,
+    pixel_to_image,
     rot_x,
     rot_y,
     rot_z,
 )
 
 DISAMBIGUATION_TIE_TOL = 1e-6
-GIMBAL_TOL = 1e-8
 PSI_RESIDUAL_LIMIT = 1e-3
 
 WORLD_DOWN = np.array([0.0, 0.0, -1.0])
 WORLD_DOWN.flags.writeable = False
+# The world direction from a luminaire's center to its mark.
+_PLUS_Y = np.array([0.0, 1.0, 0.0])
+_PLUS_Y.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -149,10 +159,16 @@ class Observation:
         Point count times the median sample spacing; the median keeps the
         estimate stable when truncation leaves gaps in the index sequence.
         """
-        if self.contour_pixels is None or len(self.contour_pixels) < 2:
+        p = self.contour_pixels
+        if p is None or len(p) < 2:
             return 0.0
-        seg = np.linalg.norm(np.diff(self.contour_pixels, axis=0), axis=1)
-        return float(len(self.contour_pixels) * np.median(seg))
+        step = p[1:] - p[:-1]
+        seg = np.sqrt((step * step).sum(axis=1))
+        # np.median's value, from one partition without its overhead.
+        half = len(seg) // 2
+        part = np.partition(seg, (max(half - 1, 0), half))
+        median = part[half] if len(seg) % 2 else (part[half - 1] + part[half]) / 2.0
+        return float(len(p) * median)
 
 
 @dataclass(frozen=True)
@@ -182,153 +198,272 @@ def _resolve(lums: Mapping[str, LuminaireInfo], lum_id: str) -> LuminaireInfo:
         raise UnknownLuminaireError(f"luminaire id {lum_id!r} not in scene") from None
 
 
-# --- orientation ---------------------------------------------------------------
+# --- the pair kernel: from two cones to a pose, for N pairs at once -------------
 
-def disambiguate_normal(
-    cands_a: tuple[CandidateNormal, CandidateNormal],
-    cands_b: tuple[CandidateNormal, CandidateNormal],
-) -> tuple[CandidateNormal, CandidateNormal, float]:
-    """Pick the shared orientation out of two candidate pairs.
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt((v * v).sum(axis=-1, keepdims=True))
 
-    Both luminaires sit on (parallel) ceiling planes, so exactly one candidate
-    from each pair should coincide. Returns the minimizing pair and the gap to
-    the second-best pairing. A tie (gap < 1e-6) is fine when the tied pairings
-    agree on the normals (head-on views collapse the pair); disagreeing ties
-    raise AmbiguousDisambiguationError.
+
+def disambiguate(normals: np.ndarray):
+    """Pick the shared orientation from the candidate normals (N, 2, 2, 3)
+    of two observations (pair, observation, candidate, xyz).
+
+    Returns the picked candidate of each observation (N, 2), the gap from
+    the best to the second-best pairing, and a mask of disagreeing ties.
     """
-    ranked = sorted(
-        (np.linalg.norm(na.normal_ccs - nb.normal_ccs), i, j)
-        for i, na in enumerate(cands_a)
-        for j, nb in enumerate(cands_b)
-    )
-    (best_d, bi, bj), (second_d, si, sj) = ranked[0], ranked[1]
-    gap = second_d - best_d
-    if gap < DISAMBIGUATION_TIE_TOL:
-        same_a = (
-            np.linalg.norm(cands_a[bi].normal_ccs - cands_a[si].normal_ccs)
-            <= DISAMBIGUATION_TIE_TOL
-        )
-        same_b = (
-            np.linalg.norm(cands_b[bj].normal_ccs - cands_b[sj].normal_ccs)
-            <= DISAMBIGUATION_TIE_TOL
-        )
-        if not (same_a and same_b):
-            raise AmbiguousDisambiguationError(
-                f"tied pairings (gap {gap:.2e}) select different normals"
-            )
-    return cands_a[bi], cands_b[bj], float(gap)
+    diff = normals[:, 0, :, None] - normals[:, 1, None]
+    dist = np.sqrt((diff * diff).sum(axis=-1)).reshape(-1, 4)
+    # Stable: equal distances rank by (candidate a, candidate b).
+    order = dist.argsort(axis=1, kind="stable")[:, :2]
+    ranked = np.sort(dist, axis=1)
+    gap = ranked[:, 1] - ranked[:, 0]
+    cand_a, cand_b = np.divmod(order, 2)
+    spread = normals[:, :, 0] - normals[:, :, 1]
+    narrow = np.sqrt((spread * spread).sum(axis=-1)) <= DISAMBIGUATION_TIE_TOL
+    # A tie is harmless when both pairings pick the same normals (a head-on
+    # view collapses a candidate pair).
+    same = ((cand_a[:, 0] == cand_a[:, 1]) | narrow[:, 0]) & (
+        (cand_b[:, 0] == cand_b[:, 1]) | narrow[:, 1])
+    pick = np.array([cand_a[:, 0], cand_b[:, 0]]).T
+    return pick, gap, (gap < DISAMBIGUATION_TIE_TOL) & ~same
 
 
-def euler_from_normal(n_c) -> tuple[float, float]:
-    """Tilt angles (phi, theta) from the luminaire normal in the camera frame.
+def tilt(n: np.ndarray):
+    """Tilt angles (phi, theta) from luminaire normals (N, 3) in the camera
+    frame, and a mask of normals parallel to the camera x-axis.
 
-    The normal of a down-facing luminaire satisfies
+    A down-facing luminaire's normal is
     n_c = (sin(theta), -cos(theta)*sin(phi), -cos(theta)*cos(phi)), so
-    theta = asin(n1) and phi = atan2(-n2, -n3). Heading (psi) is invisible to
-    the normal and recovered separately.
+    theta = asin(n1) and phi = atan2(-n2, -n3).
     """
-    n = np.asarray(n_c, dtype=float)
-    n = n / np.linalg.norm(n)
-    t1 = float(np.clip(n[0], -1.0, 1.0))
-    if abs(t1) >= 1.0 - 1e-9:
-        raise GimbalLockError("normal is parallel to the camera x-axis")
-    theta = math.asin(t1)
-    phi = _wrap_angle(math.atan2(-n[1], -n[2]))
-    return phi, theta
+    n1, n2, n3 = _unit(n).T
+    t1 = np.minimum(np.maximum(n1, -1.0), 1.0)
+    phi = np.arctan2(-n2, -n3)  # in [-pi, pi], wrapped to (-pi, pi]
+    return np.where(phi <= -math.pi, math.pi, phi), np.arcsin(t1), np.abs(t1) >= 1.0 - 1e-9
 
 
-def _heading_system(
-    g: np.ndarray, phi: float, theta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear system A @ (cos psi, sin psi) = h - c for h = R(phi,theta,psi)^T g.
+def heading(g, h, phi, theta):
+    """Heading from unit directions g (N, 3) in the world and h (N, 3) in
+    the camera frame, given the tilt angles phi and theta (N,).
 
-    Rows follow from peeling Rz off R^T = Rx^T Ry^T Rz^T; the constant part c
-    collects the psi-free g3 terms.
+    h = R^T g with R = Rz(psi) Ry(theta) Rx(phi) means w = Ry Rx h equals
+    Rz(psi)^T g, which is linear in (cos psi, sin psi); the least-squares
+    solution is G @ (w1, w2) / (g1^2 + g2^2) with G = [[g1, g2], [g2, -g1]].
+    Returns that pair normalized (2, N), its norm before normalizing (under
+    1e-12 the system has collapsed), and the residual of the three equations.
     """
-    g1, g2, g3 = g
-    sp, cp = math.sin(phi), math.cos(phi)
-    st, ct = math.sin(theta), math.cos(theta)
-    a = np.array(
-        [
-            [g1 * ct, g2 * ct],
-            [g2 * cp + g1 * sp * st, -g1 * cp + g2 * sp * st],
-            [-g2 * sp + g1 * cp * st, g1 * sp + g2 * cp * st],
-        ]
-    )
-    c = np.array([-g3 * st, g3 * sp * ct, g3 * cp * ct])
-    return a, c
-
-
-def _solve_heading(
-    g: np.ndarray, h: np.ndarray, phi: float, theta: float
-) -> tuple[float, float]:
-    """Least-squares heading angle and the residual of all three equations."""
-    a, c = _heading_system(g, phi, theta)
-    sol, *_ = np.linalg.lstsq(a, h - c, rcond=None)
-    norm = math.hypot(sol[0], sol[1])
-    if norm < 1e-12:
-        raise InconsistentInputError("heading system collapsed to zero")
+    (sp, st), (cp, ct) = np.sin([phi, theta]), np.cos([phi, theta])
+    g1, g2, g3 = np.asarray(g, dtype=float).T
+    h1, h2, h3 = np.asarray(h, dtype=float).T
+    x3 = sp * h2 + cp * h3
+    w = np.array([ct * h1 + st * x3, cp * h2 - sp * h3])
+    big_g = np.array([[g1, g2], [g2, -g1]])
+    sol = (big_g * w).sum(axis=1) / (g1 * g1 + g2 * g2)
+    norm = np.sqrt((sol * sol).sum(axis=0))
     cos_sin = sol / norm
-    residual = float(np.linalg.norm(a @ cos_sin - (h - c)))
-    psi = _wrap_angle(math.atan2(cos_sin[1], cos_sin[0]))
-    return psi, residual
+    off = (big_g * cos_sin).sum(axis=1) - w
+    residual = np.sqrt((off * off).sum(axis=0) + (g3 - (ct * x3 - st * h1)) ** 2)
+    return cos_sin, norm, residual
 
 
-def psi_vpca(s, phi: float, theta: float) -> float:
-    """Heading from the camera-frame direction of the center-to-mark vector.
-
-    `s` is the unit vector of (mark - center) in CCS; in the world that
-    direction is +y. Solved as linear least squares in (cos psi, sin psi).
-    Raises InconsistentInputError when the equations disagree by more than
-    1e-3 (wrong normal branch or corrupted observation).
-    """
-    if abs(math.cos(theta)) <= GIMBAL_TOL:
-        raise GimbalLockError("cos(theta) ~ 0")
-    s = np.asarray(s, dtype=float)
-    s = s / np.linalg.norm(s)
-    psi, residual = _solve_heading(np.array([0.0, 1.0, 0.0]), s, phi, theta)
-    if residual > PSI_RESIDUAL_LIMIT:
-        raise InconsistentInputError(
-            f"heading residual {residual:.2e} exceeds {PSI_RESIDUAL_LIMIT:g}"
-        )
-    return psi
-
-
-def psi_oavpa(g, h, phi: float, theta: float) -> float:
-    """Heading from the center-to-center direction seen in both frames.
-
-    `g` is the unit world direction between the two luminaire centers, `h`
-    the same direction in the camera frame. Degenerate when g is parallel to
-    the world z-axis (the direction carries no heading information).
-    """
-    if abs(math.cos(theta)) <= GIMBAL_TOL:
-        raise GimbalLockError("cos(theta) ~ 0")
-    g = np.asarray(g, dtype=float)
-    g = g / np.linalg.norm(g)
-    h = np.asarray(h, dtype=float)
-    h = h / np.linalg.norm(h)
-    if g[0] * g[0] + g[1] * g[1] < 1e-18:
-        raise DegenerateDirectionError(
-            "inter-luminaire direction is parallel to the world z-axis"
-        )
-    psi, _ = _solve_heading(g, h, phi, theta)
-    return psi
+def _rotations(phi, theta, cos_sin) -> np.ndarray:
+    """Rz(psi) @ Ry(theta) @ Rx(phi) (N, 3, 3), psi given by its cosine and
+    sine."""
+    (sx, sy), (cx, cy), (cz, sz) = np.sin([phi, theta]), np.cos([phi, theta]), cos_sin
+    # The first two rows are Rz's 2x2 block times those of Ry @ Rx.
+    ryx = np.array([[cy, sy * sx, sy * cx], [np.zeros_like(cx), cx, -sx]])
+    top = (np.array([[cz, -sz], [sz, cz]])[:, :, None] * ryx).sum(axis=1)
+    bottom = np.array([-sy, cy * sx, cy * cx])
+    return np.concatenate([top, bottom[None]]).transpose(2, 0, 1)
 
 
 def translation_two_points(pw1, pc1, pw2, pc2, r: np.ndarray) -> np.ndarray:
-    """Average the two single-point location estimates t = P_w - R @ P_c."""
-    pw1, pc1 = np.asarray(pw1, float), np.asarray(pc1, float)
-    pw2, pc2 = np.asarray(pw2, float), np.asarray(pc2, float)
-    return 0.5 * ((pw1 - r @ pc1) + (pw2 - r @ pc2))
+    """Average the two single-point location estimates t = P_w - R @ P_c
+    (leading batch axes allowed)."""
+    lifted = np.asarray(r, float) @ np.stack([pc1, pc2], axis=-1).astype(float)
+    return 0.5 * ((np.asarray(pw1, float) - lifted[..., 0])
+                  + (np.asarray(pw2, float) - lifted[..., 1]))
 
 
-# --- full solvers ----------------------------------------------------------------
+# What each lifted point can fail on, in the order the checks run.
+_POINT_CHECKS = (
+    (ParallelLineError, "section plane is parallel to a cone generator"),
+    (ValueError, "plane intercept must be positive"),
+    (DegenerateConicError, "4ac - b^2 ~ 0: conic has no finite center"),
+    (LineParallelToPlaneError, "viewing ray is parallel to the plane"),
+    (BehindCameraError, "plane intersection is behind the camera"),
+)
 
-def _decompose_observation(
-    obs: Observation, k: CameraIntrinsics
-) -> tuple[ConeDecomposition, tuple[CandidateNormal, CandidateNormal]]:
-    decomp = decompose_cone(cone_from_ellipse(obs.ellipse, k.f))
-    return decomp, candidate_normals(decomp)
+# Every check of `solve_pairs`, in the order it runs them; a row fails with
+# the first check it does not pass.
+PAIR_CHECKS = (
+    (NotAConeError, "conic is not an elliptical cone with signature (+, +, -)"),
+    (AmbiguousDisambiguationError, "tied pairings select different normals"),
+    *_POINT_CHECKS,
+    *_POINT_CHECKS,
+    (GimbalLockError, "normal is parallel to the camera x-axis"),
+    (DegenerateDirectionError, "inter-luminaire direction is along the world z-axis"),
+    (InconsistentInputError, "heading system collapsed to zero"),
+    (InconsistentInputError, f"heading residual exceeds {PSI_RESIDUAL_LIMIT:g}"),
+    (ValueError, "pose is not finite"),
+)
+
+
+@dataclass(frozen=True)
+class PairSolutions:
+    """Poses of N luminaire pairs, one row per pair. `failure` indexes the
+    PAIR_CHECKS entry a row failed (-1: solved; the other fields of a failed
+    row mean nothing); `chosen_k` holds the section slope picked for each
+    observation; `psi_residual` is NaN on arcs-only rows."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+    gap: np.ndarray
+    chosen_k: np.ndarray
+    psi_residual: np.ndarray
+    failure: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
+
+    def error(self, row: int) -> Exception | None:
+        code = self.failure[row]
+        if code < 0:
+            return None
+        cls, message = PAIR_CHECKS[code]
+        return cls(message)
+
+
+def solve_pairs(coeffs, points, centers, marks, radius, vpca, f: float) -> PairSolutions:
+    """Camera poses of N luminaire pairs in one pass of array operations.
+
+    Row i solves the circle-and-arc problem (VPCA) when `vpca[i]`, else the
+    arcs-only problem (OAVPA). Inputs, per row:
+
+    * coeffs (N, 2, 5): ellipse coefficients (a, b, c, d, e) of the first
+      and second observation;
+    * points (N, 2, 2): image-plane center and mark (cm) of the first
+      observation, read on VPCA rows only;
+    * centers (N, 2, 3): world centers of both luminaires; marks (N, 3):
+      world mark of the first; radius (N, 2): both radii.
+
+    Both cones are decomposed and the second only resolves which candidate
+    normal is the real one. VPCA lifts the first luminaire's center and mark
+    onto its plane and takes the heading from the center-to-mark direction
+    (+y in the world); OAVPA lifts both fitted-ellipse centers, each onto its
+    own plane, and takes the heading from the center-to-center direction. A
+    row that fails a check leaves the other rows as they are.
+    """
+    vpca = np.asarray(vpca, dtype=bool)
+    n = len(vpca)
+    coeffs = np.asarray(coeffs, dtype=float).reshape(2 * n, 5)
+    centers = np.asarray(centers, dtype=float)
+    with np.errstate(all="ignore"):
+        # Observations are rows 2i and 2i + 1. A zero row builds diag(0, 0, 1),
+        # which is no cone, so eigh never sees a NaN.
+        finite = np.isfinite(coeffs).all(axis=1)
+        coeffs = np.where(finite[:, None], coeffs, 0.0)
+        lambdas, r_a_c, _, not_cone = decompose_cones(cone_matrices(coeffs, f))
+        slopes, normals = section_normals(lambdas, r_a_c)
+        pick, gap, ambiguous = disambiguate(normals.reshape(n, 2, 2, 3))
+        pick = pick.ravel()
+        obs = np.arange(2 * n)
+        k = slopes[obs, pick]
+        b_led, parallel = plane_intercepts(lambdas, k, np.asarray(radius, float).ravel())
+
+        # The observation whose plane each lifted point lies on: VPCA lifts
+        # the first luminaire's center and mark, OAVPA both ellipse centers.
+        on = obs - np.where(vpca, 1, 0).repeat(2) * (obs % 2)
+        ellipse_xy, no_center = ellipse_centers(coeffs)
+        xy = np.where(vpca[:, None, None], points, ellipse_xy.reshape(n, 2, 2))
+        no_center = no_center.reshape(n, 2) & ~vpca[:, None]
+        lifted, along, behind = lift_to_planes(
+            xy.reshape(2 * n, 2), k[on], b_led[on], r_a_c[on], f
+        )
+
+        phi, theta, gimbal = tilt(normals[obs[::2], pick[::2]])
+        second = np.where(vpca[:, None], marks, centers[:, 1])
+        g = np.where(vpca[:, None], _PLUS_Y, _unit(centers[:, 1] - centers[:, 0]))
+        lifted = lifted.reshape(n, 2, 3)
+        cos_sin, norm, residual = heading(g, _unit(lifted[:, 1] - lifted[:, 0]),
+                                          phi, theta)
+        rotation = _rotations(phi, theta, cos_sin)
+        t = translation_two_points(centers[:, 0], lifted[:, 0], second, lifted[:, 1],
+                                   rotation)
+        point_checks = np.array([
+            parallel[on], ~(b_led[on] > 0), no_center.ravel(), along, behind,
+        ]).reshape(5, n, 2)
+        checks = np.concatenate([
+            np.array([not_cone.reshape(n, 2).any(axis=1), ambiguous]),
+            point_checks[:, :, 0], point_checks[:, :, 1],
+            np.array([
+                gimbal, ~vpca & ((g[:, :2] * g[:, :2]).sum(axis=1) < 1e-18),
+                norm < 1e-12, vpca & (residual > PSI_RESIDUAL_LIMIT),
+                ~np.isfinite(t).all(axis=1),
+            ]),
+        ])
+    return PairSolutions(
+        rotation=rotation, translation=t, gap=gap, chosen_k=k.reshape(n, 2),
+        psi_residual=np.where(vpca, residual, np.nan),
+        failure=np.where(checks.any(axis=0), checks.argmax(axis=0), -1),
+    )
+
+
+# --- one pair at a time: batches of one -----------------------------------------
+
+def pair_observations(items, prefer_complete: bool = True) -> tuple[int, int]:
+    """The pair the dispatcher solves, as indices into `items` (observations
+    or visibilities: anything with `contour_px`, `luminaire_id` and
+    `complete`).
+
+    Items rank by contour length (ties by luminaire id). The first of the
+    pair is the best-ranked complete one (with `prefer_complete`), else the
+    best-ranked one; the second is the best-ranked other item.
+    """
+    order = sorted(range(len(items)),
+                   key=lambda i: (-items[i].contour_px, items[i].luminaire_id))
+    first = next((i for i in order if prefer_complete and items[i].complete), order[0])
+    return first, next(i for i in order if i != first)
+
+
+def pair_inputs(first: Observation, second: Observation, lums,
+                k: CameraIntrinsics, vpca: bool) -> dict:
+    """The `solve_pairs` inputs (all but `f`) of one pair, as one-row arrays;
+    UnknownLuminaireError for an id that is not in `lums`."""
+    lum_map = _luminaire_map(lums)
+    lum1 = _resolve(lum_map, first.luminaire_id)
+    lum2 = _resolve(lum_map, second.luminaire_id)
+    points = (pixel_to_image(np.stack([first.center_proj, first.mark_proj]), k) if vpca
+              else np.full((2, 2), np.nan))
+    return dict(
+        coeffs=np.array([[first.ellipse.coefficients, second.ellipse.coefficients]]),
+        points=points[None], centers=np.array([[lum1.center_w, lum2.center_w]]),
+        marks=lum1.mark_w[None], radius=np.array([[lum1.radius, lum2.radius]]),
+        vpca=np.array([vpca]),
+    )
+
+
+def _solve_pair(first: Observation, second: Observation, lums,
+                k: CameraIntrinsics, vpca: bool) -> PoseEstimate:
+    sol = solve_pairs(**pair_inputs(first, second, lums, k, vpca), f=k.f)
+    error = sol.error(0)
+    if error is not None:
+        raise error
+    diagnostics = {
+        "gap": float(sol.gap[0]),
+        "chosen_k": {
+            first.luminaire_id: float(sol.chosen_k[0, 0]),
+            second.luminaire_id: float(sol.chosen_k[0, 1]),
+        },
+    }
+    if vpca:
+        diagnostics["psi_residual"] = float(sol.psi_residual[0])
+    return PoseEstimate(
+        pose=Pose(rotation=sol.rotation[0], translation=sol.translation[0]),
+        algorithm="VPCA" if vpca else "OAVPA",
+        diagnostics=diagnostics,
+    )
 
 
 def solve_vpca(
@@ -345,41 +480,7 @@ def solve_vpca(
     """
     if not obs_complete.complete:
         raise ValueError("first observation must be complete (center and mark known)")
-    lum_map = _luminaire_map(lums)
-    lum_a = _resolve(lum_map, obs_complete.luminaire_id)
-    _resolve(lum_map, obs_other.luminaire_id)
-
-    decomp_a, cands_a = _decompose_observation(obs_complete, k)
-    _, cands_b = _decompose_observation(obs_other, k)
-    chosen_a, chosen_b, gap = disambiguate_normal(cands_a, cands_b)
-
-    plane = luminaire_plane(decomp_a, chosen_a.k, lum_a.radius)
-    center_c = backproject_to_plane(obs_complete.center_proj, plane, decomp_a, k)
-    mark_c = backproject_to_plane(obs_complete.mark_proj, plane, decomp_a, k)
-
-    phi, theta = euler_from_normal(chosen_a.normal_ccs)
-    direction = mark_c - center_c
-    s = direction / np.linalg.norm(direction)
-    psi, residual = _solve_heading(np.array([0.0, 1.0, 0.0]), s, phi, theta)
-    if residual > PSI_RESIDUAL_LIMIT:
-        raise InconsistentInputError(
-            f"heading residual {residual:.2e} exceeds {PSI_RESIDUAL_LIMIT:g}"
-        )
-
-    rotation = _rotation_from_angles(phi, theta, psi)
-    t = translation_two_points(lum_a.center_w, center_c, lum_a.mark_w, mark_c, rotation)
-    return PoseEstimate(
-        pose=Pose(rotation=rotation, translation=t),
-        algorithm="VPCA",
-        diagnostics={
-            "gap": gap,
-            "chosen_k": {
-                obs_complete.luminaire_id: chosen_a.k,
-                obs_other.luminaire_id: chosen_b.k,
-            },
-            "psi_residual": residual,
-        },
-    )
+    return _solve_pair(obs_complete, obs_other, lums, k, vpca=True)
 
 
 def solve_oavpa(
@@ -396,46 +497,7 @@ def solve_oavpa(
     """
     if obs1.luminaire_id == obs2.luminaire_id:
         raise ValueError("observations must reference two distinct luminaires")
-    lum_map = _luminaire_map(lums)
-    lum_e = _resolve(lum_map, obs1.luminaire_id)
-    lum_f = _resolve(lum_map, obs2.luminaire_id)
-
-    decomp_e, cands_e = _decompose_observation(obs1, k)
-    decomp_f, cands_f = _decompose_observation(obs2, k)
-    chosen_e, chosen_f, gap = disambiguate_normal(cands_e, cands_f)
-
-    centers_c = []
-    for obs, decomp, chosen, lum in (
-        (obs1, decomp_e, chosen_e, lum_e),
-        (obs2, decomp_f, chosen_f, lum_f),
-    ):
-        plane = luminaire_plane(decomp, chosen.k, lum.radius)
-        center_pix = image_to_pixel(ellipse_center(obs.ellipse), k)
-        centers_c.append(backproject_to_plane(center_pix, plane, decomp, k))
-    center_e_c, center_f_c = centers_c
-
-    phi, theta = euler_from_normal(chosen_e.normal_ccs)
-    g = lum_f.center_w - lum_e.center_w
-    g = g / np.linalg.norm(g)
-    h = center_f_c - center_e_c
-    h = h / np.linalg.norm(h)
-    psi = psi_oavpa(g, h, phi, theta)
-
-    rotation = _rotation_from_angles(phi, theta, psi)
-    t = translation_two_points(
-        lum_e.center_w, center_e_c, lum_f.center_w, center_f_c, rotation
-    )
-    return PoseEstimate(
-        pose=Pose(rotation=rotation, translation=t),
-        algorithm="OAVPA",
-        diagnostics={
-            "gap": gap,
-            "chosen_k": {
-                obs1.luminaire_id: chosen_e.k,
-                obs2.luminaire_id: chosen_f.k,
-            },
-        },
-    )
+    return _solve_pair(obs1, obs2, lums, k, vpca=False)
 
 
 def solve_vpa(
@@ -445,21 +507,16 @@ def solve_vpa(
 ) -> PoseEstimate:
     """Dispatch: circle-and-arc when any capture is complete, else arcs-only.
 
-    Observations are ranked by contour length (ties by luminaire id); the
-    complete capture is paired with the best-ranked other observation. The
-    returned estimate's algorithm tag records which solver actually ran.
+    The pair comes from `pair_observations`. The returned estimate's
+    algorithm tag records which solver actually ran.
     """
     if len(observations) < 2:
         raise TooFewLuminairesError(
             f"need at least 2 observations, got {len(observations)}"
         )
-    ranked = sorted(observations, key=lambda o: (-o.contour_px, o.luminaire_id))
-    complete = [o for o in ranked if o.complete]
-    if complete:
-        primary = complete[0]
-        partner = next(o for o in ranked if o is not primary)
-        return solve_vpca(primary, partner, lums, k)
-    return solve_oavpa(ranked[0], ranked[1], lums, k)
+    first, second = pair_observations(observations)
+    solve = solve_vpca if observations[first].complete else solve_oavpa
+    return solve(observations[first], observations[second], lums, k)
 
 
 # --- point-correspondence baseline ------------------------------------------------

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from arcpose.conic import (
-    candidate_normals,
-    cone_from_ellipse,
-    decompose_cone,
+    cone_matrices,
+    decompose_cones,
     fit_ellipse,
-    luminaire_plane,
+    plane_intercepts,
+    section_normals,
 )
 from arcpose.frames import EulerAngles, euler_to_rotation
 from arcpose.harness import (
@@ -233,17 +233,18 @@ def test_criterion_7_conic_chain_oracle(intrinsics):
     worst_probe = 0.0
     for _ in range(500):
         lum, pose, contour = random_visible_scene(rng, intrinsics)
-        decomp = decompose_cone(cone_from_ellipse(fit_ellipse(contour), intrinsics.f))
-        cands = candidate_normals(decomp)
+        q = cone_matrices(fit_ellipse(contour).coefficients[None], intrinsics.f)
+        lambdas, r_a_c, _, not_cone = decompose_cones(q)
+        assert not not_cone[0]
+        slopes, normals = section_normals(lambdas, r_a_c)
         n_true = pose.rotation.T @ np.array([0.0, 0.0, -1.0])
-        worst_normal = max(
-            worst_normal, min(np.linalg.norm(c.normal_ccs - n_true) for c in cands)
-        )
-        k_sel = min(cands, key=lambda c: np.linalg.norm(c.normal_ccs - n_true)).k
-        b_values = [
-            luminaire_plane(decomp, k_sel, lum.radius, probe_b=b).b_led
-            for b in (0.1, 1.0, 10.0)
-        ]
+        gaps = np.linalg.norm(normals[0] - n_true, axis=1)
+        worst_normal = max(worst_normal, gaps.min())
+        k_sel = slopes[:, gaps.argmin()]
+        planes = [plane_intercepts(lambdas, k_sel, lum.radius, probe_b=b)
+                  for b in (0.1, 1.0, 10.0)]
+        assert not any(parallel[0] for _, parallel in planes)
+        b_values = [b_led[0] for b_led, _ in planes]
         worst_probe = max(worst_probe, max(b_values) - min(b_values))
     passed = worst_normal < 1e-6 and worst_probe < 1e-10
     report(7, passed, (

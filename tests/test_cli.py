@@ -131,7 +131,10 @@ def test_solve_repeated_luminaire_id_exits_2(tmp_path, capsys):
     ({"contour_pixels": [[1.0, 2.0, 3.0]] * 20}, "observation 0 ('L1'): contour_pixels"),
     ({"contour_pixels": None, "ellipse": {"a": 1.0}}, "observation 0 ('L1'): bad ellipse"),
     (["x"], "observation 0 must be a JSON object"),
-], ids=["missing_id", "nan_center", "three_columns", "bad_ellipse", "non_object"])
+    ({"center_proj": None}, "observation 0 ('L1'): complete observation needs 'center_proj'"),
+    ({"mark_proj": None}, "observation 0 ('L1'): complete observation needs 'mark_proj'"),
+], ids=["missing_id", "nan_center", "three_columns", "bad_ellipse", "non_object",
+        "complete_without_center", "complete_without_mark"])
 def test_solve_malformed_observation_exits_2(tmp_path, capsys, patch, message):
     # Each of these once ended in a traceback or in an error that named
     # neither the field nor the observation. None deletes the field.

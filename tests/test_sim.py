@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from arcpose.conic import ellipse_center, fit_ellipse
+from arcpose.conic import ellipse_centers, fit_ellipse
 from arcpose.errors import (
     ArcTooShortError,
     InvalidConfigError,
@@ -17,7 +17,6 @@ from arcpose.errors import (
 from arcpose.frames import image_to_pixel, pixel_to_image
 from arcpose.sim import (
     ARC_MODES,
-    CaptureConfig,
     NoiseModel,
     Scene,
     VisibilityConstraint,
@@ -25,6 +24,7 @@ from arcpose.sim import (
     _project_points_pixel,
     average_observations,
     contour_angles,
+    luminaire_points,
     luminaire_visibility,
     project_luminaire_burst,
     sample_pose,
@@ -53,8 +53,7 @@ def capture(scene, k, pose, sigma=0.0, images=1, seed=0, lum=0, contour_samples=
     """One burst of scene luminaire `lum` seen from `pose`."""
     vis = luminaire_visibility(scene.luminaires, pose, k, contour_samples)[lum]
     return project_luminaire_burst(
-        vis, NoiseModel(sigma=sigma), CaptureConfig(images_per_location=images),
-        np.random.default_rng(seed),
+        vis, NoiseModel(sigma=sigma), images, np.random.default_rng(seed),
     )
 
 
@@ -86,13 +85,11 @@ def test_noise_model_validation():
         NoiseModel(sigma=-1.0)
 
 
-def test_capture_config_validation():
+def test_capture_config_validation(scene, k):
+    # The image count is all a burst takes besides the noise model.
+    vis = luminaire_visibility(scene.luminaires, make_pose(t=(2.0, 2.0, 1.0)), k)[0]
     with pytest.raises(ValueError):
-        CaptureConfig(contour_samples=4)
-    with pytest.raises(ValueError):
-        CaptureConfig(arc_mode="nonsense")
-    with pytest.raises(ValueError):
-        CaptureConfig(arc_fraction=0.0)
+        project_luminaire_burst(vis, NoiseModel(sigma=1.0), 0, np.random.default_rng(0))
 
 
 # --- visibility and pose sampling ---------------------------------------------------
@@ -141,6 +138,11 @@ def test_sample_pose_deterministic(scene, k):
     b = sample_pose(scene, np.random.default_rng(7), con)
     assert np.array_equal(a.rotation, b.rotation)
     assert np.array_equal(a.translation, b.translation)
+    # Rings built once per run and passed in give the same pose.
+    points = luminaire_points(scene.luminaires, con.contour_samples)
+    c = sample_pose(scene, np.random.default_rng(7), con, points)
+    assert np.array_equal(a.rotation, c.rotation)
+    assert np.array_equal(a.translation, c.translation)
 
 
 # --- projection -----------------------------------------------------------------------
@@ -287,9 +289,8 @@ def test_tilted_view_has_perspective_bias(scene, k):
     # At a 30-degree tilt the fitted ellipse center must differ from the true
     # projected center; that gap is exactly what the arcs-only solver accepts.
     cap = capture(scene, k, make_pose(phi=math.radians(30), t=(2.0, 3.2, 1.2)))
-    center_fit = image_to_pixel(
-        ellipse_center(fit_ellipse(pixel_to_image(cap.pixels[0], k))), k
-    )
+    e = fit_ellipse(pixel_to_image(cap.pixels[0], k))
+    center_fit = image_to_pixel(ellipse_centers(e.coefficients[None])[0][0], k)
     gap = np.linalg.norm(center_fit - cap.center)
     assert gap > 0.05  # pixels
 
@@ -343,8 +344,7 @@ def test_burst_matches_per_image_reference_bit_for_bit(scene, k, mode):
             ref = reference_observation(lum, pose, k, mode, ref_rng)
             start = (int(rng.integers(360))
                      if mode in ("semicircle", "superior_arc") else None)
-            burst = project_luminaire_burst(vis, NoiseModel(sigma=2.0),
-                                            CaptureConfig(), rng)
+            burst = project_luminaire_burst(vis, NoiseModel(sigma=2.0), 20, rng)
             burst = truncate_arc(burst, mode, start_index=start, intrinsics=k)
             obs = average_observations(burst, k)
             e = obs.ellipse

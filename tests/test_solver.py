@@ -8,31 +8,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arcpose.conic import candidate_normals, cone_from_ellipse, decompose_cone, fit_ellipse
+from arcpose.conic import cone_matrices, decompose_cones, fit_ellipse, section_normals
 from arcpose.errors import (
-    AmbiguousDisambiguationError,
     DegenerateDirectionError,
-    GimbalLockError,
-    InconsistentInputError,
     TooFewLuminairesError,
     UnknownLuminaireError,
 )
 from arcpose.frames import CameraIntrinsics, EulerAngles, euler_to_rotation
-from arcpose.conic import CandidateNormal
 from arcpose.solver import (
     LuminaireInfo,
     Observation,
     _pnp_jacobian,
     _pnp_residuals,
+    PSI_RESIDUAL_LIMIT,
     _rotation_from_angles,
-    disambiguate_normal,
-    euler_from_normal,
+    disambiguate,
+    heading,
     pnp_baseline,
-    psi_oavpa,
-    psi_vpca,
     solve_oavpa,
     solve_vpa,
     solve_vpca,
+    tilt,
     translation_two_points,
 )
 
@@ -100,6 +96,18 @@ def test_luminaire_rejects_bad_mark():
                       mark_w=np.array([0.15, 0.0, 0.0]))
 
 
+def test_contour_px_is_count_times_median_step():
+    # The reference is np.median over the point-to-point steps.
+    rng = np.random.default_rng(27)
+    ellipse = fit_ellipse(np.stack([0.1 * np.cos(np.linspace(0, 6, 12)),
+                                    0.1 * np.sin(np.linspace(0, 6, 12))], axis=-1))
+    for n in (2, 3, 50, 51, 360):
+        pixels = rng.uniform(0, 640, (n, 2))
+        obs = Observation(luminaire_id="L", ellipse=ellipse, contour_pixels=pixels)
+        steps = np.linalg.norm(np.diff(pixels, axis=0), axis=1)
+        assert obs.contour_px == float(n * np.median(steps))
+
+
 def test_observation_requires_points_when_complete():
     ellipse = fit_ellipse(
         np.stack([0.1 * np.cos(np.linspace(0, 6, 12)),
@@ -109,104 +117,119 @@ def test_observation_requires_points_when_complete():
         Observation(luminaire_id="L", ellipse=ellipse, complete=True)
 
 
-# --- disambiguate_normal ------------------------------------------------------------------
+# --- disambiguate ------------------------------------------------------------------
 
 def unit(v):
     v = np.asarray(v, float)
     return v / np.linalg.norm(v)
 
 
-def cand(k, v):
-    return CandidateNormal(k=k, normal_ccs=unit(v))
+def pick(cands_a, cands_b):
+    """The disambiguation of two candidate-normal pairs: the picked normals,
+    the gap and the disagreeing-tie flag."""
+    normals = np.array([cands_a, cands_b], dtype=float)
+    (i, j), gap, ambiguous = (x[0] for x in disambiguate(normals[None]))
+    return normals[0, i], normals[1, j], gap, ambiguous
 
 
 def test_disambiguation_forced_by_uniqueness():
     n = unit([0.1, 0.2, -1.0])
     m = unit([0.8, 0.0, -0.6])
     p = unit([-0.7, 0.3, -0.65])
-    chosen_a, chosen_b, gap = disambiguate_normal(
-        (cand(0.5, n), cand(-0.5, m)), (cand(0.4, n), cand(-0.4, p))
-    )
-    assert np.allclose(chosen_a.normal_ccs, n)
-    assert np.allclose(chosen_b.normal_ccs, n)
-    assert gap > 0.1
+    chosen_a, chosen_b, gap, ambiguous = pick((n, m), (n, p))
+    assert np.allclose(chosen_a, n)
+    assert np.allclose(chosen_b, n)
+    assert gap > 0.1 and not ambiguous
 
 
 def test_disambiguation_on_synthetic_scene(intrinsics):
     rng = np.random.default_rng(20)
     for _ in range(50):
         lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
-        obs_a = make_observation(lum_a, pose, intrinsics)
-        obs_b = make_observation(lum_b, pose, intrinsics)
-        cands = []
-        for obs in (obs_a, obs_b):
-            d = decompose_cone(cone_from_ellipse(obs.ellipse, intrinsics.f))
-            cands.append(candidate_normals(d))
-        chosen_a, chosen_b, _ = disambiguate_normal(*cands)
+        obs = [make_observation(lum, pose, intrinsics) for lum in (lum_a, lum_b)]
+        q = cone_matrices([o.ellipse.coefficients for o in obs], intrinsics.f)
+        _, normals = section_normals(*decompose_cones(q)[:2])
+        chosen_a, chosen_b, _, ambiguous = pick(*normals)
         n_true = pose.rotation.T @ np.array([0.0, 0.0, -1.0])
-        assert np.linalg.norm(chosen_a.normal_ccs - n_true) < 1e-6
-        assert np.linalg.norm(chosen_b.normal_ccs - n_true) < 1e-6
+        assert not ambiguous
+        assert np.linalg.norm(chosen_a - n_true) < 1e-6
+        assert np.linalg.norm(chosen_b - n_true) < 1e-6
 
 
 def test_disambiguation_degenerate_tie_is_accepted():
     n = unit([0.0, 0.0, -1.0])
-    chosen_a, chosen_b, gap = disambiguate_normal(
-        (cand(0.0, n), cand(-0.0, n)), (cand(0.0, n), cand(-0.0, n))
-    )
+    chosen_a, chosen_b, gap, ambiguous = pick((n, n), (n, n))
     assert gap == pytest.approx(0.0)
-    assert np.allclose(chosen_a.normal_ccs, n)
+    assert np.allclose(chosen_a, n)
+    assert not ambiguous
 
 
 def test_disambiguation_conflicting_tie_raises():
     n1 = unit([0.3, 0.0, -1.0])
     n2 = unit([-0.3, 0.0, -1.0])
-    with pytest.raises(AmbiguousDisambiguationError):
-        disambiguate_normal((cand(0.3, n1), cand(-0.3, n2)),
-                            (cand(0.3, n1), cand(-0.3, n2)))
+    assert pick((n1, n2), (n1, n2))[3]
 
 
-# --- euler_from_normal ------------------------------------------------------------------
+# --- tilt ------------------------------------------------------------------
+
+def tilt_of(n):
+    phi, theta, gimbal = tilt(np.array([n], dtype=float))
+    assert not gimbal[0]
+    return phi[0], theta[0]
+
 
 def test_euler_from_normal_upright():
-    assert euler_from_normal([0.0, 0.0, -1.0]) == pytest.approx((0.0, 0.0))
+    assert tilt_of([0.0, 0.0, -1.0]) == pytest.approx((0.0, 0.0))
 
 
 def test_euler_from_normal_hand_values():
-    phi, theta = euler_from_normal([0.5, 0.0, -math.sqrt(3) / 2])
+    phi, theta = tilt_of([0.5, 0.0, -math.sqrt(3) / 2])
     assert (phi, theta) == pytest.approx((0.0, math.pi / 6))
-    phi, theta = euler_from_normal([0.0, math.sqrt(2) / 2, -math.sqrt(2) / 2])
+    phi, theta = tilt_of([0.0, math.sqrt(2) / 2, -math.sqrt(2) / 2])
     assert (phi, theta) == pytest.approx((-math.pi / 4, 0.0))
 
 
 def test_euler_from_normal_round_trip():
     rng = np.random.default_rng(21)
+    angles = []
+    normals = []
     for _ in range(10_000):
         phi = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
         theta = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
         psi = rng.uniform(-math.pi + 1e-9, math.pi)
         r = euler_to_rotation(EulerAngles(phi, theta, psi))
-        n = r.T @ np.array([0.0, 0.0, -1.0])
-        got_phi, got_theta = euler_from_normal(n)
-        assert abs(got_phi - phi) < 1e-9
-        assert abs(got_theta - theta) < 1e-9
-        rebuilt = np.array([
-            math.sin(got_theta),
-            -math.cos(got_theta) * math.sin(got_phi),
-            -math.cos(got_theta) * math.cos(got_phi),
-        ])
-        assert np.abs(rebuilt - n).max() < 1e-10
+        angles.append((phi, theta))
+        normals.append(r.T @ np.array([0.0, 0.0, -1.0]))
+    got_phi, got_theta, gimbal = tilt(np.array(normals))
+    assert not gimbal.any()
+    assert np.abs(got_phi - np.array(angles)[:, 0]).max() < 1e-9
+    assert np.abs(got_theta - np.array(angles)[:, 1]).max() < 1e-9
+    rebuilt = np.stack([
+        np.sin(got_theta), -np.cos(got_theta) * np.sin(got_phi),
+        -np.cos(got_theta) * np.cos(got_phi),
+    ], axis=1)
+    assert np.abs(rebuilt - np.array(normals)).max() < 1e-10
 
 
 def test_euler_from_normal_gimbal():
-    with pytest.raises(GimbalLockError):
-        euler_from_normal([1.0, 0.0, 0.0])
+    assert tilt(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]))[2].tolist() == [True, False]
 
 
-# --- heading solvers ------------------------------------------------------------------
+# --- heading ------------------------------------------------------------------
+
+PLUS_Y = [0.0, 1.0, 0.0]
+
+
+def psi_of(g, h, phi, theta):
+    """Heading angle and residual of one direction pair."""
+    cos_sin, norm, residual = heading([g], [h], np.array([phi]), np.array([theta]))
+    assert norm[0] >= 1e-12
+    return math.atan2(cos_sin[1, 0], cos_sin[0, 0]), residual[0]
+
 
 def test_psi_vpca_hand_cases():
-    assert psi_vpca([1.0, 0.0, 0.0], 0.0, 0.0) == pytest.approx(math.pi / 2)
-    assert psi_vpca([0.0, 1.0, 0.0], 0.0, 0.0) == pytest.approx(0.0)
+    assert psi_of(PLUS_Y, [1.0, 0.0, 0.0], 0.0, 0.0)[0] == pytest.approx(math.pi / 2)
+    assert psi_of(PLUS_Y, [0.0, 1.0, 0.0], 0.0, 0.0)[0] == pytest.approx(0.0)
 
 
 def test_psi_vpca_round_trip():
@@ -216,26 +239,35 @@ def test_psi_vpca_round_trip():
         theta = rng.uniform(-1.2, 1.2)
         psi = rng.uniform(-math.pi + 1e-9, math.pi)
         r = euler_to_rotation(EulerAngles(phi, theta, psi))
-        s = r.T @ np.array([0.0, 1.0, 0.0])
-        assert abs(psi_vpca(s, phi, theta) - psi) < 1e-9
+        s = r.T @ np.array(PLUS_Y)
+        got, residual = psi_of(PLUS_Y, s, phi, theta)
+        assert abs(got - psi) < 1e-9
+        assert residual < 1e-12
 
 
 def test_psi_vpca_inconsistent_input():
-    with pytest.raises(InconsistentInputError):
-        psi_vpca([0.0, 0.0, 1.0], 0.0, 0.0)
+    # Along the optical axis the heading system collapses; half out of the
+    # ceiling plane it cannot be met.
+    with np.errstate(invalid="ignore"):
+        _, norm, residual = heading([PLUS_Y] * 2, [[0.0, 0.0, 1.0], unit([0.0, 1.0, 0.5])],
+                                    np.zeros(2), np.zeros(2))
+    assert norm[0] < 1e-12
+    assert residual[1] > PSI_RESIDUAL_LIMIT
 
 
 def test_psi_vpca_gimbal():
-    with pytest.raises(GimbalLockError):
-        psi_vpca([0.0, 1.0, 0.0], 0.0, math.pi / 2)
+    # A pose with theta = pi/2 has its ceiling normal on the camera x-axis;
+    # the tilt flags it before any heading is solved.
+    r = euler_to_rotation(EulerAngles(0.0, math.pi / 2, 0.0))
+    assert tilt((r.T @ np.array([0.0, 0.0, -1.0]))[None])[2][0]
 
 
 def test_psi_oavpa_hand_cases():
-    assert psi_oavpa([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], 0.0, 0.0) == pytest.approx(
+    assert psi_of([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], 0.0, 0.0)[0] == pytest.approx(
         math.pi / 2
     )
     g = unit([0.3, 0.8, 0.0])
-    assert psi_oavpa(g, g, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert psi_of(g, g, 0.0, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_psi_oavpa_round_trip():
@@ -247,12 +279,19 @@ def test_psi_oavpa_round_trip():
         g = unit(np.append(rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5)))
         r = euler_to_rotation(EulerAngles(phi, theta, psi))
         h = r.T @ g
-        assert abs(psi_oavpa(g, h, phi, theta) - psi) < 1e-9
+        assert abs(psi_of(g, h, phi, theta)[0] - psi) < 1e-9
 
 
-def test_psi_oavpa_degenerate_direction():
+def test_psi_oavpa_degenerate_direction(intrinsics):
+    # Luminaire centers one above the other carry no heading information.
+    rng = np.random.default_rng(26)
+    lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
+    obs_a = make_observation(lum_a, pose, intrinsics, complete=False)
+    obs_b = make_observation(lum_b, pose, intrinsics, complete=False)
+    above = LuminaireInfo(id=lum_b.id, center_w=lum_a.center_w + [0.0, 0.0, 0.5],
+                          radius=lum_b.radius)
     with pytest.raises(DegenerateDirectionError):
-        psi_oavpa([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 0.1, 0.1)
+        solve_oavpa(obs_a, obs_b, [lum_a, above], intrinsics)
 
 
 # --- translation ------------------------------------------------------------------
