@@ -200,13 +200,23 @@ def rot_z(psi: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def rotation_from_angles(phi: float, theta: float, psi: float) -> np.ndarray:
+    """Rz(psi) @ Ry(theta) @ Rx(phi) for angles in radians, unvalidated.
+
+    The one scalar builder of this composition: `euler_to_rotation`, the pose
+    sampler and the PnP baseline all call it, so their rotations agree to the
+    last bit.
+    """
+    return rot_z(psi) @ rot_y(theta) @ rot_x(phi)
+
+
 def euler_to_rotation(e: EulerAngles) -> np.ndarray:
     """Rotation for angles applied about the fixed x, y, z axes in that order.
 
     Composes to Rz(psi) @ Ry(theta) @ Rx(phi); see the module docstring for why
     this is the composition the normal-vector equations require.
     """
-    return rot_z(e.psi) @ rot_y(e.theta) @ rot_x(e.phi)
+    return rotation_from_angles(e.phi, e.theta, e.psi)
 
 
 def rotation_to_euler(r: np.ndarray) -> EulerAngles:

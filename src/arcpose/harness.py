@@ -21,6 +21,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +47,8 @@ from .sim import (
     default_scene,
     intrinsics_from_dict,
     luminaire_points,
-    luminaire_visibility,
     project_luminaire_burst,
-    sample_pose,
+    sample_poses,
     scene_from_dict,
     scene_to_dict,
     truncate_arc,
@@ -68,6 +68,14 @@ CONFIG_SCHEMA_VERSION = 1
 
 PERCENTILES = (50, 78, 86, 90, 95, 97)
 DEFAULT_CDF_GRID = np.round(np.linspace(0.0, 0.5, 101), 6)
+
+# Samples whose poses `run_monte_carlo` draws together, and pair rows it
+# hands one `solve_pairs` call. Neither changes a record: each sample draws
+# from its own generator and each kernel row is solved on its own. Blocks
+# amortize the rejection sampler's per-round work; slices bound the kernel's
+# temporaries (about 1 KB a row) whatever the run length.
+POSE_BLOCK = 24
+SOLVE_SLICE = 1024
 
 RECORD_COLUMNS = (
     "sample_index", "algorithm", "solver_tag", "status", "error",
@@ -232,6 +240,7 @@ class ResultRecord:
     e_loc: float | None = None
     e_pos: float | None = None
     error: str | None = None
+    attempts: int | None = None  # pose-sampling draws of the sample
 
     @property
     def ok(self) -> bool:
@@ -304,11 +313,14 @@ def _euler_or_nan(rotation) -> tuple[float, float, float]:
 def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Run the configured experiment; one record per sample per algorithm.
 
-    Two phases. Per sample, draw the pose and the noise, fit the ellipses and
-    keep, per geometric algorithm, the compact `pair_inputs` row of the pair
-    it solves (PNP solves there, from the contour points). Then one
-    `solve_pairs` call takes every row of the run from ellipse coefficients
-    to pose. Records come out by sample, then in `cfg.algorithms` order.
+    Two phases. Per block of `POSE_BLOCK` samples, draw the poses together
+    (each from its own generator, which also draws that sample's noise);
+    then per sample capture and fit the ellipses on the projection the pose
+    was accepted on, and keep, per geometric algorithm, the compact
+    `pair_inputs` row of the pair it solves (PNP solves there, from the
+    contour points). Then `solve_pairs` takes every row of the run from
+    ellipse coefficients to pose, `SOLVE_SLICE` rows per call. Records come
+    out by sample, then in `cfg.algorithms` order.
 
     Solver failures never abort the run: the record carries the error class
     name and no metrics. Pose-sampling exhaustion does propagate, since a
@@ -322,53 +334,67 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     k = cfg.intrinsics
 
     samples: list[list] = []  # per sample, its records in algorithm order
-    jobs = []  # (sample index, slot, algorithm, truth) of each batch row
+    jobs = []  # (sample, slot, algorithm) of each batch row
     batch = {}  # the jobs' pair_inputs rows, one array per input
-    for index in range(cfg.samples):
-        rng = np.random.default_rng([cfg.seed, index])
-        truth = sample_pose(scene, rng, constraint, points)
-        records = [None] * len(cfg.algorithms)
-        samples.append(records)
-        try:
-            obs = _capture_sample(cfg, scene, truth, noise, rng, points)
-        except (ArcPoseError, ValueError) as exc:
-            records[:] = [_failed(index, alg, truth, exc) for alg in cfg.algorithms]
-            continue
-        pair = pair_observations(obs)
-        for slot, alg in enumerate(cfg.algorithms):
-            first, second = (0, 1) if alg == "OAVPA" else pair
-            vpca = alg != "OAVPA" and obs[first].complete
-            if alg == "PNP":
-                records[slot] = _solve_pnp(index, obs, lum_map, k, truth)
-            elif alg == "VPCA" and not vpca:
-                records[slot] = _failed(index, alg, truth, ValueError(
-                    "no complete capture for the circle-and-arc solver"))
-            else:
-                row = pair_inputs(obs[first], obs[second], lum_map, k, vpca)
-                for key, value in row.items():
-                    if key not in batch:
-                        shape = (cfg.samples * len(cfg.algorithms),) + value.shape[1:]
-                        batch[key] = np.empty(shape, value.dtype)
-                    batch[key][len(jobs)] = value[0]
-                jobs.append((index, slot, alg, truth))
+    for start in range(0, cfg.samples, POSE_BLOCK):
+        indices = range(start, min(start + POSE_BLOCK, cfg.samples))
+        rngs = [np.random.default_rng([cfg.seed, index]) for index in indices]
+        drawn = sample_poses(scene, rngs, constraint, points)
+        for index, rng, sampled in zip(indices, rngs, drawn):
+            sample = _Sample(index, sampled.pose, sampled.attempts)
+            records = [None] * len(cfg.algorithms)
+            samples.append(records)
+            try:
+                obs = _capture_sample(cfg, sampled.visibility, noise, rng)
+            except (ArcPoseError, ValueError) as exc:
+                records[:] = [_failed(sample, alg, exc) for alg in cfg.algorithms]
+                continue
+            pair = pair_observations(obs)
+            for slot, alg in enumerate(cfg.algorithms):
+                first, second = (0, 1) if alg == "OAVPA" else pair
+                vpca = alg != "OAVPA" and obs[first].complete
+                if alg == "PNP":
+                    records[slot] = _solve_pnp(sample, obs, lum_map, k)
+                elif alg == "VPCA" and not vpca:
+                    records[slot] = _failed(sample, alg, ValueError(
+                        "no complete capture for the circle-and-arc solver"))
+                else:
+                    row = pair_inputs(obs[first], obs[second], lum_map, k, vpca)
+                    for key, value in row.items():
+                        if key not in batch:
+                            shape = (cfg.samples * len(cfg.algorithms),) + value.shape[1:]
+                            batch[key] = np.empty(shape, value.dtype)
+                        batch[key][len(jobs)] = value[0]
+                    jobs.append((sample, slot, alg))
+        # The block's projections go before the next block is drawn.
+        del drawn, sampled
 
-    if jobs:
-        sol = solve_pairs(**{key: v[:len(jobs)] for key, v in batch.items()}, f=k.f)
-        for j, (index, slot, alg, truth) in enumerate(jobs):
+    for first in range(0, len(jobs), SOLVE_SLICE):
+        rows = slice(first, min(first + SOLVE_SLICE, len(jobs)))
+        sol = solve_pairs(**{key: v[rows] for key, v in batch.items()}, f=k.f)
+        for j, (sample, slot, alg) in enumerate(jobs[rows]):
             error = sol.error(j)
-            samples[index][slot] = (
-                _failed(index, alg, truth, error) if error is not None
-                else _solved(index, alg, truth, "VPCA" if batch["vpca"][j] else "OAVPA",
-                             Pose(rotation=sol.rotation[j], translation=sol.translation[j]))
+            tag = "VPCA" if batch["vpca"][first + j] else "OAVPA"
+            samples[sample.index][slot] = (
+                _failed(sample, alg, error) if error is not None
+                else _solved(sample, alg, tag, Pose(rotation=sol.rotation[j],
+                                                    translation=sol.translation[j]))
             )
     return [r for records in samples for r in records]
 
 
-def _capture_sample(cfg, scene, truth, noise, rng, points) -> list[Observation]:
-    """Project, truncate, and average the two best-visible luminaires."""
+class _Sample(NamedTuple):
+    """What every record of one sample carries."""
+
+    index: int
+    truth: Pose
+    attempts: int
+
+
+def _capture_sample(cfg, visibility, noise, rng) -> list[Observation]:
+    """Project, truncate, and average the two best-visible luminaires, given
+    every luminaire's `Visibility` at the sample's pose."""
     k = cfg.intrinsics
-    visibility = luminaire_visibility(scene.luminaires, truth, k, cfg.contour_samples,
-                                      points=points)
     # Longest extractable contour first: the nearest luminaire carries the
     # most information. `mixed` pairs the best complete luminaire with the
     # best other one, as the dispatcher does; the explicit scenarios take the
@@ -395,30 +421,33 @@ def _capture_sample(cfg, scene, truth, noise, rng, points) -> list[Observation]:
     return observations
 
 
-def _failed(index, alg, truth, exc) -> ResultRecord:
+def _failed(sample: _Sample, alg, exc) -> ResultRecord:
     return ResultRecord(
-        sample_index=index, algorithm=alg, truth=truth, error=type(exc).__name__,
+        sample_index=sample.index, algorithm=alg, truth=sample.truth,
+        error=type(exc).__name__, attempts=sample.attempts,
     )
 
 
-def _solved(index, alg, truth, tag, pose) -> ResultRecord:
+def _solved(sample: _Sample, alg, tag, pose) -> ResultRecord:
+    truth = sample.truth
     return ResultRecord(
-        sample_index=index,
+        sample_index=sample.index,
         algorithm=alg,
         truth=truth,
         estimate=pose,
         solver_tag=tag,
         e_loc=e_loc(truth.translation, pose.translation),
         e_pos=e_pos(truth.rotation, pose.rotation),
+        attempts=sample.attempts,
     )
 
 
-def _solve_pnp(index, observations, lum_map, k, truth) -> ResultRecord:
+def _solve_pnp(sample: _Sample, observations, lum_map, k) -> ResultRecord:
     try:
         estimate = pnp_baseline(_pnp_correspondences(observations, lum_map), k)
     except (ArcPoseError, ValueError, np.linalg.LinAlgError) as exc:
-        return _failed(index, "PNP", truth, exc)
-    return _solved(index, "PNP", truth, estimate.algorithm, estimate.pose)
+        return _failed(sample, "PNP", exc)
+    return _solved(sample, "PNP", estimate.algorithm, estimate.pose)
 
 
 # --- aggregation -----------------------------------------------------------------
@@ -545,11 +574,18 @@ def write_results(records, stats_by_alg, out_dir, cfg: ExperimentConfig) -> dict
             for g, frac in zip(stats.cdf_grid, stats.cdf_fraction):
                 writer.writerow([alg, _fmt(float(g)), _fmt(float(frac))])
 
+    # Rejection-sampling draws per pose, once per sample.
+    attempts = list({r.sample_index: r.attempts for r in records
+                     if r.attempts is not None}.values())
     manifest = {
         "config": config_to_dict(cfg),
         "seed": cfg.seed,
         "code_version": __version__,
         "created_unix": time.time(),
+        "pose_attempts": {
+            "mean": float(np.mean(attempts)) if attempts else None,
+            "max": max(attempts, default=None),
+        },
         "summary": {
             alg: {
                 "n_success": s.n_success,

@@ -30,17 +30,23 @@ from .errors import (
 )
 from .frames import (
     CameraIntrinsics,
-    EulerAngles,
     Pose,
     _wrap_angle,
-    euler_to_rotation,
     pixel_to_image,
+    rotation_from_angles,
 )
 from .solver import LuminaireInfo, Observation
 
 SCENE_SCHEMA_VERSION = 1
 
 ARC_MODES = ("complete", "semicircle", "superior_arc", "image_bounds")
+
+# Rounds after which `sample_poses` advances only its first pending
+# generator. At the default constraints about 3 candidates in 10 pass, so a
+# pose still pending after 64 rounds (p < 1e-9) means a constraint that
+# rejects almost everything; drawing one pose at a time then makes a block
+# fail after max_attempts candidates, not max_attempts for each of its poses.
+SOLO_AFTER = 64
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,11 @@ class VisibilityConstraint:
     max_tilt: float = math.radians(45.0)
     contour_samples: int = 360
     max_attempts: int = 100_000
+
+    def __post_init__(self):
+        # Sampled tilts must stay valid Euler angles (theta in [-pi/2, pi/2]).
+        if not 0 <= self.max_tilt <= math.pi / 2:
+            raise ValueError(f"max_tilt must lie in [0, pi/2], got {self.max_tilt}")
 
 
 @dataclass(frozen=True)
@@ -149,14 +160,41 @@ def contour_angles(n: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n) / n
 
 
-def _project_points_pixel(points_w, pose: Pose, k: CameraIntrinsics) -> np.ndarray:
-    """World points -> pixel coordinates; NaN where the point is not in front."""
-    cam = (np.asarray(points_w, dtype=float) - pose.translation) @ pose.rotation
+def _project(points, rotation, translation, k: CameraIntrinsics):
+    """Camera depth z and pixel coordinates u, v of world points, each
+    (..., n); u and v mean nothing where z <= 0.
+
+    `points` hold the coordinates on their second-to-last axis, (..., 3, n),
+    so that subtracting the translation (..., 3) runs along the points. The
+    camera coordinates are (points - translation) @ rotation per pose:
+    stacked rotations (S, 3, 3) and translations (S, 3) project S poses at
+    once, each with the arithmetic of a single pose.
+    """
+    # C order: numpy's default order for these broadcast shapes iterates the
+    # subtraction three times slower.
+    diff = np.subtract(points, translation[..., None], order="C")
+    cam = diff.swapaxes(-1, -2) @ rotation
     z = cam[..., 2]
     with np.errstate(invalid="ignore", divide="ignore"):
-        u = np.where(z > 0, (k.f * cam[..., 0] / z) / k.dx + k.u0, np.nan)
-        v = np.where(z > 0, (k.f * cam[..., 1] / z) / k.dy + k.v0, np.nan)
-    return np.stack([u, v], axis=-1)
+        u = (k.f * cam[..., 0] / z) / k.dx + k.u0
+        v = (k.f * cam[..., 1] / z) / k.dy + k.v0
+    return z, u, v
+
+
+def _project_points_pixel(points, rotation, translation, k: CameraIntrinsics):
+    """World points (..., 3, n) -> pixel coordinates (..., n, 2); NaN where
+    the point is not in front. See `_project` for the shapes."""
+    z, u, v = _project(points, rotation, translation, k)
+    front = z > 0
+    return np.stack([np.where(front, u, np.nan), np.where(front, v, np.nan)], axis=-1)
+
+
+def _inside(points, rotation, translation, k: CameraIntrinsics) -> np.ndarray:
+    """Where `_in_bounds` holds for `_project_points_pixel` of the same
+    arguments, without building the pixel array."""
+    z, u, v = _project(points, rotation, translation, k)
+    with np.errstate(invalid="ignore"):
+        return (z > 0) & (u >= 0) & (u <= k.width) & (v >= 0) & (v <= k.height)
 
 
 def _in_bounds(pixels: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
@@ -183,13 +221,48 @@ class Visibility:
 
 
 def luminaire_points(luminaires, contour_samples: int):
-    """World contour rings (L, n, 3) and center/mark pairs (L, 2, 3); they
-    depend only on the scene and the point count, so a run builds them once
-    for `sample_pose` and `luminaire_visibility`."""
+    """World contour rings (L, 3, n) and center/mark pairs (L, 3, 2), laid
+    out for `_project`; they depend only on the scene and the point count,
+    so a run builds them once for `sample_poses` and `luminaire_visibility`."""
     angles = contour_angles(contour_samples)
-    rings = np.stack([lum.circle_points(angles) for lum in luminaires])
-    marks = np.stack([np.stack([lum.center_w, lum.mark_w]) for lum in luminaires])
+    rings = np.stack([lum.circle_points(angles).T for lum in luminaires])
+    marks = np.stack([np.stack([lum.center_w, lum.mark_w], axis=1)
+                      for lum in luminaires])
     return rings, marks
+
+
+def _visibility(luminaires, pixels: np.ndarray, gm: np.ndarray,
+                k: CameraIntrinsics) -> list[tuple[Visibility, ...]]:
+    """Per pose, one `Visibility` per luminaire, from the clean projections
+    of P poses: contour pixels (P, L, n, 2) and center/mark pixels
+    (P, L, 2, 2), both read-only. One luminaire at a time, which bounds the
+    temporaries."""
+    columns = []
+    for i, lum in enumerate(luminaires):
+        px = pixels[:, i]
+        inside = _in_bounds(px, k)
+        fractions = inside.mean(axis=1)
+        complete = (fractions == 1.0) & _in_bounds(gm[:, i], k).all(axis=1)
+        # Segment lengths to the next contour point, wrapping around.
+        step = np.empty_like(px)
+        np.subtract(px[:, 1:], px[:, :-1], out=step[:, :-1])
+        np.subtract(px[:, 0], px[:, -1], out=step[:, -1])
+        step *= step
+        seg = np.sqrt(step[..., 0] + step[..., 1])
+        both = inside & np.roll(inside, -1, axis=1)
+        columns.append([
+            Visibility(
+                luminaire_id=lum.id,
+                fraction=float(fractions[p]),
+                complete=bool(complete[p]),
+                contour_px=float(seg[p][both[p]].sum()),
+                pixels=px[p],
+                center=gm[p, i, 0],
+                mark=gm[p, i, 1],
+            )
+            for p in range(len(px))
+        ])
+    return list(zip(*columns))
 
 
 def luminaire_visibility(
@@ -203,83 +276,113 @@ def luminaire_visibility(
     contour length, from one projection of all contours at once: of `points`,
     the luminaires' `luminaire_points`, built here when not given."""
     rings, marks = points or luminaire_points(luminaires, contour_samples)
-    pixels = _project_points_pixel(rings, pose, k)
-    gm = _project_points_pixel(marks, pose, k)
+    pixels = _project_points_pixel(rings, pose.rotation, pose.translation, k)
+    gm = _project_points_pixel(marks, pose.rotation, pose.translation, k)
     pixels.flags.writeable = False
     gm.flags.writeable = False
-    inside = _in_bounds(pixels, k)
-    fractions = inside.mean(axis=1)
-    gm_inside = _in_bounds(gm, k).all(axis=1)
-    seg = np.linalg.norm(np.diff(pixels, axis=1, append=pixels[:, :1]), axis=-1)
-    both = inside & np.roll(inside, -1, axis=1)
-    return tuple(
-        Visibility(
-            luminaire_id=lum.id,
-            fraction=float(fractions[i]),
-            complete=bool(fractions[i] == 1.0 and gm_inside[i]),
-            contour_px=float(seg[i][both[i]].sum()),
-            pixels=pixels[i],
-            center=gm[i, 0],
-            mark=gm[i, 1],
+    return _visibility(luminaires, pixels[None], gm[None], k)[0]
+
+
+@dataclass(frozen=True)
+class SampledPose:
+    """A pose accepted by `sample_poses`, the visibility of every luminaire
+    on the clean projection it was accepted on, and the number of draws it
+    took, the accepted one included."""
+
+    pose: Pose
+    visibility: tuple[Visibility, ...]
+    attempts: int
+
+
+def sample_poses(
+    scene: Scene, rngs, constraint: VisibilityConstraint, points=None,
+) -> list[SampledPose]:
+    """Rejection-sample one camera pose per generator in `rngs`.
+
+    Position is uniform over the room footprint with height in
+    `height_range`; roll and pitch are uniform within +-max_tilt and the
+    heading is uniform. The generators advance in rounds: each round draws
+    `uniform(size=6)` from every generator whose pose is still rejected (from
+    the first of them alone after `SOLO_AFTER` rounds) and tests all those
+    candidates together, in one stacked projection per luminaire. Each
+    generator draws only its own candidates, so it ends where drawing its
+    poses one at a time would leave it. Each accepted pose comes with the
+    `luminaire_visibility` of the projection it was accepted on. `points`
+    are the scene's `luminaire_points` at the constraint's point count,
+    built here when not given. Raises SamplingExhaustedError when a pose is
+    still rejected after max_attempts.
+    """
+    k = constraint.intrinsics
+    length, width, _ = scene.room
+    low, high = constraint.height_range
+    if len(scene.luminaires) < max(constraint.min_visible, 1):
+        raise SamplingExhaustedError(
+            f"scene has {len(scene.luminaires)} luminaires, "
+            f"constraint needs {constraint.min_visible}"
         )
-        for i, lum in enumerate(luminaires)
-    )
+    rings, marks = points or luminaire_points(scene.luminaires,
+                                              constraint.contour_samples)
+
+    count = len(rngs)
+    rotations = np.empty((count, 3, 3))
+    translations = np.empty((count, 3))
+    attempts = np.zeros(count, dtype=int)  # candidates drawn per generator
+    pending = np.arange(count)
+    while len(pending):
+        # The active generators have all drawn the same number of candidates.
+        active = pending if attempts[pending[0]] < SOLO_AFTER else pending[:1]
+        if attempts[active[0]] == constraint.max_attempts:
+            raise SamplingExhaustedError(
+                f"no pose satisfied the constraint in {constraint.max_attempts} attempts"
+            )
+        attempts[active] += 1
+        draw = np.array([rngs[i].uniform(size=6) for i in active])
+        translations[active] = np.stack(
+            [draw[:, 0] * length, draw[:, 1] * width, low + draw[:, 2] * (high - low)],
+            axis=1)
+        phi = (2 * draw[:, 3] - 1) * constraint.max_tilt
+        theta = (2 * draw[:, 4] - 1) * constraint.max_tilt
+        psi = (2 * draw[:, 5] - 1) * math.pi
+        rotations[active] = [rotation_from_angles(a, b, _wrap_angle(c))
+                             for a, b, c in zip(phi, theta, psi)]
+
+        # One luminaire at a time, so that no candidate's pixels are kept.
+        r, t = rotations[active], translations[active]
+        fractions = np.empty((len(active), len(rings)))
+        for i, ring in enumerate(rings):
+            inside = _inside(ring, r, t, k)
+            fractions[:, i] = np.count_nonzero(inside, axis=1) / inside.shape[1]
+        accepted = ((fractions >= constraint.min_fraction).sum(axis=1)
+                    >= constraint.min_visible)
+        if constraint.require_complete > 0:
+            gm_inside = _inside(marks, r[:, None], t[:, None], k).all(axis=2)
+            complete = (fractions == 1.0) & gm_inside
+            accepted &= complete.sum(axis=1) >= constraint.require_complete
+
+        pending = np.concatenate([active[~accepted], pending[len(active):]])
+
+    # Each accepted pose is projected once more: keeping every candidate's
+    # pixels until its round is decided would cost more memory than this
+    # costs time.
+    pixels = np.empty((count, len(rings), rings.shape[2], 2))
+    for i, (r, t) in enumerate(zip(rotations, translations)):
+        pixels[i] = _project_points_pixel(rings, r, t, k)
+    gm = _project_points_pixel(marks, rotations[:, None], translations[:, None], k)
+    pixels.flags.writeable = False
+    gm.flags.writeable = False
+    return [
+        SampledPose(Pose(rotation=r, translation=t), vis, int(n))
+        for r, t, vis, n in zip(rotations, translations,
+                                _visibility(scene.luminaires, pixels, gm, k), attempts)
+    ]
 
 
 def sample_pose(
     scene: Scene, rng: np.random.Generator, constraint: VisibilityConstraint,
     points=None,
 ) -> Pose:
-    """Rejection-sample a camera pose satisfying the visibility constraint.
-
-    Position is uniform over the room footprint with height in
-    `height_range`; roll and pitch are uniform within +-max_tilt and the
-    heading is uniform. `points` are the scene's `luminaire_points` at the
-    constraint's point count, built here when not given. Raises
-    SamplingExhaustedError after max_attempts.
-    """
-    k = constraint.intrinsics
-    length, width, _ = scene.room
-    if len(scene.luminaires) < max(constraint.min_visible, 1):
-        raise SamplingExhaustedError(
-            f"scene has {len(scene.luminaires)} luminaires, "
-            f"constraint needs {constraint.min_visible}"
-        )
-
-    rings, marks = points or luminaire_points(scene.luminaires,
-                                              constraint.contour_samples)
-
-    for _ in range(constraint.max_attempts):
-        draw = rng.uniform(size=6)
-        position = np.array(
-            [
-                draw[0] * length,
-                draw[1] * width,
-                constraint.height_range[0]
-                + draw[2] * (constraint.height_range[1] - constraint.height_range[0]),
-            ]
-        )
-        e = EulerAngles(
-            phi=(2 * draw[3] - 1) * constraint.max_tilt,
-            theta=(2 * draw[4] - 1) * constraint.max_tilt,
-            psi=_wrap_angle((2 * draw[5] - 1) * math.pi),
-        )
-        pose = Pose(rotation=euler_to_rotation(e), translation=position)
-
-        in_img = _in_bounds(_project_points_pixel(rings, pose, k), k)
-        fractions = in_img.mean(axis=1)
-        n_visible = int((fractions >= constraint.min_fraction).sum())
-        if n_visible < constraint.min_visible:
-            continue
-        if constraint.require_complete > 0:
-            gm_ok = _in_bounds(_project_points_pixel(marks, pose, k), k).all(axis=1)
-            n_complete = int(((fractions == 1.0) & gm_ok).sum())
-            if n_complete < constraint.require_complete:
-                continue
-        return pose
-    raise SamplingExhaustedError(
-        f"no pose satisfied the constraint in {constraint.max_attempts} attempts"
-    )
+    """`sample_poses` for one generator: the accepted pose alone."""
+    return sample_poses(scene, [rng], constraint, points)[0].pose
 
 
 def project_luminaire_burst(

@@ -61,6 +61,7 @@ from .frames import (
     rot_x,
     rot_y,
     rot_z,
+    rotation_from_angles,
 )
 
 DISAMBIGUATION_TIE_TOL = 1e-6
@@ -178,11 +179,6 @@ class PoseEstimate:
     pose: Pose
     algorithm: str
     diagnostics: dict = field(default_factory=dict)
-
-
-def _rotation_from_angles(phi: float, theta: float, psi: float) -> np.ndarray:
-    # Same composition as euler_to_rotation, without range validation.
-    return rot_z(psi) @ rot_y(theta) @ rot_x(phi)
 
 
 def _luminaire_map(lums) -> Mapping[str, LuminaireInfo]:
@@ -525,7 +521,7 @@ def _pnp_residuals(
     x: np.ndarray, world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics
 ) -> np.ndarray:
     """Stacked pixel reprojection errors for pose parameters (angles, t)."""
-    r = _rotation_from_angles(x[0], x[1], x[2])
+    r = rotation_from_angles(x[0], x[1], x[2])
     cam = (world - x[3:6]) @ r
     z = np.maximum(cam[:, 2], 1e-6)  # keep residuals finite behind the camera
     u = (k.f * cam[:, 0] / z) / k.dx + k.u0
@@ -721,7 +717,7 @@ def pnp_baseline(
     rms = math.sqrt(best_cost / pixels.size)
     if not np.isfinite(rms) or rms > fail_rms:
         raise NonConvergenceError(f"PnP residual {rms:.3g} px after restarts")
-    rotation = _rotation_from_angles(best_x[0], best_x[1], best_x[2])
+    rotation = rotation_from_angles(best_x[0], best_x[1], best_x[2])
     return PoseEstimate(
         pose=Pose(rotation=rotation, translation=best_x[3:6]),
         algorithm="PNP",

@@ -208,7 +208,8 @@ def test_sweep_noise_writes_summary(tmp_path, capsys):
     rc = main(["sweep-noise", "--config", tiny_config(tmp_path),
                "--sigma", "0,2", "--out", str(tmp_path / "s")])
     assert rc == 0
-    rows = list(csv.DictReader(open(tmp_path / "s" / "sweep_noise.csv")))
+    with open(tmp_path / "s" / "sweep_noise.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert {r["value"] for r in rows} == {"0", "2"}
 
 

@@ -8,11 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from arcpose.errors import InvalidConfigError, NoSuccessfulRecordsError
+from arcpose import harness
+from arcpose.errors import (
+    InvalidConfigError,
+    NoSuccessfulRecordsError,
+    SamplingExhaustedError,
+)
 from arcpose.frames import EulerAngles, euler_to_rotation
 from arcpose.harness import (
     ExperimentConfig,
     ResultRecord,
+    _record_row,
     cdf,
     config_from_dict,
     config_to_dict,
@@ -129,6 +135,36 @@ def test_runner_is_deterministic():
     ]
 
 
+def rows(records):
+    """Records as records.csv writes them, plus the sampler's attempt count."""
+    return [_record_row(r) + [r.attempts] for r in records]
+
+
+def test_runner_prefix_does_not_depend_on_run_length():
+    # 30 samples end inside the second pose block; 60 run past it.
+    algorithms = ("VPA", "OAVPA")
+    short = run_monte_carlo(ExperimentConfig(samples=30, algorithms=algorithms, seed=4))
+    long = run_monte_carlo(ExperimentConfig(samples=60, algorithms=algorithms, seed=4))
+    assert rows(long[:len(short)]) == rows(short)
+
+
+def test_runner_records_do_not_depend_on_block_or_slice_size(monkeypatch):
+    cfg = ExperimentConfig(samples=40, algorithms=("VPA", "VPCA", "OAVPA"), seed=9)
+    default = rows(run_monte_carlo(cfg))
+    monkeypatch.setattr(harness, "POSE_BLOCK", 7)
+    monkeypatch.setattr(harness, "SOLVE_SLICE", 5)
+    assert rows(run_monte_carlo(cfg)) == default
+    assert all(attempts >= 1 for *_, attempts in default)
+
+
+def test_runner_propagates_sampling_exhaustion(monkeypatch):
+    impossible = replace(harness._constraint_for(ExperimentConfig()),
+                         min_fraction=1.5, max_attempts=5)
+    monkeypatch.setattr(harness, "_constraint_for", lambda cfg: impossible)
+    with pytest.raises(SamplingExhaustedError):
+        run_monte_carlo(ExperimentConfig(samples=3, seed=1))
+
+
 def test_runner_records_per_algorithm():
     cfg = ExperimentConfig(samples=4, sigma=1.0, algorithms=("VPA", "OAVPA"), seed=2)
     records = run_monte_carlo(cfg)
@@ -238,6 +274,9 @@ def test_write_results_round_trip(tmp_path):
     manifest = json.loads(paths["manifest"].read_text())
     assert manifest["seed"] == 4
     assert manifest["config"]["sigma"] == 1.0
+    attempts = [r.attempts for r in records]
+    assert manifest["pose_attempts"] == {"mean": np.mean(attempts),
+                                         "max": max(attempts)}
     assert "code_version" in manifest
 
     with open(paths["cdf"], newline="") as fh:

@@ -23,7 +23,7 @@ from arcpose.errors import (
 )
 from arcpose.frames import rot_x, rot_y, rot_z
 from arcpose.harness import ExperimentConfig, _capture_sample, _constraint_for
-from arcpose.sim import NoiseModel, luminaire_points, sample_pose
+from arcpose.sim import NoiseModel, luminaire_points, sample_poses
 from arcpose.solver import pair_inputs, pair_observations, solve_pairs
 
 SCENARIOS = ("mixed", "complete+semicircle", "superior_arc+superior_arc",
@@ -40,8 +40,8 @@ def captured_pairs(scenario, samples=40, seed=3):
     pairs = []
     for index in range(samples):
         rng = np.random.default_rng([seed, index])
-        truth = sample_pose(scene, rng, _constraint_for(cfg), points)
-        obs = _capture_sample(cfg, scene, truth, NoiseModel(cfg.sigma), rng, points)
+        drawn, = sample_poses(scene, [rng], _constraint_for(cfg), points)
+        obs = _capture_sample(cfg, drawn.visibility, NoiseModel(cfg.sigma), rng)
         first, second = pair_observations(obs)
         pairs.append((obs[first], obs[second], obs[first].complete))
         pairs.append((obs[0], obs[1], False))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from arcpose import sim
 from arcpose.conic import ellipse_centers, fit_ellipse
 from arcpose.errors import (
     ArcTooShortError,
@@ -14,7 +15,14 @@ from arcpose.errors import (
     NotVisibleError,
     SamplingExhaustedError,
 )
-from arcpose.frames import image_to_pixel, pixel_to_image
+from arcpose.frames import (
+    EulerAngles,
+    Pose,
+    _wrap_angle,
+    euler_to_rotation,
+    image_to_pixel,
+    pixel_to_image,
+)
 from arcpose.sim import (
     ARC_MODES,
     NoiseModel,
@@ -28,6 +36,7 @@ from arcpose.sim import (
     luminaire_visibility,
     project_luminaire_burst,
     sample_pose,
+    sample_poses,
     scene_from_dict,
     scene_to_dict,
     default_intrinsics,
@@ -143,6 +152,115 @@ def test_sample_pose_deterministic(scene, k):
     c = sample_pose(scene, np.random.default_rng(7), con, points)
     assert np.array_equal(a.rotation, c.rotation)
     assert np.array_equal(a.translation, c.translation)
+
+
+def scalar_sample_pose(scene, rng, constraint):
+    """The one-pose-at-a-time rejection loop the batched sampler replaced:
+    a validated `EulerAngles` and `Pose` per attempt, and all rings
+    projected alone. Returns the pose, its attempt count and the visibility
+    fields of its projection (pixels, center and mark pixels, fraction,
+    completeness and contour length per luminaire)."""
+    k = constraint.intrinsics
+    length, width, _ = scene.room
+    angles = contour_angles(constraint.contour_samples)
+    rings = np.stack([lum.circle_points(angles) for lum in scene.luminaires])
+    marks = np.stack([np.stack([lum.center_w, lum.mark_w]) for lum in scene.luminaires])
+
+    def project(points, pose):
+        cam = (points - pose.translation) @ pose.rotation
+        z = cam[..., 2]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = np.where(z > 0, (k.f * cam[..., 0] / z) / k.dx + k.u0, np.nan)
+            v = np.where(z > 0, (k.f * cam[..., 1] / z) / k.dy + k.v0, np.nan)
+        return np.stack([u, v], axis=-1)
+
+    for attempt in range(1, constraint.max_attempts + 1):
+        draw = rng.uniform(size=6)
+        position = np.array([
+            draw[0] * length,
+            draw[1] * width,
+            constraint.height_range[0]
+            + draw[2] * (constraint.height_range[1] - constraint.height_range[0]),
+        ])
+        e = EulerAngles(
+            phi=(2 * draw[3] - 1) * constraint.max_tilt,
+            theta=(2 * draw[4] - 1) * constraint.max_tilt,
+            psi=_wrap_angle((2 * draw[5] - 1) * math.pi),
+        )
+        pose = Pose(rotation=euler_to_rotation(e), translation=position)
+        fractions = _in_bounds(project(rings, pose), k).mean(axis=1)
+        if int((fractions >= constraint.min_fraction).sum()) < constraint.min_visible:
+            continue
+        if constraint.require_complete > 0:
+            gm_ok = _in_bounds(project(marks, pose), k).all(axis=1)
+            if int(((fractions == 1.0) & gm_ok).sum()) < constraint.require_complete:
+                continue
+        pixels, gm = project(rings, pose), project(marks, pose)
+        inside = _in_bounds(pixels, k)
+        fractions = inside.mean(axis=1)
+        complete = (fractions == 1.0) & _in_bounds(gm, k).all(axis=1)
+        seg = np.linalg.norm(np.diff(pixels, axis=1, append=pixels[:, :1]), axis=-1)
+        both = inside & np.roll(inside, -1, axis=1)
+        lengths = [seg[i][both[i]].sum() for i in range(len(rings))]
+        return pose, attempt, list(zip(pixels, gm, fractions, complete, lengths))
+    raise SamplingExhaustedError("reference loop exhausted")
+
+
+@pytest.mark.parametrize("require_complete,solo_after", [(0, 64), (2, 64), (0, 2)])
+def test_batched_sampler_matches_scalar_reference(scene, k, require_complete,
+                                                  solo_after, monkeypatch):
+    # solo_after=2: after two rounds the generators advance one at a time.
+    monkeypatch.setattr(sim, "SOLO_AFTER", solo_after)
+    con = (VisibilityConstraint(intrinsics=k) if require_complete == 0 else
+           VisibilityConstraint(intrinsics=k, min_fraction=1.0, require_complete=2))
+    seeds = [[require_complete, i] for i in range(120)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    points = luminaire_points(scene.luminaires, con.contour_samples)
+    # One block of 100 and one of 20: rounds in lockstep over many generators.
+    drawn = sample_poses(scene, rngs[:100], con, points) + sample_poses(
+        scene, rngs[100:], con, points)
+    attempts = []
+    for seed, rng, got in zip(seeds, rngs, drawn):
+        ref_rng = np.random.default_rng(seed)
+        pose, n, reference = scalar_sample_pose(scene, ref_rng, con)
+        attempts.append(n)
+        assert np.array_equal(got.pose.rotation, pose.rotation)
+        assert np.array_equal(got.pose.translation, pose.translation)
+        assert got.attempts == n
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        expected = luminaire_visibility(scene.luminaires, pose, k, points=points)
+        for a, b, (pixels, gm, fraction, complete, length) in zip(
+                got.visibility, expected, reference):
+            assert (a.luminaire_id, a.fraction, a.complete, a.contour_px) == (
+                b.luminaire_id, b.fraction, b.complete, b.contour_px)
+            assert (a.fraction, a.complete, a.contour_px) == (fraction, complete, length)
+            for name, ref in (("pixels", pixels), ("center", gm[0]), ("mark", gm[1])):
+                assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+                assert np.array_equal(getattr(a, name), ref, equal_nan=True)
+                assert not getattr(a, name).flags.writeable
+    # The case needs rejections to mean anything.
+    assert max(attempts) > 3 and np.mean(attempts) > 1.5
+
+
+@pytest.mark.parametrize("solo_after", [64, 3])
+def test_sampler_exhausts_after_max_attempts(scene, k, solo_after, monkeypatch):
+    monkeypatch.setattr(sim, "SOLO_AFTER", solo_after)
+    con = VisibilityConstraint(intrinsics=k, min_fraction=1.5, max_attempts=7)
+    rngs = [np.random.default_rng([9, i]) for i in range(3)]
+    with pytest.raises(SamplingExhaustedError, match="in 7 attempts"):
+        sample_poses(scene, rngs, con)
+    # The first generator drew max_attempts candidates; the others stopped
+    # when the block went one generator at a time.
+    for i, draws in enumerate([7] + 2 * [min(7, solo_after)]):
+        reference = np.random.default_rng([9, i])
+        for _ in range(draws):
+            reference.uniform(size=6)
+        assert rngs[i].bit_generator.state == reference.bit_generator.state
+
+
+def test_constraint_rejects_tilt_beyond_quarter_turn(k):
+    with pytest.raises(ValueError):
+        VisibilityConstraint(intrinsics=k, max_tilt=2.0)
 
 
 # --- projection -----------------------------------------------------------------------
@@ -307,8 +425,9 @@ def reference_observation(lum, pose, k, mode, rng, sigma=2.0, n_img=20, n=360):
     """
     start = int(rng.integers(n)) if mode in ("semicircle", "superior_arc") else None
     angles = contour_angles(n)
-    clean = _project_points_pixel(lum.circle_points(angles), pose, k)
-    gm = _project_points_pixel(np.stack([lum.center_w, lum.mark_w]), pose, k)
+    r, t = pose.rotation, pose.translation
+    clean = _project_points_pixel(lum.circle_points(angles).T, r, t, k)
+    gm = _project_points_pixel(np.stack([lum.center_w, lum.mark_w], axis=1), r, t, k)
     noise = rng.standard_normal((n_img,) + clean.shape) * sigma
     images = [clean + noise[i] for i in range(n_img)]
     kept = []

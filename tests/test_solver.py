@@ -14,14 +14,18 @@ from arcpose.errors import (
     TooFewLuminairesError,
     UnknownLuminaireError,
 )
-from arcpose.frames import CameraIntrinsics, EulerAngles, euler_to_rotation
+from arcpose.frames import (
+    CameraIntrinsics,
+    EulerAngles,
+    euler_to_rotation,
+    rotation_from_angles,
+)
 from arcpose.solver import (
     LuminaireInfo,
     Observation,
     _pnp_jacobian,
     _pnp_residuals,
     PSI_RESIDUAL_LIMIT,
-    _rotation_from_angles,
     disambiguate,
     heading,
     pnp_baseline,
@@ -557,7 +561,7 @@ def assert_jacobian_matches_central_differences(x, world):
 
 
 def camera_depths(x, world):
-    return ((world - x[3:6]) @ _rotation_from_angles(x[0], x[1], x[2]))[:, 2]
+    return ((world - x[3:6]) @ rotation_from_angles(x[0], x[1], x[2]))[:, 2]
 
 
 @settings(derandomize=True, deadline=None)
