@@ -31,10 +31,13 @@ from .errors import ArcPoseError, InvalidConfigError
 from .frames import CameraIntrinsics, pixel_to_image, rotation_to_euler
 from .harness import (
     PERCENTILES,
+    _fmt,
     config_from_dict,
+    read_records,
     run_monte_carlo,
     summarize_by_algorithm,
     sweep,
+    write_cdf,
     write_results,
 )
 from .sim import default_intrinsics, intrinsics_from_dict, scene_from_dict
@@ -237,9 +240,9 @@ def _print_summary(stats_by_alg) -> None:
     ]
     print("  ".join(f"{h:>10}" for h in header))
     for alg, s in sorted(stats_by_alg.items()):
-        row = [alg, s.n_success, s.n_failed,
-               f"{100 * s.mean:.2f}", f"{100 * s.std_err:.2f}"]
-        row += [f"{100 * s.percentiles[p]:.2f}" for p in PERCENTILES]
+        cm = [s.mean, s.std_err] + [s.percentiles[p] for p in PERCENTILES]
+        row = [alg, s.n_success, s.n_failed]
+        row += ["-" if v is None else f"{100 * v:.2f}" for v in cm]
         print("  ".join(f"{str(v):>10}" for v in row))
 
 
@@ -296,10 +299,9 @@ def cmd_sweep(args, parameter: str) -> int:
                  "mean_e_loc_m,std_err_m,p90_m\n")
         for value, by_alg in results.items():
             for alg, s in sorted(by_alg.items()):
-                fh.write(
-                    f"{parameter},{value:.12g},{alg},{s.n_success},{s.n_failed},"
-                    f"{s.mean:.12g},{s.std_err:.12g},{s.percentiles[90]:.12g}\n"
-                )
+                fh.write(",".join(_fmt(v) for v in (
+                    parameter, value, alg, s.n_success, s.n_failed,
+                    s.mean, s.std_err, s.percentiles[90])) + "\n")
     for value, by_alg in results.items():
         print(f"--- {parameter} = {value:g}")
         _print_summary(by_alg)
@@ -308,36 +310,12 @@ def cmd_sweep(args, parameter: str) -> int:
 
 
 def cmd_cdf(args) -> int:
-    import csv as csv_mod
-
-    from .harness import DEFAULT_CDF_GRID
-
-    with open(args.records, newline="") as fh:
-        rows = list(csv_mod.DictReader(fh))
-    by_alg: dict[str, list[float]] = {}
-    failures: dict[str, int] = {}
-    for row in rows:
-        alg = row["algorithm"]
-        if row["status"] == "ok":
-            by_alg.setdefault(alg, []).append(float(row["e_loc_m"]))
-        else:
-            failures[alg] = failures.get(alg, 0) + 1
-    if not by_alg:
-        print("no successful records", file=sys.stderr)
-        return 1
+    stats = summarize_by_algorithm(read_records(args.records))
     out_dir = Path(args.out or _default_out())
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "cdf.csv"
-    with open(path, "w") as fh:
-        fh.write("algorithm,e_loc_m,fraction\n")
-        for alg, errs in sorted(by_alg.items()):
-            errors = np.array(errs)
-            for g in DEFAULT_CDF_GRID:
-                fh.write(f"{alg},{g:.12g},{(errors <= g).mean():.12g}\n")
-            pcts = "  ".join(
-                f"p{p}={100 * np.percentile(errors, p):.2f}cm" for p in PERCENTILES
-            )
-            print(f"{alg}: n={errors.size} failed={failures.get(alg, 0)}  {pcts}")
+    write_cdf(stats, path)
+    _print_summary(stats)
     print(f"wrote {path}")
     return 0
 

@@ -219,6 +219,13 @@ def euler_to_rotation(e: EulerAngles) -> np.ndarray:
     return rotation_from_angles(e.phi, e.theta, e.psi)
 
 
+def angles_from_rotation(r: np.ndarray) -> tuple[float, float, float]:
+    """(phi, theta, psi) of Rz(psi) @ Ry(theta) @ Rx(phi) with no gimbal-lock
+    guard and no wrap: theta by principal asin, phi and psi by atan2."""
+    theta = math.asin(float(np.clip(-r[2, 0], -1.0, 1.0)))
+    return math.atan2(r[2, 1], r[2, 2]), theta, math.atan2(r[1, 0], r[0, 0])
+
+
 def rotation_to_euler(r: np.ndarray) -> EulerAngles:
     """Invert euler_to_rotation on the non-degenerate domain.
 
@@ -227,13 +234,10 @@ def rotation_to_euler(r: np.ndarray) -> EulerAngles:
     """
     r = np.asarray(r, dtype=float)
     sin_theta = float(np.clip(-r[2, 0], -1.0, 1.0))
-    cos_theta = math.sqrt(max(0.0, 1.0 - sin_theta * sin_theta))
-    if cos_theta < 1e-8:
+    if math.sqrt(max(0.0, 1.0 - sin_theta * sin_theta)) < 1e-8:
         raise GimbalLockError("cos(theta) ~ 0: phi and psi are coupled")
-    theta = math.asin(sin_theta)
-    phi = _wrap_angle(math.atan2(r[2, 1], r[2, 2]))
-    psi = _wrap_angle(math.atan2(r[1, 0], r[0, 0]))
-    return EulerAngles(phi, theta, psi)
+    phi, theta, psi = angles_from_rotation(r)
+    return EulerAngles(_wrap_angle(phi), theta, _wrap_angle(psi))
 
 
 def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from .frames import (
     rotation_to_quaternion,
 )
 from .sim import (
-    NoiseModel,
+    ARC_MODES,
     Scene,
     VisibilityConstraint,
     average_observations,
@@ -63,7 +63,6 @@ from .solver import (
 )
 
 ALGORITHMS = ("VPA", "VPCA", "OAVPA", "PNP")
-SCENARIO_MODES = ("complete", "semicircle", "superior_arc", "image_bounds")
 CONFIG_SCHEMA_VERSION = 1
 
 PERCENTILES = (50, 78, 86, 90, 95, 97)
@@ -166,9 +165,9 @@ def _parse_scenario(scenario) -> str | tuple[str, str]:
     if isinstance(scenario, str):
         scenario = tuple(scenario.split("+"))
     scenario = tuple(scenario)
-    if len(scenario) != 2 or any(m not in SCENARIO_MODES for m in scenario):
+    if len(scenario) != 2 or any(m not in ARC_MODES for m in scenario):
         raise InvalidConfigError(
-            f"scenario must be 'mixed' or two of {SCENARIO_MODES}, got {scenario!r}"
+            f"scenario must be 'mixed' or two of {ARC_MODES}, got {scenario!r}"
         )
     return scenario
 
@@ -230,11 +229,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """Outcome of one algorithm on one sample."""
+    """Outcome of one algorithm on one sample; no truth when read back."""
 
     sample_index: int
     algorithm: str
-    truth: Pose
+    truth: Pose | None
     estimate: Pose | None = None
     solver_tag: str | None = None
     e_loc: float | None = None
@@ -249,13 +248,14 @@ class ResultRecord:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Aggregate statistics of the successful records of one algorithm."""
+    """Aggregate statistics of the successful records of one algorithm;
+    None for each statistic when no record succeeded."""
 
     n_success: int
     n_failed: int
-    mean: float
-    std_err: float
-    median: float
+    mean: float | None
+    std_err: float | None
+    median: float | None
     percentiles: dict
     cdf_grid: np.ndarray
     cdf_fraction: np.ndarray
@@ -329,7 +329,6 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     scene = cfg.effective_scene()
     lum_map = scene.luminaire_map()
     constraint = _constraint_for(cfg)
-    noise = NoiseModel(sigma=cfg.sigma)
     points = luminaire_points(scene.luminaires, cfg.contour_samples)
     k = cfg.intrinsics
 
@@ -345,7 +344,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             records = [None] * len(cfg.algorithms)
             samples.append(records)
             try:
-                obs = _capture_sample(cfg, sampled.visibility, noise, rng)
+                obs = _capture_sample(cfg, sampled.visibility, rng)
             except (ArcPoseError, ValueError) as exc:
                 records[:] = [_failed(sample, alg, exc) for alg in cfg.algorithms]
                 continue
@@ -391,7 +390,7 @@ class _Sample(NamedTuple):
     attempts: int
 
 
-def _capture_sample(cfg, visibility, noise, rng) -> list[Observation]:
+def _capture_sample(cfg, visibility, rng) -> list[Observation]:
     """Project, truncate, and average the two best-visible luminaires, given
     every luminaire's `Visibility` at the sample's pose."""
     k = cfg.intrinsics
@@ -411,7 +410,7 @@ def _capture_sample(cfg, visibility, noise, rng) -> list[Observation]:
             if mode in ("semicircle", "superior_arc")
             else None
         )
-        burst = project_luminaire_burst(vis, noise, cfg.images_per_location, rng)
+        burst = project_luminaire_burst(vis, cfg.sigma, cfg.images_per_location, rng)
         if mode != "complete":
             burst = truncate_arc(
                 burst, mode, start_index=start,
@@ -452,27 +451,14 @@ def _solve_pnp(sample: _Sample, observations, lum_map, k) -> ResultRecord:
 
 # --- aggregation -----------------------------------------------------------------
 
-def cdf(records, grid=None) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF of e_loc over the successful records.
-
-    Returns (grid, fraction of successes with e_loc <= grid point). Failures
-    are excluded from the denominator.
-    """
-    grid = DEFAULT_CDF_GRID if grid is None else np.asarray(grid, float)
-    errors = np.array([r.e_loc for r in records if r.ok])
-    if errors.size == 0:
-        raise NoSuccessfulRecordsError("no successful records")
-    fraction = (errors[None, :] <= grid[:, None]).mean(axis=1)
-    return grid, fraction
-
-
-def summarize(records, grid=None) -> SummaryStats:
-    """Aggregate the successful records; failures are counted separately."""
+def _summary(records, grid) -> SummaryStats:
+    """`summarize` that reports no success as n_success 0 with no CDF."""
     errors = np.array([r.e_loc for r in records if r.ok])
     n_failed = sum(1 for r in records if not r.ok)
     if errors.size == 0:
-        raise NoSuccessfulRecordsError("no successful records")
-    grid, fraction = cdf(records, grid)
+        return SummaryStats(0, n_failed, None, None, None, dict.fromkeys(PERCENTILES),
+                            cdf_grid=np.empty(0), cdf_fraction=np.empty(0))
+    grid = DEFAULT_CDF_GRID if grid is None else np.asarray(grid, float)
     std_err = (
         float(errors.std(ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
     )
@@ -484,15 +470,28 @@ def summarize(records, grid=None) -> SummaryStats:
         median=float(np.median(errors)),
         percentiles={p: float(np.percentile(errors, p)) for p in PERCENTILES},
         cdf_grid=grid,
-        cdf_fraction=fraction,
+        cdf_fraction=(errors[None, :] <= grid[:, None]).mean(axis=1),
     )
 
 
+def summarize(records, grid=None) -> SummaryStats:
+    """Aggregate the successful records; failures are counted separately and
+    left out of the CDF, the share of successes with e_loc <= each point of
+    `grid` (default `DEFAULT_CDF_GRID`). Raises NoSuccessfulRecordsError if
+    no record succeeded."""
+    stats = _summary(records, grid)
+    if stats.n_success == 0:
+        raise NoSuccessfulRecordsError("no successful records")
+    return stats
+
+
 def summarize_by_algorithm(records, grid=None) -> dict[str, SummaryStats]:
-    out = {}
-    for alg in sorted({r.algorithm for r in records}):
-        out[alg] = summarize([r for r in records if r.algorithm == alg], grid)
-    return out
+    """`summarize` per algorithm, except that an algorithm with no success is
+    reported with n_success 0, its failure count and no statistics."""
+    return {
+        alg: _summary([r for r in records if r.algorithm == alg], grid)
+        for alg in sorted({r.algorithm for r in records})
+    }
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
@@ -567,12 +566,7 @@ def write_results(records, stats_by_alg, out_dir, cfg: ExperimentConfig) -> dict
         for r in records:
             writer.writerow(_record_row(r))
 
-    with open(paths["cdf"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "e_loc_m", "fraction"])
-        for alg, stats in sorted(stats_by_alg.items()):
-            for g, frac in zip(stats.cdf_grid, stats.cdf_fraction):
-                writer.writerow([alg, _fmt(float(g)), _fmt(float(frac))])
+    write_cdf(stats_by_alg, paths["cdf"])
 
     # Rejection-sampling draws per pose, once per sample.
     attempts = list({r.sample_index: r.attempts for r in records
@@ -601,3 +595,37 @@ def write_results(records, stats_by_alg, out_dir, cfg: ExperimentConfig) -> dict
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths
+
+
+def write_cdf(stats_by_alg, path) -> None:
+    """Write cdf.csv: per algorithm in name order, one row per CDF point."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["algorithm", "e_loc_m", "fraction"])
+        for alg, stats in sorted(stats_by_alg.items()):
+            for g, frac in zip(stats.cdf_grid, stats.cdf_fraction):
+                writer.writerow([alg, _fmt(float(g)), _fmt(float(frac))])
+
+
+_READ_COLUMNS = ("sample_index", "algorithm", "status", "error", "e_loc_m")
+
+
+def read_records(path) -> list[ResultRecord]:
+    """The records of a records.csv as far as aggregation reads them, with no
+    truth. Raises InvalidConfigError naming a missing column or a bad line."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in _READ_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidConfigError(f"{path}: not a records file, missing {missing}")
+        records = []
+        for row in reader:
+            ok = row["status"] == "ok"
+            try:
+                records.append(ResultRecord(
+                    int(row["sample_index"]), row["algorithm"], None,
+                    e_loc=float(row["e_loc_m"]) if ok else None,
+                    error=None if ok else row["error"] or "failed"))
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfigError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return records

@@ -71,17 +71,6 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Pixel noise: i.i.d. zero-mean Gaussian with std sigma on u and v."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
 class VisibilityConstraint:
     """Acceptance rule for rejection-sampled poses.
 
@@ -223,7 +212,7 @@ class Visibility:
 def luminaire_points(luminaires, contour_samples: int):
     """World contour rings (L, 3, n) and center/mark pairs (L, 3, 2), laid
     out for `_project`; they depend only on the scene and the point count,
-    so a run builds them once for `sample_poses` and `luminaire_visibility`."""
+    so a run builds them once for `sample_poses` and `visibility`."""
     angles = contour_angles(contour_samples)
     rings = np.stack([lum.circle_points(angles).T for lum in luminaires])
     marks = np.stack([np.stack([lum.center_w, lum.mark_w], axis=1)
@@ -231,12 +220,20 @@ def luminaire_points(luminaires, contour_samples: int):
     return rings, marks
 
 
-def _visibility(luminaires, pixels: np.ndarray, gm: np.ndarray,
-                k: CameraIntrinsics) -> list[tuple[Visibility, ...]]:
-    """Per pose, one `Visibility` per luminaire, from the clean projections
-    of P poses: contour pixels (P, L, n, 2) and center/mark pixels
-    (P, L, 2, 2), both read-only. One luminaire at a time, which bounds the
+def visibility(luminaires, rotations: np.ndarray, translations: np.ndarray,
+               k: CameraIntrinsics, points) -> list[tuple[Visibility, ...]]:
+    """Per pose, one `Visibility` per luminaire, on the clean projection of
+    a block of P poses: rotations (P, 3, 3) and translations (P, 3). `points`
+    are the luminaires' `luminaire_points`. The contours are projected one
+    pose at a time and classified one luminaire at a time, which bounds the
     temporaries."""
+    rings, marks = points
+    pixels = np.empty((len(rotations), len(rings), rings.shape[2], 2))
+    for p, (r, t) in enumerate(zip(rotations, translations)):
+        pixels[p] = _project_points_pixel(rings, r, t, k)
+    gm = _project_points_pixel(marks, rotations[:, None], translations[:, None], k)
+    pixels.flags.writeable = False
+    gm.flags.writeable = False
     columns = []
     for i, lum in enumerate(luminaires):
         px = pixels[:, i]
@@ -265,24 +262,6 @@ def _visibility(luminaires, pixels: np.ndarray, gm: np.ndarray,
     return list(zip(*columns))
 
 
-def luminaire_visibility(
-    luminaires: tuple[LuminaireInfo, ...],
-    pose: Pose,
-    k: CameraIntrinsics,
-    contour_samples: int = 360,
-    points=None,
-) -> tuple[Visibility, ...]:
-    """Classify each luminaire's visibility and measure its extractable
-    contour length, from one projection of all contours at once: of `points`,
-    the luminaires' `luminaire_points`, built here when not given."""
-    rings, marks = points or luminaire_points(luminaires, contour_samples)
-    pixels = _project_points_pixel(rings, pose.rotation, pose.translation, k)
-    gm = _project_points_pixel(marks, pose.rotation, pose.translation, k)
-    pixels.flags.writeable = False
-    gm.flags.writeable = False
-    return _visibility(luminaires, pixels[None], gm[None], k)[0]
-
-
 @dataclass(frozen=True)
 class SampledPose:
     """A pose accepted by `sample_poses`, the visibility of every luminaire
@@ -307,7 +286,7 @@ def sample_poses(
     candidates together, in one stacked projection per luminaire. Each
     generator draws only its own candidates, so it ends where drawing its
     poses one at a time would leave it. Each accepted pose comes with the
-    `luminaire_visibility` of the projection it was accepted on. `points`
+    `visibility` of the projection it was accepted on. `points`
     are the scene's `luminaire_points` at the constraint's point count,
     built here when not given. Raises SamplingExhaustedError when a pose is
     still rejected after max_attempts.
@@ -320,8 +299,8 @@ def sample_poses(
             f"scene has {len(scene.luminaires)} luminaires, "
             f"constraint needs {constraint.min_visible}"
         )
-    rings, marks = points or luminaire_points(scene.luminaires,
-                                              constraint.contour_samples)
+    points = points or luminaire_points(scene.luminaires, constraint.contour_samples)
+    rings, marks = points
 
     count = len(rngs)
     rotations = np.empty((count, 3, 3))
@@ -364,30 +343,18 @@ def sample_poses(
     # Each accepted pose is projected once more: keeping every candidate's
     # pixels until its round is decided would cost more memory than this
     # costs time.
-    pixels = np.empty((count, len(rings), rings.shape[2], 2))
-    for i, (r, t) in enumerate(zip(rotations, translations)):
-        pixels[i] = _project_points_pixel(rings, r, t, k)
-    gm = _project_points_pixel(marks, rotations[:, None], translations[:, None], k)
-    pixels.flags.writeable = False
-    gm.flags.writeable = False
     return [
         SampledPose(Pose(rotation=r, translation=t), vis, int(n))
-        for r, t, vis, n in zip(rotations, translations,
-                                _visibility(scene.luminaires, pixels, gm, k), attempts)
+        for r, t, vis, n in zip(
+            rotations, translations,
+            visibility(scene.luminaires, rotations, translations, k, points),
+            attempts)
     ]
-
-
-def sample_pose(
-    scene: Scene, rng: np.random.Generator, constraint: VisibilityConstraint,
-    points=None,
-) -> Pose:
-    """`sample_poses` for one generator: the accepted pose alone."""
-    return sample_poses(scene, [rng], constraint, points)[0].pose
 
 
 def project_luminaire_burst(
     vis: Visibility,
-    noise: NoiseModel,
+    sigma: float,
     images_per_location: int,
     rng: np.random.Generator,
 ) -> Capture:
@@ -395,13 +362,13 @@ def project_luminaire_burst(
     images, as one (images, points, 2) pixel array.
 
     The clean projection comes from `vis`; each image gets independent
-    Gaussian pixel noise on the contour samples. Standard normals are drawn
-    regardless of sigma so random streams align across noise levels. The
-    center and mark projections are reported noise-free: they stand in for
-    the space-time-coded landmark points, which the receiver decodes from
-    structured LED patterns spanning the whole luminaire face rather than
-    measuring as single contour pixels. Raises NotVisibleError when no
-    contour point lands inside the image.
+    zero-mean Gaussian pixel noise of std `sigma` on u and v of the contour
+    samples. Standard normals are drawn regardless of sigma so random
+    streams align across noise levels. The center and mark projections are
+    reported noise-free: they stand in for the space-time-coded landmark
+    points, which the receiver decodes from structured LED patterns spanning
+    the whole luminaire face rather than measuring as single contour pixels.
+    Raises NotVisibleError when no contour point lands inside the image.
     """
     if images_per_location < 1:
         raise ValueError("images_per_location must be >= 1")
@@ -414,7 +381,7 @@ def project_luminaire_burst(
     return Capture(
         luminaire_id=vis.luminaire_id,
         angles=contour_angles(len(clean)),
-        pixels=clean + rng.standard_normal(shape) * noise.sigma,
+        pixels=clean + rng.standard_normal(shape) * sigma,
         clean_pixels=clean,
         center=vis.center,
         mark=vis.mark,
@@ -424,7 +391,6 @@ def project_luminaire_burst(
 def truncate_arc(
     capture: Capture,
     mode: str,
-    rng: np.random.Generator | None = None,
     *,
     start_index: int | None = None,
     arc_fraction: float = 0.6,
@@ -432,11 +398,11 @@ def truncate_arc(
 ) -> Capture:
     """Reduce a burst to the part of the contour that survives occlusion.
 
-    semicircle keeps a random contiguous 50% span, superior_arc keeps
-    `arc_fraction`, image_bounds keeps the points whose clean projection lies
-    inside the image. Every image of the burst keeps the same points. Partial
-    captures lose the center and mark projections (the coded points cannot
-    be read from a partial image).
+    semicircle keeps the contiguous 50% span from `start_index`, superior_arc
+    keeps `arc_fraction` of the contour from there, image_bounds keeps the
+    points whose clean projection lies inside the image. Every image of the
+    burst keeps the same points. Partial captures lose the center and mark
+    projections (the coded points cannot be read from a partial image).
     """
     if mode not in ARC_MODES:
         raise ValueError(f"mode must be one of {ARC_MODES}")
@@ -451,10 +417,7 @@ def truncate_arc(
     else:
         span = n // 2 if mode == "semicircle" else int(round(n * arc_fraction))
         if start_index is None:
-            if rng is None:
-                raise ValueError("semicircle/superior_arc truncation needs rng "
-                                 "or an explicit start_index")
-            start_index = int(rng.integers(n))
+            raise ValueError("semicircle/superior_arc truncation needs a start_index")
         keep = np.arange(start_index, start_index + span) % n
 
     if len(keep) < 5:

@@ -57,6 +57,7 @@ from .frames import (
     Pose,
     _freeze,
     _wrap_angle,
+    angles_from_rotation,
     pixel_to_image,
     rot_x,
     rot_y,
@@ -66,9 +67,9 @@ from .frames import (
 
 DISAMBIGUATION_TIE_TOL = 1e-6
 PSI_RESIDUAL_LIMIT = 1e-3
-
-WORLD_DOWN = np.array([0.0, 0.0, -1.0])
-WORLD_DOWN.flags.writeable = False
+# Reprojection RMS (px) above which PnP retries headings, and then fails.
+PNP_RESTART_RMS = 2.0
+PNP_FAIL_RMS = 100.0
 # The world direction from a luminaire's center to its mark.
 _PLUS_Y = np.array([0.0, 1.0, 0.0])
 _PLUS_Y.flags.writeable = False
@@ -103,10 +104,6 @@ class LuminaireInfo:
         if np.linalg.norm(offset / self.radius - np.array([0.0, 1.0, 0.0])) > 1e-9:
             raise ValueError("center-to-mark direction must be +y in WCS")
         _freeze(self, center_w=center, mark_w=mark)
-
-    @property
-    def normal_w(self) -> np.ndarray:
-        return WORLD_DOWN
 
     def circle_points(self, angles) -> np.ndarray:
         """World points on the margin at the given parameter angles.
@@ -599,13 +596,6 @@ def _gauss_newton(
     return x, cost, iterations
 
 
-def default_pnp_init(world: np.ndarray) -> np.ndarray:
-    """Upright pose under the horizontal centroid of the used world points,
-    2 m below their mean height. Deliberately ignorant of the true pose."""
-    centroid = world.mean(axis=0)
-    return np.array([0.0, 0.0, 0.0, centroid[0], centroid[1], centroid[2] - 2.0])
-
-
 def _homography_init(
     world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics
 ) -> np.ndarray | None:
@@ -651,40 +641,31 @@ def _homography_init(
     basis = np.column_stack([ex, ey, np.cross(ex, ey)])
     rotation = basis @ q.T
     t_pose = p0 - rotation @ h[:, 2]
-    phi, theta, psi = _angles_from_rotation(rotation)
-    return np.concatenate([[phi, theta, psi], t_pose])
+    return np.concatenate([angles_from_rotation(rotation), t_pose])
 
 
-def pnp_baseline(
-    correspondences: Sequence[tuple],
-    k: CameraIntrinsics,
-    init: Pose | None = None,
-    restart_rms: float = 2.0,
-    fail_rms: float = 100.0,
-) -> PoseEstimate:
+def pnp_baseline(correspondences: Sequence[tuple], k: CameraIntrinsics) -> PoseEstimate:
     """Gauss-Newton pose from >= 4 world/pixel correspondences.
 
     Minimizes the summed squared pixel reprojection error over the six pose
     parameters, stopping at step norm < 1e-10 or 100 iterations. The heading
     is the least observable parameter from a ceiling view, so when the first
-    run ends with an RMS above `restart_rms` pixels the solver retries from
-    headings rotated by 90/180/270 degrees and keeps the best. Raises
-    NonConvergenceError when the best RMS still exceeds `fail_rms`.
+    run ends with an RMS above `PNP_RESTART_RMS` pixels the solver retries
+    from headings rotated by 90/180/270 degrees and keeps the best. Raises
+    NonConvergenceError when the best RMS still exceeds `PNP_FAIL_RMS`.
     """
     if len(correspondences) < 4:
         raise ValueError(f"need at least 4 correspondences, got {len(correspondences)}")
     world = np.array([np.asarray(w, float) for w, _ in correspondences])
     pixels = np.array([np.asarray(p, float) for _, p in correspondences])
-    centered = world - world.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
+    centroid = world.mean(axis=0)
+    svals = np.linalg.svd(world - centroid, compute_uv=False)
     if svals[1] <= 1e-9 * max(svals[0], 1.0):
         raise ValueError("world points are collinear")
 
-    if init is not None:
-        phi0, theta0, psi0 = _angles_from_rotation(init.rotation)
-        base = np.concatenate([[phi0, theta0, psi0], init.translation])
-    else:
-        base = default_pnp_init(world)
+    # Upright under the centroid of the world points, 2 m below their mean
+    # height: deliberately ignorant of the true pose.
+    base = np.array([0.0, 0.0, 0.0, centroid[0], centroid[1], centroid[2] - 2.0])
 
     # The upright init alone strands Gauss-Newton in spurious local minima
     # for strongly tilted views, so a closed-form homography candidate is
@@ -709,13 +690,13 @@ def pnp_baseline(
         candidate = (x[5] >= ceiling, cost, x, iters)
         if best is None or candidate[:2] < best[:2]:
             best = candidate
-        converged = not best[0] and math.sqrt(best[1] / pixels.size) <= restart_rms
+        converged = not best[0] and math.sqrt(best[1] / pixels.size) <= PNP_RESTART_RMS
         if converged and attempt + 1 >= len(inits):
             break
 
     above, best_cost, best_x, best_iters = best
     rms = math.sqrt(best_cost / pixels.size)
-    if not np.isfinite(rms) or rms > fail_rms:
+    if not np.isfinite(rms) or rms > PNP_FAIL_RMS:
         raise NonConvergenceError(f"PnP residual {rms:.3g} px after restarts")
     rotation = rotation_from_angles(best_x[0], best_x[1], best_x[2])
     return PoseEstimate(
@@ -723,11 +704,3 @@ def pnp_baseline(
         algorithm="PNP",
         diagnostics={"rms_px": rms, "iterations": best_iters, "above_plane": above},
     )
-
-
-def _angles_from_rotation(r: np.ndarray) -> tuple[float, float, float]:
-    sin_theta = float(np.clip(-r[2, 0], -1.0, 1.0))
-    theta = math.asin(sin_theta)
-    phi = math.atan2(r[2, 1], r[2, 2])
-    psi = math.atan2(r[1, 0], r[0, 0])
-    return phi, theta, psi

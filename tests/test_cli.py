@@ -214,13 +214,59 @@ def test_sweep_noise_writes_summary(tmp_path, capsys):
 
 
 def test_cdf_command_from_records(tmp_path, capsys):
-    main(["run", "--config", tiny_config(tmp_path), "--out", str(tmp_path / "r")])
-    capsys.readouterr()
+    # The cdf command reproduces the run's cdf.csv and table from records.csv.
+    cfg = tiny_config(tmp_path, algorithms=["VPA", "OAVPA"])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    run_table = capsys.readouterr().out.splitlines()[:-1]
     rc = main(["cdf", str(tmp_path / "r" / "records.csv"),
                "--out", str(tmp_path / "c")])
     assert rc == 0
-    assert (tmp_path / "c" / "cdf.csv").exists()
-    assert "p90" in capsys.readouterr().out
+    assert (tmp_path / "c" / "cdf.csv").read_bytes() == (
+        tmp_path / "r" / "cdf.csv").read_bytes()
+    cdf_table = capsys.readouterr().out.splitlines()[:-1]
+    assert cdf_table == run_table and "p90_cm" in cdf_table[0]
+
+
+def test_algorithm_without_success_is_reported(tmp_path, capsys):
+    # No superior_arc pair is complete, so VPCA fails on every sample; that
+    # once aborted the run and lost the OAVPA records.
+    flags = ["--samples", "20", "--arc-mode", "superior_arc+superior_arc",
+             "--algorithms", "VPCA,OAVPA", "--seed", "1"]
+    assert main(["run", *flags, "--out", str(tmp_path / "r")]) == 0
+    manifest = json.loads((tmp_path / "r" / "manifest.json").read_text(),
+                          parse_constant=lambda name: pytest.fail(name))
+    vpca = manifest["summary"]["VPCA"]
+    assert (vpca["n_success"], vpca["n_failed"]) == (0, 20)
+    assert vpca["mean_e_loc_m"] is None and vpca["std_err_m"] is None
+    assert set(vpca["percentiles_m"].values()) == {None}
+    assert manifest["summary"]["OAVPA"]["n_success"] == 20
+    with open(tmp_path / "r" / "cdf.csv", newline="") as fh:
+        assert {row["algorithm"] for row in csv.DictReader(fh)} == {"OAVPA"}
+    capsys.readouterr()
+
+    assert main(["cdf", str(tmp_path / "r" / "records.csv"),
+                 "--out", str(tmp_path / "c")]) == 0
+    table = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["VPCA", "0", "20"] + ["-"] * 8 in table
+    assert (tmp_path / "c" / "cdf.csv").read_bytes() == (
+        tmp_path / "r" / "cdf.csv").read_bytes()
+
+    assert main(["sweep-noise", *flags, "--sigma", "0,2",
+                 "--out", str(tmp_path / "s")]) == 0
+    with open(tmp_path / "s" / "sweep_noise.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["algorithm"] == "VPCA"]
+    assert [(r["value"], r["n_success"], r["n_failed"], r["p90_m"])
+            for r in rows] == [("0", "0", "20", ""), ("2", "0", "20", "")]
+
+
+def test_cdf_of_non_records_csv_names_missing_column(tmp_path, capsys):
+    columns = ["sample_index", "algorithm", "status", "error", "e_loc_m"]
+    for missing in ("algorithm", "status", "e_loc_m"):
+        kept = [c for c in columns if c != missing]
+        path = tmp_path / f"no_{missing}.csv"
+        path.write_text(",".join(kept) + "\n" + ",".join("0" for _ in kept) + "\n")
+        assert main(["cdf", str(path), "--out", str(tmp_path / "c")]) == 2
+        assert missing in capsys.readouterr().err
 
 
 # --- scene-validate -------------------------------------------------------------------

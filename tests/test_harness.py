@@ -19,7 +19,6 @@ from arcpose.harness import (
     ExperimentConfig,
     ResultRecord,
     _record_row,
-    cdf,
     config_from_dict,
     config_to_dict,
     e_loc,
@@ -197,8 +196,7 @@ def test_summary_of_four_values():
     records = fake_records([0.01, 0.02, 0.03, 0.04])
     stats = summarize(records)
     assert stats.median == pytest.approx(0.025)
-    grid, fraction = cdf(records, grid=[0.025])
-    assert fraction[0] == pytest.approx(0.5)
+    assert summarize(records, grid=[0.025]).cdf_fraction[0] == pytest.approx(0.5)
     assert stats.n_success == 4 and stats.n_failed == 0
 
 
@@ -222,7 +220,7 @@ def test_summary_requires_successes():
 
 def test_cdf_monotone_nondecreasing():
     records = fake_records(list(np.random.default_rng(0).uniform(0, 0.3, 100)))
-    _, fraction = cdf(records)
+    fraction = summarize(records).cdf_fraction
     assert (np.diff(fraction) >= 0).all()
     assert fraction[-1] <= 1.0
 
