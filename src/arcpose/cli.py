@@ -16,6 +16,7 @@ configuration failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -294,14 +295,15 @@ def cmd_sweep(args, parameter: str) -> int:
     out_dir = Path(args.out or _default_out())
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"sweep_{parameter}.csv"
-    with open(path, "w") as fh:
-        fh.write("parameter,value,algorithm,n_success,n_failed,"
-                 "mean_e_loc_m,std_err_m,p90_m\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["parameter", "value", "algorithm", "n_success", "n_failed",
+                         "mean_e_loc_m", "std_err_m", "p90_m"])
         for value, by_alg in results.items():
             for alg, s in sorted(by_alg.items()):
-                fh.write(",".join(_fmt(v) for v in (
+                writer.writerow([_fmt(v) for v in (
                     parameter, value, alg, s.n_success, s.n_failed,
-                    s.mean, s.std_err, s.percentiles[90])) + "\n")
+                    s.mean, s.std_err, s.percentiles[90])])
     for value, by_alg in results.items():
         print(f"--- {parameter} = {value:g}")
         _print_summary(by_alg)

@@ -1,10 +1,11 @@
 """Monte Carlo experiment runner, error metrics, and result serialization.
 
-One *sample* is: draw a random pose, capture the two best-visible luminaires
-as bursts of noisy images, truncate arcs per the configured scenario, average
-each burst into an observation, and run every requested algorithm on the
-pair. Records carry the per-sample errors; failures are recorded with the
-error name and excluded from statistics (but counted).
+One *sample* is: draw a random pose, observe the two best-visible
+luminaires (contour pixels with the noise left after averaging the
+location's images, cut to arcs per the configured scenario, and their
+fitted ellipses), and run every requested algorithm on the pair. Records
+carry the per-sample errors; failures are recorded with the error name and
+excluded from statistics (but counted).
 
 Reproducibility contract: the per-sample random generator is derived from
 (seed, sample_index) only, so identical configurations produce identical
@@ -42,16 +43,14 @@ from .sim import (
     ARC_MODES,
     Scene,
     VisibilityConstraint,
-    average_observations,
+    capture_observation,
     default_intrinsics,
     default_scene,
     intrinsics_from_dict,
     luminaire_points,
-    project_luminaire_burst,
     sample_poses,
     scene_from_dict,
     scene_to_dict,
-    truncate_arc,
 )
 from .solver import (
     LuminaireInfo,
@@ -391,9 +390,10 @@ class _Sample(NamedTuple):
 
 
 def _capture_sample(cfg, visibility, rng) -> list[Observation]:
-    """Project, truncate, and average the two best-visible luminaires, given
-    every luminaire's `Visibility` at the sample's pose."""
-    k = cfg.intrinsics
+    """Observe the two best-visible luminaires, given every luminaire's
+    `Visibility` at the sample's pose. Each observation stands for the
+    average of `cfg.images_per_location` images, so its pixel noise is
+    sigma / sqrt(images)."""
     # Longest extractable contour first: the nearest luminaire carries the
     # most information. `mixed` pairs the best complete luminaire with the
     # best other one, as the dispatcher does; the explicit scenarios take the
@@ -402,22 +402,10 @@ def _capture_sample(cfg, visibility, rng) -> list[Observation]:
     chosen = [visibility[i] for i in pair_observations(visibility, mixed)]
     modes = (["complete" if v.complete else "image_bounds" for v in chosen] if mixed
              else list(cfg.scenario))
-
-    observations = []
-    for vis, mode in zip(chosen, modes):
-        start = (
-            int(rng.integers(cfg.contour_samples))
-            if mode in ("semicircle", "superior_arc")
-            else None
-        )
-        burst = project_luminaire_burst(vis, cfg.sigma, cfg.images_per_location, rng)
-        if mode != "complete":
-            burst = truncate_arc(
-                burst, mode, start_index=start,
-                arc_fraction=cfg.arc_fraction, intrinsics=k,
-            )
-        observations.append(average_observations(burst, k))
-    return observations
+    noise_px = cfg.sigma / math.sqrt(cfg.images_per_location)
+    return [capture_observation(vis, mode, noise_px, cfg.intrinsics, rng,
+                                cfg.arc_fraction)
+            for vis, mode in zip(chosen, modes)]
 
 
 def _failed(sample: _Sample, alg, exc) -> ResultRecord:

@@ -2,13 +2,13 @@
 
 A scene is a rectangular room with circular luminaires on (or hanging below)
 the ceiling. A sample draws a random camera pose, projects each luminaire's
-margin circle through the pinhole model, perturbs the pixels with Gaussian
-noise, optionally truncates the contour to a partial arc (occlusion), and
-averages a burst of images into one observation per luminaire. A burst is one
-(images, contour points, 2) array, so every step works on whole arrays.
+margin circle through the pinhole model, and turns each chosen luminaire
+into one observation: the contour pixels with the Gaussian noise left after
+averaging the location's images, cut to a partial arc when the scenario
+models occlusion, and the ellipse fitted to them.
 
 Determinism: every function that draws randomness takes a numpy Generator.
-Noise is always drawn as standard normals and scaled by sigma afterwards, so
+Noise is always drawn as standard normals and scaled afterwards, so
 experiments that differ only in noise level consume identical random streams
 and stay pairwise comparable. Visibility is always classified on the clean
 (noise-free) projection.
@@ -92,34 +92,6 @@ class VisibilityConstraint:
         # Sampled tilts must stay valid Euler angles (theta in [-pi/2, pi/2]).
         if not 0 <= self.max_tilt <= math.pi / 2:
             raise ValueError(f"max_tilt must lie in [0, pi/2], got {self.max_tilt}")
-
-
-@dataclass(frozen=True)
-class Capture:
-    """A burst of images of one luminaire: noisy pixels plus their clean
-    reference.
-
-    `pixels` has shape (images, points, 2); `clean_pixels` and `angles` hold
-    one row per contour point, so the circle parameter of every sample (and
-    its world position) stays identifiable after truncation. `center` and
-    `mark` are the clean center and mark projections, None once truncated.
-    Arrays are read-only views; the clean ones are shared with the
-    `Visibility` they came from.
-    """
-
-    luminaire_id: str
-    angles: np.ndarray
-    pixels: np.ndarray
-    clean_pixels: np.ndarray
-    center: np.ndarray | None = None
-    mark: np.ndarray | None = None
-    mode: str = "complete"
-
-    def __post_init__(self):
-        for value in (self.angles, self.pixels, self.clean_pixels,
-                      self.center, self.mark):
-            if value is not None:
-                value.flags.writeable = False
 
 
 def default_intrinsics() -> CameraIntrinsics:
@@ -352,111 +324,66 @@ def sample_poses(
     ]
 
 
-def project_luminaire_burst(
+def capture_observation(
     vis: Visibility,
-    sigma: float,
-    images_per_location: int,
+    mode: str,
+    noise_px: float,
+    k: CameraIntrinsics,
     rng: np.random.Generator,
-) -> Capture:
-    """Project one luminaire into a burst of `images_per_location` noisy
-    images, as one (images, points, 2) pixel array.
+    arc_fraction: float = 0.6,
+) -> Observation:
+    """The observation of one luminaire at one location, from its clean
+    projection `vis`: noisy contour pixels, cut to the part `mode` keeps,
+    and the ellipse fitted to them.
 
-    The clean projection comes from `vis`; each image gets independent
-    zero-mean Gaussian pixel noise of std `sigma` on u and v of the contour
-    samples. Standard normals are drawn regardless of sigma so random
-    streams align across noise levels. The center and mark projections are
-    reported noise-free: they stand in for the space-time-coded landmark
-    points, which the receiver decodes from structured LED patterns spanning
-    the whole luminaire face rather than measuring as single contour pixels.
-    Raises NotVisibleError when no contour point lands inside the image.
+    Every contour point gets zero-mean Gaussian noise of std `noise_px` on u
+    and v. The mean of n images with pixel noise of std sigma has noise of
+    std sigma / sqrt(n), so one draw at that `noise_px` stands for a
+    location's averaged images. One standard normal pair is drawn per
+    contour point whatever the mode and `noise_px`, so random streams align
+    across noise levels.
+
+    semicircle keeps the contiguous 50% span from a start index drawn from
+    `rng` (before the noise), superior_arc keeps `arc_fraction` of the
+    contour from there, image_bounds keeps the points whose clean projection
+    lies inside the image. Only a complete observation carries the center
+    and mark projections, noise-free: they stand in for the
+    space-time-coded landmark points, which the receiver decodes from
+    structured LED patterns spanning the whole luminaire face, and which
+    cannot be read from a partial image.
+
+    Raises NotVisibleError when no contour point lands inside the image and
+    ArcTooShortError when fewer than 5 points are kept.
     """
-    if images_per_location < 1:
-        raise ValueError("images_per_location must be >= 1")
+    if mode not in ARC_MODES:
+        raise ValueError(f"mode must be one of {ARC_MODES}")
     if vis.fraction == 0.0:
         raise NotVisibleError(
             f"luminaire {vis.luminaire_id!r} does not project into the image"
         )
     clean = vis.pixels
-    shape = (images_per_location,) + clean.shape
-    return Capture(
-        luminaire_id=vis.luminaire_id,
-        angles=contour_angles(len(clean)),
-        pixels=clean + rng.standard_normal(shape) * sigma,
-        clean_pixels=clean,
-        center=vis.center,
-        mark=vis.mark,
-    )
-
-
-def truncate_arc(
-    capture: Capture,
-    mode: str,
-    *,
-    start_index: int | None = None,
-    arc_fraction: float = 0.6,
-    intrinsics: CameraIntrinsics | None = None,
-) -> Capture:
-    """Reduce a burst to the part of the contour that survives occlusion.
-
-    semicircle keeps the contiguous 50% span from `start_index`, superior_arc
-    keeps `arc_fraction` of the contour from there, image_bounds keeps the
-    points whose clean projection lies inside the image. Every image of the
-    burst keeps the same points. Partial captures lose the center and mark
-    projections (the coded points cannot be read from a partial image).
-    """
-    if mode not in ARC_MODES:
-        raise ValueError(f"mode must be one of {ARC_MODES}")
-    if mode == "complete":
-        return capture
-
-    n = len(capture.angles)
-    if mode == "image_bounds":
-        if intrinsics is None:
-            raise ValueError("image_bounds truncation needs the camera intrinsics")
-        keep = np.flatnonzero(_in_bounds(capture.clean_pixels, intrinsics))
-    else:
+    n = len(clean)
+    if mode in ("semicircle", "superior_arc"):
+        start = int(rng.integers(n))
         span = n // 2 if mode == "semicircle" else int(round(n * arc_fraction))
-        if start_index is None:
-            raise ValueError("semicircle/superior_arc truncation needs a start_index")
-        keep = np.arange(start_index, start_index + span) % n
-
+        keep = np.arange(start, start + span) % n
+    elif mode == "image_bounds":
+        keep = np.flatnonzero(_in_bounds(clean, k))
+    else:
+        keep = np.arange(n)
     if len(keep) < 5:
         raise ArcTooShortError(f"only {len(keep)} contour points survive truncation")
-    return Capture(
-        luminaire_id=capture.luminaire_id,
-        angles=capture.angles[keep],
-        pixels=capture.pixels[:, keep],
-        clean_pixels=capture.clean_pixels[keep],
-        mode=mode,
-    )
 
-
-def average_observations(capture: Capture, k: CameraIntrinsics) -> Observation:
-    """Average a burst into one observation and fit its ellipse.
-
-    Corresponding pixels (same contour sample) are averaged across images
-    before fitting, which shrinks the effective pixel noise by
-    sqrt(n_images).
-    """
-    mean_pixels = capture.pixels.mean(axis=0)
-    ellipse = fit_ellipse(pixel_to_image(mean_pixels, k))
-    complete = capture.mode == "complete"
-    center = mark = None
-    if complete:
-        # Every image reads the same clean center and mark, and the burst
-        # average is taken over those copies: the mean of n copies of a float
-        # can differ from it in the last bit, and records keep that mean.
-        n_img = len(capture.pixels)
-        center = np.repeat(capture.center[None], n_img, 0).mean(axis=0)
-        mark = np.repeat(capture.mark[None], n_img, 0).mean(axis=0)
+    pixels = clean[keep] + rng.standard_normal(clean.shape)[keep] * noise_px
+    complete = mode == "complete"
     return Observation(
-        luminaire_id=capture.luminaire_id,
-        ellipse=ellipse,
+        luminaire_id=vis.luminaire_id,
+        ellipse=fit_ellipse(pixel_to_image(pixels, k)),
         complete=complete,
-        center_proj=center,
-        mark_proj=mark,
-        contour_pixels=mean_pixels,
-        contour_angles=capture.angles,
+        center_proj=vis.center if complete else None,
+        mark_proj=vis.mark if complete else None,
+        contour_pixels=pixels,
+        contour_angles=contour_angles(n)[keep],
     )
 
 

@@ -211,6 +211,10 @@ def test_sweep_noise_writes_summary(tmp_path, capsys):
     with open(tmp_path / "s" / "sweep_noise.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["value"] for r in rows} == {"0", "2"}
+    # One CSV format: CRLF line ends, as csv.writer gives records.csv.
+    lines = (tmp_path / "s" / "sweep_noise.csv").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 1 + len(rows)
+    assert all(line.endswith(b"\r\n") for line in lines)
 
 
 def test_cdf_command_from_records(tmp_path, capsys):

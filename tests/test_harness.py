@@ -82,6 +82,8 @@ def test_config_validation():
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(sigma=-0.5)
     with pytest.raises(InvalidConfigError):
+        ExperimentConfig(images_per_location=0)
+    with pytest.raises(InvalidConfigError):
         ExperimentConfig(scenario="bogus")
 
 

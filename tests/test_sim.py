@@ -1,4 +1,5 @@
-"""Scene sampling, projection with noise, arc truncation, burst averaging."""
+"""Scene sampling, visibility, and the capture of one observation per
+luminaire: projection, averaged pixel noise, arc truncation and the fit."""
 
 import copy
 import json
@@ -29,18 +30,17 @@ from arcpose.sim import (
     VisibilityConstraint,
     _in_bounds,
     _project_points_pixel,
-    average_observations,
+    capture_observation,
     contour_angles,
     luminaire_points,
-    project_luminaire_burst,
     sample_poses,
     scene_from_dict,
     scene_to_dict,
     default_intrinsics,
     default_scene,
-    truncate_arc,
     visibility,
 )
+from arcpose.harness import ExperimentConfig, _capture_sample
 from arcpose.solver import LuminaireInfo
 
 from conftest import make_pose
@@ -63,10 +63,11 @@ def visibility_at(scene, pose, k, contour_samples=360):
                       k, points)[0]
 
 
-def capture(scene, k, pose, sigma=0.0, images=1, seed=0, lum=0, contour_samples=360):
-    """One burst of scene luminaire `lum` seen from `pose`."""
+def capture(scene, k, pose, mode="complete", noise_px=0.0, seed=0, lum=0,
+            contour_samples=360):
+    """The observation of scene luminaire `lum` seen from `pose`."""
     vis = visibility_at(scene, pose, k, contour_samples)[lum]
-    return project_luminaire_burst(vis, sigma, images, np.random.default_rng(seed))
+    return capture_observation(vis, mode, noise_px, k, np.random.default_rng(seed))
 
 
 # --- scene and config validation --------------------------------------------------
@@ -90,13 +91,6 @@ def test_scene_rejects_luminaire_outside_room():
         Scene(room=(4.0, 4.0, 3.0),
               luminaires=(LuminaireInfo(id="X", center_w=np.array([5.0, 1.0, 3.0]),
                                         radius=0.1),))
-
-
-def test_capture_config_validation(scene, k):
-    # The image count is all a burst takes besides the noise level.
-    vis = visibility_at(scene, make_pose(t=(2.0, 2.0, 1.0)), k)[0]
-    with pytest.raises(ValueError):
-        project_luminaire_burst(vis, 1.0, 0, np.random.default_rng(0))
 
 
 # --- visibility and pose sampling ---------------------------------------------------
@@ -260,19 +254,21 @@ def test_clean_head_on_contour_is_pixel_circle(scene, k):
     lum = scene.luminaires[0]
     h = 2.0
     pose = make_pose(t=(*lum.center_w[:2], lum.center_w[2] - h))
-    cap = capture(scene, k, pose)
+    obs = capture(scene, k, pose)
     radius_px = k.f * lum.radius / (h * k.dx)
-    dist = np.linalg.norm(cap.pixels[0] - np.array([k.u0, k.v0]), axis=1)
+    dist = np.linalg.norm(obs.contour_pixels - np.array([k.u0, k.v0]), axis=1)
     assert np.abs(dist - radius_px).max() < 1e-9
-    assert np.allclose(cap.center, [k.u0, k.v0])
+    assert np.allclose(obs.center_proj, [k.u0, k.v0])
 
 
 def test_noise_statistics(scene, k):
     lum = scene.luminaires[0]
-    pose = make_pose(t=(*lum.center_w[:2], 1.0))
-    cap = capture(scene, k, pose, sigma=2.0, images=300, seed=42)
-    assert cap.pixels.shape == (300, 360, 2)
-    deltas = (cap.pixels - cap.clean_pixels).ravel()
+    vis = visibility_at(scene, make_pose(t=(*lum.center_w[:2], 1.0)), k)[0]
+    rng = np.random.default_rng(42)
+    deltas = np.concatenate([
+        capture_observation(vis, "complete", 2.0, k, rng).contour_pixels - vis.pixels
+        for _ in range(150)
+    ]).ravel()
     assert deltas.size >= 1e5
     assert abs(deltas.std() - 2.0) < 0.1
     assert abs(deltas.mean()) < 0.05
@@ -296,42 +292,50 @@ def test_visibility_classification_ignores_noise(scene, k):
 
 # --- truncation ------------------------------------------------------------------------
 
-def make_capture(scene, k, sigma=0.0, images=1, seed=0):
-    return capture(scene, k, make_pose(t=(2.3, 2.2, 1.0)), sigma, images, seed)
+def side_view(scene, k):
+    """Luminaire L1 seen whole from a slightly off-axis pose."""
+    return visibility_at(scene, make_pose(t=(2.3, 2.2, 1.0)), k)[0]
 
 
 def test_semicircle_keeps_exactly_half(scene, k):
-    cap = make_capture(scene, k, sigma=1.0, images=3)
-    cut = truncate_arc(cap, "semicircle", start_index=300)
-    assert len(cut.angles) == 180
-    assert cut.pixels.shape == (3, 180, 2)
-    assert cut.center is None and cut.mark is None
-    assert cut.mode == "semicircle"
-    # Contiguous modulo the circle: neighbor index gaps are all 1 except the seam.
-    idx = [int(round(a / (2 * np.pi / 360))) for a in cut.angles]
-    gaps = np.diff(idx) % 360
-    assert (gaps == 1).all()
-    # Every image of the burst keeps the same contour samples.
-    assert np.array_equal(cut.pixels, cap.pixels[:, idx])
+    vis = side_view(scene, k)
+    rng = np.random.default_rng(0)
+    start = int(copy.deepcopy(rng).integers(360))
+    assert start + 180 > 360  # the kept span wraps the seam
+    obs = capture_observation(vis, "semicircle", 0.0, k, rng)
+    assert obs.arc_length == 180
+    assert not obs.complete
+    assert obs.center_proj is None and obs.mark_proj is None
+    idx = np.arange(start, start + 180) % 360
+    assert np.array_equal(obs.contour_angles, contour_angles(360)[idx])
+    assert np.array_equal(obs.contour_pixels, vis.pixels[idx])
 
 
 def test_superior_arc_fraction(scene, k):
-    cap = make_capture(scene, k)
-    cut = truncate_arc(cap, "superior_arc", start_index=10, arc_fraction=0.6)
-    assert len(cut.angles) == 216
-    assert np.array_equal(cut.angles, contour_angles(360)[10:226])
+    vis = side_view(scene, k)
+    for fraction, span in ((0.6, 216), (0.25, 90)):
+        rng = np.random.default_rng(1)
+        start = int(copy.deepcopy(rng).integers(360))
+        obs = capture_observation(vis, "superior_arc", 0.0, k, rng, fraction)
+        assert np.array_equal(obs.contour_angles,
+                              contour_angles(360)[np.arange(start, start + span) % 360])
 
 
 def test_complete_mode_is_identity(scene, k):
-    cap = make_capture(scene, k)
-    assert truncate_arc(cap, "complete") is cap
+    # Every contour point in order, and the center and mark as projected.
+    vis = side_view(scene, k)
+    obs = capture_observation(vis, "complete", 0.0, k, np.random.default_rng(0))
+    assert obs.complete
+    assert np.array_equal(obs.contour_angles, contour_angles(360))
+    assert np.array_equal(obs.contour_pixels, vis.pixels)
+    assert np.array_equal(obs.center_proj, vis.center)
+    assert np.array_equal(obs.mark_proj, vis.mark)
 
 
 def test_semicircle_fits_same_ellipse(scene, k):
-    cap = make_capture(scene, k)
-    full = fit_ellipse(pixel_to_image(cap.pixels[0], k))
-    cut = truncate_arc(cap, "semicircle", start_index=37)
-    half = fit_ellipse(pixel_to_image(cut.pixels[0], k))
+    vis = side_view(scene, k)
+    full = capture_observation(vis, "complete", 0.0, k, np.random.default_rng(0)).ellipse
+    half = capture_observation(vis, "semicircle", 0.0, k, np.random.default_rng(5)).ellipse
     assert np.allclose(
         [full.a, full.b, full.c, full.d, full.e],
         [half.a, half.b, half.c, half.d, half.e],
@@ -340,9 +344,11 @@ def test_semicircle_fits_same_ellipse(scene, k):
 
 
 def test_truncation_too_short(scene, k):
-    cap = capture(scene, k, make_pose(t=(2.3, 2.2, 1.0)), contour_samples=8)
+    pose = make_pose(t=(2.3, 2.2, 1.0))
     with pytest.raises(ArcTooShortError):
-        truncate_arc(cap, "semicircle", start_index=0)
+        capture(scene, k, pose, mode="semicircle", contour_samples=8)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        capture(scene, k, pose, mode="quarter_arc")
 
 
 def test_image_bounds_mode_drops_outside_points(scene, k):
@@ -356,61 +362,87 @@ def test_image_bounds_mode_drops_outside_points(scene, k):
             break
     assert pose is not None
     vis = visibility_at(scene, pose, k)[0]
-    cap = capture(scene, k, pose)
-    cut = truncate_arc(cap, "image_bounds", intrinsics=k)
-    assert len(cut.angles) == round(vis.fraction * 360)
-    assert (cut.clean_pixels[:, 0] >= 0).all()
-    assert (cut.clean_pixels[:, 0] <= k.width).all()
+    obs = capture(scene, k, pose, mode="image_bounds")
+    assert obs.arc_length == round(vis.fraction * 360)
+    assert (obs.contour_pixels[:, 0] >= 0).all()
+    assert (obs.contour_pixels[:, 0] <= k.width).all()
 
 
-# --- averaging -------------------------------------------------------------------------
+@pytest.mark.parametrize("mode", ARC_MODES)
+def test_noise_level_keeps_stream_aligned(scene, k, mode):
+    # One standard normal pair per contour point, after the start index of
+    # the modes that draw one, whatever the noise level: noise and radius
+    # sweeps stay paired sample for sample.
+    vis = side_view(scene, k)
+    rngs = [np.random.default_rng([11, ARC_MODES.index(mode)]) for _ in range(3)]
+    clean = capture_observation(vis, mode, 0.0, k, rngs[0])
+    capture_observation(vis, mode, 2.0, k, rngs[1])
+    if mode in ("semicircle", "superior_arc"):
+        rngs[2].integers(360)
+    rngs[2].standard_normal((360, 2))
+    states = [rng.bit_generator.state for rng in rngs]
+    assert states[0] == states[1] == states[2]
+    idx = np.rint(clean.contour_angles * 360 / (2 * np.pi)).astype(int)
+    assert np.array_equal(clean.contour_pixels, vis.pixels[idx])
+
+
+# --- averaging over the images of a location ----------------------------------------
+
+def upright_view(scene, k):
+    """Every luminaire seen whole, from the room center near the floor."""
+    return visibility_at(scene, make_pose(t=(4.0, 3.0, 0.5)), k)
+
 
 def test_average_of_identical_captures_matches_single_fit(scene, k):
-    burst = make_capture(scene, k, sigma=0.0, images=20)
-    obs = average_observations(burst, k)
-    single = fit_ellipse(pixel_to_image(burst.pixels[0], k))
-    assert np.allclose(
-        [obs.ellipse.a, obs.ellipse.b, obs.ellipse.c, obs.ellipse.d, obs.ellipse.e],
-        [single.a, single.b, single.c, single.d, single.e],
-    )
-    assert obs.complete
+    # Noise-free images all read the clean contour, and so does their average.
+    vis = {v.luminaire_id: v for v in upright_view(scene, k)}
+    cfg = ExperimentConfig(sigma=0.0, images_per_location=20)
+    for obs in _capture_sample(cfg, tuple(vis.values()), np.random.default_rng(0)):
+        single = fit_ellipse(pixel_to_image(vis[obs.luminaire_id].pixels, k))
+        assert obs.ellipse == single
+        assert obs.complete
 
 
 def test_averaging_shrinks_noise_as_sqrt_n(scene, k):
-    residuals = []
-    for seed in range(50):
-        burst = make_capture(scene, k, sigma=2.0, images=20, seed=seed)
-        obs = average_observations(burst, k)
-        residuals.append(obs.contour_pixels - burst.clean_pixels)
-    std = np.concatenate(residuals).ravel().std()
-    assert abs(std - 2.0 / math.sqrt(20)) < 0.05
+    vis = upright_view(scene, k)
+    clean = {v.luminaire_id: v.pixels for v in vis}
+    for images in (20, 5):
+        cfg = ExperimentConfig(sigma=2.0, images_per_location=images)
+        residuals = [obs.contour_pixels - clean[obs.luminaire_id]
+                     for seed in range(50)
+                     for obs in _capture_sample(cfg, vis, np.random.default_rng(seed))]
+        std = np.concatenate(residuals).ravel().std()
+        assert abs(std - 2.0 / math.sqrt(images)) < 0.05
 
 
 def test_burst_determinism(scene, k):
-    a = make_capture(scene, k, sigma=2.0, images=3, seed=99)
-    b = make_capture(scene, k, sigma=2.0, images=3, seed=99)
-    assert np.array_equal(a.pixels, b.pixels)
+    vis = side_view(scene, k)
+    a, b = (capture_observation(vis, "superior_arc", 2.0, k, np.random.default_rng(99))
+            for _ in range(2))
+    assert np.array_equal(a.contour_pixels, b.contour_pixels)
+    assert np.array_equal(a.contour_angles, b.contour_angles)
+    assert a.ellipse == b.ellipse
 
 
 def test_tilted_view_has_perspective_bias(scene, k):
     # At a 30-degree tilt the fitted ellipse center must differ from the true
     # projected center; that gap is exactly what the arcs-only solver accepts.
-    cap = capture(scene, k, make_pose(phi=math.radians(30), t=(2.0, 3.2, 1.2)))
-    e = fit_ellipse(pixel_to_image(cap.pixels[0], k))
-    center_fit = image_to_pixel(ellipse_centers(e.coefficients[None])[0][0], k)
-    gap = np.linalg.norm(center_fit - cap.center)
+    obs = capture(scene, k, make_pose(phi=math.radians(30), t=(2.0, 3.2, 1.2)))
+    center_fit = image_to_pixel(ellipse_centers(obs.ellipse.coefficients[None])[0][0], k)
+    gap = np.linalg.norm(center_fit - obs.center_proj)
     assert gap > 0.05  # pixels
 
 
-# --- the burst array against the per-image reference ----------------------------------
+# --- the direct draw against the per-image reference ----------------------------------
 
 def reference_observation(lum, pose, k, mode, rng, sigma=2.0, n_img=20, n=360):
-    """The per-image capture path the burst array replaced, kept as a reference.
+    """The per-image capture path that `capture_observation` replaces, kept
+    as a reference.
 
-    One luminaire projected on its own, 20 separate image arrays, each
-    truncated on its own, averaged as a list; the center and mark are the
-    mean of one copy per image. Returns (pixels, angles, center, mark,
-    ellipse coefficients).
+    One luminaire projected on its own, `n_img` separate noisy images, each
+    truncated on its own, averaged as a list; every image reads the same
+    clean center and mark. Returns (averaged pixels, angles, center, mark,
+    clean pixels) of the kept points.
     """
     start = int(rng.integers(n)) if mode in ("semicircle", "superior_arc") else None
     angles = contour_angles(n)
@@ -429,42 +461,56 @@ def reference_observation(lum, pose, k, mode, rng, sigma=2.0, n_img=20, n=360):
             span = n // 2 if mode == "semicircle" else int(round(n * 0.6))
             keep = np.arange(start, start + span) % n
         kept.append(image[keep])
-    mean_pixels = np.mean(kept, axis=0)
-    center = mark = None
-    if mode == "complete":
-        center = np.mean([gm[0].copy() for _ in range(n_img)], axis=0)
-        mark = np.mean([gm[1].copy() for _ in range(n_img)], axis=0)
-    e = fit_ellipse(pixel_to_image(mean_pixels, k))
-    return mean_pixels, angles[keep], center, mark, (e.a, e.b, e.c, e.d, e.e)
+    center, mark = gm if mode == "complete" else (None, None)
+    return np.mean(kept, axis=0), angles[keep], center, mark, clean[keep]
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical distribution functions of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    gap = (np.searchsorted(a, x, side="right") / len(a)
+           - np.searchsorted(b, x, side="right") / len(b))
+    return float(np.abs(gap).max())
 
 
 @pytest.mark.parametrize("mode", ARC_MODES)
-def test_burst_matches_per_image_reference_bit_for_bit(scene, k, mode):
+def test_capture_matches_per_image_reference(scene, k, mode):
+    # One draw of sigma / sqrt(20) in place of the average of 20 images of
+    # sigma: the same kept points, center and mark, and averaged noise of the
+    # same distribution, N(0, 0.447^2) px.
     con = VisibilityConstraint(intrinsics=k)
+    noise, ref_noise = [], []
     for sample in range(25):
         rng = np.random.default_rng([ARC_MODES.index(mode), sample])
         drawn = sample_poses(scene, [rng], con)[0]
-        pose = drawn.pose
         ranked = sorted(drawn.visibility, key=lambda v: -v.contour_px)
         for vis in ranked[:2]:
-            ref_rng = copy.deepcopy(rng)
             lum = scene.luminaire_map()[vis.luminaire_id]
-            ref = reference_observation(lum, pose, k, mode, ref_rng)
-            start = (int(rng.integers(360))
-                     if mode in ("semicircle", "superior_arc") else None)
-            burst = project_luminaire_burst(vis, 2.0, 20, rng)
-            burst = truncate_arc(burst, mode, start_index=start, intrinsics=k)
-            obs = average_observations(burst, k)
-            e = obs.ellipse
-            assert np.array_equal(obs.contour_pixels, ref[0])
+            ref = reference_observation(lum, drawn.pose, k, mode, copy.deepcopy(rng))
+            obs = capture_observation(vis, mode, 2.0 / math.sqrt(20), k, rng)
             assert np.array_equal(obs.contour_angles, ref[1])
             if mode == "complete":
                 assert np.array_equal(obs.center_proj, ref[2])
                 assert np.array_equal(obs.mark_proj, ref[3])
             else:
                 assert obs.center_proj is None and obs.mark_proj is None
-            assert np.array_equal([e.a, e.b, e.c, e.d, e.e], ref[4])
-            assert ref_rng.bit_generator.state == rng.bit_generator.state
+            noise.append(obs.contour_pixels - ref[4])
+            ref_noise.append(ref[0] - ref[4])
+    noise = np.concatenate(noise).ravel()
+    ref_noise = np.concatenate(ref_noise).ravel()
+    # At least 18000 values a side: the standard errors of the mean and the
+    # std are below 0.0034 and 0.0024 px, and a KS statistic above 0.03 has
+    # p < 1e-6 under equal distributions.
+    assert noise.size == ref_noise.size >= 18000
+    expected = 2.0 / math.sqrt(20)
+    for values in (noise, ref_noise):
+        assert abs(values.mean()) < 0.015
+        assert abs(values.std() - expected) < 0.015
+    assert ks_statistic(noise, ref_noise) < 0.03
+    # The statistic does tell apart the noise of a single image.
+    assert ks_statistic(noise, ref_noise * math.sqrt(20)) > 0.3
 
 
 # --- scene serialization ------------------------------------------------------------------
