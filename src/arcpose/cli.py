@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -32,8 +33,10 @@ from .errors import ArcPoseError, InvalidConfigError
 from .frames import CameraIntrinsics, pixel_to_image, rotation_to_euler
 from .harness import (
     PERCENTILES,
+    ExperimentConfig,
     _fmt,
     config_from_dict,
+    config_to_dict,
     read_records,
     run_monte_carlo,
     summarize_by_algorithm,
@@ -182,19 +185,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="'mixed' or e.g. 'complete+semicircle'")
         p.add_argument("--algorithms", default=None,
                        help="comma-separated subset of VPA,VPCA,OAVPA,PNP")
-        p.add_argument("-v", "--verbose", action="count", default=0)
+        p.add_argument("-v", "--verbose", action="store_true")
 
     p_run = sub.add_parser("run", help="run a Monte Carlo experiment")
     add_run_flags(p_run)
 
     p_sn = sub.add_parser("sweep-noise", help="experiment across noise levels")
     add_run_flags(p_sn, sweep_flag="sigma")
-    p_sn.add_argument("--sigma", default="0,1,2,3,4",
+    p_sn.add_argument("--sigma", dest="sigmas", metavar="SIGMA", default="0,1,2,3,4",
                       help="comma-separated noise levels in pixels")
 
     p_sr = sub.add_parser("sweep-radius", help="experiment across radii")
     add_run_flags(p_sr, sweep_flag="radius")
-    p_sr.add_argument("--radius", default="0.06,0.08,0.10,0.12,0.14,0.16",
+    p_sr.add_argument("--radius", dest="radii", metavar="RADIUS",
+                      default="0.06,0.08,0.10,0.12,0.14,0.16",
                       help="comma-separated radii in meters")
 
     p_cdf = sub.add_parser("cdf", help="CDF/percentiles from a records.csv")
@@ -206,9 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> "ExperimentConfig":
-    from .harness import ExperimentConfig
-
+def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         cfg = config_from_dict(_load_json(args.config))
     else:
@@ -218,9 +220,10 @@ def _config_from_args(args) -> "ExperimentConfig":
         overrides["seed"] = args.seed
     if args.samples is not None:
         overrides["samples"] = args.samples
-    if getattr(args, "sigma", None) is not None and isinstance(args.sigma, float):
+    # A sweep command has no --sigma or --radius override for its parameter.
+    if getattr(args, "sigma", None) is not None:
         overrides["sigma"] = args.sigma
-    if getattr(args, "radius", None) is not None and isinstance(args.radius, float):
+    if getattr(args, "radius", None) is not None:
         overrides["radius"] = args.radius
     if args.arc_mode is not None:
         overrides["scenario"] = args.arc_mode
@@ -229,8 +232,6 @@ def _config_from_args(args) -> "ExperimentConfig":
             a.strip().upper() for a in args.algorithms.split(",") if a.strip()
         )
     if overrides:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
 
@@ -268,9 +269,7 @@ def cmd_solve(args) -> int:
 
 
 def _echo_config(args, cfg) -> None:
-    if getattr(args, "verbose", 0):
-        from .harness import config_to_dict
-
+    if args.verbose:
         print(json.dumps(config_to_dict(cfg), indent=2), file=sys.stderr)
 
 
@@ -289,8 +288,8 @@ def cmd_run(args) -> int:
 def cmd_sweep(args, parameter: str) -> int:
     cfg = _config_from_args(args)
     _echo_config(args, cfg)
-    values = [float(v) for v in str(args.sigma if parameter == "noise"
-                                    else args.radius).split(",")]
+    values = [float(v) for v in (args.sigmas if parameter == "noise"
+                                 else args.radii).split(",")]
     results = sweep(cfg, parameter, values)
     out_dir = Path(args.out or _default_out())
     out_dir.mkdir(parents=True, exist_ok=True)

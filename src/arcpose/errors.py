@@ -80,7 +80,7 @@ class NonConvergenceError(ArcPoseError):
 # --- simulation errors -------------------------------------------------------
 
 class SamplingExhaustedError(ArcPoseError):
-    """Rejection sampling failed to satisfy the visibility constraint."""
+    """No sampled pose passed the visibility test in `sim.MAX_ATTEMPTS` draws."""
 
 
 class NotVisibleError(ArcPoseError):

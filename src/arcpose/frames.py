@@ -96,14 +96,14 @@ class Pose:
         _freeze(self, rotation=r, translation=t)
 
 
-def is_rotation(r: np.ndarray, tol: float = ROTATION_TOL) -> bool:
-    """True when r is orthonormal with determinant +1 within tol."""
+def is_rotation(r: np.ndarray) -> bool:
+    """True when r is orthonormal with determinant +1 within ROTATION_TOL."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3) or not np.all(np.isfinite(r)):
         return False
     return (
-        np.abs(r.T @ r - np.eye(3)).max() <= tol
-        and abs(np.linalg.det(r) - 1.0) <= tol
+        np.abs(r.T @ r - np.eye(3)).max() <= ROTATION_TOL
+        and abs(np.linalg.det(r) - 1.0) <= ROTATION_TOL
     )
 
 

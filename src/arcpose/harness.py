@@ -42,7 +42,6 @@ from .frames import (
 from .sim import (
     ARC_MODES,
     Scene,
-    VisibilityConstraint,
     capture_observation,
     default_intrinsics,
     default_scene,
@@ -162,20 +161,28 @@ def _parse_scenario(scenario) -> str | tuple[str, str]:
     if scenario == "mixed":
         return "mixed"
     if isinstance(scenario, str):
-        scenario = tuple(scenario.split("+"))
-    scenario = tuple(scenario)
-    if len(scenario) != 2 or any(m not in ARC_MODES for m in scenario):
+        scenario = scenario.split("+")
+    if (not isinstance(scenario, (list, tuple)) or len(scenario) != 2
+            or any(m not in ARC_MODES for m in scenario)):
         raise InvalidConfigError(
             f"scenario must be 'mixed' or two of {ARC_MODES}, got {scenario!r}"
         )
-    return scenario
+    return tuple(scenario)
 
 
-_CONFIG_FIELDS = {
-    "schema_version", "scene", "intrinsics", "sigma", "radius", "scenario",
-    "samples", "images_per_location", "contour_samples", "arc_fraction",
-    "algorithms", "seed",
-}
+_CONFIG_FIELDS = {"schema_version"} | {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _number(name: str, value, kind: type):
+    """A config file's numeric `value` as `kind`, int or float (a float
+    field takes an int too); only radius may be null. Raises
+    InvalidConfigError naming the field."""
+    if value is None and name == "radius":
+        return None
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidConfigError(f"config field {name!r} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -195,13 +202,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         kwargs["intrinsics"] = intrinsics_from_dict(data["intrinsics"])
     for name in ("sigma", "radius", "arc_fraction"):
         if name in data:
-            kwargs[name] = None if data[name] is None else float(data[name])
+            kwargs[name] = _number(name, data[name], float)
     for name in ("samples", "images_per_location", "contour_samples", "seed"):
         if name in data:
-            kwargs[name] = int(data[name])
+            kwargs[name] = _number(name, data[name], int)
     if "scenario" in data:
         kwargs["scenario"] = data["scenario"]
     if "algorithms" in data:
+        if not isinstance(data["algorithms"], list):
+            raise InvalidConfigError(
+                f"config field 'algorithms' must be a list, got {data['algorithms']!r}")
         kwargs["algorithms"] = tuple(data["algorithms"])
     return ExperimentConfig(**kwargs)
 
@@ -262,26 +272,6 @@ class SummaryStats:
 
 # --- the runner ------------------------------------------------------------------
 
-def _constraint_for(cfg: ExperimentConfig) -> VisibilityConstraint:
-    if cfg.scenario == "mixed":
-        return VisibilityConstraint(
-            intrinsics=cfg.intrinsics,
-            min_visible=2,
-            min_fraction=0.5,
-            contour_samples=cfg.contour_samples,
-        )
-    # Explicit two-arc scenarios model occlusion on top of a fully visible
-    # luminaire, so both chosen luminaires must project entirely into the
-    # image; the truncation itself is the only loss.
-    return VisibilityConstraint(
-        intrinsics=cfg.intrinsics,
-        min_visible=2,
-        min_fraction=1.0,
-        require_complete=2,
-        contour_samples=cfg.contour_samples,
-    )
-
-
 def _pnp_correspondences(observations, lum_map) -> list[tuple]:
     """Four world/pixel pairs taken evenly from the two arcs (two per arc).
 
@@ -323,11 +313,14 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
 
     Solver failures never abort the run: the record carries the error class
     name and no metrics. Pose-sampling exhaustion does propagate, since a
-    constraint no pose can satisfy would fail every remaining sample too.
+    visibility test no pose passes would fail every remaining sample too.
     """
     scene = cfg.effective_scene()
     lum_map = scene.luminaire_map()
-    constraint = _constraint_for(cfg)
+    # Explicit two-arc scenarios model occlusion on top of a fully visible
+    # luminaire, so both chosen luminaires must project entirely into the
+    # image; the truncation itself is the only loss.
+    complete = cfg.scenario != "mixed"
     points = luminaire_points(scene.luminaires, cfg.contour_samples)
     k = cfg.intrinsics
 
@@ -337,7 +330,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     for start in range(0, cfg.samples, POSE_BLOCK):
         indices = range(start, min(start + POSE_BLOCK, cfg.samples))
         rngs = [np.random.default_rng([cfg.seed, index]) for index in indices]
-        drawn = sample_poses(scene, rngs, constraint, points)
+        drawn = sample_poses(scene, rngs, k, points, complete)
         for index, rng, sampled in zip(indices, rngs, drawn):
             sample = _Sample(index, sampled.pose, sampled.attempts)
             records = [None] * len(cfg.algorithms)
@@ -439,14 +432,13 @@ def _solve_pnp(sample: _Sample, observations, lum_map, k) -> ResultRecord:
 
 # --- aggregation -----------------------------------------------------------------
 
-def _summary(records, grid) -> SummaryStats:
+def _summary(records) -> SummaryStats:
     """`summarize` that reports no success as n_success 0 with no CDF."""
     errors = np.array([r.e_loc for r in records if r.ok])
     n_failed = sum(1 for r in records if not r.ok)
     if errors.size == 0:
         return SummaryStats(0, n_failed, None, None, None, dict.fromkeys(PERCENTILES),
                             cdf_grid=np.empty(0), cdf_fraction=np.empty(0))
-    grid = DEFAULT_CDF_GRID if grid is None else np.asarray(grid, float)
     std_err = (
         float(errors.std(ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
     )
@@ -457,27 +449,27 @@ def _summary(records, grid) -> SummaryStats:
         std_err=std_err,
         median=float(np.median(errors)),
         percentiles={p: float(np.percentile(errors, p)) for p in PERCENTILES},
-        cdf_grid=grid,
-        cdf_fraction=(errors[None, :] <= grid[:, None]).mean(axis=1),
+        cdf_grid=DEFAULT_CDF_GRID,
+        cdf_fraction=(errors[None, :] <= DEFAULT_CDF_GRID[:, None]).mean(axis=1),
     )
 
 
-def summarize(records, grid=None) -> SummaryStats:
+def summarize(records) -> SummaryStats:
     """Aggregate the successful records; failures are counted separately and
     left out of the CDF, the share of successes with e_loc <= each point of
-    `grid` (default `DEFAULT_CDF_GRID`). Raises NoSuccessfulRecordsError if
-    no record succeeded."""
-    stats = _summary(records, grid)
+    `DEFAULT_CDF_GRID`. Raises NoSuccessfulRecordsError if no record
+    succeeded."""
+    stats = _summary(records)
     if stats.n_success == 0:
         raise NoSuccessfulRecordsError("no successful records")
     return stats
 
 
-def summarize_by_algorithm(records, grid=None) -> dict[str, SummaryStats]:
+def summarize_by_algorithm(records) -> dict[str, SummaryStats]:
     """`summarize` per algorithm, except that an algorithm with no success is
     reported with n_success 0, its failure count and no statistics."""
     return {
-        alg: _summary([r for r in records if r.algorithm == alg], grid)
+        alg: _summary([r for r in records if r.algorithm == alg])
         for alg in sorted({r.algorithm for r in records})
     }
 

@@ -41,11 +41,20 @@ SCENE_SCHEMA_VERSION = 1
 
 ARC_MODES = ("complete", "semicircle", "superior_arc", "image_bounds")
 
+# The pose sampler's fixed protocol: camera height band (m), tilt range
+# (below pi/2, so that sampled tilts are valid Euler angles), the contour
+# share at which a luminaire counts as visible, and the candidates a pose
+# may take before sampling gives up.
+HEIGHT_RANGE = (0.5, 2.0)
+MAX_TILT = math.radians(45.0)
+MIN_FRACTION = 0.5
+MAX_ATTEMPTS = 100_000
+
 # Rounds after which `sample_poses` advances only its first pending
-# generator. At the default constraints about 3 candidates in 10 pass, so a
-# pose still pending after 64 rounds (p < 1e-9) means a constraint that
-# rejects almost everything; drawing one pose at a time then makes a block
-# fail after max_attempts candidates, not max_attempts for each of its poses.
+# generator. About 3 candidates in 10 pass the visibility test, so a pose
+# still pending after 64 rounds (p < 1e-9) means a test that rejects almost
+# everything; drawing one pose at a time then makes a block fail after
+# MAX_ATTEMPTS candidates, not MAX_ATTEMPTS for each of its poses.
 SOLO_AFTER = 64
 
 
@@ -70,30 +79,6 @@ class Scene:
         return {lum.id: lum for lum in self.luminaires}
 
 
-@dataclass(frozen=True)
-class VisibilityConstraint:
-    """Acceptance rule for rejection-sampled poses.
-
-    A luminaire counts as visible when at least `min_fraction` of its contour
-    samples project in front of the camera and inside the image; it counts as
-    complete when the whole contour plus the center and mark projections do.
-    """
-
-    intrinsics: CameraIntrinsics
-    min_visible: int = 2
-    min_fraction: float = 0.5
-    require_complete: int = 0
-    height_range: tuple[float, float] = (0.5, 2.0)
-    max_tilt: float = math.radians(45.0)
-    contour_samples: int = 360
-    max_attempts: int = 100_000
-
-    def __post_init__(self):
-        # Sampled tilts must stay valid Euler angles (theta in [-pi/2, pi/2]).
-        if not 0 <= self.max_tilt <= math.pi / 2:
-            raise ValueError(f"max_tilt must lie in [0, pi/2], got {self.max_tilt}")
-
-
 def default_intrinsics() -> CameraIntrinsics:
     """The simulated camera: 640x480, 1.25e-3 cm pixels, f = 0.4 cm.
 
@@ -106,11 +91,11 @@ def default_intrinsics() -> CameraIntrinsics:
     )
 
 
-def default_scene(radius: float = 0.15) -> Scene:
-    """The 8 x 6 x 3 m room with four ceiling luminaires."""
+def default_scene() -> Scene:
+    """The 8 x 6 x 3 m room with four ceiling luminaires of radius 15 cm."""
     centers = [(2.0, 2.0, 3.0), (6.0, 2.0, 3.0), (2.0, 4.0, 3.0), (6.0, 4.0, 3.0)]
     lums = tuple(
-        LuminaireInfo(id=f"L{i + 1}", center_w=np.array(c), radius=radius)
+        LuminaireInfo(id=f"L{i + 1}", center_w=np.array(c), radius=0.15)
         for i, c in enumerate(centers)
     )
     return Scene(room=(8.0, 6.0, 3.0), luminaires=lums)
@@ -245,33 +230,33 @@ class SampledPose:
     attempts: int
 
 
-def sample_poses(
-    scene: Scene, rngs, constraint: VisibilityConstraint, points=None,
-) -> list[SampledPose]:
+def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
+                 complete: bool) -> list[SampledPose]:
     """Rejection-sample one camera pose per generator in `rngs`.
 
     Position is uniform over the room footprint with height in
-    `height_range`; roll and pitch are uniform within +-max_tilt and the
-    heading is uniform. The generators advance in rounds: each round draws
-    `uniform(size=6)` from every generator whose pose is still rejected (from
-    the first of them alone after `SOLO_AFTER` rounds) and tests all those
-    candidates together, in one stacked projection per luminaire. Each
-    generator draws only its own candidates, so it ends where drawing its
-    poses one at a time would leave it. Each accepted pose comes with the
-    `visibility` of the projection it was accepted on. `points`
-    are the scene's `luminaire_points` at the constraint's point count,
-    built here when not given. Raises SamplingExhaustedError when a pose is
-    still rejected after max_attempts.
+    `HEIGHT_RANGE`; roll and pitch are uniform within +-`MAX_TILT` and the
+    heading is uniform. A candidate is kept when at least two luminaires
+    show `MIN_FRACTION` of their contour inside the image or, with
+    `complete`, when at least two luminaires are complete: whole contour,
+    center and mark inside the image. `points` are the scene's
+    `luminaire_points`.
+
+    The generators advance in rounds: each round draws `uniform(size=6)`
+    from every generator whose pose is still rejected (from the first of
+    them alone after `SOLO_AFTER` rounds) and tests all those candidates
+    together, in one stacked projection per luminaire. Each generator draws
+    only its own candidates, so it ends where drawing its poses one at a
+    time would leave it. Each accepted pose comes with the `visibility` of
+    the projection it was accepted on. Raises SamplingExhaustedError when a
+    pose is still rejected after `MAX_ATTEMPTS` candidates.
     """
-    k = constraint.intrinsics
     length, width, _ = scene.room
-    low, high = constraint.height_range
-    if len(scene.luminaires) < max(constraint.min_visible, 1):
+    low, high = HEIGHT_RANGE
+    if len(scene.luminaires) < 2:
         raise SamplingExhaustedError(
-            f"scene has {len(scene.luminaires)} luminaires, "
-            f"constraint needs {constraint.min_visible}"
+            f"scene has {len(scene.luminaires)} luminaires, a pose needs 2"
         )
-    points = points or luminaire_points(scene.luminaires, constraint.contour_samples)
     rings, marks = points
 
     count = len(rngs)
@@ -282,17 +267,17 @@ def sample_poses(
     while len(pending):
         # The active generators have all drawn the same number of candidates.
         active = pending if attempts[pending[0]] < SOLO_AFTER else pending[:1]
-        if attempts[active[0]] == constraint.max_attempts:
+        if attempts[active[0]] == MAX_ATTEMPTS:
             raise SamplingExhaustedError(
-                f"no pose satisfied the constraint in {constraint.max_attempts} attempts"
+                f"no pose passed the visibility test in {MAX_ATTEMPTS} attempts"
             )
         attempts[active] += 1
         draw = np.array([rngs[i].uniform(size=6) for i in active])
         translations[active] = np.stack(
             [draw[:, 0] * length, draw[:, 1] * width, low + draw[:, 2] * (high - low)],
             axis=1)
-        phi = (2 * draw[:, 3] - 1) * constraint.max_tilt
-        theta = (2 * draw[:, 4] - 1) * constraint.max_tilt
+        phi = (2 * draw[:, 3] - 1) * MAX_TILT
+        theta = (2 * draw[:, 4] - 1) * MAX_TILT
         psi = (2 * draw[:, 5] - 1) * math.pi
         rotations[active] = [rotation_from_angles(a, b, _wrap_angle(c))
                              for a, b, c in zip(phi, theta, psi)]
@@ -303,12 +288,12 @@ def sample_poses(
         for i, ring in enumerate(rings):
             inside = _inside(ring, r, t, k)
             fractions[:, i] = np.count_nonzero(inside, axis=1) / inside.shape[1]
-        accepted = ((fractions >= constraint.min_fraction).sum(axis=1)
-                    >= constraint.min_visible)
-        if constraint.require_complete > 0:
-            gm_inside = _inside(marks, r[:, None], t[:, None], k).all(axis=2)
-            complete = (fractions == 1.0) & gm_inside
-            accepted &= complete.sum(axis=1) >= constraint.require_complete
+        if complete:
+            marks_in = _inside(marks, r[:, None], t[:, None], k).all(axis=2)
+            shown = (fractions == 1.0) & marks_in
+        else:
+            shown = fractions >= MIN_FRACTION
+        accepted = shown.sum(axis=1) >= 2
 
         pending = np.concatenate([active[~accepted], pending[len(active):]])
 

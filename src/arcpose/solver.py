@@ -87,23 +87,13 @@ class LuminaireInfo:
     id: str
     center_w: np.ndarray
     radius: float
-    mark_w: np.ndarray | None = None
+    mark_w: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         center = np.asarray(self.center_w, dtype=float)
-        mark = (
-            center + np.array([0.0, self.radius, 0.0])
-            if self.mark_w is None
-            else np.asarray(self.mark_w, dtype=float)
-        )
-        offset = mark - center
-        if abs(np.linalg.norm(offset) - self.radius) > 1e-9:
-            raise ValueError("mark point must lie on the luminaire margin")
-        if np.linalg.norm(offset / self.radius - np.array([0.0, 1.0, 0.0])) > 1e-9:
-            raise ValueError("center-to-mark direction must be +y in WCS")
-        _freeze(self, center_w=center, mark_w=mark)
+        _freeze(self, center_w=center, mark_w=center + self.radius * _PLUS_Y)
 
     def circle_points(self, angles) -> np.ndarray:
         """World points on the margin at the given parameter angles.
@@ -564,9 +554,9 @@ def _pnp_jacobian(
 
 def _gauss_newton(
     x0: np.ndarray, world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
-    max_iter: int = 100, step_tol: float = 1e-10,
 ) -> tuple[np.ndarray, float, int]:
-    """Plain Gauss-Newton with the analytic reprojection Jacobian.
+    """Plain Gauss-Newton with the analytic reprojection Jacobian, stopping
+    at step norm < 1e-10 or 100 iterations.
 
     Returns (parameters, final cost, iterations). Steps that increase the
     cost are halved a few times before giving up on the iteration.
@@ -575,7 +565,7 @@ def _gauss_newton(
     res = _pnp_residuals(x, world, pixels, k)
     cost = float(res @ res)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 101):
         jac = _pnp_jacobian(x, world, k)
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         alpha = 1.0
@@ -591,7 +581,7 @@ def _gauss_newton(
             alpha *= 0.5
         if not improved:
             break
-        if np.linalg.norm(alpha * step) < step_tol:
+        if np.linalg.norm(alpha * step) < 1e-10:
             break
     return x, cost, iterations
 

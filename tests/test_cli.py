@@ -176,12 +176,23 @@ def test_run_repeated_seed_identical_csv(tmp_path):
         tmp_path / "b" / "records.csv").read_bytes()
 
 
-def test_run_invalid_config_field_named(tmp_path, capsys):
+@pytest.mark.parametrize("config,field", [
+    ({"samples": 3, "bogus_field": 1}, "bogus_field"),
+    ({"sigma": None}, "sigma"),
+    ({"scenario": 5}, "scenario"),
+    ({"samples": "ten"}, "samples"),
+    ({"samples": 2.5}, "samples"),
+    ({"seed": True}, "seed"),
+    ({"algorithms": 5}, "algorithms"),
+], ids=["bogus_field", "null_sigma", "int_scenario", "text_samples", "float_samples",
+        "bool_seed", "int_algorithms"])
+def test_run_invalid_config_field_named(tmp_path, capsys, config, field):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"samples": 3, "bogus_field": 1}))
-    rc = main(["run", "--config", str(cfg)])
+    cfg.write_text(json.dumps(config))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "bogus_field" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_overrides(tmp_path):

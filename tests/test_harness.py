@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from arcpose import harness
+from arcpose import harness, sim
 from arcpose.errors import (
     InvalidConfigError,
     NoSuccessfulRecordsError,
@@ -16,6 +16,7 @@ from arcpose.errors import (
 )
 from arcpose.frames import EulerAngles, euler_to_rotation
 from arcpose.harness import (
+    DEFAULT_CDF_GRID,
     ExperimentConfig,
     ResultRecord,
     _record_row,
@@ -159,9 +160,8 @@ def test_runner_records_do_not_depend_on_block_or_slice_size(monkeypatch):
 
 
 def test_runner_propagates_sampling_exhaustion(monkeypatch):
-    impossible = replace(harness._constraint_for(ExperimentConfig()),
-                         min_fraction=1.5, max_attempts=5)
-    monkeypatch.setattr(harness, "_constraint_for", lambda cfg: impossible)
+    monkeypatch.setattr(sim, "MIN_FRACTION", 1.5)
+    monkeypatch.setattr(sim, "MAX_ATTEMPTS", 5)
     with pytest.raises(SamplingExhaustedError):
         run_monte_carlo(ExperimentConfig(samples=3, seed=1))
 
@@ -198,7 +198,8 @@ def test_summary_of_four_values():
     records = fake_records([0.01, 0.02, 0.03, 0.04])
     stats = summarize(records)
     assert stats.median == pytest.approx(0.025)
-    assert summarize(records, grid=[0.025]).cdf_fraction[0] == pytest.approx(0.5)
+    assert DEFAULT_CDF_GRID[5] == 0.025
+    assert stats.cdf_fraction[5] == pytest.approx(0.5)
     assert stats.n_success == 4 and stats.n_failed == 0
 
 

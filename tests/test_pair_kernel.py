@@ -22,7 +22,7 @@ from arcpose.errors import (
     ParallelLineError,
 )
 from arcpose.frames import rot_x, rot_y, rot_z
-from arcpose.harness import ExperimentConfig, _capture_sample, _constraint_for
+from arcpose.harness import ExperimentConfig, _capture_sample
 from arcpose.sim import luminaire_points, sample_poses
 from arcpose.solver import pair_inputs, pair_observations, solve_pairs
 
@@ -40,7 +40,8 @@ def captured_pairs(scenario, samples=40, seed=3):
     pairs = []
     for index in range(samples):
         rng = np.random.default_rng([seed, index])
-        drawn, = sample_poses(scene, [rng], _constraint_for(cfg), points)
+        drawn, = sample_poses(scene, [rng], cfg.intrinsics, points,
+                              cfg.scenario != "mixed")
         obs = _capture_sample(cfg, drawn.visibility, rng)
         first, second = pair_observations(obs)
         pairs.append((obs[first], obs[second], obs[first].complete))

@@ -27,7 +27,6 @@ from arcpose.frames import (
 from arcpose.sim import (
     ARC_MODES,
     Scene,
-    VisibilityConstraint,
     _in_bounds,
     _project_points_pixel,
     capture_observation,
@@ -105,51 +104,49 @@ def test_upright_center_sees_all_four_with_wide_lens(scene):
         assert vis.fraction == 1.0 and vis.complete
 
 
+def draw_poses(scene, k, rngs, complete=False):
+    """`sample_poses` with the scene's 360-point contours."""
+    return sample_poses(scene, rngs, k, luminaire_points(scene.luminaires, 360), complete)
+
+
 def test_sample_pose_postcondition(scene, k):
-    con = VisibilityConstraint(intrinsics=k)
     rngs = [np.random.default_rng([40, i]) for i in range(200)]
-    for drawn in sample_poses(scene, rngs, con):
+    for drawn in draw_poses(scene, k, rngs):
         fractions = [v.fraction for v in drawn.visibility]
-        assert sum(f >= con.min_fraction for f in fractions) >= 2
+        assert sum(f >= sim.MIN_FRACTION for f in fractions) >= 2
         x, y, z = drawn.pose.translation
         assert 0 <= x <= 8 and 0 <= y <= 6 and 0.5 <= z <= 2.0
 
 
 def test_sample_pose_require_complete(scene, k):
-    con = VisibilityConstraint(intrinsics=k, min_fraction=1.0, require_complete=2)
     rngs = [np.random.default_rng([41, i]) for i in range(50)]
-    for drawn in sample_poses(scene, rngs, con):
+    for drawn in draw_poses(scene, k, rngs, complete=True):
         assert sum(v.complete for v in drawn.visibility) >= 2
 
 
 def test_sample_pose_empty_scene(k):
     empty = Scene(room=(8.0, 6.0, 3.0), luminaires=())
+    # No rings and no center/mark pairs, as `luminaire_points` lays them out.
+    points = np.empty((0, 3, 360)), np.empty((0, 3, 2))
     with pytest.raises(SamplingExhaustedError):
-        sample_poses(empty, [np.random.default_rng(0)], VisibilityConstraint(intrinsics=k))
+        sample_poses(empty, [np.random.default_rng(0)], k, points, False)
 
 
 def test_sample_pose_deterministic(scene, k):
-    con = VisibilityConstraint(intrinsics=k)
-    a = sample_poses(scene, [np.random.default_rng(7)], con)[0].pose
-    b = sample_poses(scene, [np.random.default_rng(7)], con)[0].pose
+    a = draw_poses(scene, k, [np.random.default_rng(7)])[0].pose
+    b = draw_poses(scene, k, [np.random.default_rng(7)])[0].pose
     assert np.array_equal(a.rotation, b.rotation)
     assert np.array_equal(a.translation, b.translation)
-    # Rings built once per run and passed in give the same pose.
-    points = luminaire_points(scene.luminaires, con.contour_samples)
-    c = sample_poses(scene, [np.random.default_rng(7)], con, points)[0].pose
-    assert np.array_equal(a.rotation, c.rotation)
-    assert np.array_equal(a.translation, c.translation)
 
 
-def scalar_sample_pose(scene, rng, constraint):
+def scalar_sample_pose(scene, rng, k, complete):
     """The one-pose-at-a-time rejection loop the batched sampler replaced:
     a validated `EulerAngles` and `Pose` per attempt, and all rings
     projected alone. Returns the pose, its attempt count and the visibility
     fields of its projection (pixels, center and mark pixels, fraction,
     completeness and contour length per luminaire)."""
-    k = constraint.intrinsics
     length, width, _ = scene.room
-    angles = contour_angles(constraint.contour_samples)
+    angles = contour_angles(360)
     rings = np.stack([lum.circle_points(angles) for lum in scene.luminaires])
     marks = np.stack([np.stack([lum.center_w, lum.mark_w]) for lum in scene.luminaires])
 
@@ -161,26 +158,23 @@ def scalar_sample_pose(scene, rng, constraint):
             v = np.where(z > 0, (k.f * cam[..., 1] / z) / k.dy + k.v0, np.nan)
         return np.stack([u, v], axis=-1)
 
-    for attempt in range(1, constraint.max_attempts + 1):
+    low, high = sim.HEIGHT_RANGE
+    for attempt in range(1, sim.MAX_ATTEMPTS + 1):
         draw = rng.uniform(size=6)
-        position = np.array([
-            draw[0] * length,
-            draw[1] * width,
-            constraint.height_range[0]
-            + draw[2] * (constraint.height_range[1] - constraint.height_range[0]),
-        ])
+        position = np.array([draw[0] * length, draw[1] * width,
+                             low + draw[2] * (high - low)])
         e = EulerAngles(
-            phi=(2 * draw[3] - 1) * constraint.max_tilt,
-            theta=(2 * draw[4] - 1) * constraint.max_tilt,
+            phi=(2 * draw[3] - 1) * sim.MAX_TILT,
+            theta=(2 * draw[4] - 1) * sim.MAX_TILT,
             psi=_wrap_angle((2 * draw[5] - 1) * math.pi),
         )
         pose = Pose(rotation=euler_to_rotation(e), translation=position)
         fractions = _in_bounds(project(rings, pose), k).mean(axis=1)
-        if int((fractions >= constraint.min_fraction).sum()) < constraint.min_visible:
+        if int((fractions >= (1.0 if complete else sim.MIN_FRACTION)).sum()) < 2:
             continue
-        if constraint.require_complete > 0:
+        if complete:
             gm_ok = _in_bounds(project(marks, pose), k).all(axis=1)
-            if int(((fractions == 1.0) & gm_ok).sum()) < constraint.require_complete:
+            if int(((fractions == 1.0) & gm_ok).sum()) < 2:
                 continue
         pixels, gm = project(rings, pose), project(marks, pose)
         inside = _in_bounds(pixels, k)
@@ -193,32 +187,31 @@ def scalar_sample_pose(scene, rng, constraint):
     raise SamplingExhaustedError("reference loop exhausted")
 
 
-@pytest.mark.parametrize("require_complete,solo_after", [(0, 64), (2, 64), (0, 2)])
-def test_batched_sampler_matches_scalar_reference(scene, k, require_complete,
+@pytest.mark.parametrize("stream,complete,solo_after",
+                         [(0, False, 64), (2, True, 64), (0, False, 2)],
+                         ids=["0-64", "2-64", "0-2"])
+def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
                                                   solo_after, monkeypatch):
     # solo_after=2: after two rounds the generators advance one at a time.
     monkeypatch.setattr(sim, "SOLO_AFTER", solo_after)
-    con = (VisibilityConstraint(intrinsics=k) if require_complete == 0 else
-           VisibilityConstraint(intrinsics=k, min_fraction=1.0, require_complete=2))
-    seeds = [[require_complete, i] for i in range(120)]
+    seeds = [[stream, i] for i in range(120)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    points = luminaire_points(scene.luminaires, con.contour_samples)
     # One block of 100 and one of 20: rounds in lockstep over many generators.
-    drawn = sample_poses(scene, rngs[:100], con, points) + sample_poses(
-        scene, rngs[100:], con, points)
+    drawn = (draw_poses(scene, k, rngs[:100], complete)
+             + draw_poses(scene, k, rngs[100:], complete))
     attempts = []
     for seed, rng, got in zip(seeds, rngs, drawn):
         ref_rng = np.random.default_rng(seed)
-        pose, n, reference = scalar_sample_pose(scene, ref_rng, con)
+        pose, n, reference = scalar_sample_pose(scene, ref_rng, k, complete)
         attempts.append(n)
         assert np.array_equal(got.pose.rotation, pose.rotation)
         assert np.array_equal(got.pose.translation, pose.translation)
         assert got.attempts == n
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        for lum, a, (pixels, gm, fraction, complete, length) in zip(
+        for lum, a, (pixels, gm, fraction, whole, length) in zip(
                 scene.luminaires, got.visibility, reference):
             assert (a.luminaire_id, a.fraction, a.complete, a.contour_px) == (
-                lum.id, fraction, complete, length)
+                lum.id, fraction, whole, length)
             for name, ref in (("pixels", pixels), ("center", gm[0]), ("mark", gm[1])):
                 assert np.array_equal(getattr(a, name), ref, equal_nan=True)
                 assert not getattr(a, name).flags.writeable
@@ -230,10 +223,11 @@ def test_batched_sampler_matches_scalar_reference(scene, k, require_complete,
 @pytest.mark.parametrize("solo_after", [64, 3])
 def test_sampler_exhausts_after_max_attempts(scene, k, solo_after, monkeypatch):
     monkeypatch.setattr(sim, "SOLO_AFTER", solo_after)
-    con = VisibilityConstraint(intrinsics=k, min_fraction=1.5, max_attempts=7)
+    monkeypatch.setattr(sim, "MIN_FRACTION", 1.5)
+    monkeypatch.setattr(sim, "MAX_ATTEMPTS", 7)
     rngs = [np.random.default_rng([9, i]) for i in range(3)]
     with pytest.raises(SamplingExhaustedError, match="in 7 attempts"):
-        sample_poses(scene, rngs, con)
+        draw_poses(scene, k, rngs)
     # The first generator drew max_attempts candidates; the others stopped
     # when the block went one generator at a time.
     for i, draws in enumerate([7] + 2 * [min(7, solo_after)]):
@@ -241,11 +235,6 @@ def test_sampler_exhausts_after_max_attempts(scene, k, solo_after, monkeypatch):
         for _ in range(draws):
             reference.uniform(size=6)
         assert rngs[i].bit_generator.state == reference.bit_generator.state
-
-
-def test_constraint_rejects_tilt_beyond_quarter_turn(k):
-    with pytest.raises(ValueError):
-        VisibilityConstraint(intrinsics=k, max_tilt=2.0)
 
 
 # --- projection -----------------------------------------------------------------------
@@ -283,8 +272,7 @@ def test_luminaire_behind_camera_not_visible(scene, k):
 
 def test_visibility_classification_ignores_noise(scene, k):
     # Classification runs on the clean projection, so it cannot depend on sigma.
-    con = VisibilityConstraint(intrinsics=k)
-    drawn = sample_poses(scene, [np.random.default_rng(43)], con)[0]
+    drawn = draw_poses(scene, k, [np.random.default_rng(43)])[0]
     flags = [(v.fraction, v.complete) for v in drawn.visibility]
     assert flags == [(v.fraction, v.complete)
                      for v in visibility_at(scene, drawn.pose, k)]
@@ -480,11 +468,10 @@ def test_capture_matches_per_image_reference(scene, k, mode):
     # One draw of sigma / sqrt(20) in place of the average of 20 images of
     # sigma: the same kept points, center and mark, and averaged noise of the
     # same distribution, N(0, 0.447^2) px.
-    con = VisibilityConstraint(intrinsics=k)
     noise, ref_noise = [], []
     for sample in range(25):
         rng = np.random.default_rng([ARC_MODES.index(mode), sample])
-        drawn = sample_poses(scene, [rng], con)[0]
+        drawn = draw_poses(scene, k, [rng])[0]
         ranked = sorted(drawn.visibility, key=lambda v: -v.contour_px)
         for vis in ranked[:2]:
             lum = scene.luminaire_map()[vis.luminaire_id]

@@ -93,12 +93,6 @@ def test_luminaire_default_mark():
     assert np.allclose(lum.mark_w, [2.0, 2.15, 3.0])
 
 
-def test_luminaire_rejects_bad_mark():
-    with pytest.raises(ValueError):
-        LuminaireInfo(id="L", center_w=np.zeros(3), radius=0.15,
-                      mark_w=np.array([0.15, 0.0, 0.0]))
-
-
 def test_contour_px_is_count_times_median_step():
     # The reference is np.median over the point-to-point steps.
     rng = np.random.default_rng(27)
