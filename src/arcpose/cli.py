@@ -25,8 +25,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .conic import EllipseCoeffs, fit_ellipse
 from .errors import ArcPoseError, InvalidConfigError
@@ -44,7 +42,13 @@ from .harness import (
     write_cdf,
     write_results,
 )
-from .sim import default_intrinsics, intrinsics_from_dict, scene_from_dict
+from .sim import (
+    default_intrinsics,
+    intrinsics_from_dict,
+    read_numbers,
+    read_object,
+    scene_from_dict,
+)
 from .solver import Observation, solve_vpa
 
 OBSERVATION_SCHEMA_VERSION = 1
@@ -61,90 +65,54 @@ def _load_json(path: str) -> dict:
     return json.loads(p.read_text())
 
 
-def _finite_pixels(value, name: str, where: str, contour: bool = False):
-    """Pixel coordinates as a finite (2,) point or, for a contour, (N, 2) array."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if (
-        arr is None
-        or arr.ndim != (2 if contour else 1)
-        or arr.shape[-1] != 2
-        or not np.isfinite(arr).all()
-    ):
-        shape = "an (N, 2) array" if contour else "a [u, v] pair"
-        raise InvalidConfigError(f"{where}: {name} must be {shape} of finite numbers")
-    return arr
-
-
 def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrinsics]:
     """Parse an observation file: fitted ellipses or raw contour pixels."""
-    if not isinstance(data, dict):
-        raise InvalidConfigError("observation file must be a JSON object")
-    unknown = set(data) - {"schema_version", "intrinsics", "observations"}
-    if unknown:
-        raise InvalidConfigError(f"unknown observation-file fields: {sorted(unknown)}")
-    if data.get("schema_version", OBSERVATION_SCHEMA_VERSION) != OBSERVATION_SCHEMA_VERSION:
-        raise InvalidConfigError("unsupported observation schema_version")
-    k = (
-        default_intrinsics() if data.get("intrinsics") is None
-        else intrinsics_from_dict(data["intrinsics"])
-    )
+    read_object(data, ("schema_version", "intrinsics", "observations"), "observation file")
+    version = read_numbers(data.get("schema_version", OBSERVATION_SCHEMA_VERSION),
+                           "observation schema_version", kind=int)
+    if version != OBSERVATION_SCHEMA_VERSION:
+        raise InvalidConfigError(f"unsupported observation schema_version {version}")
+    k = (default_intrinsics() if data.get("intrinsics") is None
+         else intrinsics_from_dict(data["intrinsics"]))
+    items = data.get("observations", [])
+    if not isinstance(items, list):
+        raise InvalidConfigError("observations must be a list")
     observations = []
     seen_ids = set()
-    for index, item in enumerate(data.get("observations", [])):
+    for index, item in enumerate(items):
         where = f"observation {index}"
-        if not isinstance(item, dict):
-            raise InvalidConfigError(f"{where} must be a JSON object")
-        extra = set(item) - {
-            "luminaire_id", "ellipse", "contour_pixels",
-            "complete", "center_proj", "mark_proj",
-        }
-        if extra:
-            raise InvalidConfigError(
-                f"{where}: unknown observation fields: {sorted(extra)}"
-            )
+        read_object(item, ("luminaire_id", "ellipse", "contour_pixels",
+                           "complete", "center_proj", "mark_proj"), where)
         if "luminaire_id" not in item:
             raise InvalidConfigError(f"{where}: missing field 'luminaire_id'")
-        lum_id = str(item["luminaire_id"])
+        lum_id = item["luminaire_id"]
+        if not isinstance(lum_id, str):
+            raise InvalidConfigError(f"{where}: luminaire_id must be a string")
         if lum_id in seen_ids:
             raise InvalidConfigError(f"repeated luminaire_id {lum_id!r}")
         seen_ids.add(lum_id)
         where = f"observation {index} ({lum_id!r})"
         if ("ellipse" in item) == ("contour_pixels" in item):
-            raise InvalidConfigError(
-                f"{where} needs exactly one of ellipse/contour_pixels"
-            )
+            raise InvalidConfigError(f"{where} needs exactly one of ellipse/contour_pixels")
         contour = None
         if "ellipse" in item:
-            try:
-                ellipse = EllipseCoeffs(**item["ellipse"])
-            except TypeError as exc:
-                raise InvalidConfigError(f"{where}: bad ellipse: {exc}") from exc
+            coeffs = read_object(item["ellipse"], "abcde", f"{where}: ellipse")
+            ellipse = EllipseCoeffs(*(read_numbers(coeffs.get(n), f"{where}: ellipse {n}")
+                                      for n in "abcde"))
         else:
-            contour = _finite_pixels(item["contour_pixels"], "contour_pixels", where,
-                                     contour=True)
+            contour = read_numbers(item["contour_pixels"], f"{where}: contour_pixels", (None, 2))
             ellipse = fit_ellipse(pixel_to_image(contour, k))
-        points = {
-            name: _finite_pixels(item[name], name, where)
-            for name in ("center_proj", "mark_proj")
-            if item.get(name) is not None
-        }
-        complete = bool(item.get("complete", False))
+        complete = item.get("complete", False)
+        if not isinstance(complete, bool):
+            raise InvalidConfigError(f"{where}: complete must be true or false")
+        points = {}
         for name in ("center_proj", "mark_proj"):
-            if complete and name not in points:
+            if item.get(name) is not None:
+                points[name] = read_numbers(item[name], f"{where}: {name}", (2,))
+            elif complete:
                 raise InvalidConfigError(f"{where}: complete observation needs {name!r}")
-        observations.append(
-            Observation(
-                luminaire_id=lum_id,
-                ellipse=ellipse,
-                complete=complete,
-                center_proj=points.get("center_proj"),
-                mark_proj=points.get("mark_proj"),
-                contour_pixels=contour,
-            )
-        )
+        observations.append(Observation(luminaire_id=lum_id, ellipse=ellipse, complete=complete,
+                                        contour_pixels=contour, **points))
     return observations, k
 
 

@@ -70,7 +70,8 @@ def fit_ellipse(points) -> EllipseCoeffs:
 
     Raises TooFewPointsError for fewer than 5 points and DegenerateConicError
     when the minimizer is not an ellipse (collinear or too-noisy input, or an
-    ellipse through the ICS origin, which the F=1 form cannot represent).
+    ellipse through the ICS origin, which the F=1 form cannot represent) or
+    when the points' magnitudes overflow or underflow the arithmetic.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] < 5:
@@ -78,33 +79,37 @@ def fit_ellipse(points) -> EllipseCoeffs:
     if not np.all(np.isfinite(pts)):
         raise DegenerateConicError("non-finite contour points")
 
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    scale = np.sqrt((centered ** 2).sum(axis=1).mean())
-    if scale <= 0:
-        raise DegenerateConicError("all points coincide")
-    xs, ys = centered[:, 0] / scale, centered[:, 1] / scale
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            mean = pts.mean(axis=0)
+            centered = pts - mean
+            scale = np.sqrt((centered ** 2).sum(axis=1).mean())
+            if scale <= 0:
+                raise DegenerateConicError("all points coincide")
+            xs, ys = centered[:, 0] / scale, centered[:, 1] / scale
 
-    design = np.column_stack([xs * xs, xs * ys, ys * ys, xs, ys])
-    rhs = -np.ones(pts.shape[0])
-    sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < 5:
-        raise DegenerateConicError("contour points do not determine a conic")
-    ap, bp, cp, dp, ep = sol
+            design = np.column_stack([xs * xs, xs * ys, ys * ys, xs, ys])
+            rhs = -np.ones(pts.shape[0])
+            sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+            if rank < 5:
+                raise DegenerateConicError("contour points do not determine a conic")
+            ap, bp, cp, dp, ep = sol
 
-    # Undo x' = (x - mx)/s, y' = (y - my)/s and re-normalize the constant to 1.
-    mx, my = mean
-    s2 = scale * scale
-    a, b, c = ap / s2, bp / s2, cp / s2
-    d = -(2 * ap * mx + bp * my) / s2 + dp / scale
-    e = -(bp * mx + 2 * cp * my) / s2 + ep / scale
-    const = (
-        (ap * mx * mx + bp * mx * my + cp * my * my) / s2
-        - (dp * mx + ep * my) / scale + 1.0
-    )
-    if abs(const) < 1e-12 * max(abs(a), abs(c), 1.0):
-        raise DegenerateConicError("conic passes through the ICS origin")
-    return EllipseCoeffs(a / const, b / const, c / const, d / const, e / const)
+            # Undo x' = (x - mx)/s, y' = (y - my)/s and re-normalize the constant to 1.
+            mx, my = mean
+            s2 = scale * scale
+            a, b, c = ap / s2, bp / s2, cp / s2
+            d = -(2 * ap * mx + bp * my) / s2 + dp / scale
+            e = -(bp * mx + 2 * cp * my) / s2 + ep / scale
+            const = (
+                (ap * mx * mx + bp * mx * my + cp * my * my) / s2
+                - (dp * mx + ep * my) / scale + 1.0
+            )
+            if abs(const) < 1e-12 * max(abs(a), abs(c), 1.0):
+                raise DegenerateConicError("conic passes through the ICS origin")
+            return EllipseCoeffs(a / const, b / const, c / const, d / const, e / const)
+    except FloatingPointError as exc:
+        raise DegenerateConicError(f"contour points out of floating-point range: {exc}") from exc
 
 
 def ellipse_centers(coeffs) -> tuple[np.ndarray, np.ndarray]:

@@ -47,6 +47,8 @@ from .sim import (
     default_scene,
     intrinsics_from_dict,
     luminaire_points,
+    read_numbers,
+    read_object,
     sample_poses,
     scene_from_dict,
     scene_to_dict,
@@ -173,28 +175,13 @@ def _parse_scenario(scenario) -> str | tuple[str, str]:
 _CONFIG_FIELDS = {"schema_version"} | {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _number(name: str, value, kind: type):
-    """A config file's numeric `value` as `kind`, int or float (a float
-    field takes an int too); only radius may be null. Raises
-    InvalidConfigError naming the field."""
-    if value is None and name == "radius":
-        return None
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        noun = "an integer" if kind is int else "a number"
-        raise InvalidConfigError(f"config field {name!r} must be {noun}, got {value!r}")
-    return kind(value)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Parse a configuration mapping, rejecting unknown fields by name."""
-    if not isinstance(data, dict):
-        raise InvalidConfigError("config must be a JSON object")
-    unknown = set(data) - _CONFIG_FIELDS
-    if unknown:
-        raise InvalidConfigError(f"unknown config fields: {sorted(unknown)}")
-    version = data.get("schema_version", CONFIG_SCHEMA_VERSION)
+    read_object(data, _CONFIG_FIELDS, "config")
+    version = read_numbers(data.get("schema_version", CONFIG_SCHEMA_VERSION),
+                           "config schema_version", kind=int)
     if version != CONFIG_SCHEMA_VERSION:
-        raise InvalidConfigError(f"unsupported config schema_version {version!r}")
+        raise InvalidConfigError(f"unsupported config schema_version {version}")
     kwargs = {}
     if "scene" in data:
         kwargs["scene"] = scene_from_dict(data["scene"])
@@ -202,16 +189,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         kwargs["intrinsics"] = intrinsics_from_dict(data["intrinsics"])
     for name in ("sigma", "radius", "arc_fraction"):
         if name in data:
-            kwargs[name] = _number(name, data[name], float)
+            # A null radius keeps the scene's own radii.
+            kwargs[name] = (None if name == "radius" and data[name] is None
+                            else read_numbers(data[name], f"config field {name!r}"))
     for name in ("samples", "images_per_location", "contour_samples", "seed"):
         if name in data:
-            kwargs[name] = _number(name, data[name], int)
+            kwargs[name] = read_numbers(data[name], f"config field {name!r}", kind=int)
     if "scenario" in data:
         kwargs["scenario"] = data["scenario"]
     if "algorithms" in data:
         if not isinstance(data["algorithms"], list):
-            raise InvalidConfigError(
-                f"config field 'algorithms' must be a list, got {data['algorithms']!r}")
+            raise InvalidConfigError("config field 'algorithms' must be a list")
         kwargs["algorithms"] = tuple(data["algorithms"])
     return ExperimentConfig(**kwargs)
 

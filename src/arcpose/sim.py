@@ -17,6 +17,7 @@ and stay pairwise comparable. Visibility is always classified on the clean
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,7 +373,47 @@ def capture_observation(
     )
 
 
-# --- scene (de)serialization ----------------------------------------------------
+# --- (de)serialization ------------------------------------------------------------
+# The readers of every input file (scene, intrinsics, observations, config) take
+# its objects through `read_object` and its numbers through `read_numbers`.
+
+def read_object(data, fields, what: str) -> dict:
+    """`data` as a JSON object with no field outside `fields` (fail fast on
+    typos); raises InvalidConfigError naming `what` otherwise."""
+    if not isinstance(data, dict):
+        raise InvalidConfigError(f"{what} must be a JSON object")
+    unknown = data.keys() - set(fields)
+    if unknown:
+        raise InvalidConfigError(f"{what}: unknown fields {sorted(unknown)}")
+    return data
+
+
+def read_numbers(value, what: str, shape=(), kind=float):
+    """A finite JSON number or, with a `shape` (None for any length), an
+    array of them, as `kind`: a Python float or int, or an array of that
+    dtype; an int takes only JSON integers. Raises InvalidConfigError naming
+    `what` for a boolean, string or null, a list of them, a ragged list or
+    another shape. An array is read with one `np.asarray` and a dtype-kind
+    check, with no Python loop over a contour's points."""
+    noun = "JSON integer" if kind is int else "finite JSON number"
+    if not shape:  # Python's checks cost a tenth of NumPy's on one number
+        if (isinstance(value, bool)
+                or not isinstance(value, int if kind is int else (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise InvalidConfigError(f"{what} must be a {noun}")
+        return kind(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = np.asarray(None)
+    if (arr.dtype.kind not in ("iu" if kind is int else "iuf")
+            or arr.ndim != len(shape)
+            or any(n not in (None, m) for n, m in zip(shape, arr.shape))
+            or not np.isfinite(arr).all()):
+        dims = ", ".join("N" if n is None else str(n) for n in shape)
+        raise InvalidConfigError(f"{what} must be a ({dims}) array of {noun}s")
+    return arr.astype(kind, copy=False)
+
 
 def scene_to_dict(scene: Scene) -> dict:
     return {
@@ -390,45 +431,42 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def intrinsics_from_dict(data: dict) -> CameraIntrinsics:
-    """Parse an intrinsics mapping, rejecting unknown fields by name."""
-    if not isinstance(data, dict):
-        raise InvalidConfigError("intrinsics must be a JSON object")
-    extra = set(data) - {"f", "dx", "dy", "u0", "v0", "width", "height"}
-    if extra:
-        raise InvalidConfigError(f"unknown intrinsics fields: {sorted(extra)}")
+    """Parse an intrinsics mapping; width and height are integers."""
+    fields = ("f", "dx", "dy", "u0", "v0", "width", "height")
+    read_object(data, fields, "intrinsics")
+    values = [read_numbers(data.get(name), f"intrinsics {name}",
+                           kind=int if name in ("width", "height") else float)
+              for name in fields]
     try:
-        return CameraIntrinsics(**data)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"bad intrinsics: {exc}") from exc
+        return CameraIntrinsics(*values)
+    except ValueError as exc:
+        raise InvalidConfigError(f"intrinsics: {exc}") from exc
 
 
 def scene_from_dict(data: dict) -> Scene:
-    """Parse a scene mapping, rejecting unknown fields (fail fast on typos)."""
-    if not isinstance(data, dict):
-        raise InvalidConfigError("scene must be a JSON object")
-    unknown = set(data) - {"schema_version", "room", "luminaires"}
-    if unknown:
-        raise InvalidConfigError(f"unknown scene fields: {sorted(unknown)}")
-    if data.get("schema_version") != SCENE_SCHEMA_VERSION:
-        raise InvalidConfigError(
-            f"unsupported scene schema_version {data.get('schema_version')!r}"
-        )
+    """Parse a scene mapping: a room and at least two luminaires with unique
+    ids."""
+    read_object(data, ("schema_version", "room", "luminaires"), "scene")
+    version = read_numbers(data.get("schema_version"), "scene schema_version", kind=int)
+    if version != SCENE_SCHEMA_VERSION:
+        raise InvalidConfigError(f"unsupported scene schema_version {version}")
+    room = tuple(read_numbers(data.get("room"), "scene room", (3,)).tolist())
+    items = data.get("luminaires")
+    if not isinstance(items, list) or len(items) < 2:
+        raise InvalidConfigError("scene luminaires must be a list of at least 2")
+    lums = {}
+    for index, item in enumerate(items):
+        where = f"luminaire {index}"
+        read_object(item, ("id", "center", "radius"), where)
+        lum_id = item.get("id")
+        if not isinstance(lum_id, str):
+            raise InvalidConfigError(f"{where}: id must be a string")
+        if lum_id in lums:
+            raise InvalidConfigError(f"repeated luminaire id {lum_id!r}")
+        where = f"luminaire {index} ({lum_id!r})"
+        lums[lum_id] = (read_numbers(item.get("center"), f"{where}: center", (3,)),
+                        read_numbers(item.get("radius"), f"{where}: radius"))
     try:
-        room = tuple(float(v) for v in data["room"])
-        lums = []
-        for item in data["luminaires"]:
-            extra = set(item) - {"id", "center", "radius"}
-            if extra:
-                raise InvalidConfigError(f"unknown luminaire fields: {sorted(extra)}")
-            lums.append(
-                LuminaireInfo(
-                    id=str(item["id"]),
-                    center_w=np.array([float(v) for v in item["center"]]),
-                    radius=float(item["radius"]),
-                )
-            )
-        return Scene(room=room, luminaires=tuple(lums))
-    except InvalidConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"bad scene file: {exc}") from exc
+        return Scene(room, tuple(LuminaireInfo(i, *parts) for i, parts in lums.items()))
+    except ValueError as exc:
+        raise InvalidConfigError(f"scene: {exc}") from exc

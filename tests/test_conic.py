@@ -89,6 +89,12 @@ def test_fit_rejects_collinear_points():
         fit_ellipse(np.stack([x, 2 * x + 0.1], axis=-1))
 
 
+def test_fit_rejects_points_that_overflow():
+    # Squaring coordinates this large once overflowed with only a warning.
+    with pytest.raises(DegenerateConicError, match="overflow"):
+        fit_ellipse(circle_points_2d(0.0, 0.0, 1e300))
+
+
 def test_fit_exact_on_partial_arc():
     full = fit_ellipse(circle_points_2d(0.1, 0.05, 0.4, n=360))
     arc = fit_ellipse(circle_points_2d(0.1, 0.05, 0.4, n=360)[40:155])
