@@ -203,9 +203,8 @@ def rot_z(psi: float) -> np.ndarray:
 def rotation_from_angles(phi: float, theta: float, psi: float) -> np.ndarray:
     """Rz(psi) @ Ry(theta) @ Rx(phi) for angles in radians, unvalidated.
 
-    The one scalar builder of this composition: `euler_to_rotation`, the pose
-    sampler and the PnP baseline all call it, so their rotations agree to the
-    last bit.
+    The one scalar builder of this composition: `euler_to_rotation` and the
+    pose sampler both call it, so their rotations agree to the last bit.
     """
     return rot_z(psi) @ rot_y(theta) @ rot_x(phi)
 

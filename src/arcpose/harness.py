@@ -58,7 +58,7 @@ from .solver import (
     Observation,
     pair_inputs,
     pair_observations,
-    pnp_baseline,
+    pnp_solve,
     solve_pairs,
 )
 
@@ -68,11 +68,12 @@ CONFIG_SCHEMA_VERSION = 1
 PERCENTILES = (50, 78, 86, 90, 95, 97)
 DEFAULT_CDF_GRID = np.round(np.linspace(0.0, 0.5, 101), 6)
 
-# Samples whose poses `run_monte_carlo` draws together, and pair rows it
-# hands one `solve_pairs` call. Neither changes a record: each sample draws
-# from its own generator and each kernel row is solved on its own. Blocks
-# amortize the rejection sampler's per-round work; slices bound the kernel's
-# temporaries (about 1 KB a row) whatever the run length.
+# Samples whose poses `run_monte_carlo` draws together, and rows it hands
+# one `solve_pairs` or `pnp_solve` call. Neither changes a record: each
+# sample draws from its own generator and each kernel row is solved on its
+# own. Blocks amortize the rejection sampler's per-round work; slices bound
+# the kernels' temporaries (about 1 KB a pair row, 20 KB a PnP row) whatever
+# the run length.
 POSE_BLOCK = 24
 SOLVE_SLICE = 1024
 
@@ -260,23 +261,25 @@ class SummaryStats:
 
 # --- the runner ------------------------------------------------------------------
 
-def _pnp_correspondences(observations, lum_map) -> list[tuple]:
-    """Four world/pixel pairs taken evenly from the two arcs (two per arc).
+def _pnp_inputs(observations, lum_map) -> dict:
+    """The `pnp_solve` inputs (all but `k`) of one sample, as one-row arrays:
+    four world points and their pixels, taken evenly from the two arcs (two
+    per arc).
 
     The second arc's sample phase is shifted by an eighth of a turn;
     otherwise two complete circles would contribute two parallel diameters,
     which degenerate to four collinear points when the luminaire centers
     happen to be axis-aligned.
     """
-    pairs = []
+    world, pixels = [], []
     for j, obs in enumerate(observations[:2]):
         lum = lum_map[obs.luminaire_id]
         n = obs.arc_length
         shift = j * (n // 8)
         for idx in ((n // 4 + shift) % n, (3 * n // 4 + shift) % n):
-            world = lum.circle_points(obs.contour_angles[idx])[0]
-            pairs.append((world, obs.contour_pixels[idx]))
-    return pairs
+            world.append(lum.circle_points(obs.contour_angles[idx])[0])
+            pixels.append(obs.contour_pixels[idx])
+    return dict(world=np.array([world]), pixels=np.array([pixels]))
 
 
 def _euler_or_nan(rotation) -> tuple[float, float, float]:
@@ -293,11 +296,11 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     Two phases. Per block of `POSE_BLOCK` samples, draw the poses together
     (each from its own generator, which also draws that sample's noise);
     then per sample capture and fit the ellipses on the projection the pose
-    was accepted on, and keep, per geometric algorithm, the compact
-    `pair_inputs` row of the pair it solves (PNP solves there, from the
-    contour points). Then `solve_pairs` takes every row of the run from
-    ellipse coefficients to pose, `SOLVE_SLICE` rows per call. Records come
-    out by sample, then in `cfg.algorithms` order.
+    was accepted on, and keep, per algorithm, the compact row its kernel
+    solves: the `pair_inputs` of the pair a geometric algorithm solves, or
+    PNP's four contour correspondences. Then `solve_pairs` and `pnp_solve`
+    take every row of the run to a pose, `SOLVE_SLICE` rows per call.
+    Records come out by sample, then in `cfg.algorithms` order.
 
     Solver failures never abort the run: the record carries the error class
     name and no metrics. Pose-sampling exhaustion does propagate, since a
@@ -313,8 +316,9 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     k = cfg.intrinsics
 
     samples: list[list] = []  # per sample, its records in algorithm order
-    jobs = []  # (sample, slot, algorithm) of each batch row
-    batch = {}  # the jobs' pair_inputs rows, one array per input
+    # Per kernel, the (sample, slot, algorithm) of each row and the rows'
+    # inputs, one array per argument.
+    kernels = {solve_pairs: ([], {}), pnp_solve: ([], {})}
     for start in range(0, cfg.samples, POSE_BLOCK):
         indices = range(start, min(start + POSE_BLOCK, cfg.samples))
         rngs = [np.random.default_rng([cfg.seed, index]) for index in indices]
@@ -332,33 +336,39 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             for slot, alg in enumerate(cfg.algorithms):
                 first, second = (0, 1) if alg == "OAVPA" else pair
                 vpca = alg != "OAVPA" and obs[first].complete
-                if alg == "PNP":
-                    records[slot] = _solve_pnp(sample, obs, lum_map, k)
-                elif alg == "VPCA" and not vpca:
+                if alg == "VPCA" and not vpca:
                     records[slot] = _failed(sample, alg, ValueError(
                         "no complete capture for the circle-and-arc solver"))
+                    continue
+                if alg == "PNP":
+                    kernel, row = pnp_solve, _pnp_inputs(obs, lum_map)
                 else:
+                    kernel = solve_pairs
                     row = pair_inputs(obs[first], obs[second], lum_map, k, vpca)
-                    for key, value in row.items():
-                        if key not in batch:
-                            shape = (cfg.samples * len(cfg.algorithms),) + value.shape[1:]
-                            batch[key] = np.empty(shape, value.dtype)
-                        batch[key][len(jobs)] = value[0]
-                    jobs.append((sample, slot, alg))
+                jobs, batch = kernels[kernel]
+                for key, value in row.items():
+                    if key not in batch:
+                        shape = (cfg.samples * len(cfg.algorithms),) + value.shape[1:]
+                        batch[key] = np.empty(shape, value.dtype)
+                    batch[key][len(jobs)] = value[0]
+                jobs.append((sample, slot, alg))
         # The block's projections go before the next block is drawn.
         del drawn, sampled
 
-    for first in range(0, len(jobs), SOLVE_SLICE):
-        rows = slice(first, min(first + SOLVE_SLICE, len(jobs)))
-        sol = solve_pairs(**{key: v[rows] for key, v in batch.items()}, f=k.f)
-        for j, (sample, slot, alg) in enumerate(jobs[rows]):
-            error = sol.error(j)
-            tag = "VPCA" if batch["vpca"][first + j] else "OAVPA"
-            samples[sample.index][slot] = (
-                _failed(sample, alg, error) if error is not None
-                else _solved(sample, alg, tag, Pose(rotation=sol.rotation[j],
-                                                    translation=sol.translation[j]))
-            )
+    for kernel, (jobs, batch) in kernels.items():
+        for first in range(0, len(jobs), SOLVE_SLICE):
+            rows = slice(first, min(first + SOLVE_SLICE, len(jobs)))
+            args = {key: v[rows] for key, v in batch.items()}
+            sol = kernel(**args, f=k.f) if kernel is solve_pairs else kernel(**args, k=k)
+            for j, (sample, slot, alg) in enumerate(jobs[rows]):
+                error = sol.error(j)
+                tag = ("PNP" if kernel is pnp_solve
+                       else "VPCA" if args["vpca"][j] else "OAVPA")
+                samples[sample.index][slot] = (
+                    _failed(sample, alg, error) if error is not None
+                    else _solved(sample, alg, tag, Pose(rotation=sol.rotation[j],
+                                                        translation=sol.translation[j]))
+                )
     return [r for records in samples for r in records]
 
 
@@ -408,14 +418,6 @@ def _solved(sample: _Sample, alg, tag, pose) -> ResultRecord:
         e_pos=e_pos(truth.rotation, pose.rotation),
         attempts=sample.attempts,
     )
-
-
-def _solve_pnp(sample: _Sample, observations, lum_map, k) -> ResultRecord:
-    try:
-        estimate = pnp_baseline(_pnp_correspondences(observations, lum_map), k)
-    except (ArcPoseError, ValueError, np.linalg.LinAlgError) as exc:
-        return _failed(sample, "PNP", exc)
-    return _solved(sample, "PNP", estimate.algorithm, estimate.pose)
 
 
 # --- aggregation -----------------------------------------------------------------

@@ -15,7 +15,10 @@ Two geometric solvers plus a dispatcher and a generic baseline:
 Both geometric solvers are one array kernel, `solve_pairs`, which takes N
 luminaire pairs from ellipse coefficients to poses at once; the Monte Carlo
 harness runs a whole experiment through it, and `solve_vpca`, `solve_oavpa`
-and `solve_vpa` call it with a batch of one.
+and `solve_vpa` call it with a batch of one. The baseline is a second array
+kernel, `pnp_solve`, which runs Gauss-Newton on N correspondence sets at
+once; the harness runs every PNP sample of an experiment through it, and
+`pnp_baseline` calls it with a batch of one.
 
 World knowledge (luminaire centers, radii, mark orientation) arrives with the
 observation ids, the way an optical broadcast channel would deliver it.
@@ -59,10 +62,6 @@ from .frames import (
     _wrap_angle,
     angles_from_rotation,
     pixel_to_image,
-    rot_x,
-    rot_y,
-    rot_z,
-    rotation_from_angles,
 )
 
 DISAMBIGUATION_TIE_TOL = 1e-6
@@ -250,14 +249,15 @@ def heading(g, h, phi, theta):
 
 
 def _rotations(phi, theta, cos_sin) -> np.ndarray:
-    """Rz(psi) @ Ry(theta) @ Rx(phi) (N, 3, 3), psi given by its cosine and
+    """Rz(psi) @ Ry(theta) @ Rx(phi) (..., 3, 3), psi given by its cosine and
     sine."""
     (sx, sy), (cx, cy), (cz, sz) = np.sin([phi, theta]), np.cos([phi, theta]), cos_sin
     # The first two rows are Rz's 2x2 block times those of Ry @ Rx.
     ryx = np.array([[cy, sy * sx, sy * cx], [np.zeros_like(cx), cx, -sx]])
     top = (np.array([[cz, -sz], [sz, cz]])[:, :, None] * ryx).sum(axis=1)
     bottom = np.array([-sy, cy * sx, cy * cx])
-    return np.concatenate([top, bottom[None]]).transpose(2, 0, 1)
+    r = np.concatenate([top, bottom[None]])
+    return r.transpose(*range(2, r.ndim), 0, 1)
 
 
 def translation_two_points(pw1, pc1, pw2, pc2, r: np.ndarray) -> np.ndarray:
@@ -292,19 +292,11 @@ PAIR_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class PairSolutions:
-    """Poses of N luminaire pairs, one row per pair. `failure` indexes the
-    PAIR_CHECKS entry a row failed (-1: solved; the other fields of a failed
-    row mean nothing); `chosen_k` holds the section slope picked for each
-    observation; `psi_residual` is NaN on arcs-only rows."""
+class _KernelRows:
+    """Read-only per-row arrays of a batched solver, whose `failure` column
+    indexes the `CHECKS` entry each row failed (-1: solved)."""
 
-    rotation: np.ndarray
-    translation: np.ndarray
-    gap: np.ndarray
-    chosen_k: np.ndarray
-    psi_residual: np.ndarray
-    failure: np.ndarray
+    CHECKS: tuple = ()
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -314,8 +306,24 @@ class PairSolutions:
         code = self.failure[row]
         if code < 0:
             return None
-        cls, message = PAIR_CHECKS[code]
+        cls, message = self.CHECKS[code]
         return cls(message)
+
+
+@dataclass(frozen=True)
+class PairSolutions(_KernelRows):
+    """Poses of N luminaire pairs, one row per pair. `failure` indexes the
+    PAIR_CHECKS entry a row failed (-1: solved; the other fields of a failed
+    row mean nothing); `chosen_k` holds the section slope picked for each
+    observation; `psi_residual` is NaN on arcs-only rows."""
+
+    CHECKS = PAIR_CHECKS
+    rotation: np.ndarray
+    translation: np.ndarray
+    gap: np.ndarray
+    chosen_k: np.ndarray
+    psi_residual: np.ndarray
+    failure: np.ndarray
 
 
 def solve_pairs(coeffs, points, centers, marks, radius, vpca, f: float) -> PairSolutions:
@@ -502,195 +510,333 @@ def solve_vpa(
     return solve(observations[first], observations[second], lums, k)
 
 
-# --- point-correspondence baseline ------------------------------------------------
+# --- point-correspondence baseline: N problems at once --------------------------
 
-def _pnp_residuals(
-    x: np.ndarray, world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics
-) -> np.ndarray:
-    """Stacked pixel reprojection errors for pose parameters (angles, t)."""
-    r = rotation_from_angles(x[0], x[1], x[2])
-    cam = (world - x[3:6]) @ r
-    z = np.maximum(cam[:, 2], 1e-6)  # keep residuals finite behind the camera
-    u = (k.f * cam[:, 0] / z) / k.dx + k.u0
-    v = (k.f * cam[:, 1] / z) / k.dy + k.v0
-    return np.concatenate([u - pixels[:, 0], v - pixels[:, 1]])
+# Every check of `pnp_solve`, in the order it runs them; a row fails with the
+# first check it does not pass.
+PNP_CHECKS = (
+    (ValueError, "need at least 4 correspondences"),
+    (ValueError, "correspondences are not finite"),
+    (ValueError, "world points are collinear"),
+    (NonConvergenceError, f"PnP residual exceeds {PNP_FAIL_RMS:g} px after restarts"),
+)
+
+# Gauss-Newton tries each step at full length and then halved, 12 lengths in
+# all, and stops at a step norm under 1e-10 or after 100 iterations.
+_STEP_SCALES = np.ldexp(1.0, -np.arange(12))
+_STEP_TOL = 1e-10
+_MAX_ITERATIONS = 100
+# A row's attempt slots, in the order they rank on a tie: the upright init,
+# the homography init, then the upright init with its heading turned by +90,
+# +180 and +270 degrees.
+_RESTART_PSI = np.array([_wrap_angle(0.5 * math.pi * turn) for turn in (1, 2, 3)])
+_ATTEMPTS = 2 + len(_RESTART_PSI)
 
 
-def _pnp_jacobian(
-    x: np.ndarray, world: np.ndarray, k: CameraIntrinsics
-) -> np.ndarray:
-    """Analytic Jacobian of `_pnp_residuals` with respect to (phi, theta, psi, t).
+@dataclass(frozen=True)
+class PnpSolutions(_KernelRows):
+    """Poses of N point-correspondence problems, one row per problem.
+    `failure` indexes the PNP_CHECKS entry a row failed (-1: solved; rows
+    that fail before Gauss-Newton runs hold NaN, 0 and False). `rms_px` is
+    the reprojection RMS of the attempt kept, `iterations` its Gauss-Newton
+    iterations and `above_plane` whether it puts the camera at or above the
+    lowest world point."""
 
-    Chain rule through R = Rz(psi) Ry(theta) Rx(phi), cam = (world - t) @ R
-    (so d cam / d t_j is -R[j] for every point) and the pinhole division.
-    Where the depth is clamped behind the camera it is constant, so its
-    derivative term vanishes. See Hartley & Zisserman, Multiple View
-    Geometry, 2nd ed., A6.
+    CHECKS = PNP_CHECKS
+    rotation: np.ndarray
+    translation: np.ndarray
+    rms_px: np.ndarray
+    iterations: np.ndarray
+    above_plane: np.ndarray
+    failure: np.ndarray
+
+
+def _matmul(a, b) -> np.ndarray:
+    """a @ b over an inner dimension of 3, summed in one fixed order, so
+    that no row's result depends on the rows stacked beside it."""
+    return (a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+            + a[..., :, 2, None] * b[..., None, 2, :])
+
+
+def _pnp_rotations(x) -> np.ndarray:
+    """Rz(psi) @ Ry(theta) @ Rx(phi) (..., 3, 3) of pose parameters x (..., 6)."""
+    return _rotations(x[..., 0], x[..., 1], (np.cos(x[..., 2]), np.sin(x[..., 2])))
+
+
+def _camera_frame(x, world):
+    """Rotations R (..., 3, 3) of pose parameters x (..., 6) = (phi, theta,
+    psi, t), and the offsets d = world - t and camera coordinates d @ R
+    (..., P, 3) of world points (..., P, 3)."""
+    r = _pnp_rotations(x)
+    d = world - x[..., None, 3:]
+    return r, d, _matmul(d, r)
+
+
+def _reprojection(cam, pixels, k: CameraIntrinsics) -> np.ndarray:
+    """`pnp_residuals` from the camera coordinates of the world points."""
+    z = np.maximum(cam[..., 2], 1e-6)  # keep residuals finite behind the camera
+    u = (k.f * cam[..., 0] / z) / k.dx + k.u0
+    v = (k.f * cam[..., 1] / z) / k.dy + k.v0
+    return np.concatenate([u - pixels[..., 0], v - pixels[..., 1]], axis=-1)
+
+
+def pnp_residuals(x, world, pixels, k: CameraIntrinsics) -> np.ndarray:
+    """Pixel reprojection errors (..., 2P), every point's u and then every
+    point's v, of world points (..., P, 3) against their pixels (..., P, 2)
+    under pose parameters x (..., 6) = (phi, theta, psi, t)."""
+    return _reprojection(_camera_frame(x, world)[2], pixels, k)
+
+
+def pnp_jacobian(x, world, k: CameraIntrinsics) -> np.ndarray:
+    """Analytic Jacobian (M, 2P, 6) of `pnp_residuals` with respect to
+    (phi, theta, psi, t), for x (M, 6) and world points (M, P, 3)."""
+    return _jacobian(x[:, 2], *_camera_frame(x, world), k)
+
+
+def _jacobian(psi, r, d, cam, k: CameraIntrinsics) -> np.ndarray:
+    """`pnp_jacobian` from the headings (M,) and the `_camera_frame` of x.
+
+    Chain rule through R = Rz(psi) Ry(theta) Rx(phi), cam = d @ R with
+    d = world - t, and the pinhole division. With dR/dphi = R [e_x]x,
+    dR/dtheta = [Rz e_y]x R and dR/dpsi = [e_z]x R, d cam / d phi is
+    (0, cam_z, -cam_y), d cam / d theta is (-d_z c, -d_z s, d_x c + d_y s) @ R
+    for (c, s) = (cos psi, sin psi), d cam / d psi is (d_y, -d_x, 0) @ R and
+    d cam / d t_j is -R[j] for every point. Where the depth is clamped behind
+    the camera it is constant, so its derivative term vanishes. See Hartley &
+    Zisserman, Multiple View Geometry, 2nd ed., A6.
     """
-    rx, ry, rz = rot_x(x[0]), rot_y(x[1]), rot_z(x[2])
-    sp, cp = math.sin(x[0]), math.cos(x[0])
-    st, ct = math.sin(x[1]), math.cos(x[1])
-    ss, cs = math.sin(x[2]), math.cos(x[2])
-    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sp, -cp], [0.0, cp, -sp]])
-    dry = np.array([[-st, 0.0, ct], [0.0, 0.0, 0.0], [-ct, 0.0, -st]])
-    drz = np.array([[-ss, -cs, 0.0], [cs, -ss, 0.0], [0.0, 0.0, 0.0]])
-    rzy = rz @ ry
-    r = rzy @ rx
-    dr = np.stack([rzy @ drx, rz @ dry @ rx, drz @ ry @ rx])
-
-    d = world - x[3:6]
-    cam = d @ r
-    # dcam[p, i]: derivative of point i's camera coordinates by parameter p.
-    dcam = np.empty((6, len(d), 3))
-    dcam[:3] = d @ dr
-    dcam[3:] = -r[:, None, :]
-    live = cam[:, 2] > 1e-6
-    z = np.where(live, cam[:, 2], 1e-6)[:, None]
-    dz = dcam[:, :, 2:] * live[:, None]
-    duv = (dcam[:, :, :2] - cam[:, :2] / z * dz) / z * (k.f / np.array([k.dx, k.dy]))
-    # (param, point, u/v) -> rows u_0..u_n-1, v_0..v_n-1 as in _pnp_residuals.
-    return duv.transpose(2, 1, 0).reshape(-1, 6)
+    c, s = np.cos(psi)[:, None, None], np.sin(psi)[:, None, None]
+    r0, r1, r2 = r[:, None, 0], r[:, None, 1], r[:, None, 2]
+    d0, d1, d2 = d[..., 0, None], d[..., 1, None], d[..., 2, None]
+    dcam = np.empty((len(r), 6) + cam.shape[1:])  # (M, parameter, point, xyz)
+    dcam[:, 0, :, 0] = 0.0
+    dcam[:, 0, :, 1] = cam[..., 2]
+    dcam[:, 0, :, 2] = -cam[..., 1]
+    dcam[:, 1] = (d0 * c + d1 * s) * r2 - d2 * (c * r0 + s * r1)
+    dcam[:, 2] = d1 * r0 - d0 * r1
+    dcam[:, 3:] = -r[:, :, None]
+    live = cam[:, None, :, 2:] > 1e-6
+    z = np.where(live, cam[:, None, :, 2:], 1e-6)
+    duv = (dcam[..., :2] - cam[:, None, :, :2] / z * (dcam[..., 2:] * live)) / z
+    duv *= k.f / np.array([k.dx, k.dy])
+    return duv.transpose(0, 3, 2, 1).reshape(len(r), -1, 6)
 
 
-def _gauss_newton(
-    x0: np.ndarray, world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics,
-) -> tuple[np.ndarray, float, int]:
-    """Plain Gauss-Newton with the analytic reprojection Jacobian, stopping
-    at step norm < 1e-10 or 100 iterations.
+def _lstsq_steps(jac, res) -> np.ndarray:
+    """The steps (M, 6) that `np.linalg.lstsq(jac[i], -res[i])` returns, from
+    one batched SVD: singular values at or below eps * max(2P, 6) times the
+    largest count as zero."""
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
+    coef = np.divide(-(u * res[:, :, None]).sum(axis=1), s, out=np.zeros_like(s),
+                     where=keep)
+    return (vt * coef[:, :, None]).sum(axis=1)
 
-    Returns (parameters, final cost, iterations). Steps that increase the
-    cost are halved a few times before giving up on the iteration.
+
+def _homography_inits(pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
+    """Closed-form pose candidates (M, 6) for coplanar world points, and which
+    rows have one.
+
+    Fits each row's plane-to-image homography by DLT (one (M, 2P, 9) SVD) and
+    decomposes it into a rotation and translation (cheirality fixed so the
+    plane sits in front of the camera). A row has no candidate when its
+    points are not coplanar enough or the decomposition degenerates; a
+    candidate seeds Gauss-Newton, nothing more. `centered` holds the world
+    points less their `centroid`, `svals` and `vt` its SVD.
     """
-    x = np.array(x0, dtype=float)
-    res = _pnp_residuals(x, world, pixels, k)
-    cost = float(res @ res)
-    iterations = 0
-    for iterations in range(1, 101):
-        jac = _pnp_jacobian(x, world, k)
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        alpha = 1.0
-        improved = False
-        for _ in range(12):
-            x_try = x + alpha * step
-            res_try = _pnp_residuals(x_try, world, pixels, k)
-            cost_try = float(res_try @ res_try)
-            if np.isfinite(cost_try) and cost_try <= cost:
-                x, res, cost = x_try, res_try, cost_try
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            break
-        if np.linalg.norm(alpha * step) < 1e-10:
-            break
-    return x, cost, iterations
+    m, p = pixels.shape[:2]
+    ex, ey = vt[:, 0], vt[:, 1]
+    sx = _matmul(centered, ex[:, :, None])[..., 0]
+    sy = _matmul(centered, ey[:, :, None])[..., 0]
+    mx = (pixels[..., 0] - k.u0) * k.dx / k.f
+    my = (pixels[..., 1] - k.v0) * k.dy / k.f
+    zero, one = np.zeros_like(sx), np.ones_like(sx)
+    dlt = np.stack([
+        np.stack([sx, sy, one, zero, zero, zero, -mx * sx, -mx * sy, -mx], axis=-1),
+        np.stack([zero, zero, zero, sx, sy, one, -my * sx, -my * sy, -my], axis=-1),
+    ], axis=2).reshape(m, 2 * p, 9)
+    h = np.linalg.svd(dlt)[2][:, -1].reshape(m, 3, 3)
 
-
-def _homography_init(
-    world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics
-) -> np.ndarray | None:
-    """Closed-form pose candidate for coplanar world points.
-
-    Fits the plane-to-image homography by DLT and decomposes it into a
-    rotation and translation (cheirality fixed so the plane sits in front of
-    the camera). Returns None when the points are not coplanar enough or the
-    decomposition degenerates; the result seeds Gauss-Newton, nothing more.
-    """
-    p0 = world.mean(axis=0)
-    centered = world - p0
-    _, svals, vt = np.linalg.svd(centered)
-    if svals[2] > 1e-6 * svals[0]:
-        return None  # not coplanar
-    ex, ey, _ = vt
-    s = np.column_stack([centered @ ex, centered @ ey])
-
-    m = np.column_stack([
-        (pixels[:, 0] - k.u0) * k.dx / k.f,
-        (pixels[:, 1] - k.v0) * k.dy / k.f,
-    ])
-    rows = []
-    for (sx, sy), (mx, my) in zip(s, m):
-        rows.append([sx, sy, 1, 0, 0, 0, -mx * sx, -mx * sy, -mx])
-        rows.append([0, 0, 0, sx, sy, 1, -my * sx, -my * sy, -my])
-    _, _, vh = np.linalg.svd(np.asarray(rows, dtype=float))
-    h = vh[-1].reshape(3, 3)
-
-    scale = 0.5 * (np.linalg.norm(h[:, 0]) + np.linalg.norm(h[:, 1]))
-    if scale < 1e-12:
-        return None
-    h = h / scale
-    if h[2, 2] < 0:
-        h = -h  # plane origin must be in front of the camera
-    a, b = h[:, 0], h[:, 1]
-    q = np.column_stack([a, b, np.cross(a, b)])
-    u, _, vh_q = np.linalg.svd(q)
-    q = u @ vh_q
-    if np.linalg.det(q) < 0:
-        q = u @ np.diag([1.0, 1.0, -1.0]) @ vh_q
+    norms = np.sqrt(h[:, 0] ** 2 + h[:, 1] ** 2 + h[:, 2] ** 2)
+    scale = 0.5 * (norms[:, 0] + norms[:, 1])
+    has = (svals[:, 2] <= 1e-6 * svals[:, 0]) & (scale >= 1e-12)
+    h = h / np.where(has, scale, 1.0)[:, None, None]
+    h = np.where(h[:, 2:, 2:] < 0, -h, h)  # plane origin must be in front of the camera
+    a, b = h[:, :, 0], h[:, :, 1]
+    u, _, vh = np.linalg.svd(np.stack([a, b, np.cross(a, b)], axis=-1))
+    vh[:, 2] *= np.where(np.linalg.det(_matmul(u, vh)) < 0, -1.0, 1.0)[:, None]
+    q = _matmul(u, vh)
     # q = R^T @ [ex ey n]; recover the camera rotation and position.
-    basis = np.column_stack([ex, ey, np.cross(ex, ey)])
-    rotation = basis @ q.T
-    t_pose = p0 - rotation @ h[:, 2]
-    return np.concatenate([angles_from_rotation(rotation), t_pose])
+    basis = np.stack([ex, ey, np.cross(ex, ey)], axis=-1)
+    rotation = _matmul(basis, q.transpose(0, 2, 1))
+    t_pose = centroid - _matmul(rotation, h[:, :, 2:])[..., 0]
+    x0 = np.concatenate([[angles_from_rotation(r) for r in rotation], t_pose], axis=1)
+    return x0, has & np.isfinite(x0).all(axis=1)
+
+
+def _best_attempts(x_at, cost_at, ran, ceiling):
+    """Each row's best attempt slot among those run, ranked by (camera at or
+    above the plane, cost) with ties to the earlier slot, and its plane
+    flag."""
+    above = x_at[..., 5] >= ceiling[:, None]
+    lane = np.arange(len(ran))
+    best = np.zeros(len(ran), dtype=int)
+    for slot in range(1, _ATTEMPTS):
+        b_above, b_cost = above[lane, best], cost_at[lane, best]
+        better = ran[:, slot] & ((above[:, slot] < b_above) | (
+            (above[:, slot] == b_above) & (cost_at[:, slot] < b_cost)))
+        best[better] = slot
+    return best, above[lane, best]
+
+
+def _lanes(row, slot, x, world, pixels, k: CameraIntrinsics) -> dict:
+    """New Gauss-Newton lanes: attempt `slot` of row `row`, from parameters
+    x (L, 6), with the world points and pixels of those rows."""
+    r, d, cam = _camera_frame(x, world)
+    res = _reprojection(cam, pixels, k)
+    return dict(row=row, slot=slot, world=world, pixels=pixels, x=x, r=r, d=d,
+                cam=cam, res=res, cost=(res * res).sum(axis=1),
+                iters=np.zeros(len(row), dtype=int))
+
+
+def _refine(world, pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
+    """Gauss-Newton over every attempt of M rows; returns the parameters
+    (M, 6), cost, iterations and plane flag of each row's best attempt.
+
+    Each attempt runs as one lane of an active set. Both inits start at
+    once; when a row has no lane left and its best attempt so far is above
+    the plane or has an RMS over `PNP_RESTART_RMS`, its next heading restart
+    starts in the next iteration.
+    """
+    m, p = world.shape[:2]
+    base = np.zeros((m, 6))
+    base[:, 3:] = centroid
+    base[:, 5] -= 2.0
+    h_init, has_h = _homography_inits(pixels, centroid, centered, svals, vt, k)
+    ceiling = world[:, :, 2].min(axis=1)
+    x_at = np.zeros((m, _ATTEMPTS, 6))
+    cost_at = np.full((m, _ATTEMPTS), np.inf)
+    iters_at = np.zeros((m, _ATTEMPTS), dtype=int)
+    ran = np.zeros((m, _ATTEMPTS), dtype=bool)
+
+    row = np.concatenate([np.arange(m), np.flatnonzero(has_h)])
+    lanes = _lanes(row, np.repeat([0, 1], [m, len(row) - m]),
+                   np.concatenate([base, h_init[has_h]]), world[row], pixels[row], k)
+    while len(lanes["row"]):
+        x, cost = lanes["x"], lanes["cost"]
+        step = _lstsq_steps(
+            _jacobian(x[:, 2], lanes["r"], lanes["d"], lanes["cam"], k), lanes["res"])
+        # Every step length at once; the longest that does not raise the cost wins.
+        trial = x[:, None] + _STEP_SCALES[:, None] * step[:, None]
+        r, d, cam = _camera_frame(trial, lanes["world"][:, None])
+        res = _reprojection(cam, lanes["pixels"][:, None], k)
+        trial_cost = (res * res).sum(axis=2)
+        ok = np.isfinite(trial_cost) & (trial_cost <= cost[:, None])
+        pick = np.arange(len(ok)), ok.argmax(axis=1)
+        improved = ok[pick]
+        moved = _STEP_SCALES[pick[1], None] * step
+        iters = lanes["iters"] + 1
+        # A lane that did not improve ends here, so only its x and cost matter.
+        lanes.update(x=np.where(improved[:, None], trial[pick], x),
+                     cost=np.where(improved, trial_cost[pick], cost),
+                     r=r[pick], d=d[pick], cam=cam[pick], res=res[pick], iters=iters)
+        done = (~improved | (np.sqrt((moved * moved).sum(axis=1)) < _STEP_TOL)
+                | (iters == _MAX_ITERATIONS))
+        if not done.any():
+            continue
+        at = lanes["row"][done], lanes["slot"][done]
+        x_at[at], cost_at[at], iters_at[at] = lanes["x"][done], lanes["cost"][done], iters[done]
+        ran[at] = True
+        lanes = {key: value[~done] for key, value in lanes.items()}
+        ended = np.setdiff1d(at[0], lanes["row"])
+        if not len(ended):
+            continue
+        best, above = _best_attempts(x_at[ended], cost_at[ended], ran[ended],
+                                     ceiling[ended])
+        rms = np.sqrt(cost_at[ended, best] / (2 * p))
+        following = 2 + ran[ended, 2:].sum(axis=1)
+        retry = (above | ~(rms <= PNP_RESTART_RMS)) & (following < _ATTEMPTS)
+        if retry.any():
+            row, slot = ended[retry], following[retry]
+            x0 = base[row]
+            x0[:, 2] = _RESTART_PSI[slot - 2]
+            new = _lanes(row, slot, x0, world[row], pixels[row], k)
+            lanes = {key: np.concatenate([value, new[key]]) for key, value in lanes.items()}
+
+    best, above = _best_attempts(x_at, cost_at, ran, ceiling)
+    lane = np.arange(m)
+    return x_at[lane, best], cost_at[lane, best], iters_at[lane, best], above
+
+
+def pnp_solve(world, pixels, k: CameraIntrinsics) -> PnpSolutions:
+    """Gauss-Newton camera poses of N point-correspondence problems at once.
+
+    Row i minimizes the summed squared pixel reprojection error of world
+    points world[i] (P, 3) against their pixels pixels[i] (P, 2) over the six
+    pose parameters, stopping at step norm < 1e-10 or 100 iterations. Each
+    row refines the upright pose 2 m under the centroid of its points
+    (deliberately ignorant of the true pose) and, for coplanar points, a
+    closed-form homography pose: the upright init alone strands Gauss-Newton
+    in spurious local minima for strongly tilted views. Planar targets also
+    admit a mirror pose on the far side of the target plane; the camera is
+    below the luminaires, so attempts below the plane win over those above
+    it regardless of residual, then the lower cost wins, then the earlier
+    attempt. The heading is the least observable parameter from a ceiling
+    view, so while a row's best is above the plane or has an RMS above
+    `PNP_RESTART_RMS` pixels, it retries from the upright pose with its
+    heading turned by 90, 180 and 270 degrees in turn. A row whose best RMS
+    still exceeds `PNP_FAIL_RMS` fails.
+
+    A row that fails a check leaves the other rows as they are, and each row
+    is solved on its own: its result is the same, bit for bit, in a batch of
+    any size.
+    """
+    world = np.asarray(world, dtype=float)
+    pixels = np.asarray(pixels, dtype=float)
+    n, p = world.shape[:2]
+    finite = np.isfinite(world).all(axis=(1, 2)) & np.isfinite(pixels).all(axis=(1, 2))
+    # A NaN would make every batched SVD raise, so bad rows are zeroed first.
+    world = np.where(finite[:, None, None], world, 0.0)
+    pixels = np.where(finite[:, None, None], pixels, 0.0)
+    collinear = np.ones(n, dtype=bool)  # with fewer than 4 points no row is solved
+    if p >= 4:
+        centroid = world.mean(axis=1)
+        centered = world - centroid[:, None]
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        collinear = svals[:, 1] <= 1e-9 * np.maximum(svals[:, 0], 1.0)
+
+    x = np.full((n, 6), np.nan)
+    rms = np.full(n, np.nan)
+    iterations = np.zeros(n, dtype=int)
+    above = np.zeros(n, dtype=bool)
+    rows = np.flatnonzero(finite & ~collinear)
+    if len(rows):
+        x[rows], cost, iterations[rows], above[rows] = _refine(
+            world[rows], pixels[rows], centroid[rows], centered[rows], svals[rows],
+            vt[rows], k)
+        rms[rows] = np.sqrt(cost / (2 * p))
+    checks = np.array([np.full(n, p < 4), ~finite, collinear, ~(rms <= PNP_FAIL_RMS)])
+    return PnpSolutions(
+        rotation=_pnp_rotations(x), translation=x[:, 3:], rms_px=rms,
+        iterations=iterations, above_plane=above,
+        failure=np.where(checks.any(axis=0), checks.argmax(axis=0), -1),
+    )
 
 
 def pnp_baseline(correspondences: Sequence[tuple], k: CameraIntrinsics) -> PoseEstimate:
-    """Gauss-Newton pose from >= 4 world/pixel correspondences.
-
-    Minimizes the summed squared pixel reprojection error over the six pose
-    parameters, stopping at step norm < 1e-10 or 100 iterations. The heading
-    is the least observable parameter from a ceiling view, so when the first
-    run ends with an RMS above `PNP_RESTART_RMS` pixels the solver retries
-    from headings rotated by 90/180/270 degrees and keeps the best. Raises
-    NonConvergenceError when the best RMS still exceeds `PNP_FAIL_RMS`.
-    """
-    if len(correspondences) < 4:
-        raise ValueError(f"need at least 4 correspondences, got {len(correspondences)}")
-    world = np.array([np.asarray(w, float) for w, _ in correspondences])
-    pixels = np.array([np.asarray(p, float) for _, p in correspondences])
-    centroid = world.mean(axis=0)
-    svals = np.linalg.svd(world - centroid, compute_uv=False)
-    if svals[1] <= 1e-9 * max(svals[0], 1.0):
-        raise ValueError("world points are collinear")
-
-    # Upright under the centroid of the world points, 2 m below their mean
-    # height: deliberately ignorant of the true pose.
-    base = np.array([0.0, 0.0, 0.0, centroid[0], centroid[1], centroid[2] - 2.0])
-
-    # The upright init alone strands Gauss-Newton in spurious local minima
-    # for strongly tilted views, so a closed-form homography candidate is
-    # always refined as well. Planar targets also admit a mirror pose on the
-    # far side of the target plane; the camera is below the luminaires, so
-    # below-plane solutions win over above-plane ones regardless of residual.
-    inits = [base]
-    h_init = _homography_init(world, pixels, k)
-    if h_init is not None:
-        inits.append(h_init)
-
-    ceiling = world[:, 2].min()
-    best = None  # (above_plane, cost, x, iterations)
-    for attempt in range(len(inits) + 3):
-        if attempt < len(inits):
-            x0 = inits[attempt]
-        else:
-            # Fallback heading restarts from the upright init.
-            x0 = base.copy()
-            x0[2] = _wrap_angle(x0[2] + 0.5 * math.pi * (attempt - len(inits) + 1))
-        x, cost, iters = _gauss_newton(x0, world, pixels, k)
-        candidate = (x[5] >= ceiling, cost, x, iters)
-        if best is None or candidate[:2] < best[:2]:
-            best = candidate
-        converged = not best[0] and math.sqrt(best[1] / pixels.size) <= PNP_RESTART_RMS
-        if converged and attempt + 1 >= len(inits):
-            break
-
-    above, best_cost, best_x, best_iters = best
-    rms = math.sqrt(best_cost / pixels.size)
-    if not np.isfinite(rms) or rms > PNP_FAIL_RMS:
-        raise NonConvergenceError(f"PnP residual {rms:.3g} px after restarts")
-    rotation = rotation_from_angles(best_x[0], best_x[1], best_x[2])
+    """Gauss-Newton pose from >= 4 (world point, pixel) correspondences:
+    `pnp_solve` with a batch of one. Raises the error of the check it
+    fails."""
+    world = np.array([w for w, _ in correspondences], dtype=float).reshape(1, -1, 3)
+    pixels = np.array([p for _, p in correspondences], dtype=float).reshape(1, -1, 2)
+    sol = pnp_solve(world, pixels, k)
+    error = sol.error(0)
+    if error is not None:
+        raise error
     return PoseEstimate(
-        pose=Pose(rotation=rotation, translation=best_x[3:6]),
+        pose=Pose(rotation=sol.rotation[0], translation=sol.translation[0]),
         algorithm="PNP",
-        diagnostics={"rms_px": rms, "iterations": best_iters, "above_plane": above},
+        diagnostics={"rms_px": float(sol.rms_px[0]),
+                     "iterations": int(sol.iterations[0]),
+                     "above_plane": bool(sol.above_plane[0])},
     )

@@ -23,12 +23,12 @@ from arcpose.frames import (
 from arcpose.solver import (
     LuminaireInfo,
     Observation,
-    _pnp_jacobian,
-    _pnp_residuals,
     PSI_RESIDUAL_LIMIT,
     disambiguate,
     heading,
     pnp_baseline,
+    pnp_jacobian,
+    pnp_residuals,
     solve_oavpa,
     solve_vpa,
     solve_vpca,
@@ -476,6 +476,8 @@ def test_pnp_zero_noise_exact(intrinsics):
         assert np.linalg.norm(est.pose.translation - pose.translation) < 1e-6
         assert est.algorithm == "PNP"
         assert est.diagnostics["rms_px"] < 1e-6
+        assert 1 <= est.diagnostics["iterations"] <= 100
+        assert est.diagnostics["above_plane"] is False
 
 
 def test_pnp_requires_four_points(intrinsics):
@@ -498,7 +500,6 @@ def test_pnp_noisy_residual_is_local_minimum(intrinsics):
     # With perturbed pixels the output must beat the true pose's residual and
     # sit at a local minimum of the reprojection cost.
     from arcpose.frames import angles_from_rotation
-    from arcpose.solver import _pnp_residuals
 
     rng = np.random.default_rng(34)
     pairs, pose = pnp_scene(rng, intrinsics)
@@ -507,25 +508,25 @@ def test_pnp_noisy_residual_is_local_minimum(intrinsics):
 
     world = np.array([w for w, _ in noisy])
     pixels = np.array([p for _, p in noisy])
+
+    def cost(x):
+        res = pnp_residuals(np.asarray(x)[None], world[None], pixels[None], intrinsics)
+        return float(res[0] @ res[0])
+
     x_est = np.concatenate([
         angles_from_rotation(est.pose.rotation), est.pose.translation
     ])
-    cost_est = float(_pnp_residuals(x_est, world, pixels, intrinsics) @
-                     _pnp_residuals(x_est, world, pixels, intrinsics))
-    x_true = np.concatenate([
+    cost_est = cost(x_est)
+    assert cost_est <= cost(np.concatenate([
         angles_from_rotation(pose.rotation), pose.translation
-    ])
-    cost_true = float(_pnp_residuals(x_true, world, pixels, intrinsics) @
-                      _pnp_residuals(x_true, world, pixels, intrinsics))
-    assert cost_est <= cost_true + 1e-9
+    ])) + 1e-9
+    assert est.diagnostics["rms_px"] == pytest.approx(math.sqrt(cost_est / 8), rel=1e-6)
     # Coordinate-wise probing cannot improve the cost to first order.
     for j in range(6):
         for delta in (-1e-5, 1e-5):
             x_probe = x_est.copy()
             x_probe[j] += delta
-            cost_probe = float(_pnp_residuals(x_probe, world, pixels, intrinsics) @
-                               _pnp_residuals(x_probe, world, pixels, intrinsics))
-            assert cost_probe >= cost_est - 1e-7 * max(cost_est, 1.0)
+            assert cost(x_probe) >= cost_est - 1e-7 * max(cost_est, 1.0)
 
 
 # --- analytic PnP Jacobian ------------------------------------------------------
@@ -536,21 +537,23 @@ PNP_K = CameraIntrinsics(
 
 
 def assert_jacobian_matches_central_differences(x, world):
-    pixels = np.zeros((len(world), 2))
-    jac = _pnp_jacobian(x, world, PNP_K)
+    """x (M, 6) and world (M, P, 3): every stacked row's analytic Jacobian
+    against central differences of the stacked residuals."""
+    pixels = np.zeros(world.shape[:2] + (2,))
+    jac = pnp_jacobian(x, world, PNP_K)
     fd = np.empty_like(jac)
     h = 1e-6
     for j in range(6):
         xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fd[:, j] = (
-            _pnp_residuals(xp, world, pixels, PNP_K)
-            - _pnp_residuals(xm, world, pixels, PNP_K)
+        xp[:, j] += h
+        xm[:, j] -= h
+        fd[:, :, j] = (
+            pnp_residuals(xp, world, pixels, PNP_K)
+            - pnp_residuals(xm, world, pixels, PNP_K)
         ) / (2 * h)
     # A column that is zero in truth holds only rounding noise, so the scale
     # has a floor of 1 px per radian or metre.
-    scale = np.maximum(np.abs(fd).max(axis=0), 1.0)
+    scale = np.maximum(np.abs(fd).max(axis=1, keepdims=True), 1.0)
     assert np.all(np.abs(jac - fd) <= 1e-6 * scale)
 
 
@@ -558,28 +561,28 @@ def camera_depths(x, world):
     return ((world - x[3:6]) @ rotation_from_angles(x[0], x[1], x[2]))[:, 2]
 
 
-@settings(derandomize=True, deadline=None)
-@given(
-    angles=st.tuples(
-        st.floats(-1.2, 1.2), st.floats(-1.2, 1.2), st.floats(-math.pi, math.pi)
-    ),
-    position=st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 6.0), st.floats(0.5, 2.5)),
-    ceiling_xy=st.lists(
-        st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 6.0)), min_size=4, max_size=4
-    ),
+POSE_ROW = st.tuples(
+    st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2), st.floats(-math.pi, math.pi)),
+    st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 6.0), st.floats(0.5, 2.5)),
+    st.lists(st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 6.0)), min_size=4, max_size=4),
 )
-def test_pnp_jacobian_matches_central_differences(angles, position, ceiling_xy):
-    x = np.array(angles + position)
-    world = np.array([(px, py, 3.0) for px, py in ceiling_xy])
+
+
+@settings(derandomize=True, deadline=None)
+@given(rows=st.lists(POSE_ROW, min_size=1, max_size=4))
+def test_pnp_jacobian_matches_central_differences(rows):
+    x = np.array([angles + position for angles, position, _ in rows])
+    world = np.array([[(px, py, 3.0) for px, py in xy] for _, _, xy in rows])
     # Central differences lose accuracy at tiny depths and across the clamp.
-    assume(np.all(np.abs(camera_depths(x, world)) > 0.05))
+    assume(all(np.all(np.abs(camera_depths(xi, wi)) > 0.05) for xi, wi in zip(x, world)))
     assert_jacobian_matches_central_differences(x, world)
 
 
 def test_pnp_jacobian_point_behind_camera():
-    x = np.array([1.0, 0.3, 0.5, 4.0, 3.0, 2.0])
+    x = np.array([[1.0, 0.3, 0.5, 4.0, 3.0, 2.0], [0.1, -0.2, 2.0, 3.0, 2.0, 1.5]])
     world = np.array(
         [[4.5, 3.2, 3.0], [5.0, 2.0, 3.0], [2.0, 4.0, 3.0], [6.0, 5.0, 3.0]]
     )
-    assert camera_depths(x, world)[2] < 0  # clamped depth: no depth term
-    assert_jacobian_matches_central_differences(x, world)
+    assert camera_depths(x[0], world)[2] < 0  # clamped depth: no depth term
+    assert np.all(camera_depths(x[1], world) > 0)
+    assert_jacobian_matches_central_differences(x, np.stack([world, world]))
