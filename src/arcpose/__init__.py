@@ -1,6 +1,6 @@
 """arcpose: camera pose and location from images of circular ceiling luminaires.
 
-The library covers the full loop of the simulation study: pinhole camera and
+The library covers the full loop of the simulation study: camera, pose and
 rotation conversions (`frames`), ellipse fitting and circle-pose geometry
 (`conic`), the circle-and-arc and arcs-only pose solvers plus a
 point-correspondence baseline (`solver`), a synthetic scene and capture

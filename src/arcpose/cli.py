@@ -57,9 +57,10 @@ OBSERVATION_SCHEMA_VERSION = 1
 def _load_json(path: str) -> dict:
     p = Path(path)
     if not p.exists():
-        # Fall back to configs bundled with the package (e.g. defaults.json).
+        # A bare file name falls back to the files bundled with the package
+        # (e.g. defaults.json); a path with a directory never does.
         bundled = resources.files("arcpose") / "data" / p.name
-        if bundled.is_file():
+        if p.name == path and bundled.is_file():
             return json.loads(bundled.read_text())
         raise FileNotFoundError(f"file not found: {path}")
     return json.loads(p.read_text())

@@ -11,15 +11,7 @@ class ArcPoseError(Exception):
     """Base class for all arcpose-specific errors."""
 
 
-# --- camera / frame errors ---------------------------------------------------
-
-class NotInFrontOfCameraError(ArcPoseError):
-    """A point with z <= 0 in the camera frame cannot be projected."""
-
-
-class NonPositiveDepthError(ArcPoseError):
-    """Back-projection requires a strictly positive depth."""
-
+# --- frame errors ------------------------------------------------------------
 
 class GimbalLockError(ArcPoseError):
     """|cos(theta)| is too small to separate the remaining Euler angles."""
@@ -95,7 +87,3 @@ class ArcTooShortError(ArcPoseError):
 
 class InvalidConfigError(ArcPoseError):
     """Experiment/CLI configuration failed validation."""
-
-
-class NoSuccessfulRecordsError(ArcPoseError):
-    """Summary statistics require at least one successful record."""

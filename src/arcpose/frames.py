@@ -1,4 +1,4 @@
-"""Coordinate systems, pinhole projection, and rotation parameterizations.
+"""Coordinate systems, camera and pose types, and rotation parameterizations.
 
 Four frames are used throughout:
 
@@ -12,6 +12,7 @@ Unit convention: world and camera points are in meters; intrinsics (focal
 length, pixel pitch) and image-plane coordinates are in cm, matching typical
 sensor data sheets. The two never need an explicit conversion factor because
 projection only uses the dimensionless ratio x/z:  x_img[cm] = f[cm] * x/z.
+The projection itself runs batched in `sim._project`.
 
 Rotation convention: the camera pose R maps CCS to WCS, P_w = R @ P_c + t.
 Euler angles (phi, theta, psi) rotate about the fixed x, y, z axes in that
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GimbalLockError, NonPositiveDepthError, NotInFrontOfCameraError
+from .errors import GimbalLockError
 
 ROTATION_TOL = 1e-10
 
@@ -113,7 +114,7 @@ def _wrap_angle(a: float) -> float:
     return math.pi if a <= -math.pi else a
 
 
-# --- PCS <-> ICS <-> CCS ------------------------------------------------------
+# --- PCS -> ICS ----------------------------------------------------------------
 
 def pixel_to_image(p, k: CameraIntrinsics) -> np.ndarray:
     """Pixel (u, v) to image-plane (x, y) in cm: x = dx*(u-u0), y = dy*(v-v0).
@@ -124,63 +125,6 @@ def pixel_to_image(p, k: CameraIntrinsics) -> np.ndarray:
     return np.stack(
         [k.dx * (p[..., 0] - k.u0), k.dy * (p[..., 1] - k.v0)], axis=-1
     )
-
-
-def image_to_pixel(q, k: CameraIntrinsics) -> np.ndarray:
-    """Exact inverse of pixel_to_image."""
-    q = np.asarray(q, dtype=float)
-    return np.stack(
-        [q[..., 0] / k.dx + k.u0, q[..., 1] / k.dy + k.v0], axis=-1
-    )
-
-
-def project_to_image(p, k: CameraIntrinsics) -> np.ndarray:
-    """Project camera points (m) onto the image plane (cm): (f*x/z, f*y/z).
-
-    Raises NotInFrontOfCameraError if any point has z <= 0.
-    """
-    p = np.asarray(p, dtype=float)
-    z = p[..., 2]
-    if np.any(z <= 0):
-        raise NotInFrontOfCameraError("point has z <= 0 in the camera frame")
-    return np.stack([k.f * p[..., 0] / z, k.f * p[..., 1] / z], axis=-1)
-
-
-def backproject_with_depth(q, z: float, k: CameraIntrinsics) -> np.ndarray:
-    """Camera point (m) on the viewing ray of image point q (cm) at depth z (m)."""
-    if not z > 0:
-        raise NonPositiveDepthError(f"depth must be positive, got {z}")
-    q = np.asarray(q, dtype=float)
-    return np.stack(
-        [z * q[..., 0] / k.f, z * q[..., 1] / k.f, np.broadcast_to(z, q[..., 0].shape)],
-        axis=-1,
-    )
-
-
-def embed_on_image_plane(q, k: CameraIntrinsics) -> np.ndarray:
-    """Camera coordinates (cm) of an image point itself: (x, y, f).
-
-    Only the direction of this vector is meaningful to 3D constructions; the
-    image plane sits at z = f in the camera frame.
-    """
-    q = np.asarray(q, dtype=float)
-    return np.stack(
-        [q[..., 0], q[..., 1], np.broadcast_to(k.f, q[..., 0].shape)], axis=-1
-    )
-
-
-# --- CCS <-> WCS ---------------------------------------------------------------
-
-def camera_to_world(p, pose: Pose) -> np.ndarray:
-    """P_w = R @ P_c + t, broadcasting over leading axes."""
-    p = np.asarray(p, dtype=float)
-    return p @ pose.rotation.T + pose.translation
-
-
-def world_to_camera(p, pose: Pose) -> np.ndarray:
-    """Exact inverse of camera_to_world."""
-    p = np.asarray(p, dtype=float)
-    return (p - pose.translation) @ pose.rotation
 
 
 # --- Euler angles / quaternions -------------------------------------------------
@@ -269,15 +213,3 @@ def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
                 q = -q
             break
     return q
-
-
-def quaternion_to_rotation(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )

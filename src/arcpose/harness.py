@@ -27,12 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ArcPoseError,
-    GimbalLockError,
-    InvalidConfigError,
-    NoSuccessfulRecordsError,
-)
+from .errors import ArcPoseError, GimbalLockError, InvalidConfigError
 from .frames import (
     CameraIntrinsics,
     Pose,
@@ -141,11 +136,13 @@ class ExperimentConfig:
         algorithms = tuple(self.algorithms)
         if not algorithms:
             raise InvalidConfigError("algorithms must not be empty")
-        for alg in algorithms:
+        for i, alg in enumerate(algorithms):
             if alg not in ALGORITHMS:
                 raise InvalidConfigError(
                     f"unknown algorithm {alg!r}; choose from {ALGORITHMS}"
                 )
+            if alg in algorithms[:i]:
+                raise InvalidConfigError(f"repeated algorithm {alg!r}")
         object.__setattr__(self, "algorithms", algorithms)
         object.__setattr__(self, "scenario", _parse_scenario(self.scenario))
 
@@ -422,8 +419,11 @@ def _solved(sample: _Sample, alg, tag, pose) -> ResultRecord:
 
 # --- aggregation -----------------------------------------------------------------
 
-def _summary(records) -> SummaryStats:
-    """`summarize` that reports no success as n_success 0 with no CDF."""
+def summarize(records) -> SummaryStats:
+    """Aggregate the successful records; failures are counted separately and
+    left out of the CDF, the share of successes with e_loc <= each point of
+    `DEFAULT_CDF_GRID`. With no success, n_success is 0 and every statistic
+    is None, with an empty CDF."""
     errors = np.array([r.e_loc for r in records if r.ok])
     n_failed = sum(1 for r in records if not r.ok)
     if errors.size == 0:
@@ -444,22 +444,10 @@ def _summary(records) -> SummaryStats:
     )
 
 
-def summarize(records) -> SummaryStats:
-    """Aggregate the successful records; failures are counted separately and
-    left out of the CDF, the share of successes with e_loc <= each point of
-    `DEFAULT_CDF_GRID`. Raises NoSuccessfulRecordsError if no record
-    succeeded."""
-    stats = _summary(records)
-    if stats.n_success == 0:
-        raise NoSuccessfulRecordsError("no successful records")
-    return stats
-
-
 def summarize_by_algorithm(records) -> dict[str, SummaryStats]:
-    """`summarize` per algorithm, except that an algorithm with no success is
-    reported with n_success 0, its failure count and no statistics."""
+    """`summarize` per algorithm, in name order."""
     return {
-        alg: _summary([r for r in records if r.algorithm == alg])
+        alg: summarize([r for r in records if r.algorithm == alg])
         for alg in sorted({r.algorithm for r in records})
     }
 
@@ -474,8 +462,8 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
     if parameter not in ("noise", "radius"):
         raise InvalidConfigError(f"sweep parameter must be noise or radius, got {parameter!r}")
     values = [float(v) for v in values]
-    if not values or sorted(values) != values:
-        raise InvalidConfigError("sweep values must be nonempty and sorted ascending")
+    if not values or any(a >= b for a, b in zip(values, values[1:])):
+        raise InvalidConfigError("sweep values must be nonempty and strictly ascending")
     out = {}
     for value in values:
         sub = dataclasses.replace(

@@ -1,23 +1,17 @@
 """Shared helpers: exact forward projection of ceiling discs.
 
-These build test scenes through the frames-level operations only, so the
-conic and solver tests check their subject against an independent forward
-model rather than against the simulator under test.
+These build test scenes through the reference maps of `oracles` only, so
+the conic and solver tests check their subject against an independent
+forward model rather than against the simulator under test.
 """
 
 import numpy as np
 import pytest
 
-from arcpose.frames import (
-    CameraIntrinsics,
-    EulerAngles,
-    Pose,
-    euler_to_rotation,
-    image_to_pixel,
-    project_to_image,
-    world_to_camera,
-)
+from arcpose.frames import CameraIntrinsics, EulerAngles, Pose, euler_to_rotation
 from arcpose.solver import LuminaireInfo
+
+from oracles import image_to_pixel, project_to_image, world_to_camera
 
 
 @pytest.fixture

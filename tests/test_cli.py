@@ -60,6 +60,19 @@ def test_missing_config_file_exits_2(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "/no/such/dir/defaults.json"],
+    ["solve", "fixture_scene.json", "/no/such/dir/fixture_observations.json"],
+    ["scene-validate", "no_such_dir/fixture_scene.json"],
+], ids=["run_config", "solve_observations", "scene_validate"])
+def test_missing_path_does_not_fall_back_to_bundled_file(argv, tmp_path, capsys):
+    # Only a bare file name is looked up among the bundled files; a path that
+    # names a directory must exist, even when its file name is bundled.
+    assert main(argv + (["--out", str(tmp_path / "o")] if argv[0] == "run" else [])) == 2
+    assert "file not found" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_help_mentions_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])
@@ -230,6 +243,14 @@ def test_run_default_config_is_bundled(tmp_path):
     assert manifest["config"]["sigma"] == 2.0
 
 
+def test_run_repeated_algorithm_exits_2(tmp_path, capsys):
+    rc = main(["run", "--config", tiny_config(tmp_path), "--algorithms", "VPA,OAVPA,vpa",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "repeated algorithm 'VPA'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # --- sweeps and cdf ------------------------------------------------------------------
 
 def test_sweep_noise_writes_summary(tmp_path, capsys):
@@ -243,6 +264,29 @@ def test_sweep_noise_writes_summary(tmp_path, capsys):
     lines = (tmp_path / "s" / "sweep_noise.csv").read_bytes().splitlines(keepends=True)
     assert len(lines) == 1 + len(rows)
     assert all(line.endswith(b"\r\n") for line in lines)
+
+
+def test_sweep_radius_rows_match_plain_runs(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, algorithms=["VPA", "OAVPA"])
+    assert main(["sweep-radius", "--config", cfg, "--radius", "0.1,0.15",
+                 "--out", str(tmp_path / "s")]) == 0
+    with open(tmp_path / "s" / "sweep_radius.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["parameter"], r["value"], r["algorithm"]) for r in rows] == [
+        ("radius", "0.1", "OAVPA"), ("radius", "0.1", "VPA"),
+        ("radius", "0.15", "OAVPA"), ("radius", "0.15", "VPA")]
+    # Each row summarizes the plain run at that radius, as its manifest does.
+    for radius in ("0.1", "0.15"):
+        out = tmp_path / f"r{radius}"
+        assert main(["run", "--config", cfg, "--radius", radius, "--out", str(out)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        for row in (r for r in rows if r["value"] == radius):
+            s = summary[row["algorithm"]]
+            assert (int(row["n_success"]), int(row["n_failed"])) == (
+                s["n_success"], s["n_failed"])
+            assert float(row["mean_e_loc_m"]) == pytest.approx(s["mean_e_loc_m"], rel=1e-11)
+            assert float(row["p90_m"]) == pytest.approx(s["percentiles_m"]["90"], rel=1e-11)
+    capsys.readouterr()
 
 
 def test_cdf_command_from_records(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Derived expectations come from hand-expanded circle equations and from an
 independent forward model (conftest projects world discs through the
-frames-level pinhole chain; nothing here round-trips through the simulator).
+reference pinhole maps of `oracles`; nothing here round-trips through the
+simulator).
 The cone functions take batches; these tests mostly pass batches of one.
 """
 
@@ -20,9 +21,10 @@ from arcpose.conic import (
     section_normals,
 )
 from arcpose.errors import DegenerateConicError, TooFewPointsError
-from arcpose.frames import embed_on_image_plane, pixel_to_image, world_to_camera
+from arcpose.frames import pixel_to_image
 
 from conftest import project_world_pixels, random_visible_scene
+from oracles import embed_on_image_plane, image_to_pixel, project_to_image, world_to_camera
 
 
 def circle_points_2d(cx, cy, r, n=36):
@@ -307,8 +309,6 @@ def test_backprojection_recovers_scene_points(intrinsics):
 
 
 def test_backprojection_reprojects_to_input(intrinsics):
-    from arcpose.frames import image_to_pixel, project_to_image
-
     rng = np.random.default_rng(18)
     _, _, contour = random_visible_scene(rng, intrinsics)
     lambdas, r_a_c = decompose(fit_ellipse(contour), intrinsics.f)

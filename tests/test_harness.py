@@ -9,11 +9,7 @@ import numpy as np
 import pytest
 
 from arcpose import harness, sim
-from arcpose.errors import (
-    InvalidConfigError,
-    NoSuccessfulRecordsError,
-    SamplingExhaustedError,
-)
+from arcpose.errors import InvalidConfigError, SamplingExhaustedError
 from arcpose.frames import EulerAngles, euler_to_rotation
 from arcpose.harness import (
     DEFAULT_CDF_GRID,
@@ -80,6 +76,9 @@ def test_config_validation():
         ExperimentConfig(algorithms=())
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(algorithms=("MAGIC",))
+    # A repeated name would run every sample twice under one label.
+    with pytest.raises(InvalidConfigError, match="repeated algorithm 'VPA'"):
+        ExperimentConfig(algorithms=("VPA", "OAVPA", "VPA"))
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(sigma=-0.5)
     with pytest.raises(InvalidConfigError):
@@ -222,9 +221,13 @@ def test_summary_counts_failures_but_excludes_them():
     assert stats.mean == pytest.approx(0.015)
 
 
-def test_summary_requires_successes():
-    with pytest.raises(NoSuccessfulRecordsError):
-        summarize(fake_records([], failed=2))
+def test_summary_without_successes():
+    stats = summarize(fake_records([], failed=2))
+    assert (stats.n_success, stats.n_failed) == (0, 2)
+    assert stats.mean is None and stats.std_err is None and stats.median is None
+    assert stats.percentiles == dict.fromkeys(harness.PERCENTILES)
+    assert stats.cdf_grid.size == 0 and stats.cdf_fraction.size == 0
+    assert summarize([]).n_failed == 0
 
 
 def test_cdf_monotone_nondecreasing():
@@ -252,6 +255,8 @@ def test_sweep_validation():
         sweep(cfg, "noise", [2.0, 1.0])
     with pytest.raises(InvalidConfigError):
         sweep(cfg, "noise", [])
+    with pytest.raises(InvalidConfigError):
+        sweep(cfg, "noise", [0.0, 0.0])
 
 
 def test_noise_sweep_shares_poses():

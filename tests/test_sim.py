@@ -21,7 +21,6 @@ from arcpose.frames import (
     Pose,
     _wrap_angle,
     euler_to_rotation,
-    image_to_pixel,
     pixel_to_image,
 )
 from arcpose.sim import (
@@ -43,6 +42,7 @@ from arcpose.harness import ExperimentConfig, _capture_sample
 from arcpose.solver import LuminaireInfo
 
 from conftest import make_pose
+from oracles import image_to_pixel, project_to_image, world_to_camera
 
 
 @pytest.fixture
@@ -248,6 +248,27 @@ def test_clean_head_on_contour_is_pixel_circle(scene, k):
     dist = np.linalg.norm(obs.contour_pixels - np.array([k.u0, k.v0]), axis=1)
     assert np.abs(dist - radius_px).max() < 1e-9
     assert np.allclose(obs.center_proj, [k.u0, k.v0])
+
+
+def test_projection_matches_frame_oracles(k):
+    # The batched projection of 30 random poses in one call, against the
+    # scalar reference chain world -> camera -> image plane -> pixels.
+    rng = np.random.default_rng(17)
+    poses = [make_pose(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5), rng.uniform(-3, 3),
+                       t=rng.uniform([0, 0, 0.5], [8, 6, 2])) for _ in range(30)]
+    points = rng.uniform([-1, -1, -1], [9, 7, 4], size=(200, 3))
+    pixels = _project_points_pixel(points.T, np.stack([p.rotation for p in poses]),
+                                   np.stack([p.translation for p in poses]), k)
+    assert pixels.shape == (30, 200, 2)
+    for pose, pix in zip(poses, pixels):
+        z = world_to_camera(points, pose)[:, 2]
+        # Near z = 0 the pixels run to infinity; the projection is only
+        # compared where it is finite and well conditioned.
+        front, behind = z > 0.1, z <= 0
+        assert front.any() and behind.any()
+        expected = image_to_pixel(project_to_image(world_to_camera(points[front], pose), k), k)
+        assert np.abs(pix[front] - expected).max() < 1e-9
+        assert np.isnan(pix[behind]).all()
 
 
 def test_noise_statistics(scene, k):

@@ -45,7 +45,7 @@ from conftest import (
 
 
 def make_observation(lum, pose, k, complete=True, arc=None, n=360):
-    """Exact zero-noise observation of a luminaire via the frames-level chain."""
+    """Exact zero-noise observation of a luminaire via the reference pinhole chain."""
     angles = np.linspace(0, 2 * np.pi, n, endpoint=False)
     if arc is not None:
         angles = angles[arc]
