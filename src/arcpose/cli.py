@@ -25,8 +25,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .conic import EllipseCoeffs, fit_ellipse
+from .conic import EllipseCoeffs, fit_ellipses
 from .errors import ArcPoseError, InvalidConfigError
 from .frames import CameraIntrinsics, pixel_to_image, rotation_to_euler
 from .harness import (
@@ -78,8 +80,7 @@ def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrins
     items = data.get("observations", [])
     if not isinstance(items, list):
         raise InvalidConfigError("observations must be a list")
-    observations = []
-    seen_ids = set()
+    fields, seen_ids = [], set()
     for index, item in enumerate(items):
         where = f"observation {index}"
         read_object(item, ("luminaire_id", "ellipse", "contour_pixels",
@@ -95,30 +96,50 @@ def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrins
         where = f"observation {index} ({lum_id!r})"
         if ("ellipse" in item) == ("contour_pixels" in item):
             raise InvalidConfigError(f"{where} needs exactly one of ellipse/contour_pixels")
-        contour = None
+        obs = dict(luminaire_id=lum_id, contour_pixels=None)
         if "ellipse" in item:
             coeffs = read_object(item["ellipse"], "abcde", f"{where}: ellipse")
-            ellipse = EllipseCoeffs(*(read_numbers(coeffs.get(n), f"{where}: ellipse {n}")
-                                      for n in "abcde"))
+            obs["ellipse"] = EllipseCoeffs(*(read_numbers(coeffs.get(n), f"{where}: ellipse {n}")
+                                             for n in "abcde"))
         else:
-            contour = read_numbers(item["contour_pixels"], f"{where}: contour_pixels", (None, 2))
-            ellipse = fit_ellipse(pixel_to_image(contour, k))
-        complete = item.get("complete", False)
-        if not isinstance(complete, bool):
+            obs["contour_pixels"] = read_numbers(item["contour_pixels"],
+                                                 f"{where}: contour_pixels", (None, 2))
+        obs["complete"] = item.get("complete", False)
+        if not isinstance(obs["complete"], bool):
             raise InvalidConfigError(f"{where}: complete must be true or false")
-        points = {}
         for name in ("center_proj", "mark_proj"):
             if item.get(name) is not None:
-                points[name] = read_numbers(item[name], f"{where}: {name}", (2,))
-            elif complete:
+                obs[name] = read_numbers(item[name], f"{where}: {name}", (2,))
+            elif obs["complete"]:
                 raise InvalidConfigError(f"{where}: complete observation needs {name!r}")
-        observations.append(Observation(luminaire_id=lum_id, ellipse=ellipse, complete=complete,
-                                        contour_pixels=contour, **points))
-    return observations, k
+        fields.append(obs)
+    # Every contour of the file in one fit; the first that fails is raised.
+    contours = [obs for obs in fields if obs["contour_pixels"] is not None]
+    if contours:
+        pixels = [obs["contour_pixels"] for obs in contours]
+        points = np.zeros((len(pixels), max(map(len, pixels)), 2))
+        for row, contour in zip(points, pixels):
+            row[:len(contour)] = contour
+        fits = fit_ellipses(pixel_to_image(points, k), [len(p) for p in pixels])
+        for row, obs in enumerate(contours):
+            if fits.error(row) is not None:
+                raise fits.error(row)
+            obs["ellipse"] = EllipseCoeffs(*fits.coefficients[row])
+    return [Observation(**obs) for obs in fields], k
 
 
 def _default_out() -> str:
     return os.environ.get("ARCPOSE_OUT", "results")
+
+
+def _float_list(text: str) -> list[float]:
+    """A comma-separated list of numbers; argparse turns the error into a
+    usage error (exit code 2) that names the flag."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,12 +182,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sn = sub.add_parser("sweep-noise", help="experiment across noise levels")
     add_run_flags(p_sn, sweep_flag="sigma")
-    p_sn.add_argument("--sigma", dest="sigmas", metavar="SIGMA", default="0,1,2,3,4",
-                      help="comma-separated noise levels in pixels")
+    p_sn.add_argument("--sigma", dest="sigmas", metavar="SIGMA", type=_float_list,
+                      default="0,1,2,3,4", help="comma-separated noise levels in pixels")
 
     p_sr = sub.add_parser("sweep-radius", help="experiment across radii")
     add_run_flags(p_sr, sweep_flag="radius")
-    p_sr.add_argument("--radius", dest="radii", metavar="RADIUS",
+    p_sr.add_argument("--radius", dest="radii", metavar="RADIUS", type=_float_list,
                       default="0.06,0.08,0.10,0.12,0.14,0.16",
                       help="comma-separated radii in meters")
 
@@ -257,9 +278,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args, parameter: str) -> int:
     cfg = _config_from_args(args)
     _echo_config(args, cfg)
-    values = [float(v) for v in (args.sigmas if parameter == "noise"
-                                 else args.radii).split(",")]
-    results = sweep(cfg, parameter, values)
+    results = sweep(cfg, parameter, args.sigmas if parameter == "noise" else args.radii)
     out_dir = Path(args.out or _default_out())
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"sweep_{parameter}.csv"

@@ -22,7 +22,9 @@ points are meters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,12 +63,177 @@ class EllipseCoeffs:
         return self.b * self.b - 4.0 * self.a * self.c
 
 
-def fit_ellipse(points) -> EllipseCoeffs:
-    """Least-squares conic through image-plane points, constant term = 1.
+class _KernelRows:
+    """Read-only per-row arrays of a batched kernel, whose `failure` column
+    indexes the `CHECKS` entry each row failed (-1: passed). A message may
+    name fields of the row, which `_details` supplies."""
 
-    Minimizes the algebraic residual of the conic equation. Points are
-    centered and scaled before solving to keep the normal equations well
-    conditioned; the coefficients are mapped back afterwards.
+    CHECKS: tuple = ()
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
+
+    def _details(self, row: int) -> dict:
+        return {}
+
+    def error(self, row: int) -> Exception | None:
+        code = self.failure[row]
+        if code < 0:
+            return None
+        cls, message = self.CHECKS[code]
+        return cls(message.format(**self._details(row)))
+
+
+# Every check of `fit_ellipses`, in the order the scalar fit ran them; the
+# arithmetic's range is checked after each of the three stages that can fail.
+_OUT_OF_RANGE = (DegenerateConicError,
+                 "contour points out of floating-point range: overflow or underflow")
+FIT_CHECKS = (
+    (TooFewPointsError, "need at least 5 points, got {count}"),
+    (DegenerateConicError, "non-finite contour points"),
+    _OUT_OF_RANGE,
+    (DegenerateConicError, "all points coincide"),
+    (DegenerateConicError, "contour points do not determine a conic"),
+    _OUT_OF_RANGE,
+    (DegenerateConicError, "conic passes through the ICS origin"),
+    _OUT_OF_RANGE,
+    (DegenerateConicError, "discriminant b^2-4ac = {discriminant:g} is not negative"),
+)
+
+
+@dataclass(frozen=True)
+class EllipseFits(_KernelRows):
+    """Conics fitted to M contours, one row each: `coefficients` (M, 5) rows
+    (a, b, c, d, e), the number of points `count` and `failure`, the
+    FIT_CHECKS entry a row failed (-1: an ellipse; the coefficients of a
+    failed row mean nothing)."""
+
+    CHECKS = FIT_CHECKS
+    coefficients: np.ndarray
+    count: np.ndarray
+    failure: np.ndarray
+
+    def _details(self, row: int) -> dict:
+        a, b, c = self.coefficients[row, :3]
+        return {"count": self.count[row], "discriminant": b * b - 4.0 * a * c}
+
+
+# The normal equations need the point sums of x, y, x^2, xy, y^2 and of nine
+# products of two of those (x^3 ... y^4); `_GRAM` and `_RHS` place the sums in
+# the Gram matrix of the design columns (x^2, xy, y^2, x, y) and its right side.
+_X, _Y, _XX, _XY, _YY = range(5)
+_PRODUCTS = ((_XX, _X), (_XX, _Y), (_XY, _Y), (_YY, _Y),
+             (_XX, _XX), (_XX, _XY), (_XX, _YY), (_XY, _YY), (_YY, _YY))
+_GRAM = np.array([[9, 10, 11, 5, 6],
+                  [10, 11, 12, 6, 7],
+                  [11, 12, 13, 7, 8],
+                  [5, 6, 7, _XX, _XY],
+                  [6, 7, 8, _XY, _YY]])
+_RHS = np.array([_XX, _XY, _YY, _X, _Y])
+_EPS = np.finfo(float).eps
+
+
+def _column_sums(arrays) -> np.ndarray:
+    """Column sums (K, M) of an iterable of K arrays (N, M), each adding its
+    N values in order, so that trailing zeros leave it bit-identical. Few
+    columns take a cumulative sum; more take NumPy's reduction down the
+    first axis of a C-ordered array, which also adds one row at a time once
+    M >= 2."""
+    arrays = (np.ascontiguousarray(a) for a in arrays)
+    first = next(arrays)
+    if first.shape[1] < 4 and len(first):
+        return np.stack([first, *arrays]).cumsum(axis=1)[:, -1]
+    return np.array([first.sum(axis=0)] + [a.sum(axis=0) for a in arrays])
+
+
+def fit_ellipses(points, counts) -> EllipseFits:
+    """Least-squares conics through M contours at once, constant term = 1.
+
+    Row m's image-plane points are the first `counts[m]` of `points`
+    (M, N, 2); the padding is never read. Each row minimizes the algebraic
+    residual of the conic equation on its points, centered and scaled to
+    keep the problem well conditioned, and its coefficients are mapped back
+    afterwards. The (M, 5, 5) normal equations come from point sums taken
+    in point order, so a row is bit-identical whatever rows are fitted with
+    it, and one batched `eigh` solves them; its eigenvalues give the rank
+    test. A row fails with the first FIT_CHECKS entry it does not pass.
+    """
+    pts = np.asarray(points, dtype=float)
+    count = np.array(counts, dtype=int)
+    valid = np.arange(pts.shape[1])[:, None] < count  # (N, M)
+    with np.errstate(all="ignore"):
+        x = np.where(valid, pts[:, :, 0].T, 0.0)
+        y = np.where(valid, pts[:, :, 1].T, 0.0)
+        few = count < 5
+        bad = ~np.isfinite(pts)
+        nonfinite = (bad.any(axis=2) & valid.T).any(axis=1) if bad.any() else np.zeros_like(few)
+        points_or_one = np.maximum(count, 1)
+        mean = _column_sums((x, y)) / points_or_one
+        np.subtract(x, mean[0], out=x, where=valid)
+        np.subtract(y, mean[1], out=y, where=valid)
+        squares = _column_sums((x * x, y * y))
+        scale = np.sqrt((squares[0] + squares[1]) / points_or_one)
+        range_1 = ~np.isfinite(mean).all(axis=0) | ~np.isfinite(scale)
+        # Rows that failed already go on as the unit circle: eigh must see no
+        # NaN, and a raised floating-point flag costs microseconds a call.
+        coincide = ~(scale > 0)
+        early = few | nonfinite | range_1 | coincide
+        if early.any():
+            turn = 2.0 * np.pi * np.arange(len(x)) / len(x)
+            x[:, early], y[:, early] = np.cos(turn)[:, None], np.sin(turn)[:, None]
+            mean[:, early], scale[early] = 0.0, 1.0
+        x /= scale
+        y /= scale
+        low = (x, y, x * x, x * y, y * y)
+        sums = _column_sums(chain(low, (low[i] * low[j] for i, j in _PRODUCTS))).T
+        w, v = np.linalg.eigh(sums[:, _GRAM])
+        rank = w[:, 0] <= _EPS * np.maximum(count, 5) * w[:, -1]
+        sol = v @ ((v.transpose(0, 2, 1) @ -sums[:, _RHS, None]) / w[:, :, None])
+    checks = np.array([few, nonfinite, range_1, coincide, rank])
+    failure = np.where(checks.any(axis=0), checks.argmax(axis=0), -1)
+    coefficients = np.full((len(count), 5), np.nan)
+    # The mapping back costs a few dozen operations a row, cheaper on Python
+    # floats than as NumPy calls on short arrays; the arithmetic is the same.
+    rows = np.flatnonzero(failure < 0)
+    if len(rows):
+        args = np.column_stack([sol[rows, :, 0], mean[:, rows].T, scale[rows]]).tolist()
+        mapped = np.array([_map_back(*row) for row in args])
+        failure[rows], coefficients[rows] = mapped[:, 0], mapped[:, 1:]
+    return EllipseFits(coefficients=coefficients, count=count, failure=failure)
+
+
+def _map_back(ap, bp, cp, dp, ep, mx, my, scale):
+    """Undo x' = (x - mx)/s, y' = (y - my)/s on a conic fitted to centered,
+    scaled points and re-normalize its constant to 1, with the last four
+    FIT_CHECKS. Returns the failed check (-1: an ellipse) and the
+    coefficients a, b, c, d, e."""
+    nan = (math.nan,) * 5
+    s2 = scale * scale
+    if s2 == 0.0:  # the division by s2 would fail
+        return 5, *nan
+    a, b, c = ap / s2, bp / s2, cp / s2
+    d = -(2 * ap * mx + bp * my) / s2 + dp / scale
+    e = -(bp * mx + 2 * cp * my) / s2 + ep / scale
+    const = (
+        (ap * mx * mx + bp * mx * my + cp * my * my) / s2
+        - (dp * mx + ep * my) / scale + 1.0
+    )
+    if not all(map(math.isfinite, (s2, a, b, c, d, e, const))):
+        return 5, *nan
+    if abs(const) < 1e-12 * max(abs(a), abs(c), 1.0):
+        return 6, *nan
+    coefficients = (a / const, b / const, c / const, d / const, e / const)
+    a, b, c = coefficients[:3]
+    discriminant = b * b - 4.0 * a * c
+    if not all(map(math.isfinite, (*coefficients, discriminant))):
+        return 7, *coefficients
+    return (8 if discriminant >= DISCRIMINANT_SLACK else -1), *coefficients
+
+
+def fit_ellipse(points) -> EllipseCoeffs:
+    """Least-squares conic through image-plane points, constant term = 1:
+    `fit_ellipses` with one row.
 
     Raises TooFewPointsError for fewer than 5 points and DegenerateConicError
     when the minimizer is not an ellipse (collinear or too-noisy input, or an
@@ -74,42 +241,11 @@ def fit_ellipse(points) -> EllipseCoeffs:
     when the points' magnitudes overflow or underflow the arithmetic.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] < 5:
-        raise TooFewPointsError(f"need at least 5 points, got {pts.shape[0]}")
-    if not np.all(np.isfinite(pts)):
-        raise DegenerateConicError("non-finite contour points")
-
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            mean = pts.mean(axis=0)
-            centered = pts - mean
-            scale = np.sqrt((centered ** 2).sum(axis=1).mean())
-            if scale <= 0:
-                raise DegenerateConicError("all points coincide")
-            xs, ys = centered[:, 0] / scale, centered[:, 1] / scale
-
-            design = np.column_stack([xs * xs, xs * ys, ys * ys, xs, ys])
-            rhs = -np.ones(pts.shape[0])
-            sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-            if rank < 5:
-                raise DegenerateConicError("contour points do not determine a conic")
-            ap, bp, cp, dp, ep = sol
-
-            # Undo x' = (x - mx)/s, y' = (y - my)/s and re-normalize the constant to 1.
-            mx, my = mean
-            s2 = scale * scale
-            a, b, c = ap / s2, bp / s2, cp / s2
-            d = -(2 * ap * mx + bp * my) / s2 + dp / scale
-            e = -(bp * mx + 2 * cp * my) / s2 + ep / scale
-            const = (
-                (ap * mx * mx + bp * mx * my + cp * my * my) / s2
-                - (dp * mx + ep * my) / scale + 1.0
-            )
-            if abs(const) < 1e-12 * max(abs(a), abs(c), 1.0):
-                raise DegenerateConicError("conic passes through the ICS origin")
-            return EllipseCoeffs(a / const, b / const, c / const, d / const, e / const)
-    except FloatingPointError as exc:
-        raise DegenerateConicError(f"contour points out of floating-point range: {exc}") from exc
+    fits = fit_ellipses(pts[None], [len(pts)])
+    error = fits.error(0)
+    if error is not None:
+        raise error
+    return EllipseCoeffs(*fits.coefficients[0])
 
 
 def ellipse_centers(coeffs) -> tuple[np.ndarray, np.ndarray]:

@@ -96,6 +96,13 @@ class Pose:
             raise ValueError("rotation matrix is not orthonormal with det +1")
         _freeze(self, rotation=r, translation=t)
 
+    @classmethod
+    def unchecked(cls, rotation, translation) -> "Pose":
+        """A pose built from a rotation that is one by construction."""
+        pose = object.__new__(cls)
+        _freeze(pose, rotation=rotation, translation=translation)
+        return pose
+
 
 def is_rotation(r: np.ndarray) -> bool:
     """True when r is orthonormal with determinant +1 within ROTATION_TOL."""

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ArcPoseError, GimbalLockError, InvalidConfigError
+from .errors import GimbalLockError, InvalidConfigError
 from .frames import (
     CameraIntrinsics,
     Pose,
@@ -36,8 +36,10 @@ from .frames import (
 )
 from .sim import (
     ARC_MODES,
+    Capture,
     Scene,
-    capture_observation,
+    capture,
+    contour_angles,
     default_intrinsics,
     default_scene,
     intrinsics_from_dict,
@@ -50,9 +52,8 @@ from .sim import (
 )
 from .solver import (
     LuminaireInfo,
-    Observation,
     pair_inputs,
-    pair_observations,
+    pair_rows,
     pnp_solve,
     solve_pairs,
 )
@@ -258,10 +259,11 @@ class SummaryStats:
 
 # --- the runner ------------------------------------------------------------------
 
-def _pnp_inputs(observations, lum_map) -> dict:
-    """The `pnp_solve` inputs (all but `k`) of one sample, as one-row arrays:
-    four world points and their pixels, taken evenly from the two arcs (two
-    per arc).
+def _pnp_inputs(cap: Capture, samples, lums, angles) -> dict:
+    """The `pnp_solve` inputs (all but `k`) of the given samples of a block
+    capture: per sample, four world points and their pixels, taken evenly
+    from the arcs of its two rows (two per arc). `lums` are the luminaires
+    of the capture's rows and `angles` the `contour_angles` of the contour.
 
     The second arc's sample phase is shifted by an eighth of a turn;
     otherwise two complete circles would contribute two parallel diameters,
@@ -269,14 +271,13 @@ def _pnp_inputs(observations, lum_map) -> dict:
     happen to be axis-aligned.
     """
     world, pixels = [], []
-    for j, obs in enumerate(observations[:2]):
-        lum = lum_map[obs.luminaire_id]
-        n = obs.arc_length
-        shift = j * (n // 8)
+    for row in (r for s in samples for r in (2 * s, 2 * s + 1)):
+        n = cap.count[row]
+        shift = row % 2 * (n // 8)
         for idx in ((n // 4 + shift) % n, (3 * n // 4 + shift) % n):
-            world.append(lum.circle_points(obs.contour_angles[idx])[0])
-            pixels.append(obs.contour_pixels[idx])
-    return dict(world=np.array([world]), pixels=np.array([pixels]))
+            world.append(lums[row].circle_points(angles[cap.keep[row, idx]])[0])
+            pixels.append(cap.pixels[row, idx])
+    return dict(world=np.reshape(world, (-1, 4, 3)), pixels=np.reshape(pixels, (-1, 4, 2)))
 
 
 def _euler_or_nan(rotation) -> tuple[float, float, float]:
@@ -291,68 +292,70 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Run the configured experiment; one record per sample per algorithm.
 
     Two phases. Per block of `POSE_BLOCK` samples, draw the poses together
-    (each from its own generator, which also draws that sample's noise);
-    then per sample capture and fit the ellipses on the projection the pose
-    was accepted on, and keep, per algorithm, the compact row its kernel
-    solves: the `pair_inputs` of the pair a geometric algorithm solves, or
-    PNP's four contour correspondences. Then `solve_pairs` and `pnp_solve`
-    take every row of the run to a pose, `SOLVE_SLICE` rows per call.
-    Records come out by sample, then in `cfg.algorithms` order.
+    (each from its own generator, which also draws that sample's noise),
+    capture and fit the block's pairs at once on the projections the poses
+    were accepted on (`_capture_block`), and keep, per algorithm, the
+    compact rows its kernel solves: the pair a geometric algorithm solves,
+    or PNP's four contour correspondences. Then `solve_pairs` and
+    `pnp_solve` take every row of the run to a pose, `SOLVE_SLICE` rows per
+    call. Records come out by sample, then in `cfg.algorithms` order.
 
     Solver failures never abort the run: the record carries the error class
     name and no metrics. Pose-sampling exhaustion does propagate, since a
     visibility test no pose passes would fail every remaining sample too.
     """
     scene = cfg.effective_scene()
-    lum_map = scene.luminaire_map()
+    lums = scene.luminaires
     # Explicit two-arc scenarios model occlusion on top of a fully visible
     # luminaire, so both chosen luminaires must project entirely into the
     # image; the truncation itself is the only loss.
     complete = cfg.scenario != "mixed"
-    points = luminaire_points(scene.luminaires, cfg.contour_samples)
+    points = luminaire_points(lums, cfg.contour_samples)
+    angles = contour_angles(cfg.contour_samples)
     k = cfg.intrinsics
 
     samples: list[list] = []  # per sample, its records in algorithm order
-    # Per kernel, the (sample, slot, algorithm) of each row and the rows'
-    # inputs, one array per argument.
-    kernels = {solve_pairs: ([], {}), pnp_solve: ([], {})}
+    # Per kernel, the (sample, slot, algorithm) of each row, and the rows'
+    # inputs as one array per argument and block.
+    kernels = {solve_pairs: ([], []), pnp_solve: ([], [])}
     for start in range(0, cfg.samples, POSE_BLOCK):
         indices = range(start, min(start + POSE_BLOCK, cfg.samples))
         rngs = [np.random.default_rng([cfg.seed, index]) for index in indices]
         drawn = sample_poses(scene, rngs, k, points, complete)
-        for index, rng, sampled in zip(indices, rngs, drawn):
-            sample = _Sample(index, sampled.pose, sampled.attempts)
-            records = [None] * len(cfg.algorithms)
-            samples.append(records)
-            try:
-                obs = _capture_sample(cfg, sampled.visibility, rng)
-            except (ArcPoseError, ValueError) as exc:
-                records[:] = [_failed(sample, alg, exc) for alg in cfg.algorithms]
-                continue
-            pair = pair_observations(obs)
-            for slot, alg in enumerate(cfg.algorithms):
-                first, second = (0, 1) if alg == "OAVPA" else pair
-                vpca = alg != "OAVPA" and obs[first].complete
-                if alg == "VPCA" and not vpca:
-                    records[slot] = _failed(sample, alg, ValueError(
-                        "no complete capture for the circle-and-arc solver"))
-                    continue
-                if alg == "PNP":
-                    kernel, row = pnp_solve, _pnp_inputs(obs, lum_map)
-                else:
-                    kernel = solve_pairs
-                    row = pair_inputs(obs[first], obs[second], lum_map, k, vpca)
-                jobs, batch = kernels[kernel]
-                for key, value in row.items():
-                    if key not in batch:
-                        shape = (cfg.samples * len(cfg.algorithms),) + value.shape[1:]
-                        batch[key] = np.empty(shape, value.dtype)
-                    batch[key][len(jobs)] = value[0]
-                jobs.append((sample, slot, alg))
+        cap, pair = _capture_block(cfg, drawn, rngs)
+        block = [_Sample(index, sampled.pose, sampled.attempts)
+                 for index, sampled in zip(indices, drawn)]
+        failed = (cap.failure >= 0).reshape(-1, 2)
+        for j, sample in enumerate(block):
+            samples.append([None] * len(cfg.algorithms))
+            if failed[j].any():  # the first failure in capture order
+                exc = cap.error(2 * j + int(not failed[j, 0]))
+                samples[-1][:] = [_failed(sample, alg, exc) for alg in cfg.algorithms]
+        ok = np.flatnonzero(~failed.any(axis=1))
+        lum = np.array([sampled.pair for sampled in drawn]).ravel()  # per capture row
+        for slot, alg in enumerate(cfg.algorithms):
+            if alg == "PNP":
+                kernel, rows = pnp_solve, ok
+                inputs = _pnp_inputs(cap, ok, [lums[i] for i in lum], angles)
+            else:
+                both = 2 * ok[:, None] + (np.array([0, 1]) if alg == "OAVPA" else pair[ok])
+                vpca = cap.complete[both[:, 0]] & (alg != "OAVPA")
+                rows = ok
+                if alg == "VPCA":
+                    for j in ok[~vpca]:
+                        samples[block[j].index][slot] = _failed(block[j], alg, ValueError(
+                            "no complete capture for the circle-and-arc solver"))
+                    rows, both, vpca = ok[vpca], both[vpca], vpca[vpca]
+                kernel, inputs = solve_pairs, pair_inputs(
+                    cap.coefficients[both], cap.landmarks[both[:, 0]],
+                    [(lums[i], lums[j]) for i, j in lum[both].tolist()], k, vpca)
+            kernels[kernel][0].extend((block[j], slot, alg) for j in rows)
+            kernels[kernel][1].append(inputs)
         # The block's projections go before the next block is drawn.
-        del drawn, sampled
+        del drawn, cap
 
-    for kernel, (jobs, batch) in kernels.items():
+    for kernel, (jobs, blocks) in kernels.items():
+        batch = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]} if jobs else {}
         for first in range(0, len(jobs), SOLVE_SLICE):
             rows = slice(first, min(first + SOLVE_SLICE, len(jobs)))
             args = {key: v[rows] for key, v in batch.items()}
@@ -377,23 +380,27 @@ class _Sample(NamedTuple):
     attempts: int
 
 
-def _capture_sample(cfg, visibility, rng) -> list[Observation]:
-    """Observe the two best-visible luminaires, given every luminaire's
-    `Visibility` at the sample's pose. Each observation stands for the
-    average of `cfg.images_per_location` images, so its pixel noise is
-    sigma / sqrt(images)."""
-    # Longest extractable contour first: the nearest luminaire carries the
-    # most information. `mixed` pairs the best complete luminaire with the
-    # best other one, as the dispatcher does; the explicit scenarios take the
-    # best two.
-    mixed = cfg.scenario == "mixed"
-    chosen = [visibility[i] for i in pair_observations(visibility, mixed)]
-    modes = (["complete" if v.complete else "image_bounds" for v in chosen] if mixed
-             else list(cfg.scenario))
+def _capture_block(cfg, drawn, rngs) -> tuple[Capture, np.ndarray]:
+    """Capture the pair of every sampled pose in `drawn`, each with its
+    generator in `rngs`: rows 2s and 2s + 1 of the capture are sample s's
+    pair. Each observation stands for the average of
+    `cfg.images_per_location` images, so its pixel noise is
+    sigma / sqrt(images). `mixed` captures a complete luminaire whole and
+    cuts another to the image; the explicit scenarios cut each to its mode.
+
+    Also returns the pair the dispatcher solves per sample (P, 2), as 0/1
+    offsets into its two rows: `pair_rows` on the noisy contour lengths,
+    preferring a complete capture."""
+    rows = [sampled.visibility[i] for sampled in drawn for i in sampled.pair]
+    modes = (["complete" if vis.complete else "image_bounds" for vis in rows]
+             if cfg.scenario == "mixed" else list(cfg.scenario) * len(drawn))
     noise_px = cfg.sigma / math.sqrt(cfg.images_per_location)
-    return [capture_observation(vis, mode, noise_px, cfg.intrinsics, rng,
-                                cfg.arc_fraction)
-            for vis, mode in zip(chosen, modes)]
+    cap = capture(rows, modes, noise_px, cfg.intrinsics,
+                  [rng for rng in rngs for _ in range(2)], cfg.arc_fraction)
+    ids = [vis.luminaire_id for vis in rows]
+    pair = pair_rows(cap.contour_px.reshape(-1, 2).tolist(), list(zip(ids[::2], ids[1::2])),
+                     cap.complete.reshape(-1, 2).tolist(), True)
+    return cap, np.array(pair).reshape(-1, 2)
 
 
 def _failed(sample: _Sample, alg, exc) -> ResultRecord:

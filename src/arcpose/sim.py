@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import fit_ellipse
+from .conic import FIT_CHECKS, EllipseFits, fit_ellipses
 from .errors import (
     ArcTooShortError,
     InvalidConfigError,
@@ -36,7 +36,7 @@ from .frames import (
     pixel_to_image,
     rotation_from_angles,
 )
-from .solver import LuminaireInfo, Observation
+from .solver import LuminaireInfo, contour_lengths, pair_rows
 
 SCENE_SCHEMA_VERSION = 1
 
@@ -155,14 +155,15 @@ class Visibility:
     """How much of a luminaire the camera sees, on the clean projection.
 
     Also carries that projection: `pixels` (one row per contour sample, NaN
-    behind the camera) and the `center` and `mark` pixels, all read-only.
+    behind the camera; None where `sample_poses` does not capture the
+    luminaire) and the `center` and mark pixels, all read-only.
     """
 
     luminaire_id: str
     fraction: float     # share of contour samples inside the image
     complete: bool      # full contour plus center and mark readable
     contour_px: float   # pixel length of the visible part of the contour
-    pixels: np.ndarray
+    pixels: np.ndarray | None
     center: np.ndarray
     mark: np.ndarray
 
@@ -170,7 +171,7 @@ class Visibility:
 def luminaire_points(luminaires, contour_samples: int):
     """World contour rings (L, 3, n) and center/mark pairs (L, 3, 2), laid
     out for `_project`; they depend only on the scene and the point count,
-    so a run builds them once for `sample_poses` and `visibility`."""
+    so a run builds them once for `sample_poses`."""
     angles = contour_angles(contour_samples)
     rings = np.stack([lum.circle_points(angles).T for lum in luminaires])
     marks = np.stack([np.stack([lum.center_w, lum.mark_w], axis=1)
@@ -178,26 +179,25 @@ def luminaire_points(luminaires, contour_samples: int):
     return rings, marks
 
 
-def visibility(luminaires, rotations: np.ndarray, translations: np.ndarray,
-               k: CameraIntrinsics, points) -> list[tuple[Visibility, ...]]:
-    """Per pose, one `Visibility` per luminaire, on the clean projection of
-    a block of P poses: rotations (P, 3, 3) and translations (P, 3). `points`
-    are the luminaires' `luminaire_points`. The contours are projected one
-    pose at a time and classified one luminaire at a time, which bounds the
-    temporaries."""
+def classify(rotations, translations, k: CameraIntrinsics, points):
+    """The clean projection of a block of P poses, rotations (P, 3, 3) and
+    translations (P, 3), with `points` the luminaires' `luminaire_points`:
+    contour pixels (P, L, n, 2), center and mark pixels (P, L, 2, 2), and
+    the `Visibility` fraction, completeness and contour length (P, L) of
+    every luminaire. The contours are projected one pose at a time and
+    classified one luminaire at a time, which bounds the temporaries."""
     rings, marks = points
     pixels = np.empty((len(rotations), len(rings), rings.shape[2], 2))
     for p, (r, t) in enumerate(zip(rotations, translations)):
         pixels[p] = _project_points_pixel(rings, r, t, k)
     gm = _project_points_pixel(marks, rotations[:, None], translations[:, None], k)
-    pixels.flags.writeable = False
     gm.flags.writeable = False
-    columns = []
-    for i, lum in enumerate(luminaires):
+    fractions, complete, lengths = np.empty((3, len(pixels), len(rings)))
+    for i in range(len(rings)):
         px = pixels[:, i]
         inside = _in_bounds(px, k)
-        fractions = inside.mean(axis=1)
-        complete = (fractions == 1.0) & _in_bounds(gm[:, i], k).all(axis=1)
+        fractions[:, i] = inside.mean(axis=1)
+        complete[:, i] = (fractions[:, i] == 1.0) & _in_bounds(gm[:, i], k).all(axis=1)
         # Segment lengths to the next contour point, wrapping around.
         step = np.empty_like(px)
         np.subtract(px[:, 1:], px[:, :-1], out=step[:, :-1])
@@ -205,30 +205,22 @@ def visibility(luminaires, rotations: np.ndarray, translations: np.ndarray,
         step *= step
         seg = np.sqrt(step[..., 0] + step[..., 1])
         both = inside & np.roll(inside, -1, axis=1)
-        columns.append([
-            Visibility(
-                luminaire_id=lum.id,
-                fraction=float(fractions[p]),
-                complete=bool(complete[p]),
-                contour_px=float(seg[p][both[p]].sum()),
-                pixels=px[p],
-                center=gm[p, i, 0],
-                mark=gm[p, i, 1],
-            )
-            for p in range(len(px))
-        ])
-    return list(zip(*columns))
+        lengths[:, i] = [seg[p][both[p]].sum() for p in range(len(px))]
+    return pixels, gm, fractions, complete.astype(bool), lengths
 
 
 @dataclass(frozen=True)
 class SampledPose:
     """A pose accepted by `sample_poses`, the visibility of every luminaire
-    on the clean projection it was accepted on, and the number of draws it
-    took, the accepted one included."""
+    on the clean projection it was accepted on, the number of draws it took,
+    the accepted one included, and the `pair` a capture takes: indices into
+    `visibility`, in capture order. Only the pair's visibilities carry
+    pixels."""
 
     pose: Pose
     visibility: tuple[Visibility, ...]
     attempts: int
+    pair: tuple[int, int]
 
 
 def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
@@ -249,8 +241,11 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
     together, in one stacked projection per luminaire. Each generator draws
     only its own candidates, so it ends where drawing its poses one at a
     time would leave it. Each accepted pose comes with the `visibility` of
-    the projection it was accepted on. Raises SamplingExhaustedError when a
-    pose is still rejected after `MAX_ATTEMPTS` candidates.
+    the projection it was accepted on and the pair a capture takes, as
+    `pair_rows` ranks the clean contours: the best complete luminaire and
+    the best other one, or with `complete` the best two. Raises
+    SamplingExhaustedError when a pose is still rejected after
+    `MAX_ATTEMPTS` candidates.
     """
     length, width, _ = scene.room
     low, high = HEIGHT_RANGE
@@ -300,27 +295,56 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
 
     # Each accepted pose is projected once more: keeping every candidate's
     # pixels until its round is decided would cost more memory than this
-    # costs time.
-    return [
-        SampledPose(Pose(rotation=r, translation=t), vis, int(n))
-        for r, t, vis, n in zip(
-            rotations, translations,
-            visibility(scene.luminaires, rotations, translations, k, points),
-            attempts)
-    ]
+    # costs time. Only the pair a capture takes keeps its pixels.
+    pixels, gm, fractions, whole, lengths = classify(rotations, translations, k, points)
+    pairs = pair_rows(lengths.tolist(), [[lum.id for lum in scene.luminaires]] * count,
+                      whole.tolist(), not complete)
+    kept = pixels[np.arange(count)[:, None], pairs]
+    kept.flags.writeable = False
+    return [SampledPose(
+        Pose.unchecked(rotations[p], translations[p]),
+        tuple(Visibility(lum.id, float(fractions[p, i]), bool(whole[p, i]),
+                         float(lengths[p, i]), kept[p, pair.index(i)] if i in pair else None,
+                         gm[p, i, 0], gm[p, i, 1])
+              for i, lum in enumerate(scene.luminaires)),
+        int(attempts[p]), pair) for p, pair in enumerate(pairs)]
 
 
-def capture_observation(
-    vis: Visibility,
-    mode: str,
-    noise_px: float,
-    k: CameraIntrinsics,
-    rng: np.random.Generator,
-    arc_fraction: float = 0.6,
-) -> Observation:
-    """The observation of one luminaire at one location, from its clean
-    projection `vis`: noisy contour pixels, cut to the part `mode` keeps,
-    and the ellipse fitted to them.
+# What a capture row fails on before its fit, then the checks of the fit.
+CAPTURE_CHECKS = (
+    (NotVisibleError, "luminaire {luminaire!r} does not project into the image"),
+    (ArcTooShortError, "only {count} contour points survive truncation"),
+    *FIT_CHECKS,
+)
+
+
+@dataclass(frozen=True)
+class Capture(EllipseFits):
+    """M observations captured by `capture` and their fitted ellipses: row
+    m, of luminaire id `luminaire[m]`, keeps the first `count[m]` noisy
+    pixels of `pixels` (M, N, 2), at the contour indices `keep` (M, N).
+    `landmarks` (M, 2, 2) holds the clean center and mark pixels of
+    `complete` rows (NaN on the others), `contour_px` each row's
+    `Observation.contour_px`; `failure` indexes CAPTURE_CHECKS."""
+
+    CHECKS = CAPTURE_CHECKS
+    luminaire: np.ndarray
+    pixels: np.ndarray
+    keep: np.ndarray
+    complete: np.ndarray
+    landmarks: np.ndarray
+    contour_px: np.ndarray
+
+    def _details(self, row: int) -> dict:
+        return {**super()._details(row), "luminaire": str(self.luminaire[row])}
+
+
+def capture(rows, modes, noise_px: float, k: CameraIntrinsics, rngs,
+            arc_fraction: float = 0.6) -> Capture:
+    """The observations of M luminaires, from their clean projections `rows`
+    (visibilities with pixels of one contour length n): noisy contour
+    pixels cut to the part `modes[m]` keeps, all fitted in one
+    `fit_ellipses` call.
 
     Every contour point gets zero-mean Gaussian noise of std `noise_px` on u
     and v. The mean of n images with pixel noise of std sigma has noise of
@@ -329,48 +353,57 @@ def capture_observation(
     contour point whatever the mode and `noise_px`, so random streams align
     across noise levels.
 
-    semicircle keeps the contiguous 50% span from a start index drawn from
-    `rng` (before the noise), superior_arc keeps `arc_fraction` of the
-    contour from there, image_bounds keeps the points whose clean projection
-    lies inside the image. Only a complete observation carries the center
-    and mark projections, noise-free: they stand in for the
-    space-time-coded landmark points, which the receiver decodes from
-    structured LED patterns spanning the whole luminaire face, and which
-    cannot be read from a partial image.
+    semicircle keeps the contiguous 50% span from a start index drawn
+    before the noise, superior_arc keeps `arc_fraction` of the contour from
+    there, image_bounds keeps the points whose clean projection lies inside
+    the image. Only a complete row carries the center and mark projections,
+    noise-free: they stand in for the space-time-coded landmark points,
+    which the receiver decodes from structured LED patterns spanning the
+    whole luminaire face, and which cannot be read from a partial image.
 
-    Raises NotVisibleError when no contour point lands inside the image and
-    ArcTooShortError when fewer than 5 points are kept.
+    Row m draws from `rngs[m]` in row order, as if the rows were captured one
+    after the other. A row not in the image fails with NotVisibleError and
+    draws nothing; one cut below 5 points fails with ArcTooShortError and
+    draws no noise.
     """
-    if mode not in ARC_MODES:
+    if not set(modes) <= set(ARC_MODES):
         raise ValueError(f"mode must be one of {ARC_MODES}")
-    if vis.fraction == 0.0:
-        raise NotVisibleError(
-            f"luminaire {vis.luminaire_id!r} does not project into the image"
-        )
-    clean = vis.pixels
-    n = len(clean)
-    if mode in ("semicircle", "superior_arc"):
-        start = int(rng.integers(n))
-        span = n // 2 if mode == "semicircle" else int(round(n * arc_fraction))
-        keep = np.arange(start, start + span) % n
-    elif mode == "image_bounds":
-        keep = np.flatnonzero(_in_bounds(clean, k))
-    else:
-        keep = np.arange(n)
-    if len(keep) < 5:
-        raise ArcTooShortError(f"only {len(keep)} contour points survive truncation")
+    clean = np.stack([vis.pixels for vis in rows])
+    m, n = clean.shape[:2]
+    spans = {"semicircle": n // 2, "superior_arc": int(round(n * arc_fraction))}
+    inside = _in_bounds(clean, k)
+    count = np.where([mode == "image_bounds" for mode in modes], inside.sum(axis=1), n)
+    start = np.zeros(m, dtype=int)
+    cut = np.full(m, -1)
+    noise = np.zeros_like(clean)
+    for i, (vis, mode, rng) in enumerate(zip(rows, modes, rngs)):
+        if vis.fraction == 0.0:
+            cut[i] = 0
+            continue
+        if mode in spans:
+            start[i], count[i] = rng.integers(n), spans[mode]
+        if count[i] < 5:
+            cut[i] = 1
+            continue
+        rng.standard_normal(out=noise[i])
 
-    pixels = clean[keep] + rng.standard_normal(clean.shape)[keep] * noise_px
-    complete = mode == "complete"
-    return Observation(
-        luminaire_id=vis.luminaire_id,
-        ellipse=fit_ellipse(pixel_to_image(pixels, k)),
-        complete=complete,
-        center_proj=vis.center if complete else None,
-        mark_proj=vis.mark if complete else None,
-        contour_pixels=pixels,
-        contour_angles=contour_angles(n)[keep],
-    )
+    keep = (start[:, None] + np.arange(count.max())) % n
+    for i in np.flatnonzero(np.array(modes) == "image_bounds"):
+        keep[i, :count[i]] = np.flatnonzero(inside[i])
+    index = np.arange(m)[:, None], keep
+    pixels = noise[index]
+    del noise  # before the fit's temporaries
+    pixels *= noise_px
+    pixels += clean[index]
+    fits = fit_ellipses(pixel_to_image(pixels, k), np.where(cut < 0, count, 0))
+    complete = np.array(modes) == "complete"
+    landmarks = np.array([(vis.center, vis.mark) for vis in rows])
+    return Capture(
+        coefficients=fits.coefficients, count=count,
+        failure=np.where(cut >= 0, cut, np.where(fits.failure >= 0, fits.failure + 2, -1)),
+        luminaire=np.array([vis.luminaire_id for vis in rows]), pixels=pixels, keep=keep,
+        complete=complete, landmarks=np.where(complete[:, None, None], landmarks, np.nan),
+        contour_px=contour_lengths(pixels, count))
 
 
 # --- (de)serialization ------------------------------------------------------------

@@ -34,6 +34,7 @@ import numpy as np
 
 from .conic import (
     EllipseCoeffs,
+    _KernelRows,
     cone_matrices,
     decompose_cones,
     ellipse_centers,
@@ -135,27 +136,32 @@ class Observation:
         _freeze(self, **arrays)
 
     @property
-    def arc_length(self) -> int:
-        """Number of contour points backing the fit (0 when unknown)."""
-        return 0 if self.contour_pixels is None else int(len(self.contour_pixels))
-
-    @property
     def contour_px(self) -> float:
-        """Approximate pixel length of the extracted contour (0 when unknown).
-
-        Point count times the median sample spacing; the median keeps the
-        estimate stable when truncation leaves gaps in the index sequence.
-        """
+        """Approximate pixel length of the extracted contour (0 when unknown);
+        see `contour_lengths`."""
         p = self.contour_pixels
-        if p is None or len(p) < 2:
-            return 0.0
-        step = p[1:] - p[:-1]
-        seg = np.sqrt((step * step).sum(axis=1))
-        # np.median's value, from one partition without its overhead.
-        half = len(seg) // 2
-        part = np.partition(seg, (max(half - 1, 0), half))
-        median = part[half] if len(seg) % 2 else (part[half - 1] + part[half]) / 2.0
-        return float(len(p) * median)
+        return 0.0 if p is None else float(contour_lengths(p[None], [len(p)])[0])
+
+
+def contour_lengths(pixels, counts) -> np.ndarray:
+    """Approximate pixel lengths of M contours, row m's points the first
+    `counts[m]` of `pixels` (M, N, 2): point count times the exact median
+    spacing of consecutive points (0 below two points); the median keeps the
+    estimate stable when truncation leaves gaps in the index sequence."""
+    p = np.asarray(pixels, dtype=float)
+    step = p[:, 1:] - p[:, :-1]
+    step *= step
+    seg = np.sqrt(step[..., 0] + step[..., 1])
+    counts = [int(n) for n in counts]
+    for row, n in zip(seg, counts):
+        row[max(n - 1, 0):] = np.inf  # past the row's last spacing
+    seg.sort(axis=1)
+    lengths = np.zeros(len(p))
+    for i, (row, n) in enumerate(zip(seg, counts)):
+        half = (n - 1) // 2
+        if n >= 2:
+            lengths[i] = n * (row[half] if (n - 1) % 2 else (row[half - 1] + row[half]) / 2.0)
+    return lengths
 
 
 @dataclass(frozen=True)
@@ -292,24 +298,6 @@ PAIR_CHECKS = (
 )
 
 
-class _KernelRows:
-    """Read-only per-row arrays of a batched solver, whose `failure` column
-    indexes the `CHECKS` entry each row failed (-1: solved)."""
-
-    CHECKS: tuple = ()
-
-    def __post_init__(self):
-        for value in vars(self).values():
-            value.flags.writeable = False
-
-    def error(self, row: int) -> Exception | None:
-        code = self.failure[row]
-        if code < 0:
-            return None
-        cls, message = self.CHECKS[code]
-        return cls(message)
-
-
 @dataclass(frozen=True)
 class PairSolutions(_KernelRows):
     """Poses of N luminaire pairs, one row per pair. `failure` indexes the
@@ -403,41 +391,56 @@ def solve_pairs(coeffs, points, centers, marks, radius, vpca, f: float) -> PairS
 
 # --- one pair at a time: batches of one -----------------------------------------
 
-def pair_observations(items, prefer_complete: bool = True) -> tuple[int, int]:
-    """The pair the dispatcher solves, as indices into `items` (observations
-    or visibilities: anything with `contour_px`, `luminaire_id` and
-    `complete`).
+def pair_rows(lengths, ids, complete, prefer_complete: bool) -> list[tuple[int, int]]:
+    """The pair the dispatcher solves in each of P sets of items, given as
+    rows (lists) of contour lengths, luminaire ids and completeness; as
+    indices into the set.
 
     Items rank by contour length (ties by luminaire id). The first of the
     pair is the best-ranked complete one (with `prefer_complete`), else the
     best-ranked one; the second is the best-ranked other item.
     """
-    order = sorted(range(len(items)),
-                   key=lambda i: (-items[i].contour_px, items[i].luminaire_id))
-    first = next((i for i in order if prefer_complete and items[i].complete), order[0])
-    return first, next(i for i in order if i != first)
+    pairs = []
+    for row_lengths, row_ids, row_complete in zip(lengths, ids, complete):
+        order = sorted(range(len(row_ids)), key=lambda i: (-row_lengths[i], row_ids[i]))
+        first = next((i for i in order if prefer_complete and row_complete[i]), order[0])
+        pairs.append((first, next(i for i in order if i != first)))
+    return pairs
 
 
-def pair_inputs(first: Observation, second: Observation, lums,
-                k: CameraIntrinsics, vpca: bool) -> dict:
-    """The `solve_pairs` inputs (all but `f`) of one pair, as one-row arrays;
-    UnknownLuminaireError for an id that is not in `lums`."""
-    lum_map = _luminaire_map(lums)
-    lum1 = _resolve(lum_map, first.luminaire_id)
-    lum2 = _resolve(lum_map, second.luminaire_id)
-    points = (pixel_to_image(np.stack([first.center_proj, first.mark_proj]), k) if vpca
-              else np.full((2, 2), np.nan))
+def pair_observations(items, prefer_complete: bool = True) -> tuple[int, int]:
+    """`pair_rows` of one set of items (observations or visibilities:
+    anything with `contour_px`, `luminaire_id` and `complete`), as indices
+    into `items`."""
+    return pair_rows([[item.contour_px for item in items]],
+                     [[item.luminaire_id for item in items]],
+                     [[item.complete for item in items]], prefer_complete)[0]
+
+
+def pair_inputs(coeffs, landmarks, pairs, k: CameraIntrinsics, vpca) -> dict:
+    """The `solve_pairs` inputs (all but `f`) of S luminaire pairs: both
+    observations' ellipse coefficients (S, 2, 5), the first one's center and
+    mark pixels (S, 2, 2), read on the rows where `vpca` (S,), and each
+    pair's two `LuminaireInfo`."""
+    vpca = np.asarray(vpca, dtype=bool)
     return dict(
-        coeffs=np.array([[first.ellipse.coefficients, second.ellipse.coefficients]]),
-        points=points[None], centers=np.array([[lum1.center_w, lum2.center_w]]),
-        marks=lum1.mark_w[None], radius=np.array([[lum1.radius, lum2.radius]]),
-        vpca=np.array([vpca]),
+        coeffs=np.asarray(coeffs, dtype=float),
+        points=np.where(vpca[:, None, None], pixel_to_image(landmarks, k), np.nan),
+        centers=np.array([[a.center_w, b.center_w] for a, b in pairs]).reshape(-1, 2, 3),
+        marks=np.array([a.mark_w for a, _ in pairs]).reshape(-1, 3),
+        radius=np.array([[a.radius, b.radius] for a, b in pairs]).reshape(-1, 2),
+        vpca=vpca,
     )
 
 
 def _solve_pair(first: Observation, second: Observation, lums,
                 k: CameraIntrinsics, vpca: bool) -> PoseEstimate:
-    sol = solve_pairs(**pair_inputs(first, second, lums, k, vpca), f=k.f)
+    lum_map = _luminaire_map(lums)
+    pair = (_resolve(lum_map, first.luminaire_id), _resolve(lum_map, second.luminaire_id))
+    landmarks = [first.center_proj, first.mark_proj] if vpca else np.zeros((2, 2))
+    sol = solve_pairs(**pair_inputs(
+        [[first.ellipse.coefficients, second.ellipse.coefficients]], [landmarks], [pair], k,
+        [vpca]), f=k.f)
     error = sol.error(0)
     if error is not None:
         raise error

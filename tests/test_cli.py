@@ -266,6 +266,16 @@ def test_sweep_noise_writes_summary(tmp_path, capsys):
     assert all(line.endswith(b"\r\n") for line in lines)
 
 
+@pytest.mark.parametrize("command,flag", [("sweep-noise", "--sigma"),
+                                          ("sweep-radius", "--radius")])
+def test_sweep_malformed_values_exit_2_naming_the_flag(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--samples", "3", flag, "0,abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "'0,abc'" in err
+
+
 def test_sweep_radius_rows_match_plain_runs(tmp_path, capsys):
     cfg = tiny_config(tmp_path, algorithms=["VPA", "OAVPA"])
     assert main(["sweep-radius", "--config", cfg, "--radius", "0.1,0.15",

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from arcpose import harness, sim
-from arcpose.errors import InvalidConfigError, SamplingExhaustedError
+from arcpose.errors import ArcPoseError, InvalidConfigError, SamplingExhaustedError
 from arcpose.frames import EulerAngles, euler_to_rotation
 from arcpose.harness import (
     DEFAULT_CDF_GRID,
     ExperimentConfig,
     ResultRecord,
+    _capture_block,
     _record_row,
     config_from_dict,
     config_to_dict,
@@ -27,7 +28,11 @@ from arcpose.harness import (
     write_results,
 )
 
+from arcpose.sim import luminaire_points
+from arcpose.solver import solve_oavpa, solve_vpca
+
 from conftest import make_pose
+from oracles import capture_sample
 
 
 # --- metrics ----------------------------------------------------------------------
@@ -169,6 +174,72 @@ def test_runner_propagates_sampling_exhaustion(monkeypatch):
     monkeypatch.setattr(sim, "MAX_ATTEMPTS", 5)
     with pytest.raises(SamplingExhaustedError):
         run_monte_carlo(ExperimentConfig(samples=3, seed=1))
+
+
+def reference_records(cfg):
+    """Per sample: the error name of its capture, or the luminaire ids of
+    the dispatcher's pair and, per algorithm, the error name or e_loc of a
+    scalar solve; captured one luminaire at a time with the `lstsq` fit."""
+    scene = cfg.effective_scene()
+    points = luminaire_points(scene.luminaires, cfg.contour_samples)
+    k = cfg.intrinsics
+    out = []
+    for index in range(cfg.samples):
+        rng = np.random.default_rng([cfg.seed, index])
+        drawn, = sim.sample_poses(scene, [rng], k, points, cfg.scenario != "mixed")
+        try:
+            obs, (first, second) = capture_sample(cfg, drawn, rng)
+        except (ArcPoseError, ValueError) as exc:
+            out.append((type(exc).__name__, None, None))
+            continue
+        results = {}
+        for alg, (a, b) in (("VPA", (first, second)), ("OAVPA", (0, 1))):
+            solve = solve_vpca if alg == "VPA" and obs[a].complete else solve_oavpa
+            try:
+                pose = solve(obs[a], obs[b], scene.luminaires, k).pose
+                results[alg] = e_loc(drawn.pose.translation, pose.translation)
+            except (ArcPoseError, ValueError) as exc:
+                results[alg] = type(exc).__name__
+        out.append((None, (obs[first].luminaire_id, obs[second].luminaire_id), results))
+    return out
+
+
+@pytest.mark.parametrize("scenario,arc_fraction", [
+    ("mixed", 0.6), ("superior_arc+superior_arc", 0.6), ("complete+semicircle", 0.6),
+    ("superior_arc+superior_arc", 0.03),  # 11-point arcs: some fits are no ellipse
+])
+def test_runner_matches_sample_by_sample_reference(scenario, arc_fraction):
+    # The block capture and fit against one luminaire at a time with the
+    # scalar fit: the same failures, pairs and statuses, and the same
+    # locations to the last digits the fit's arithmetic moves.
+    cfg = ExperimentConfig(scenario=scenario, samples=200, seed=13,
+                           arc_fraction=arc_fraction, algorithms=("VPA", "OAVPA"))
+    reference = reference_records(cfg)
+    scene = cfg.effective_scene()
+    points = luminaire_points(scene.luminaires, cfg.contour_samples)
+    captured = []
+    for start in range(0, cfg.samples, harness.POSE_BLOCK):
+        rngs = [np.random.default_rng([cfg.seed, i])
+                for i in range(start, min(start + harness.POSE_BLOCK, cfg.samples))]
+        drawn = sim.sample_poses(scene, rngs, cfg.intrinsics, points, cfg.scenario != "mixed")
+        cap, pair = _capture_block(cfg, drawn, rngs)
+        for j in range(len(drawn)):
+            rows = 2 * j + pair[j]
+            error = cap.error(2 * j) or cap.error(2 * j + 1)
+            captured.append((type(error).__name__ if error else None,
+                             None if error else tuple(cap.luminaire[rows].tolist())))
+    assert captured == [ref[:2] for ref in reference]
+
+    records = run_monte_carlo(cfg)
+    assert (sum(ref[0] is not None for ref in reference) > 10) == (arc_fraction < 0.1)
+    for (failure, _, results), pair in zip(reference, zip(records[::2], records[1::2])):
+        for r in pair:
+            expected = failure or results[r.algorithm]
+            if isinstance(expected, str):
+                assert r.error == expected
+            else:
+                # 1e-9 m, or 1e-9 relative for the short arcs' poses metres off.
+                assert r.ok and abs(r.e_loc - expected) <= 1e-9 * max(1.0, expected)
 
 
 def test_runner_records_per_algorithm():

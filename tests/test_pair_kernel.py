@@ -22,9 +22,11 @@ from arcpose.errors import (
     ParallelLineError,
 )
 from arcpose.frames import rot_x, rot_y, rot_z
-from arcpose.harness import ExperimentConfig, _capture_sample
+from arcpose.harness import ExperimentConfig
 from arcpose.sim import luminaire_points, sample_poses
-from arcpose.solver import pair_inputs, pair_observations, solve_pairs
+from arcpose.solver import pair_inputs, solve_pairs
+
+from oracles import capture_sample
 
 SCENARIOS = ("mixed", "complete+semicircle", "superior_arc+superior_arc",
              "superior_arc+image_bounds")
@@ -42,11 +44,18 @@ def captured_pairs(scenario, samples=40, seed=3):
         rng = np.random.default_rng([seed, index])
         drawn, = sample_poses(scene, [rng], cfg.intrinsics, points,
                               cfg.scenario != "mixed")
-        obs = _capture_sample(cfg, drawn.visibility, rng)
-        first, second = pair_observations(obs)
+        obs, (first, second) = capture_sample(cfg, drawn, rng)
         pairs.append((obs[first], obs[second], obs[first].complete))
         pairs.append((obs[0], obs[1], False))
     return pairs, scene.luminaire_map(), cfg.intrinsics
+
+
+def one_row(first, second, lums, k, vpca):
+    """The `pair_inputs` of two observations, as a batch of one."""
+    landmarks = [first.center_proj, first.mark_proj] if vpca else np.zeros((2, 2))
+    return pair_inputs([[first.ellipse.coefficients, second.ellipse.coefficients]],
+                       [landmarks], [(lums[first.luminaire_id], lums[second.luminaire_id])],
+                       k, [vpca])
 
 
 def stack(rows):
@@ -62,7 +71,7 @@ def assert_row_equal(batch, row, one):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_one_batch_equals_batches_of_one(scenario):
     pairs, lums, k = captured_pairs(scenario)
-    rows = [pair_inputs(a, b, lums, k, vpca) for a, b, vpca in pairs]
+    rows = [one_row(a, b, lums, k, vpca) for a, b, vpca in pairs]
     batch = solve_pairs(**stack(rows), f=k.f)
     assert (batch.failure < 0).mean() > 0.9
     for i, row in enumerate(rows):
@@ -71,7 +80,7 @@ def test_one_batch_equals_batches_of_one(scenario):
 
 def test_failed_rows_are_isolated():
     pairs, lums, k = captured_pairs("mixed", samples=12)
-    rows = [pair_inputs(a, b, lums, k, vpca) for a, b, vpca in pairs]
+    rows = [one_row(a, b, lums, k, vpca) for a, b, vpca in pairs]
     vpca_row = next(r for r in rows if r["vpca"][0])
     oavpa_row = next(r for r in rows if not r["vpca"][0])
 
@@ -233,7 +242,7 @@ def ref_solve(row, f):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_kernel_matches_scalar_reference(scenario):
     pairs, lums, k = captured_pairs(scenario, samples=25, seed=11)
-    rows = [pair_inputs(a, b, lums, k, vpca) for a, b, vpca in pairs]
+    rows = [one_row(a, b, lums, k, vpca) for a, b, vpca in pairs]
     sol = solve_pairs(**stack(rows), f=k.f)
     for i, row in enumerate(rows):
         try:

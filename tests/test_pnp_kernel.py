@@ -8,8 +8,8 @@ samples (seed 2, 40 samples: one of them runs all three heading restarts).
 
 import numpy as np
 
-from arcpose.harness import ExperimentConfig, _capture_sample, _pnp_inputs
-from arcpose.sim import luminaire_points, sample_poses
+from arcpose.harness import ExperimentConfig, _capture_block, _pnp_inputs
+from arcpose.sim import contour_angles, luminaire_points, sample_poses
 from arcpose.solver import PNP_CHECKS, pnp_solve
 
 FIELDS = ("rotation", "translation", "rms_px", "iterations", "above_plane", "failure")
@@ -25,8 +25,9 @@ def captured_rows(samples=40, seed=2):
     for index in range(samples):
         rng = np.random.default_rng([seed, index])
         drawn, = sample_poses(scene, [rng], cfg.intrinsics, points, False)
-        rows.append(_pnp_inputs(_capture_sample(cfg, drawn.visibility, rng),
-                                scene.luminaire_map()))
+        cap, _ = _capture_block(cfg, [drawn], [rng])
+        rows.append(_pnp_inputs(cap, [0], [scene.luminaires[i] for i in drawn.pair],
+                                contour_angles(cfg.contour_samples)))
     return (np.concatenate([r["world"] for r in rows]),
             np.concatenate([r["pixels"] for r in rows]), cfg.intrinsics)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from arcpose import sim
-from arcpose.conic import ellipse_centers, fit_ellipse
+from arcpose.conic import EllipseCoeffs, ellipse_centers, fit_ellipse
 from arcpose.errors import (
     ArcTooShortError,
     InvalidConfigError,
@@ -26,9 +26,10 @@ from arcpose.frames import (
 from arcpose.sim import (
     ARC_MODES,
     Scene,
+    Visibility,
     _in_bounds,
     _project_points_pixel,
-    capture_observation,
+    classify,
     contour_angles,
     luminaire_points,
     sample_poses,
@@ -36,13 +37,12 @@ from arcpose.sim import (
     scene_to_dict,
     default_intrinsics,
     default_scene,
-    visibility,
 )
-from arcpose.harness import ExperimentConfig, _capture_sample
-from arcpose.solver import LuminaireInfo
+from arcpose.harness import ExperimentConfig, _capture_block
+from arcpose.solver import LuminaireInfo, Observation, pair_observations
 
 from conftest import make_pose
-from oracles import image_to_pixel, project_to_image, world_to_camera
+from oracles import image_to_pixel, project_to_image, rank_pair, world_to_camera
 
 
 @pytest.fixture
@@ -56,10 +56,31 @@ def k():
 
 
 def visibility_at(scene, pose, k, contour_samples=360):
-    """Every luminaire's `Visibility` from one pose, as a block of one."""
+    """Every luminaire's `Visibility`, pixels included, from one pose
+    classified as a block of one."""
     points = luminaire_points(scene.luminaires, contour_samples)
-    return visibility(scene.luminaires, pose.rotation[None], pose.translation[None],
-                      k, points)[0]
+    pixels, gm, fractions, complete, lengths = classify(
+        pose.rotation[None], pose.translation[None], k, points)
+    pixels.flags.writeable = False
+    return tuple(Visibility(lum.id, float(fractions[0, i]), bool(complete[0, i]),
+                            float(lengths[0, i]), pixels[0, i], gm[0, i, 0], gm[0, i, 1])
+                 for i, lum in enumerate(scene.luminaires))
+
+
+def capture_observation(vis, mode, noise_px, k, rng, arc_fraction=0.6):
+    """The `Observation` of one luminaire: `sim.capture` with one row, whose
+    error it raises."""
+    cap = sim.capture([vis], [mode], noise_px, k, [rng], arc_fraction)
+    error = cap.error(0)
+    if error is not None:
+        raise error
+    kept = cap.keep[0, :cap.count[0]]
+    complete = bool(cap.complete[0])
+    return Observation(
+        luminaire_id=vis.luminaire_id, ellipse=EllipseCoeffs(*cap.coefficients[0]),
+        complete=complete, center_proj=vis.center if complete else None,
+        mark_proj=vis.mark if complete else None, contour_pixels=cap.pixels[0, :len(kept)],
+        contour_angles=contour_angles(len(vis.pixels))[kept])
 
 
 def capture(scene, k, pose, mode="complete", noise_px=0.0, seed=0, lum=0,
@@ -208,13 +229,21 @@ def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
         assert np.array_equal(got.pose.translation, pose.translation)
         assert got.attempts == n
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        for lum, a, (pixels, gm, fraction, whole, length) in zip(
-                scene.luminaires, got.visibility, reference):
+        # The pair a capture takes keeps its pixels; the others keep none.
+        assert got.pair == rank_pair([length for *_, length in reference],
+                                     [lum.id for lum in scene.luminaires],
+                                     [whole for *_, whole, _ in reference], not complete)
+        for i, (lum, a, (pixels, gm, fraction, whole, length)) in enumerate(zip(
+                scene.luminaires, got.visibility, reference)):
             assert (a.luminaire_id, a.fraction, a.complete, a.contour_px) == (
                 lum.id, fraction, whole, length)
-            for name, ref in (("pixels", pixels), ("center", gm[0]), ("mark", gm[1])):
+            fields = [("center", gm[0]), ("mark", gm[1])]
+            if i in got.pair:
+                fields.append(("pixels", pixels))
+            else:
+                assert a.pixels is None
+            for name, ref in fields:
                 assert np.array_equal(getattr(a, name), ref, equal_nan=True)
-                assert not getattr(a, name).flags.writeable
                 assert not getattr(a, name).flags.writeable
     # The case needs rejections to mean anything.
     assert max(attempts) > 3 and np.mean(attempts) > 1.5
@@ -312,7 +341,7 @@ def test_semicircle_keeps_exactly_half(scene, k):
     start = int(copy.deepcopy(rng).integers(360))
     assert start + 180 > 360  # the kept span wraps the seam
     obs = capture_observation(vis, "semicircle", 0.0, k, rng)
-    assert obs.arc_length == 180
+    assert len(obs.contour_pixels) == 180
     assert not obs.complete
     assert obs.center_proj is None and obs.mark_proj is None
     idx = np.arange(start, start + 180) % 360
@@ -372,7 +401,7 @@ def test_image_bounds_mode_drops_outside_points(scene, k):
     assert pose is not None
     vis = visibility_at(scene, pose, k)[0]
     obs = capture(scene, k, pose, mode="image_bounds")
-    assert obs.arc_length == round(vis.fraction * 360)
+    assert len(obs.contour_pixels) == round(vis.fraction * 360)
     assert (obs.contour_pixels[:, 0] >= 0).all()
     assert (obs.contour_pixels[:, 0] <= k.width).all()
 
@@ -402,24 +431,33 @@ def upright_view(scene, k):
     return visibility_at(scene, make_pose(t=(4.0, 3.0, 0.5)), k)
 
 
+def capture_upright(cfg, vis, rng):
+    """The harness's capture of the pair it takes from the visibilities
+    `vis`, and the clean pixels of that pair's two rows."""
+    pair = pair_observations(vis, cfg.scenario == "mixed")
+    drawn = sim.SampledPose(make_pose(t=(4.0, 3.0, 0.5)), vis, 1, pair)
+    cap, _ = _capture_block(cfg, [drawn], [rng])
+    return cap, [vis[i].pixels for i in pair]
+
+
 def test_average_of_identical_captures_matches_single_fit(scene, k):
     # Noise-free images all read the clean contour, and so does their average.
-    vis = {v.luminaire_id: v for v in upright_view(scene, k)}
     cfg = ExperimentConfig(sigma=0.0, images_per_location=20)
-    for obs in _capture_sample(cfg, tuple(vis.values()), np.random.default_rng(0)):
-        single = fit_ellipse(pixel_to_image(vis[obs.luminaire_id].pixels, k))
-        assert obs.ellipse == single
-        assert obs.complete
+    cap, clean = capture_upright(cfg, upright_view(scene, k), np.random.default_rng(0))
+    for row, pixels in enumerate(clean):
+        single = fit_ellipse(pixel_to_image(pixels, k))
+        assert np.array_equal(cap.coefficients[row], single.coefficients)
+        assert cap.complete[row]
 
 
 def test_averaging_shrinks_noise_as_sqrt_n(scene, k):
     vis = upright_view(scene, k)
-    clean = {v.luminaire_id: v.pixels for v in vis}
     for images in (20, 5):
         cfg = ExperimentConfig(sigma=2.0, images_per_location=images)
-        residuals = [obs.contour_pixels - clean[obs.luminaire_id]
-                     for seed in range(50)
-                     for obs in _capture_sample(cfg, vis, np.random.default_rng(seed))]
+        residuals = []
+        for seed in range(50):
+            cap, clean = capture_upright(cfg, vis, np.random.default_rng(seed))
+            residuals += [cap.pixels[row] - pixels for row, pixels in enumerate(clean)]
         std = np.concatenate(residuals).ravel().std()
         assert abs(std - 2.0 / math.sqrt(images)) < 0.05
 
@@ -445,8 +483,8 @@ def test_tilted_view_has_perspective_bias(scene, k):
 # --- the direct draw against the per-image reference ----------------------------------
 
 def reference_observation(lum, pose, k, mode, rng, sigma=2.0, n_img=20, n=360):
-    """The per-image capture path that `capture_observation` replaces, kept
-    as a reference.
+    """The per-image capture path that `sim.capture` replaces, kept as a
+    reference.
 
     One luminaire projected on its own, `n_img` separate noisy images, each
     truncated on its own, averaged as a list; every image reads the same
@@ -493,8 +531,7 @@ def test_capture_matches_per_image_reference(scene, k, mode):
     for sample in range(25):
         rng = np.random.default_rng([ARC_MODES.index(mode), sample])
         drawn = draw_poses(scene, k, [rng])[0]
-        ranked = sorted(drawn.visibility, key=lambda v: -v.contour_px)
-        for vis in ranked[:2]:
+        for vis in (drawn.visibility[i] for i in drawn.pair):
             lum = scene.luminaire_map()[vis.luminaire_id]
             ref = reference_observation(lum, drawn.pose, k, mode, copy.deepcopy(rng))
             obs = capture_observation(vis, mode, 2.0 / math.sqrt(20), k, rng)
