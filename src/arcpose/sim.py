@@ -51,6 +51,11 @@ MAX_TILT = math.radians(45.0)
 MIN_FRACTION = 0.5
 MAX_ATTEMPTS = 100_000
 
+# How far (m, in camera coordinates) `visibility_bounds` extrema must clear
+# zero to decide a luminaire: far above the ~1e-15 relative rounding of
+# `_project`, so every decided luminaire agrees with its projected contour.
+BOUND_MARGIN = 1e-9
+
 # Rounds after which `sample_poses` advances only its first pending
 # generator. About 3 candidates in 10 pass the visibility test, so a pose
 # still pending after 64 rounds (p < 1e-9) means a test that rejects almost
@@ -170,13 +175,39 @@ class Visibility:
 
 def luminaire_points(luminaires, contour_samples: int):
     """World contour rings (L, 3, n) and center/mark pairs (L, 3, 2), laid
-    out for `_project`; they depend only on the scene and the point count,
-    so a run builds them once for `sample_poses`."""
+    out for `_project`, and the radii (L,); they depend only on the scene
+    and the point count, so a run builds them once for `sample_poses`."""
     angles = contour_angles(contour_samples)
     rings = np.stack([lum.circle_points(angles).T for lum in luminaires])
     marks = np.stack([np.stack([lum.center_w, lum.mark_w], axis=1)
                       for lum in luminaires])
-    return rings, marks
+    return rings, marks, np.array([lum.radius for lum in luminaires])
+
+
+def visibility_bounds(rotations, translations, k: CameraIntrinsics, points):
+    """Which luminaires of `points` (their `luminaire_points`) lie wholly
+    inside the image and which wholly outside it, for P poses: two (P, L)
+    masks; a luminaire in neither straddles the image edge.
+
+    `_inside` holds at a camera point p = (x, y, z) when z > 0 and, for
+    z > 0, x + u0 z dx/f >= 0, (width - u0) z dx/f - x >= 0 and the same
+    two for y: five linear functions n.p. On a ring c + R (cos a, sin a, 0)
+    each is n.c_cam + R (n.r0 cos a + n.r1 sin a), r0 and r1 the first two
+    rows of the rotation, so its extrema are n.c_cam -+ R hypot(n.r0, n.r1).
+    Inside means every minimum is above `BOUND_MARGIN`, outside some maximum
+    below -`BOUND_MARGIN`: then every contour point passes `_inside`, or
+    none does.
+    """
+    _, marks, radii = points
+    sx, sy = k.dx / k.f, k.dy / k.f
+    normals = np.array([[0.0, 1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0],
+                        [1.0, k.u0 * sx, (k.width - k.u0) * sx,
+                         k.v0 * sy, (k.height - k.v0) * sy]])
+    mid = (marks[:, :, 0] - translations[:, None]) @ rotations @ normals
+    axes = rotations[:, :2] @ normals
+    half = np.hypot(axes[:, 0], axes[:, 1])[:, None] * radii[:, None]
+    return ((mid - half > BOUND_MARGIN).all(axis=2),
+            (mid + half < -BOUND_MARGIN).any(axis=2))
 
 
 def classify(rotations, translations, k: CameraIntrinsics, points):
@@ -184,20 +215,24 @@ def classify(rotations, translations, k: CameraIntrinsics, points):
     translations (P, 3), with `points` the luminaires' `luminaire_points`:
     contour pixels (P, L, n, 2), center and mark pixels (P, L, 2, 2), and
     the `Visibility` fraction, completeness and contour length (P, L) of
-    every luminaire. The contours are projected one pose at a time and
-    classified one luminaire at a time, which bounds the temporaries."""
-    rings, marks = points
-    pixels = np.empty((len(rotations), len(rings), rings.shape[2], 2))
-    for p, (r, t) in enumerate(zip(rotations, translations)):
-        pixels[p] = _project_points_pixel(rings, r, t, k)
+    every luminaire. A luminaire that `visibility_bounds` puts wholly
+    outside the image is not projected: its contour pixels stay NaN and its
+    fraction and length are 0. The others are projected and classified one
+    luminaire at a time, which keeps the temporaries to P contours: one
+    gathered call over the whole block allocates megabytes, whose fresh
+    pages cost every block hundreds of page faults."""
+    rings, marks, _ = points
+    shown = ~visibility_bounds(rotations, translations, k, points)[1]
+    pixels = np.full((len(rotations), len(rings), rings.shape[2], 2), np.nan)
     gm = _project_points_pixel(marks, rotations[:, None], translations[:, None], k)
     gm.flags.writeable = False
-    fractions, complete, lengths = np.empty((3, len(pixels), len(rings)))
-    for i in range(len(rings)):
-        px = pixels[:, i]
+    fractions, complete, lengths = np.zeros((3, len(rotations), len(rings)))
+    for i, ring in enumerate(rings):
+        p = np.flatnonzero(shown[:, i])
+        px = pixels[p, i] = _project_points_pixel(ring, rotations[p], translations[p], k)
         inside = _in_bounds(px, k)
-        fractions[:, i] = inside.mean(axis=1)
-        complete[:, i] = (fractions[:, i] == 1.0) & _in_bounds(gm[:, i], k).all(axis=1)
+        fractions[p, i] = inside.mean(axis=1)
+        complete[p, i] = (fractions[p, i] == 1.0) & _in_bounds(gm[p, i], k).all(axis=1)
         # Segment lengths to the next contour point, wrapping around.
         step = np.empty_like(px)
         np.subtract(px[:, 1:], px[:, :-1], out=step[:, :-1])
@@ -205,7 +240,7 @@ def classify(rotations, translations, k: CameraIntrinsics, points):
         step *= step
         seg = np.sqrt(step[..., 0] + step[..., 1])
         both = inside & np.roll(inside, -1, axis=1)
-        lengths[:, i] = [seg[p][both[p]].sum() for p in range(len(px))]
+        lengths[p, i] = [row[kept].sum() for row, kept in zip(seg, both)]
     return pixels, gm, fractions, complete.astype(bool), lengths
 
 
@@ -238,14 +273,18 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
     The generators advance in rounds: each round draws `uniform(size=6)`
     from every generator whose pose is still rejected (from the first of
     them alone after `SOLO_AFTER` rounds) and tests all those candidates
-    together, in one stacked projection per luminaire. Each generator draws
-    only its own candidates, so it ends where drawing its poses one at a
-    time would leave it. Each accepted pose comes with the `visibility` of
-    the projection it was accepted on and the pair a capture takes, as
-    `pair_rows` ranks the clean contours: the best complete luminaire and
-    the best other one, or with `complete` the best two. Raises
-    SamplingExhaustedError when a pose is still rejected after
-    `MAX_ATTEMPTS` candidates.
+    together. `visibility_bounds` gives a luminaire wholly inside the image
+    fraction 1.0 and one wholly outside it 0; only the luminaires that
+    straddle the image edge are projected, all of the round's in one
+    gathered call. Those fractions then meet the same `MIN_FRACTION` (or
+    `complete`) test as projected ones, so a fraction of 1.0 is not shown
+    when `MIN_FRACTION` exceeds 1. Each generator draws only its own
+    candidates, so it ends where drawing its poses one at a time would leave
+    it. Each accepted pose comes with the `visibility` of its `classify`
+    projection and the pair a capture takes, as `pair_rows` ranks the clean
+    contours: the best complete luminaire and the best other one, or with
+    `complete` the best two. Raises SamplingExhaustedError when a pose is
+    still rejected after `MAX_ATTEMPTS` candidates.
     """
     length, width, _ = scene.room
     low, high = HEIGHT_RANGE
@@ -253,7 +292,7 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
         raise SamplingExhaustedError(
             f"scene has {len(scene.luminaires)} luminaires, a pose needs 2"
         )
-    rings, marks = points
+    rings, marks, _ = points
 
     count = len(rngs)
     rotations = np.empty((count, 3, 3))
@@ -278,12 +317,12 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
         rotations[active] = [rotation_from_angles(a, b, _wrap_angle(c))
                              for a, b, c in zip(phi, theta, psi)]
 
-        # One luminaire at a time, so that no candidate's pixels are kept.
         r, t = rotations[active], translations[active]
-        fractions = np.empty((len(active), len(rings)))
-        for i, ring in enumerate(rings):
-            inside = _inside(ring, r, t, k)
-            fractions[:, i] = np.count_nonzero(inside, axis=1) / inside.shape[1]
+        inside, outside = visibility_bounds(r, t, k, points)
+        fractions = inside.astype(float)
+        p, i = np.nonzero(~(inside | outside))
+        hits = _inside(rings[i], r[p], t[p], k)
+        fractions[p, i] = np.count_nonzero(hits, axis=1) / hits.shape[1]
         if complete:
             marks_in = _inside(marks, r[:, None], t[:, None], k).all(axis=2)
             shown = (fractions == 1.0) & marks_in
@@ -293,9 +332,7 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
 
         pending = np.concatenate([active[~accepted], pending[len(active):]])
 
-    # Each accepted pose is projected once more: keeping every candidate's
-    # pixels until its round is decided would cost more memory than this
-    # costs time. Only the pair a capture takes keeps its pixels.
+    # Only the pair a capture takes keeps its pixels.
     pixels, gm, fractions, whole, lengths = classify(rotations, translations, k, points)
     pairs = pair_rows(lengths.tolist(), [[lum.id for lum in scene.luminaires]] * count,
                       whole.tolist(), not complete)

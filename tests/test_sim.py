@@ -2,6 +2,7 @@
 luminaire: projection, averaged pixel noise, arc truncation and the fit."""
 
 import copy
+import itertools
 import json
 import math
 
@@ -147,8 +148,8 @@ def test_sample_pose_require_complete(scene, k):
 
 def test_sample_pose_empty_scene(k):
     empty = Scene(room=(8.0, 6.0, 3.0), luminaires=())
-    # No rings and no center/mark pairs, as `luminaire_points` lays them out.
-    points = np.empty((0, 3, 360)), np.empty((0, 3, 2))
+    # No rings, center/mark pairs or radii, as `luminaire_points` lays them out.
+    points = np.empty((0, 3, 360)), np.empty((0, 3, 2)), np.empty(0)
     with pytest.raises(SamplingExhaustedError):
         sample_poses(empty, [np.random.default_rng(0)], k, points, False)
 
@@ -208,13 +209,29 @@ def scalar_sample_pose(scene, rng, k, complete):
     raise SamplingExhaustedError("reference loop exhausted")
 
 
-@pytest.mark.parametrize("stream,complete,solo_after",
-                         [(0, False, 64), (2, True, 64), (0, False, 2)],
-                         ids=["0-64", "2-64", "0-2"])
+def offset_camera():
+    """Off-centre intrinsics (u0 != width/2, v0 != height/2, dx != dy) and
+    the default room with 6 cm luminaires, L3 hung 0.8 m below the ceiling:
+    a swapped pair of image bounds shows in these poses, unlike in the
+    default camera's symmetric ones."""
+    k = sim.CameraIntrinsics(f=0.4, dx=1.25e-3, dy=1.5e-3, u0=280.0, v0=262.0,
+                             width=640, height=480)
+    drop = {"L3": 0.8}
+    lums = tuple(LuminaireInfo(lum.id, lum.center_w - [0, 0, drop.get(lum.id, 0.0)], 0.06)
+                 for lum in default_scene().luminaires)
+    return Scene(room=(8.0, 6.0, 3.0), luminaires=lums), k
+
+
+@pytest.mark.parametrize("stream,complete,solo_after,offset",
+                         [(0, False, 64, False), (2, True, 64, False), (0, False, 2, False),
+                          (3, False, 64, True), (4, True, 64, True)],
+                         ids=["0-64", "2-64", "0-2", "offset", "offset-complete"])
 def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
-                                                  solo_after, monkeypatch):
+                                                  solo_after, offset, monkeypatch):
     # solo_after=2: after two rounds the generators advance one at a time.
     monkeypatch.setattr(sim, "SOLO_AFTER", solo_after)
+    if offset:
+        scene, k = offset_camera()
     seeds = [[stream, i] for i in range(120)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # One block of 100 and one of 20: rounds in lockstep over many generators.
@@ -264,6 +281,80 @@ def test_sampler_exhausts_after_max_attempts(scene, k, solo_after, monkeypatch):
         for _ in range(draws):
             reference.uniform(size=6)
         assert rngs[i].bit_generator.state == reference.bit_generator.state
+
+
+def edge_normals(k):
+    """Unit camera-frame normals n of the five half-spaces n.p >= 0 whose
+    intersection is the set of points that project into the image: in front
+    of the camera, then u >= 0, u <= width, v >= 0 and v <= height."""
+    normals = np.array([[0.0, 0.0, 1.0],
+                        [k.f / k.dx, 0.0, k.u0], [-k.f / k.dx, 0.0, k.width - k.u0],
+                        [0.0, k.f / k.dy, k.v0], [0.0, -k.f / k.dy, k.height - k.v0]])
+    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+
+def check_bounds(scene, k, rotations, translations, contour_samples):
+    """`visibility_bounds` of P poses against the count of every contour
+    point that passes `_inside`: a luminaire put inside has all its points
+    in the image, one put outside none. Returns both masks."""
+    points = luminaire_points(scene.luminaires, contour_samples)
+    inside, outside = sim.visibility_bounds(rotations, translations, k, points)
+    assert not (inside & outside).any()
+    for p in range(0, len(rotations), 25):
+        rows = slice(p, p + 25)
+        hits = np.count_nonzero(sim._inside(points[0], rotations[rows, None],
+                                            translations[rows, None], k), axis=2)
+        assert (hits[inside[rows]] == contour_samples).all()
+        assert (hits[outside[rows]] == 0).all()
+    return inside, outside
+
+
+# 3600-point contours take 0.7 s per 1000 poses to count.
+@pytest.mark.parametrize("contour_samples,count", [(8, 5000), (3600, 1000)])
+@pytest.mark.parametrize("offset", [False, True], ids=["default", "offset"])
+def test_visibility_bounds_agree_with_projected_contours(contour_samples, count, offset):
+    scene, k = offset_camera() if offset else (default_scene(), default_intrinsics())
+    rng = np.random.default_rng(contour_samples)
+    # Tilts up to 80 degrees and heights up to above the ceiling, so that
+    # rings also cross the camera's z = 0 plane.
+    angles = rng.uniform([-1.4, -1.4, -math.pi], [1.4, 1.4, math.pi], size=(count, 3))
+    rotations = np.array([sim.rotation_from_angles(*a) for a in angles])
+    translations = rng.uniform([-1.0, -1.0, 0.3], [9.0, 7.0, 3.2], size=(count, 3))
+    inside, outside = check_bounds(scene, k, rotations, translations, contour_samples)
+    # Most luminaires are decided without a projection.
+    assert inside.mean() > 0.1 and outside.mean() > 0.3
+    assert (inside | outside).mean() > 0.8
+
+
+@pytest.mark.parametrize("contour_samples", [8, 3600])
+@pytest.mark.parametrize("offset", [False, True], ids=["default", "offset"])
+def test_visibility_bounds_agree_at_tangency(contour_samples, offset):
+    # Poses that see a luminaire whole, each moved so that the ring's
+    # nearest (or farthest) point lies 1e-6 m from one image edge's plane or
+    # from the z = 0 plane, on either side of it.
+    scene, k = offset_camera() if offset else (default_scene(), default_intrinsics())
+    rngs = [np.random.default_rng([contour_samples, i]) for i in range(10)]
+    drawn = sample_poses(scene, rngs, k, luminaire_points(scene.luminaires, 360), True)
+    rotations, translations, tangent = [], [], []
+    for sampled in drawn:
+        r, t = sampled.pose.rotation, sampled.pose.translation
+        for i in sampled.pair:
+            lum = scene.luminaires[i]
+            for n, side, offset_m in itertools.product(edge_normals(k), (-1, 1),
+                                                       (-1e-6, 1e-6)):
+                w = r @ n  # the half-space's unit normal in the world
+                # n.cam ranges over w.(c - t) -+ R hypot(w_x, w_y) on the
+                # ring; moving the camera along w takes an extremum to offset_m.
+                extremum = w @ (lum.center_w - t) + side * lum.radius * math.hypot(*w[:2])
+                rotations.append(r)
+                translations.append(t + (extremum - offset_m) * w)
+                tangent.append(i)
+    rotations, translations = np.array(rotations), np.array(translations)
+    inside, outside = check_bounds(scene, k, rotations, translations, contour_samples)
+    # The margin is far below 1e-6 m: the tangent rings are decided where
+    # their nearest point is inside by 1e-6 m, or their farthest outside.
+    rows = np.arange(len(tangent))
+    assert inside[rows, tangent].any() and outside[rows, tangent].any()
 
 
 # --- projection -----------------------------------------------------------------------
