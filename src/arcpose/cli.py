@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -142,6 +143,9 @@ def _float_list(text: str) -> list[float]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+# Built once per process: a build costs about 1.5 ms, which every in-process
+# `main` call paid, and parsing leaves the parser as it was.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcpose",

@@ -92,8 +92,7 @@ class Pose:
         t = np.array(self.translation, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation length 3")
-        if not is_rotation(r):
-            raise ValueError("rotation matrix is not orthonormal with det +1")
+        check_rotations(r[None])
         _freeze(self, rotation=r, translation=t)
 
     @classmethod
@@ -104,15 +103,22 @@ class Pose:
         return pose
 
 
-def is_rotation(r: np.ndarray) -> bool:
-    """True when r is orthonormal with determinant +1 within ROTATION_TOL."""
+def are_rotations(r: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack (N, 3, 3): orthonormal with determinant +1
+    within ROTATION_TOL, and finite."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
-        return False
-    return (
-        np.abs(r.T @ r - np.eye(3)).max() <= ROTATION_TOL
-        and abs(np.linalg.det(r) - 1.0) <= ROTATION_TOL
-    )
+    finite = np.isfinite(r).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        return (finite
+                & (np.abs(r.swapaxes(1, 2) @ r - np.eye(3)).max(axis=(1, 2)) <= ROTATION_TOL)
+                & (np.abs(np.linalg.det(r) - 1.0) <= ROTATION_TOL))
+
+
+def check_rotations(r: np.ndarray) -> None:
+    """The rotation guard of `Pose`, for a stack (N, 3, 3) at once: raises
+    ValueError unless every matrix passes `are_rotations`."""
+    if not are_rotations(r).all():
+        raise ValueError("rotation matrix is not orthonormal with det +1")
 
 
 def _wrap_angle(a: float) -> float:
@@ -136,28 +142,31 @@ def pixel_to_image(p, k: CameraIntrinsics) -> np.ndarray:
 
 # --- Euler angles / quaternions -------------------------------------------------
 
-def rot_x(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def rotations_from_angles(phi, theta, psi) -> np.ndarray:
+    """Rz(psi) @ Ry(theta) @ Rx(phi) (N, 3, 3) for N angles in radians,
+    unvalidated.
 
-
-def rot_y(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(psi: float) -> np.ndarray:
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    The one builder of this composition: `rotation_from_angles` is its batch
+    of one, and each matrix is built with libm's cos and sin and the same
+    two 3x3 products as on its own, so it does not depend on the angles
+    beside it. (NumPy's vectorized cos and sin differ from libm in the last
+    bit on some inputs.)
+    """
+    phi, theta, psi = (np.asarray(a, dtype=float).tolist() for a in (phi, theta, psi))
+    n = len(phi)
+    rx, ry, rz = np.zeros((3, n, 3, 3))
+    rx[:, 0, 0] = ry[:, 1, 1] = rz[:, 2, 2] = 1.0
+    for m, (i, j), angles in ((rx, (1, 2), phi), (ry, (2, 0), theta), (rz, (0, 1), psi)):
+        sin = np.array([math.sin(a) for a in angles])
+        m[:, i, i] = m[:, j, j] = [math.cos(a) for a in angles]
+        m[:, j, i], m[:, i, j] = sin, -sin
+    return rz @ ry @ rx
 
 
 def rotation_from_angles(phi: float, theta: float, psi: float) -> np.ndarray:
-    """Rz(psi) @ Ry(theta) @ Rx(phi) for angles in radians, unvalidated.
-
-    The one scalar builder of this composition: `euler_to_rotation` and the
-    pose sampler both call it, so their rotations agree to the last bit.
-    """
-    return rot_z(psi) @ rot_y(theta) @ rot_x(phi)
+    """`rotations_from_angles` of one set of angles: `euler_to_rotation` and
+    the pose sampler's rounds build the same bits."""
+    return rotations_from_angles([phi], [theta], [psi])[0]
 
 
 def euler_to_rotation(e: EulerAngles) -> np.ndarray:
@@ -169,11 +178,21 @@ def euler_to_rotation(e: EulerAngles) -> np.ndarray:
     return rotation_from_angles(e.phi, e.theta, e.psi)
 
 
-def angles_from_rotation(r: np.ndarray) -> tuple[float, float, float]:
+def angles_from_rotation(r) -> tuple[float, float, float]:
     """(phi, theta, psi) of Rz(psi) @ Ry(theta) @ Rx(phi) with no gimbal-lock
-    guard and no wrap: theta by principal asin, phi and psi by atan2."""
-    theta = math.asin(float(np.clip(-r[2, 0], -1.0, 1.0)))
-    return math.atan2(r[2, 1], r[2, 2]), theta, math.atan2(r[1, 0], r[0, 0])
+    guard and no wrap: theta by principal asin, phi and psi by atan2, all by
+    libm. `r` is a 3x3 array or its `.tolist()`, which reads faster."""
+    sin_theta = min(max(-r[2][0], -1.0), 1.0)
+    return math.atan2(r[2][1], r[2][2]), math.asin(sin_theta), math.atan2(r[1][0], r[0][0])
+
+
+def euler_angles(r) -> tuple[float, float, float] | None:
+    """The angles `rotation_to_euler` returns, from a 3x3 array or its
+    `.tolist()`, or None at gimbal lock (|cos(theta)| < 1e-8)."""
+    if math.sqrt(max(0.0, 1.0 - r[2][0] * r[2][0])) < 1e-8:
+        return None
+    phi, theta, psi = angles_from_rotation(r)
+    return _wrap_angle(phi), theta, _wrap_angle(psi)
 
 
 def rotation_to_euler(r: np.ndarray) -> EulerAngles:
@@ -182,41 +201,46 @@ def rotation_to_euler(r: np.ndarray) -> EulerAngles:
     Picks theta in [-pi/2, pi/2] (principal asin branch). Raises
     GimbalLockError when |cos(theta)| < 1e-8 and phi/psi are not separable.
     """
-    r = np.asarray(r, dtype=float)
-    sin_theta = float(np.clip(-r[2, 0], -1.0, 1.0))
-    if math.sqrt(max(0.0, 1.0 - sin_theta * sin_theta)) < 1e-8:
+    angles = euler_angles(np.asarray(r, dtype=float).tolist())
+    if angles is None:
         raise GimbalLockError("cos(theta) ~ 0: phi and psi are coupled")
-    phi, theta, psi = angles_from_rotation(r)
-    return EulerAngles(_wrap_angle(phi), theta, _wrap_angle(psi))
+    return EulerAngles(*angles)
 
 
-def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation, canonicalized to w >= 0.
+def rotations_to_quaternions(r: np.ndarray) -> np.ndarray:
+    """Unit quaternions (w, x, y, z) (N, 4) of N rotations (N, 3, 3),
+    canonicalized to w >= 0.
 
     When w is (numerically) zero the first non-negligible component among
     (x, y, z) is made positive, so q and -q always map to the same result.
+    Each row takes the arithmetic it would take alone.
     """
     r = np.asarray(r, dtype=float)
-    t = np.trace(r)
-    if t > 0:
-        s = math.sqrt(t + 1.0) * 2
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
-             (r[1, 0] - r[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, l = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(max(0.0, 1.0 + r[i, i] - r[j, j] - r[l, l])) * 2
-        q = np.empty(4)
-        q[0] = (r[l, j] - r[j, l]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (r[j, i] + r[i, j]) / s
-        q[1 + l] = (r[l, i] + r[i, l]) / s
-    q /= np.linalg.norm(q)
-    for c in q:
-        if abs(c) > 1e-9:
-            if c < 0:
-                q = -q
-            break
-    return q
+    q = np.empty((len(r), 4))
+    t = np.trace(r, axis1=1, axis2=2)
+    # trace > 0: from w.
+    pos = t > 0
+    a = r[pos]
+    s = np.sqrt(t[pos] + 1.0) * 2
+    q[pos] = np.stack([0.25 * s, (a[:, 2, 1] - a[:, 1, 2]) / s,
+                       (a[:, 0, 2] - a[:, 2, 0]) / s, (a[:, 1, 0] - a[:, 0, 1]) / s], axis=1)
+    # Otherwise from the component of the largest diagonal entry i.
+    rows = np.flatnonzero(~pos)
+    i = np.argmax(r[rows].diagonal(axis1=1, axis2=2), axis=1)
+    j, l = (i + 1) % 3, (i + 2) % 3
+    d = 1.0 + r[rows, i, i] - r[rows, j, j] - r[rows, l, l]
+    s = np.sqrt(np.where(d > 0.0, d, 0.0)) * 2
+    q[rows, 0] = (r[rows, l, j] - r[rows, j, l]) / s
+    q[rows, 1 + i] = 0.25 * s
+    q[rows, 1 + j] = (r[rows, j, i] + r[rows, i, j]) / s
+    q[rows, 1 + l] = (r[rows, l, i] + r[rows, i, l]) / s
+    # The stacked 1x4 @ 4x1 products sum as np.linalg.norm of each row does.
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    big = np.abs(q) > 1e-9
+    first = q[np.arange(len(q)), big.argmax(axis=1)]
+    return np.where((big.any(axis=1) & (first < 0))[:, None], -q, q)
+
+
+def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
+    """`rotations_to_quaternions` of one rotation."""
+    return rotations_to_quaternions(np.asarray(r, dtype=float)[None])[0]

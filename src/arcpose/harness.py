@@ -27,12 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import GimbalLockError, InvalidConfigError
+from .errors import InvalidConfigError
 from .frames import (
     CameraIntrinsics,
     Pose,
-    rotation_to_euler,
-    rotation_to_quaternion,
+    check_rotations,
+    euler_angles,
+    rotations_to_quaternions,
 )
 from .sim import (
     ARC_MODES,
@@ -83,20 +84,35 @@ RECORD_COLUMNS = (
 
 # --- metrics ---------------------------------------------------------------------
 
-def e_loc(truth, est) -> float:
-    """Euclidean location error in meters."""
-    return float(np.linalg.norm(np.asarray(truth, float) - np.asarray(est, float)))
+def e_loc_rows(truth, est) -> np.ndarray:
+    """Euclidean location errors (N,) in meters of N locations (N, 3)."""
+    d = np.asarray(truth, float) - np.asarray(est, float)
+    # The stacked 1x3 @ 3x1 products sum as np.linalg.norm of each row does.
+    return np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
-def e_pos(r_true: np.ndarray, r_est: np.ndarray) -> float:
-    """Relative quaternion distance between two rotations.
+def e_pos_rows(r_true, r_est) -> np.ndarray:
+    """Relative quaternion distances (N,) between N pairs of rotations
+    (N, 3, 3).
 
     Both quaternions are canonicalized to the same hemisphere first; for unit
     quaternions the denominator is 1.
     """
-    q_true = rotation_to_quaternion(r_true)
-    q_est = rotation_to_quaternion(r_est)
-    return float(np.linalg.norm(q_true - q_est) / np.linalg.norm(q_est))
+    q_true = rotations_to_quaternions(r_true)
+    q_est = rotations_to_quaternions(r_est)
+    d = q_true - q_est
+    return (np.sqrt(d[:, None, :] @ d[:, :, None])
+            / np.sqrt(q_est[:, None, :] @ q_est[:, :, None]))[:, 0, 0]
+
+
+def e_loc(truth, est) -> float:
+    """`e_loc_rows` of one pair of locations."""
+    return float(e_loc_rows(np.reshape(truth, (1, 3)), np.reshape(est, (1, 3)))[0])
+
+
+def e_pos(r_true: np.ndarray, r_est: np.ndarray) -> float:
+    """`e_pos_rows` of one pair of rotations."""
+    return float(e_pos_rows(np.reshape(r_true, (1, 3, 3)), np.reshape(r_est, (1, 3, 3)))[0])
 
 
 # --- configuration ---------------------------------------------------------------
@@ -280,14 +296,6 @@ def _pnp_inputs(cap: Capture, samples, lums, angles) -> dict:
     return dict(world=np.reshape(world, (-1, 4, 3)), pixels=np.reshape(pixels, (-1, 4, 2)))
 
 
-def _euler_or_nan(rotation) -> tuple[float, float, float]:
-    try:
-        e = rotation_to_euler(rotation)
-        return e.phi, e.theta, e.psi
-    except GimbalLockError:
-        return math.nan, math.nan, math.nan
-
-
 def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Run the configured experiment; one record per sample per algorithm.
 
@@ -298,7 +306,9 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     compact rows its kernel solves: the pair a geometric algorithm solves,
     or PNP's four contour correspondences. Then `solve_pairs` and
     `pnp_solve` take every row of the run to a pose, `SOLVE_SLICE` rows per
-    call. Records come out by sample, then in `cfg.algorithms` order.
+    call, and each call's solved rows pass `Pose`'s rotation check and get
+    their errors as arrays. Records come out by sample, then in
+    `cfg.algorithms` order.
 
     Solver failures never abort the run: the record carries the error class
     name and no metrics. Pose-sampling exhaustion does propagate, since a
@@ -314,10 +324,11 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     angles = contour_angles(cfg.contour_samples)
     k = cfg.intrinsics
 
-    samples: list[list] = []  # per sample, its records in algorithm order
-    # Per kernel, the (sample, slot, algorithm) of each row, and the rows'
-    # inputs as one array per argument and block.
-    kernels = {solve_pairs: ([], []), pnp_solve: ([], [])}
+    samples: list[_Sample] = []
+    records: list[list] = []  # per sample, its records in algorithm order
+    # Per kernel, per block and algorithm: the sample index of each row, the
+    # algorithm's slot, and the rows' inputs as one array per argument.
+    kernels = {solve_pairs: [], pnp_solve: []}
     for start in range(0, cfg.samples, POSE_BLOCK):
         indices = range(start, min(start + POSE_BLOCK, cfg.samples))
         rngs = [np.random.default_rng([cfg.seed, index]) for index in indices]
@@ -325,12 +336,13 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
         cap, pair = _capture_block(cfg, drawn, rngs)
         block = [_Sample(index, sampled.pose, sampled.attempts)
                  for index, sampled in zip(indices, drawn)]
+        samples += block
         failed = (cap.failure >= 0).reshape(-1, 2)
         for j, sample in enumerate(block):
-            samples.append([None] * len(cfg.algorithms))
+            records.append([None] * len(cfg.algorithms))
             if failed[j].any():  # the first failure in capture order
                 exc = cap.error(2 * j + int(not failed[j, 0]))
-                samples[-1][:] = [_failed(sample, alg, exc) for alg in cfg.algorithms]
+                records[-1][:] = [_failed(sample, alg, exc) for alg in cfg.algorithms]
         ok = np.flatnonzero(~failed.any(axis=1))
         lum = np.array([sampled.pair for sampled in drawn]).ravel()  # per capture row
         for slot, alg in enumerate(cfg.algorithms):
@@ -343,33 +355,48 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
                 rows = ok
                 if alg == "VPCA":
                     for j in ok[~vpca]:
-                        samples[block[j].index][slot] = _failed(block[j], alg, ValueError(
+                        records[block[j].index][slot] = _failed(block[j], alg, ValueError(
                             "no complete capture for the circle-and-arc solver"))
                     rows, both, vpca = ok[vpca], both[vpca], vpca[vpca]
                 kernel, inputs = solve_pairs, pair_inputs(
                     cap.coefficients[both], cap.landmarks[both[:, 0]],
                     [(lums[i], lums[j]) for i, j in lum[both].tolist()], k, vpca)
-            kernels[kernel][0].extend((block[j], slot, alg) for j in rows)
-            kernels[kernel][1].append(inputs)
+            kernels[kernel].append((start + rows, slot, inputs))
         # The block's projections go before the next block is drawn.
         del drawn, cap
 
-    for kernel, (jobs, blocks) in kernels.items():
-        batch = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]} if jobs else {}
-        for first in range(0, len(jobs), SOLVE_SLICE):
-            rows = slice(first, min(first + SOLVE_SLICE, len(jobs)))
+    truth_r = np.array([sample.truth.rotation for sample in samples])
+    truth_t = np.array([sample.truth.translation for sample in samples])
+    for kernel, parts in kernels.items():
+        if not parts:
+            continue
+        index = np.concatenate([rows for rows, _, _ in parts])
+        slots = np.concatenate([np.full(len(rows), slot) for rows, slot, _ in parts])
+        batch = {key: np.concatenate([inputs[key] for *_, inputs in parts])
+                 for key in parts[0][2]}
+        for first in range(0, len(index), SOLVE_SLICE):
+            rows = slice(first, first + SOLVE_SLICE)
             args = {key: v[rows] for key, v in batch.items()}
             sol = kernel(**args, f=k.f) if kernel is solve_pairs else kernel(**args, k=k)
-            for j, (sample, slot, alg) in enumerate(jobs[rows]):
-                error = sol.error(j)
-                tag = ("PNP" if kernel is pnp_solve
-                       else "VPCA" if args["vpca"][j] else "OAVPA")
-                samples[sample.index][slot] = (
-                    _failed(sample, alg, error) if error is not None
-                    else _solved(sample, alg, tag, Pose(rotation=sol.rotation[j],
-                                                        translation=sol.translation[j]))
-                )
-    return [r for records in samples for r in records]
+            at = index[rows]
+            tags = (np.where(args["vpca"], "VPCA", "OAVPA").tolist() if kernel is solve_pairs
+                    else ["PNP"] * len(at))
+            # The slice's solved rows pass the `Pose` guard and are scored at once.
+            solved = sol.failure < 0
+            check_rotations(sol.rotation[solved])
+            e_l, e_p = np.full((2, len(at)), np.nan)
+            e_l[solved] = e_loc_rows(truth_t[at[solved]], sol.translation[solved])
+            e_p[solved] = e_pos_rows(truth_r[at[solved]], sol.rotation[solved])
+            for j, (i, slot, tag, loc, pos) in enumerate(zip(
+                    at.tolist(), slots[rows].tolist(), tags, e_l.tolist(), e_p.tolist())):
+                sample, alg = samples[i], cfg.algorithms[slot]
+                if solved[j]:
+                    pose = Pose.unchecked(sol.rotation[j], sol.translation[j])
+                    records[i][slot] = ResultRecord(i, alg, sample.truth, pose, tag, loc, pos,
+                                                    attempts=sample.attempts)
+                else:
+                    records[i][slot] = _failed(sample, alg, sol.error(j))
+    return [r for sample_records in records for r in sample_records]
 
 
 class _Sample(NamedTuple):
@@ -391,7 +418,7 @@ def _capture_block(cfg, drawn, rngs) -> tuple[Capture, np.ndarray]:
     Also returns the pair the dispatcher solves per sample (P, 2), as 0/1
     offsets into its two rows: `pair_rows` on the noisy contour lengths,
     preferring a complete capture."""
-    rows = [sampled.visibility[i] for sampled in drawn for i in sampled.pair]
+    rows = [vis for sampled in drawn for vis in sampled.visibility]
     modes = (["complete" if vis.complete else "image_bounds" for vis in rows]
              if cfg.scenario == "mixed" else list(cfg.scenario) * len(drawn))
     noise_px = cfg.sigma / math.sqrt(cfg.images_per_location)
@@ -407,20 +434,6 @@ def _failed(sample: _Sample, alg, exc) -> ResultRecord:
     return ResultRecord(
         sample_index=sample.index, algorithm=alg, truth=sample.truth,
         error=type(exc).__name__, attempts=sample.attempts,
-    )
-
-
-def _solved(sample: _Sample, alg, tag, pose) -> ResultRecord:
-    truth = sample.truth
-    return ResultRecord(
-        sample_index=sample.index,
-        algorithm=alg,
-        truth=truth,
-        estimate=pose,
-        solver_tag=tag,
-        e_loc=e_loc(truth.translation, pose.translation),
-        e_pos=e_pos(truth.rotation, pose.rotation),
-        attempts=sample.attempts,
     )
 
 
@@ -492,23 +505,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_row(r: ResultRecord) -> list[str]:
-    tphi, ttheta, tpsi = _euler_or_nan(r.truth.rotation)
-    if r.estimate is not None:
-        ephi, etheta, epsi = _euler_or_nan(r.estimate.rotation)
-        est_t = r.estimate.translation
-    else:
-        ephi = etheta = epsi = None
-        est_t = (None, None, None)
-    values = [
-        r.sample_index, r.algorithm, r.solver_tag or "",
-        "ok" if r.ok else "failed", r.error or "",
-        r.e_loc, r.e_pos,
-        r.truth.translation[0], r.truth.translation[1], r.truth.translation[2],
-        tphi, ttheta, tpsi,
-        est_t[0], est_t[1], est_t[2], ephi, etheta, epsi,
-    ]
-    return [_fmt(v) for v in values]
+# One records.csv line per record, as csv.writer writes them (no field needs
+# quoting): the sample, algorithm, tag, status and error, then 14 floats
+# at 12 significant digits, or empty cells where a failed record has none.
+_TRUTH_CELLS = ",".join(["{:.12g}"] * 6)
+_SOLVED_ROW = "{},{},{},ok,,{:.12g},{:.12g},{}," + _TRUTH_CELLS + "\r\n"
+_FAILED_ROW = "{},{},{},failed,{},,,{},,,,,,\r\n"
+_NO_ANGLES = (math.nan,) * 3
+
+
+def _write_records(fh, records) -> None:
+    """The records.csv lines of `records`; the truth cells are formatted
+    once per run of records that share a truth."""
+    truth = cells = None
+    for r in records:
+        if r.truth is not truth:
+            truth = r.truth
+            cells = _TRUTH_CELLS.format(*truth.translation.tolist(),
+                                        *euler_angles(truth.rotation.tolist()) or _NO_ANGLES)
+        if r.ok:
+            est = r.estimate
+            fh.write(_SOLVED_ROW.format(
+                r.sample_index, r.algorithm, r.solver_tag or "", r.e_loc, r.e_pos, cells,
+                *est.translation.tolist(), *euler_angles(est.rotation.tolist()) or _NO_ANGLES))
+        else:
+            fh.write(_FAILED_ROW.format(r.sample_index, r.algorithm, r.solver_tag or "",
+                                        r.error, cells))
 
 
 def write_results(records, stats_by_alg, out_dir, cfg: ExperimentConfig) -> dict:
@@ -526,10 +548,8 @@ def write_results(records, stats_by_alg, out_dir, cfg: ExperimentConfig) -> dict
     }
 
     with open(paths["records"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(_record_row(r))
+        csv.writer(fh).writerow(RECORD_COLUMNS)
+        _write_records(fh, records)
 
     write_cdf(stats_by_alg, paths["cdf"])
 

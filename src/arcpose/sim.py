@@ -34,7 +34,7 @@ from .frames import (
     Pose,
     _wrap_angle,
     pixel_to_image,
-    rotation_from_angles,
+    rotations_from_angles,
 )
 from .solver import LuminaireInfo, contour_lengths, pair_rows
 
@@ -160,15 +160,14 @@ class Visibility:
     """How much of a luminaire the camera sees, on the clean projection.
 
     Also carries that projection: `pixels` (one row per contour sample, NaN
-    behind the camera; None where `sample_poses` does not capture the
-    luminaire) and the `center` and mark pixels, all read-only.
+    behind the camera) and the `center` and mark pixels, all read-only.
     """
 
     luminaire_id: str
     fraction: float     # share of contour samples inside the image
     complete: bool      # full contour plus center and mark readable
     contour_px: float   # pixel length of the visible part of the contour
-    pixels: np.ndarray | None
+    pixels: np.ndarray
     center: np.ndarray
     mark: np.ndarray
 
@@ -246,16 +245,19 @@ def classify(rotations, translations, k: CameraIntrinsics, points):
 
 @dataclass(frozen=True)
 class SampledPose:
-    """A pose accepted by `sample_poses`, the visibility of every luminaire
-    on the clean projection it was accepted on, the number of draws it took,
-    the accepted one included, and the `pair` a capture takes: indices into
-    `visibility`, in capture order. Only the pair's visibilities carry
-    pixels."""
+    """A pose accepted by `sample_poses`, the number of draws it took, the
+    accepted one included, and the `pair` a capture takes: indices into the
+    scene's luminaires, in capture order, with their `visibility` on the
+    clean projection the pose was accepted on. `fraction`, `complete` and
+    `contour_px` hold those fields of every luminaire (L,), read-only."""
 
     pose: Pose
-    visibility: tuple[Visibility, ...]
+    visibility: tuple[Visibility, Visibility]
     attempts: int
     pair: tuple[int, int]
+    fraction: np.ndarray
+    complete: np.ndarray
+    contour_px: np.ndarray
 
 
 def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
@@ -272,19 +274,20 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
 
     The generators advance in rounds: each round draws `uniform(size=6)`
     from every generator whose pose is still rejected (from the first of
-    them alone after `SOLO_AFTER` rounds) and tests all those candidates
-    together. `visibility_bounds` gives a luminaire wholly inside the image
-    fraction 1.0 and one wholly outside it 0; only the luminaires that
-    straddle the image edge are projected, all of the round's in one
-    gathered call. Those fractions then meet the same `MIN_FRACTION` (or
+    them alone after `SOLO_AFTER` rounds), builds all their rotations in one
+    `rotations_from_angles` call and tests them together.
+    `visibility_bounds` gives a luminaire wholly inside the image fraction
+    1.0 and one wholly outside it 0; only the luminaires that straddle the
+    image edge are projected, all of the round's in one gathered call. Those fractions then meet the same `MIN_FRACTION` (or
     `complete`) test as projected ones, so a fraction of 1.0 is not shown
     when `MIN_FRACTION` exceeds 1. Each generator draws only its own
     candidates, so it ends where drawing its poses one at a time would leave
-    it. Each accepted pose comes with the `visibility` of its `classify`
-    projection and the pair a capture takes, as `pair_rows` ranks the clean
-    contours: the best complete luminaire and the best other one, or with
-    `complete` the best two. Raises SamplingExhaustedError when a pose is
-    still rejected after `MAX_ATTEMPTS` candidates.
+    it. Each accepted pose comes with the pair a capture takes, as
+    `pair_rows` ranks the clean contours of its `classify` projection (the
+    best complete luminaire and the best other one, or with `complete` the
+    best two), the pair's `Visibility` and every luminaire's fraction,
+    completeness and contour length. Raises SamplingExhaustedError when a
+    pose is still rejected after `MAX_ATTEMPTS` candidates.
     """
     length, width, _ = scene.room
     low, high = HEIGHT_RANGE
@@ -311,11 +314,9 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
         translations[active] = np.stack(
             [draw[:, 0] * length, draw[:, 1] * width, low + draw[:, 2] * (high - low)],
             axis=1)
-        phi = (2 * draw[:, 3] - 1) * MAX_TILT
-        theta = (2 * draw[:, 4] - 1) * MAX_TILT
-        psi = (2 * draw[:, 5] - 1) * math.pi
-        rotations[active] = [rotation_from_angles(a, b, _wrap_angle(c))
-                             for a, b, c in zip(phi, theta, psi)]
+        rotations[active] = rotations_from_angles(
+            (2 * draw[:, 3] - 1) * MAX_TILT, (2 * draw[:, 4] - 1) * MAX_TILT,
+            [_wrap_angle(a) for a in ((2 * draw[:, 5] - 1) * math.pi).tolist()])
 
         r, t = rotations[active], translations[active]
         inside, outside = visibility_bounds(r, t, k, points)
@@ -332,19 +333,21 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
 
         pending = np.concatenate([active[~accepted], pending[len(active):]])
 
-    # Only the pair a capture takes keeps its pixels.
+    # Only the pair a capture takes gets `Visibility` records.
     pixels, gm, fractions, whole, lengths = classify(rotations, translations, k, points)
     pairs = pair_rows(lengths.tolist(), [[lum.id for lum in scene.luminaires]] * count,
                       whole.tolist(), not complete)
     kept = pixels[np.arange(count)[:, None], pairs]
-    kept.flags.writeable = False
+    for arr in (kept, fractions, whole, lengths):
+        arr.flags.writeable = False
+    lums = scene.luminaires
     return [SampledPose(
         Pose.unchecked(rotations[p], translations[p]),
-        tuple(Visibility(lum.id, float(fractions[p, i]), bool(whole[p, i]),
-                         float(lengths[p, i]), kept[p, pair.index(i)] if i in pair else None,
-                         gm[p, i, 0], gm[p, i, 1])
-              for i, lum in enumerate(scene.luminaires)),
-        int(attempts[p]), pair) for p, pair in enumerate(pairs)]
+        tuple(Visibility(lums[i].id, float(fractions[p, i]), bool(whole[p, i]),
+                         float(lengths[p, i]), kept[p, c], gm[p, i, 0], gm[p, i, 1])
+              for c, i in enumerate(pair)),
+        int(attempts[p]), pair, fractions[p], whole[p], lengths[p])
+        for p, pair in enumerate(pairs)]
 
 
 # What a capture row fails on before its fit, then the checks of the fit.

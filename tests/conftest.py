@@ -1,17 +1,26 @@
-"""Shared helpers: exact forward projection of ceiling discs.
+"""Shared helpers: exact forward projection of ceiling discs, and
+rotations that cover every branch of the quaternion conversion.
 
 These build test scenes through the reference maps of `oracles` only, so
 the conic and solver tests check their subject against an independent
 forward model rather than against the simulator under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from arcpose.frames import CameraIntrinsics, EulerAngles, Pose, euler_to_rotation
+from arcpose.frames import (
+    CameraIntrinsics,
+    EulerAngles,
+    Pose,
+    euler_to_rotation,
+    rotations_from_angles,
+)
 from arcpose.solver import LuminaireInfo
 
-from oracles import image_to_pixel, project_to_image, world_to_camera
+from oracles import image_to_pixel, project_to_image, quaternion_to_rotation, world_to_camera
 
 
 @pytest.fixture
@@ -80,3 +89,34 @@ def random_visible_scene(rng, k: CameraIntrinsics, radius=0.15, n=360):
             and pix[:, 1].min() > 2 and pix[:, 1].max() < k.height - 2
         ):
             return lum, pose, contour
+
+
+def axis_turn(axis, angle):
+    """The rotation by `angle` about `axis`."""
+    axis = np.asarray(axis, float) / np.linalg.norm(axis)
+    return quaternion_to_rotation([math.cos(angle / 2), *(math.sin(angle / 2) * axis)])
+
+
+# One rotation per branch of the quaternion conversion, by its trace and
+# largest diagonal entry, and half turns, whose w is 0 up to rounding.
+BRANCH_ROTATIONS = {
+    "identity": np.eye(3),
+    "trace>0": axis_turn([1, 2, 3], 1.0),
+    "quarter_turn": euler_to_rotation(EulerAngles(0, 0, math.pi / 2)),
+    "argmax0": axis_turn([3, 1, 1], 2.8),
+    "argmax1": axis_turn([1, 3, -1], 2.8),
+    "argmax2": axis_turn([-1, 1, 3], 2.8),
+    "half_turn_x": np.diag([1.0, -1.0, -1.0]),
+    "half_turn_y": np.diag([-1.0, 1.0, -1.0]),
+    "half_turn_z": np.diag([-1.0, -1.0, 1.0]),
+    "half_turn_w0_sign": axis_turn([0, -1, 1], math.pi),
+    "half_turn_w0_first": axis_turn([-1, 1, 0], math.pi),
+}
+
+
+def branch_and_random_rotations():
+    rng = np.random.default_rng(9)
+    angles = rng.uniform([-math.pi, -math.pi / 2, -math.pi], [math.pi, math.pi / 2, math.pi],
+                         size=(2000, 3))
+    return np.concatenate([np.array(list(BRANCH_ROTATIONS.values())),
+                           rotations_from_angles(*angles.T)])

@@ -7,9 +7,13 @@ these scalar maps restate the same conventions one step at a time (see the
 the package against a forward model it does not share code with. The
 scalar `lstsq` fit is the one `conic.fit_ellipses` replaced, and the
 capture below takes a sample's two luminaires one at a time, as the harness
-did before it captured whole blocks.
+did before it captured whole blocks. The scalar rotation, quaternion and
+metric definitions are those the batched `frames` and `harness` functions
+replaced, and the records writer formats one value at a time through NumPy
+scalars, as `harness.write_results` did before it formatted whole rows.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -21,7 +25,8 @@ from arcpose.errors import (
     NotVisibleError,
     TooFewPointsError,
 )
-from arcpose.frames import CameraIntrinsics, Pose, pixel_to_image
+from arcpose.frames import CameraIntrinsics, EulerAngles, Pose, _wrap_angle, pixel_to_image
+from arcpose.harness import RECORD_COLUMNS
 from arcpose.sim import _in_bounds, contour_angles
 from arcpose.solver import Observation
 
@@ -88,6 +93,28 @@ def world_to_camera(p, pose: Pose) -> np.ndarray:
     return (p - pose.translation) @ pose.rotation
 
 
+# --- rotations ------------------------------------------------------------------
+
+def rot_x(phi: float) -> np.ndarray:
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_y(theta: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def rot_z(psi: float) -> np.ndarray:
+    c, s = math.cos(psi), math.sin(psi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def rotation_scalar(phi: float, theta: float, psi: float) -> np.ndarray:
+    """Rz(psi) @ Ry(theta) @ Rx(phi), one 3x3 matrix at a time."""
+    return rot_z(psi) @ rot_y(theta) @ rot_x(phi)
+
+
 # --- quaternions ---------------------------------------------------------------
 
 def quaternion_to_rotation(q) -> np.ndarray:
@@ -100,6 +127,47 @@ def quaternion_to_rotation(q) -> np.ndarray:
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def quaternion_scalar(r) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) of one rotation, w >= 0 (or, when w is
+    numerically 0, the first non-negligible component positive): the trace
+    branch, or the branch of the largest diagonal entry."""
+    r = np.asarray(r, dtype=float)
+    t = np.trace(r)
+    if t > 0:
+        s = math.sqrt(t + 1.0) * 2
+        q = np.array(
+            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
+             (r[1, 0] - r[0, 1]) / s]
+        )
+    else:
+        i = int(np.argmax(np.diag(r)))
+        j, l = (i + 1) % 3, (i + 2) % 3
+        s = math.sqrt(max(0.0, 1.0 + r[i, i] - r[j, j] - r[l, l])) * 2
+        q = np.empty(4)
+        q[0] = (r[l, j] - r[j, l]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (r[j, i] + r[i, j]) / s
+        q[1 + l] = (r[l, i] + r[i, l]) / s
+    q /= np.linalg.norm(q)
+    for c in q:
+        if abs(c) > 1e-9:
+            if c < 0:
+                q = -q
+            break
+    return q
+
+
+# --- error metrics, one sample at a time ---------------------------------------------
+
+def e_loc_scalar(truth, est) -> float:
+    return float(np.linalg.norm(np.asarray(truth, float) - np.asarray(est, float)))
+
+
+def e_pos_scalar(r_true, r_est) -> float:
+    q_true, q_est = quaternion_scalar(r_true), quaternion_scalar(r_est)
+    return float(np.linalg.norm(q_true - q_est) / np.linalg.norm(q_est))
 
 
 # --- the scalar ellipse fit -------------------------------------------------------
@@ -204,7 +272,7 @@ def capture_sample(cfg, drawn, rng) -> tuple[list[Observation], tuple[int, int]]
     other from the sample's generator, and the pair the dispatcher solves
     among them. Raises the first failure."""
     mixed = cfg.scenario == "mixed"
-    chosen = [drawn.visibility[i] for i in drawn.pair]
+    chosen = drawn.visibility
     modes = (["complete" if v.complete else "image_bounds" for v in chosen] if mixed
              else list(cfg.scenario))
     noise_px = cfg.sigma / math.sqrt(cfg.images_per_location)
@@ -214,3 +282,56 @@ def capture_sample(cfg, drawn, rng) -> tuple[list[Observation], tuple[int, int]]
     pair = rank_pair([contour_px(o.contour_pixels) for o in obs],
                      [o.luminaire_id for o in obs], [o.complete for o in obs], True)
     return obs, pair
+
+
+# --- records.csv, one value at a time ----------------------------------------------
+
+def _euler_or_nan(rotation) -> tuple[float, float, float]:
+    """The Euler angles of `frames.rotation_to_euler` through NumPy scalars,
+    NaN at gimbal lock."""
+    r = np.asarray(rotation, dtype=float)
+    sin_theta = float(np.clip(-r[2, 0], -1.0, 1.0))
+    if math.sqrt(max(0.0, 1.0 - sin_theta * sin_theta)) < 1e-8:
+        return math.nan, math.nan, math.nan
+    e = EulerAngles(_wrap_angle(math.atan2(r[2, 1], r[2, 2])), math.asin(sin_theta),
+                    _wrap_angle(math.atan2(r[1, 0], r[0, 0])))
+    return e.phi, e.theta, e.psi
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        return f"{value:.12g}"
+    return str(value)
+
+
+def record_row(r) -> list[str]:
+    """The records.csv cells of one `ResultRecord`."""
+    tphi, ttheta, tpsi = _euler_or_nan(r.truth.rotation)
+    if r.estimate is not None:
+        ephi, etheta, epsi = _euler_or_nan(r.estimate.rotation)
+        est_t = r.estimate.translation
+    else:
+        ephi = etheta = epsi = None
+        est_t = (None, None, None)
+    values = [
+        r.sample_index, r.algorithm, r.solver_tag or "",
+        "ok" if r.ok else "failed", r.error or "",
+        r.e_loc, r.e_pos,
+        r.truth.translation[0], r.truth.translation[1], r.truth.translation[2],
+        tphi, ttheta, tpsi,
+        est_t[0], est_t[1], est_t[2], ephi, etheta, epsi,
+    ]
+    return [_fmt(v) for v in values]
+
+
+def write_records(records, path) -> None:
+    """records.csv of `records` through `csv.writer`, a row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RECORD_COLUMNS)
+        for r in records:
+            writer.writerow(record_row(r))

@@ -2,15 +2,17 @@
 
 import csv
 import json
+from dataclasses import replace
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcpose import cli
 from arcpose.cli import main, observations_from_dict
 from arcpose.errors import ArcPoseError, InvalidConfigError
-from arcpose.harness import config_from_dict
+from arcpose.harness import ExperimentConfig, config_from_dict, config_to_dict
 from arcpose.sim import intrinsics_from_dict, scene_from_dict
 
 # Ground truth of the bundled zero-noise fixture (generated by the simulator
@@ -71,6 +73,31 @@ def test_missing_path_does_not_fall_back_to_bundled_file(argv, tmp_path, capsys)
     assert main(argv + (["--out", str(tmp_path / "o")] if argv[0] == "run" else [])) == 2
     assert "file not found" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_main_calls_do_not_share_flags(tmp_path):
+    # The parser is built once per process; a run with every override set
+    # must leave the next run at the defaults.
+    assert main(["run", "--samples", "2", "--seed", "5", "--sigma", "0", "--radius", "0.1",
+                 "--arc-mode", "complete+semicircle", "--algorithms", "VPCA",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "--samples", "2", "--out", str(tmp_path / "b")]) == 0
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    expected = config_to_dict(replace(ExperimentConfig(), samples=2))
+    assert manifest["config"] == json.loads(json.dumps(expected))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-noise", "--samples", "2"], ["sweep-radius", "--seed", "1"],
+    ["run", "-v", "--config", "defaults.json"], ["cdf", "records.csv"],
+    ["solve", "scene.json", "obs.json", "--format", "csv"],
+])
+def test_cached_parser_parses_as_a_fresh_one(argv):
+    fresh = cli._build_parser.__wrapped__()
+    for other in (["sweep-noise", "--sigma", "1,2"], ["sweep-radius", "--radius", "0.1"],
+                  ["run", "--seed", "9", "--samples", "4", "--arc-mode", "mixed"]):
+        cli._build_parser().parse_args(other)
+    assert vars(cli._build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
 
 
 def test_help_mentions_flags(capsys):

@@ -35,7 +35,7 @@ def arcs(mode, sigma, count=30, seed=21):
                          mode != "image_bounds")
     out = []
     for sampled, rng in zip(drawn, rngs):
-        for vis in (sampled.visibility[i] for i in sampled.pair):
+        for vis in sampled.visibility:
             if mode == "image_bounds" and vis.fraction == 1.0:
                 continue
             obs = capture_observation_scalar(vis, mode, sigma / math.sqrt(20), k, rng)

@@ -10,21 +10,26 @@ from arcpose.frames import (
     CameraIntrinsics,
     EulerAngles,
     Pose,
+    are_rotations,
     euler_to_rotation,
-    is_rotation,
     pixel_to_image,
+    rotation_from_angles,
     rotation_to_euler,
     rotation_to_quaternion,
+    rotations_from_angles,
+    rotations_to_quaternions,
 )
 
-from conftest import make_pose
+from conftest import BRANCH_ROTATIONS, branch_and_random_rotations, make_pose
 from oracles import (
     backproject_with_depth,
     camera_to_world,
     embed_on_image_plane,
     image_to_pixel,
     project_to_image,
+    quaternion_scalar,
     quaternion_to_rotation,
+    rotation_scalar,
     world_to_camera,
 )
 
@@ -174,6 +179,20 @@ def test_euler_angle_range_validation():
         EulerAngles(0.0, 2.0, 0.0)
 
 
+def test_rotations_do_not_depend_on_their_batch():
+    # The pose sampler builds a round's candidates in one call: each matrix
+    # must be the bits of the scalar composition, whatever shares its batch.
+    rng = np.random.default_rng(8)
+    angles = rng.uniform([-1.5, -1.5, -math.pi], [1.5, 1.5, math.pi], size=(300, 3))
+    whole = rotations_from_angles(*angles.T)
+    for a, r in zip(angles, whole):
+        assert np.array_equal(r, rotation_scalar(*a))
+        assert np.array_equal(r, rotation_from_angles(*a))
+    for size in (1, 2, 77):
+        rows = rng.permutation(len(angles))[:size]
+        assert np.array_equal(rotations_from_angles(*angles[rows].T), whole[rows])
+
+
 # --- quaternions -----------------------------------------------------------------
 
 def test_identity_quaternion():
@@ -214,6 +233,25 @@ def test_quaternion_reproduces_rotation():
         assert np.abs(quaternion_to_rotation(rotation_to_quaternion(r)) - r).max() < 1e-9
 
 
+def test_batched_quaternions_match_scalar_definition():
+    r = branch_and_random_rotations()
+    t = np.trace(r, axis1=1, axis2=2)
+    argmax = np.argmax(r.diagonal(axis1=1, axis2=2), axis=1)
+    assert (t > 0).any() and all((argmax[t <= 0] == i).any() for i in range(3))
+    reference = np.array([quaternion_scalar(m) for m in r])
+    batched = rotations_to_quaternions(r)
+    # 2 ulp: the norms may sum in another order under another BLAS.
+    np.testing.assert_array_max_ulp(batched, reference, maxulp=2)
+    # A row takes the arithmetic it takes alone.
+    assert np.array_equal(np.array([rotation_to_quaternion(m) for m in r]), batched)
+    half = np.array([BRANCH_ROTATIONS[name] for name in ("half_turn_w0_sign",
+                                                         "half_turn_w0_first")])
+    q = rotations_to_quaternions(half)
+    assert (np.abs(q[:, 0]) < 1e-9).all()
+    # The first non-negligible component is made positive.
+    assert q[0, 2] > 0 > q[0, 3] and q[1, 1] > 0 > q[1, 2]
+
+
 # --- Pose validation ----------------------------------------------------------------
 
 def test_pose_rejects_non_rotation():
@@ -221,7 +259,7 @@ def test_pose_rejects_non_rotation():
         Pose(rotation=np.eye(3) * 2.0, translation=np.zeros(3))
 
 
-def test_is_rotation():
-    assert is_rotation(np.eye(3))
-    assert not is_rotation(-np.eye(3))  # det -1
-    assert not is_rotation(np.ones((3, 3)))
+def test_are_rotations():
+    # det -1, not orthonormal, not finite.
+    stack = [np.eye(3), -np.eye(3), np.ones((3, 3)), np.full((3, 3), np.nan)]
+    assert are_rotations(np.array(stack)).tolist() == [True, False, False, False]

@@ -1,6 +1,7 @@
 """Metrics, Monte Carlo runner, sweeps, summaries, and result files."""
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -8,19 +9,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from arcpose import harness, sim
+from arcpose import cli, harness, sim
 from arcpose.errors import ArcPoseError, InvalidConfigError, SamplingExhaustedError
-from arcpose.frames import EulerAngles, euler_to_rotation
+from arcpose.frames import EulerAngles, Pose, euler_to_rotation, rotation_from_angles
 from arcpose.harness import (
     DEFAULT_CDF_GRID,
     ExperimentConfig,
     ResultRecord,
     _capture_block,
-    _record_row,
     config_from_dict,
     config_to_dict,
     e_loc,
+    e_loc_rows,
     e_pos,
+    e_pos_rows,
     run_monte_carlo,
     summarize,
     summarize_by_algorithm,
@@ -31,8 +33,8 @@ from arcpose.harness import (
 from arcpose.sim import luminaire_points
 from arcpose.solver import solve_oavpa, solve_vpca
 
-from conftest import make_pose
-from oracles import capture_sample
+from conftest import BRANCH_ROTATIONS, branch_and_random_rotations, make_pose
+from oracles import capture_sample, e_loc_scalar, e_pos_scalar, record_row, write_records
 
 
 # --- metrics ----------------------------------------------------------------------
@@ -61,6 +63,28 @@ def test_e_pos_representation_invariance():
     r2 = euler_to_rotation(EulerAngles(-0.1, 0.3, 2.9))
     rebuilt = euler_to_rotation(rotation_to_euler(r1))
     assert e_pos(r1, r2) == pytest.approx(e_pos(rebuilt, r2), abs=1e-9)
+
+
+def test_batched_metrics_match_scalar_definitions():
+    rotations = branch_and_random_rotations()
+    rng = np.random.default_rng(10)
+    # Every rotation against every branch's, against a random one, and itself.
+    pairs = [(a, b) for a in rotations[:len(BRANCH_ROTATIONS)] for b in rotations[:40]]
+    pairs += list(zip(rotations, rng.permutation(rotations)))
+    r_true, r_est = np.array(pairs).transpose(1, 0, 2, 3)
+    # 2 ulp: the norms may sum in another order under another BLAS.
+    np.testing.assert_array_max_ulp(
+        e_pos_rows(r_true, r_est), [e_pos_scalar(a, b) for a, b in pairs], maxulp=2)
+    assert (e_pos_rows(rotations, rotations) == 0.0).all()
+    quarter = BRANCH_ROTATIONS["quarter_turn"]
+    assert e_pos_rows(np.eye(3)[None], quarter[None])[0] == pytest.approx(
+        math.sqrt(2 - math.sqrt(2)), abs=1e-12)
+    truth, est = rng.uniform(-5, 5, size=(2, 1000, 3))
+    np.testing.assert_array_max_ulp(
+        e_loc_rows(truth, est), [e_loc_scalar(a, b) for a, b in zip(truth, est)], maxulp=2)
+    # The scalar metrics are batches of one.
+    assert [e_pos(a, b) for a, b in pairs] == e_pos_rows(r_true, r_est).tolist()
+    assert [e_loc(a, b) for a, b in zip(truth, est)] == e_loc_rows(truth, est).tolist()
 
 
 # --- config -----------------------------------------------------------------------
@@ -143,7 +167,7 @@ def test_runner_is_deterministic():
 
 def rows(records):
     """Records as records.csv writes them, plus the sampler's attempt count."""
-    return [_record_row(r) + [r.attempts] for r in records]
+    return [record_row(r) + [r.attempts] for r in records]
 
 
 def test_runner_prefix_does_not_depend_on_run_length():
@@ -167,6 +191,25 @@ def test_runner_records_do_not_depend_on_block_or_slice_size(monkeypatch):
                and np.array_equal(a.estimate.translation, b.estimate.translation)
                for a, b in zip(default, sliced) if a.ok)
     assert all(attempts >= 1 for *_, attempts in rows(default))
+
+
+def test_runner_rejects_a_solved_row_that_is_no_rotation(monkeypatch, tmp_path, capsys):
+    # The kernel's rotations pass the `Pose` guard as a slice: one skewed
+    # rotation among them stops the run, as a bad `Pose` would.
+    real = harness.solve_pairs
+
+    def skewed(**args):
+        sol = real(**args)
+        rotation = sol.rotation.copy()
+        rotation[np.flatnonzero(sol.failure < 0)[-1]] *= 1.001
+        return dataclasses.replace(sol, rotation=rotation)
+
+    monkeypatch.setattr(harness, "solve_pairs", skewed)
+    message = "rotation matrix is not orthonormal with det +1"
+    with pytest.raises(ValueError, match=message.replace("+", r"\+")):
+        run_monte_carlo(ExperimentConfig(samples=30, seed=2))
+    assert cli.main(["run", "--samples", "30", "--out", str(tmp_path / "o")]) == 1
+    assert f"ValueError: {message}" in capsys.readouterr().err
 
 
 def test_runner_propagates_sampling_exhaustion(monkeypatch):
@@ -366,6 +409,51 @@ def test_write_results_round_trip(tmp_path):
         cdf_rows = list(csv.DictReader(fh))
     fracs = [float(r["fraction"]) for r in cdf_rows]
     assert all(b >= a for a, b in zip(fracs, fracs[1:]))
+
+
+def hand_built_records():
+    """Records with gimbal-locked truths and estimates, whose Euler angles
+    are NaN, beside plain ones; a failed record shares a truth."""
+    locked = Pose(rotation_from_angles(0.3, math.pi / 2, 0.0), np.array([1.0, 2.0, 1.5]))
+    plain = make_pose(0.1, -0.2, 3.0, t=(4.0, 3.0, 1.0))
+    return [
+        ResultRecord(0, "VPA", locked, estimate=plain, solver_tag="VPCA", e_loc=0.25,
+                     e_pos=1e-3, attempts=1),
+        ResultRecord(0, "PNP", locked, error="DegenerateConicError", attempts=1),
+        ResultRecord(1, "VPA", plain, estimate=locked, solver_tag="OAVPA", e_loc=1.5e-13,
+                     e_pos=0.0, attempts=2),
+        ResultRecord(2, "OAVPA", plain, estimate=make_pose(t=(-0.0, 0.0, 1.0)),
+                     solver_tag="OAVPA", e_loc=3.0, e_pos=-0.0, attempts=1),
+    ]
+
+
+@pytest.mark.parametrize("case", ["all_algorithms", "short_arcs", "hand_built"])
+def test_records_csv_matches_value_at_a_time_writer(case, tmp_path):
+    if case == "hand_built":
+        cfg, records = ExperimentConfig(), hand_built_records()
+    else:
+        cfg = (ExperimentConfig(samples=60, algorithms=("VPA", "VPCA", "OAVPA", "PNP"), seed=9)
+               if case == "all_algorithms" else
+               ExperimentConfig(samples=60, scenario="superior_arc+superior_arc",
+                                arc_fraction=0.03, algorithms=("VPCA", "OAVPA", "PNP"),
+                                seed=13))
+        records = run_monte_carlo(cfg)
+    path = write_results(records, summarize_by_algorithm(records), tmp_path / "out",
+                         cfg)["records"]
+    write_records(records, tmp_path / "reference.csv")
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    # The rows each case stands for.
+    rows = {(r.algorithm, r.solver_tag, r.error) for r in records}
+    if case == "hand_built":
+        assert path.read_text().count("nan") == 9
+    elif case == "all_algorithms":
+        assert rows == {("VPA", "VPCA", None), ("VPCA", "VPCA", None),
+                        ("OAVPA", "OAVPA", None), ("PNP", "PNP", None)}
+    else:
+        # VPCA fails on arcs alone; a capture failure fails every algorithm.
+        assert rows == {("VPCA", None, "ValueError"), ("OAVPA", "OAVPA", None),
+                        ("PNP", "PNP", None)} | {
+            (alg, None, "DegenerateConicError") for alg in cfg.algorithms}
 
 
 def test_write_results_deterministic_bytes(tmp_path):

@@ -21,12 +21,11 @@ from arcpose.errors import (
     NotAConeError,
     ParallelLineError,
 )
-from arcpose.frames import rot_x, rot_y, rot_z
 from arcpose.harness import ExperimentConfig
 from arcpose.sim import luminaire_points, sample_poses
 from arcpose.solver import pair_inputs, solve_pairs
 
-from oracles import capture_sample
+from oracles import capture_sample, rot_x, rot_y, rot_z
 
 SCENARIOS = ("mixed", "complete+semicircle", "superior_arc+superior_arc",
              "superior_arc+image_bounds")

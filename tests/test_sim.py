@@ -134,8 +134,7 @@ def draw_poses(scene, k, rngs, complete=False):
 def test_sample_pose_postcondition(scene, k):
     rngs = [np.random.default_rng([40, i]) for i in range(200)]
     for drawn in draw_poses(scene, k, rngs):
-        fractions = [v.fraction for v in drawn.visibility]
-        assert sum(f >= sim.MIN_FRACTION for f in fractions) >= 2
+        assert (drawn.fraction >= sim.MIN_FRACTION).sum() >= 2
         x, y, z = drawn.pose.translation
         assert 0 <= x <= 8 and 0 <= y <= 6 and 0.5 <= z <= 2.0
 
@@ -143,7 +142,7 @@ def test_sample_pose_postcondition(scene, k):
 def test_sample_pose_require_complete(scene, k):
     rngs = [np.random.default_rng([41, i]) for i in range(50)]
     for drawn in draw_poses(scene, k, rngs, complete=True):
-        assert sum(v.complete for v in drawn.visibility) >= 2
+        assert drawn.complete.sum() >= 2
 
 
 def test_sample_pose_empty_scene(k):
@@ -246,22 +245,30 @@ def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
         assert np.array_equal(got.pose.translation, pose.translation)
         assert got.attempts == n
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # The pair a capture takes keeps its pixels; the others keep none.
+        # The pair a capture takes has `Visibility` records with its pixels;
+        # every luminaire has its fraction, completeness and length.
         assert got.pair == rank_pair([length for *_, length in reference],
                                      [lum.id for lum in scene.luminaires],
                                      [whole for *_, whole, _ in reference], not complete)
-        for i, (lum, a, (pixels, gm, fraction, whole, length)) in enumerate(zip(
-                scene.luminaires, got.visibility, reference)):
+        assert len(got.visibility) == 2
+        # The accepted pose's projection gives every luminaire's center and mark.
+        _, landmarks, *_ = classify(got.pose.rotation[None], got.pose.translation[None],
+                                    k, luminaire_points(scene.luminaires, 360))
+        for i, (lum, (pixels, gm, fraction, whole, length)) in enumerate(zip(
+                scene.luminaires, reference)):
+            assert (got.fraction[i], got.complete[i], got.contour_px[i]) == (
+                fraction, whole, length)
+            assert np.array_equal(landmarks[0, i], gm, equal_nan=True)
+            if i not in got.pair:
+                continue
+            a = got.visibility[got.pair.index(i)]
             assert (a.luminaire_id, a.fraction, a.complete, a.contour_px) == (
                 lum.id, fraction, whole, length)
-            fields = [("center", gm[0]), ("mark", gm[1])]
-            if i in got.pair:
-                fields.append(("pixels", pixels))
-            else:
-                assert a.pixels is None
-            for name, ref in fields:
+            for name, ref in [("center", gm[0]), ("mark", gm[1]), ("pixels", pixels)]:
                 assert np.array_equal(getattr(a, name), ref, equal_nan=True)
                 assert not getattr(a, name).flags.writeable
+        for row in (got.fraction, got.complete, got.contour_px):
+            assert not row.flags.writeable
     # The case needs rejections to mean anything.
     assert max(attempts) > 3 and np.mean(attempts) > 1.5
 
@@ -318,7 +325,7 @@ def test_visibility_bounds_agree_with_projected_contours(contour_samples, count,
     # Tilts up to 80 degrees and heights up to above the ceiling, so that
     # rings also cross the camera's z = 0 plane.
     angles = rng.uniform([-1.4, -1.4, -math.pi], [1.4, 1.4, math.pi], size=(count, 3))
-    rotations = np.array([sim.rotation_from_angles(*a) for a in angles])
+    rotations = sim.rotations_from_angles(*angles.T)
     translations = rng.uniform([-1.0, -1.0, 0.3], [9.0, 7.0, 3.2], size=(count, 3))
     inside, outside = check_bounds(scene, k, rotations, translations, contour_samples)
     # Most luminaires are decided without a projection.
@@ -414,7 +421,7 @@ def test_luminaire_behind_camera_not_visible(scene, k):
 def test_visibility_classification_ignores_noise(scene, k):
     # Classification runs on the clean projection, so it cannot depend on sigma.
     drawn = draw_poses(scene, k, [np.random.default_rng(43)])[0]
-    flags = [(v.fraction, v.complete) for v in drawn.visibility]
+    flags = list(zip(drawn.fraction.tolist(), drawn.complete.tolist()))
     assert flags == [(v.fraction, v.complete)
                      for v in visibility_at(scene, drawn.pose, k)]
 
@@ -526,7 +533,10 @@ def capture_upright(cfg, vis, rng):
     """The harness's capture of the pair it takes from the visibilities
     `vis`, and the clean pixels of that pair's two rows."""
     pair = pair_observations(vis, cfg.scenario == "mixed")
-    drawn = sim.SampledPose(make_pose(t=(4.0, 3.0, 0.5)), vis, 1, pair)
+    rows = [np.array([getattr(v, name) for v in vis])
+            for name in ("fraction", "complete", "contour_px")]
+    drawn = sim.SampledPose(make_pose(t=(4.0, 3.0, 0.5)), tuple(vis[i] for i in pair), 1,
+                            pair, *rows)
     cap, _ = _capture_block(cfg, [drawn], [rng])
     return cap, [vis[i].pixels for i in pair]
 
@@ -622,7 +632,7 @@ def test_capture_matches_per_image_reference(scene, k, mode):
     for sample in range(25):
         rng = np.random.default_rng([ARC_MODES.index(mode), sample])
         drawn = draw_poses(scene, k, [rng])[0]
-        for vis in (drawn.visibility[i] for i in drawn.pair):
+        for vis in drawn.visibility:
             lum = scene.luminaire_map()[vis.luminaire_id]
             ref = reference_observation(lum, drawn.pose, k, mode, copy.deepcopy(rng))
             obs = capture_observation(vis, mode, 2.0 / math.sqrt(20), k, rng)
