@@ -22,7 +22,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .sim import (
     Capture,
     Scene,
     capture,
-    contour_angles,
     default_intrinsics,
     default_scene,
     intrinsics_from_dict,
@@ -140,10 +138,10 @@ class ExperimentConfig:
             raise InvalidConfigError(f"samples must be >= 1, got {self.samples}")
         if self.images_per_location < 1:
             raise InvalidConfigError("images_per_location must be >= 1")
-        if not self.sigma >= 0:
-            raise InvalidConfigError(f"sigma must be >= 0, got {self.sigma}")
-        if self.radius is not None and not self.radius > 0:
-            raise InvalidConfigError(f"radius must be positive, got {self.radius}")
+        if not 0 <= self.sigma < math.inf:
+            raise InvalidConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise InvalidConfigError(f"radius must be finite and positive, got {self.radius}")
         if self.contour_samples < 8:
             raise InvalidConfigError("contour_samples must be >= 8")
         if not 0 < self.arc_fraction <= 1:
@@ -275,25 +273,24 @@ class SummaryStats:
 
 # --- the runner ------------------------------------------------------------------
 
-def _pnp_inputs(cap: Capture, samples, lums, angles) -> dict:
+def _pnp_inputs(cap: Capture, samples, lum, rings) -> dict:
     """The `pnp_solve` inputs (all but `k`) of the given samples of a block
     capture: per sample, four world points and their pixels, taken evenly
-    from the arcs of its two rows (two per arc). `lums` are the luminaires
-    of the capture's rows and `angles` the `contour_angles` of the contour.
+    from the arcs of its two rows (two per arc). `lum` holds the scene index
+    of each capture row, and `rings` the run's `luminaire_points` rings,
+    from which the world points are gathered.
 
     The second arc's sample phase is shifted by an eighth of a turn;
     otherwise two complete circles would contribute two parallel diameters,
     which degenerate to four collinear points when the luminaire centers
     happen to be axis-aligned.
     """
-    world, pixels = [], []
-    for row in (r for s in samples for r in (2 * s, 2 * s + 1)):
-        n = cap.count[row]
-        shift = row % 2 * (n // 8)
-        for idx in ((n // 4 + shift) % n, (3 * n // 4 + shift) % n):
-            world.append(lums[row].circle_points(angles[cap.keep[row, idx]])[0])
-            pixels.append(cap.pixels[row, idx])
-    return dict(world=np.reshape(world, (-1, 4, 3)), pixels=np.reshape(pixels, (-1, 4, 2)))
+    rows = (2 * np.asarray(samples, dtype=int)[:, None] + [0, 1]).ravel()
+    n = cap.count[rows]
+    shift = rows % 2 * (n // 8)
+    at = rows[:, None], np.stack([(n // 4 + shift) % n, (3 * n // 4 + shift) % n], axis=1)
+    world = rings[lum[rows][:, None], :, cap.keep[at]]
+    return dict(world=world.reshape(-1, 4, 3), pixels=cap.pixels[at].reshape(-1, 4, 2))
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -315,58 +312,62 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     visibility test no pose passes would fail every remaining sample too.
     """
     scene = cfg.effective_scene()
-    lums = scene.luminaires
     # Explicit two-arc scenarios model occlusion on top of a fully visible
     # luminaire, so both chosen luminaires must project entirely into the
     # image; the truncation itself is the only loss.
     complete = cfg.scenario != "mixed"
-    points = luminaire_points(lums, cfg.contour_samples)
-    angles = contour_angles(cfg.contour_samples)
+    points = luminaire_points(scene.luminaires, cfg.contour_samples)
+    rings, marks, radii = points
+    centers = marks[:, :, 0]
     k = cfg.intrinsics
 
-    samples: list[_Sample] = []
+    truths: list[Pose] = []  # per sample
+    attempts: list[int] = []
     records: list[list] = []  # per sample, its records in algorithm order
+
+    def failed(i, alg, exc) -> ResultRecord:
+        return ResultRecord(i, alg, truths[i], error=type(exc).__name__, attempts=attempts[i])
+
     # Per kernel, per block and algorithm: the sample index of each row, the
     # algorithm's slot, and the rows' inputs as one array per argument.
     kernels = {solve_pairs: [], pnp_solve: []}
     for start in range(0, cfg.samples, POSE_BLOCK):
         indices = range(start, min(start + POSE_BLOCK, cfg.samples))
         rngs = [np.random.default_rng([cfg.seed, index]) for index in indices]
-        drawn = sample_poses(scene, rngs, k, points, complete)
-        cap, pair = _capture_block(cfg, drawn, rngs)
-        block = [_Sample(index, sampled.pose, sampled.attempts)
-                 for index, sampled in zip(indices, drawn)]
-        samples += block
-        failed = (cap.failure >= 0).reshape(-1, 2)
-        for j, sample in enumerate(block):
+        block = sample_poses(scene, rngs, k, points, complete)
+        cap, pair = _capture_block(cfg, block, rngs)
+        truths += map(Pose.unchecked, block.rotation, block.translation)
+        attempts += block.attempts.tolist()
+        lost = (cap.failure >= 0).reshape(-1, 2)
+        for j, index in enumerate(indices):
             records.append([None] * len(cfg.algorithms))
-            if failed[j].any():  # the first failure in capture order
-                exc = cap.error(2 * j + int(not failed[j, 0]))
-                records[-1][:] = [_failed(sample, alg, exc) for alg in cfg.algorithms]
-        ok = np.flatnonzero(~failed.any(axis=1))
-        lum = np.array([sampled.pair for sampled in drawn]).ravel()  # per capture row
+            if lost[j].any():  # the first failure in capture order
+                exc = cap.error(2 * j + int(not lost[j, 0]))
+                records[-1][:] = [failed(index, alg, exc) for alg in cfg.algorithms]
+        ok = np.flatnonzero(~lost.any(axis=1))
+        lum = block.pair.ravel()  # per capture row
         for slot, alg in enumerate(cfg.algorithms):
             if alg == "PNP":
                 kernel, rows = pnp_solve, ok
-                inputs = _pnp_inputs(cap, ok, [lums[i] for i in lum], angles)
+                inputs = _pnp_inputs(cap, ok, lum, rings)
             else:
                 both = 2 * ok[:, None] + (np.array([0, 1]) if alg == "OAVPA" else pair[ok])
                 vpca = cap.complete[both[:, 0]] & (alg != "OAVPA")
                 rows = ok
                 if alg == "VPCA":
-                    for j in ok[~vpca]:
-                        records[block[j].index][slot] = _failed(block[j], alg, ValueError(
+                    for j in ok[~vpca].tolist():
+                        records[start + j][slot] = failed(start + j, alg, ValueError(
                             "no complete capture for the circle-and-arc solver"))
                     rows, both, vpca = ok[vpca], both[vpca], vpca[vpca]
                 kernel, inputs = solve_pairs, pair_inputs(
                     cap.coefficients[both], cap.landmarks[both[:, 0]],
-                    [(lums[i], lums[j]) for i, j in lum[both].tolist()], k, vpca)
+                    (centers[lum[both]], radii[lum[both]]), k, vpca)
             kernels[kernel].append((start + rows, slot, inputs))
         # The block's projections go before the next block is drawn.
-        del drawn, cap
+        del block, cap
 
-    truth_r = np.array([sample.truth.rotation for sample in samples])
-    truth_t = np.array([sample.truth.translation for sample in samples])
+    truth_r = np.array([truth.rotation for truth in truths])
+    truth_t = np.array([truth.translation for truth in truths])
     for kernel, parts in kernels.items():
         if not parts:
             continue
@@ -389,28 +390,20 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             e_p[solved] = e_pos_rows(truth_r[at[solved]], sol.rotation[solved])
             for j, (i, slot, tag, loc, pos) in enumerate(zip(
                     at.tolist(), slots[rows].tolist(), tags, e_l.tolist(), e_p.tolist())):
-                sample, alg = samples[i], cfg.algorithms[slot]
+                alg = cfg.algorithms[slot]
                 if solved[j]:
                     pose = Pose.unchecked(sol.rotation[j], sol.translation[j])
-                    records[i][slot] = ResultRecord(i, alg, sample.truth, pose, tag, loc, pos,
-                                                    attempts=sample.attempts)
+                    records[i][slot] = ResultRecord(i, alg, truths[i], pose, tag, loc, pos,
+                                                    attempts=attempts[i])
                 else:
-                    records[i][slot] = _failed(sample, alg, sol.error(j))
+                    records[i][slot] = failed(i, alg, sol.error(j))
     return [r for sample_records in records for r in sample_records]
 
 
-class _Sample(NamedTuple):
-    """What every record of one sample carries."""
-
-    index: int
-    truth: Pose
-    attempts: int
-
-
-def _capture_block(cfg, drawn, rngs) -> tuple[Capture, np.ndarray]:
-    """Capture the pair of every sampled pose in `drawn`, each with its
-    generator in `rngs`: rows 2s and 2s + 1 of the capture are sample s's
-    pair. Each observation stands for the average of
+def _capture_block(cfg, block, rngs) -> tuple[Capture, np.ndarray]:
+    """Capture the pair of every pose of `block`, a `PoseBlock`, each with
+    its generator in `rngs`: rows 2s and 2s + 1 of the capture are sample
+    s's pair. Each observation stands for the average of
     `cfg.images_per_location` images, so its pixel noise is
     sigma / sqrt(images). `mixed` captures a complete luminaire whole and
     cuts another to the image; the explicit scenarios cut each to its mode.
@@ -418,23 +411,17 @@ def _capture_block(cfg, drawn, rngs) -> tuple[Capture, np.ndarray]:
     Also returns the pair the dispatcher solves per sample (P, 2), as 0/1
     offsets into its two rows: `pair_rows` on the noisy contour lengths,
     preferring a complete capture."""
-    rows = [vis for sampled in drawn for vis in sampled.visibility]
-    modes = (["complete" if vis.complete else "image_bounds" for vis in rows]
-             if cfg.scenario == "mixed" else list(cfg.scenario) * len(drawn))
+    n = block.pixels.shape[2]
+    modes = (["complete" if whole else "image_bounds" for whole in block.complete.ravel().tolist()]
+             if cfg.scenario == "mixed" else list(cfg.scenario) * len(block.pair))
+    ids = np.array([lum.id for lum in cfg.scene.luminaires])[block.pair]
     noise_px = cfg.sigma / math.sqrt(cfg.images_per_location)
-    cap = capture(rows, modes, noise_px, cfg.intrinsics,
+    cap = capture(block.pixels.reshape(-1, n, 2), block.landmarks.reshape(-1, 2, 2),
+                  ids.ravel(), modes, noise_px, cfg.intrinsics,
                   [rng for rng in rngs for _ in range(2)], cfg.arc_fraction)
-    ids = [vis.luminaire_id for vis in rows]
-    pair = pair_rows(cap.contour_px.reshape(-1, 2).tolist(), list(zip(ids[::2], ids[1::2])),
+    pair = pair_rows(cap.contour_px.reshape(-1, 2).tolist(), ids.tolist(),
                      cap.complete.reshape(-1, 2).tolist(), True)
     return cap, np.array(pair).reshape(-1, 2)
-
-
-def _failed(sample: _Sample, alg, exc) -> ResultRecord:
-    return ResultRecord(
-        sample_index=sample.index, algorithm=alg, truth=sample.truth,
-        error=type(exc).__name__, attempts=sample.attempts,
-    )
 
 
 # --- aggregation -----------------------------------------------------------------
@@ -484,13 +471,11 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
     values = [float(v) for v in values]
     if not values or any(a >= b for a, b in zip(values, values[1:])):
         raise InvalidConfigError("sweep values must be nonempty and strictly ascending")
-    out = {}
-    for value in values:
-        sub = dataclasses.replace(
-            cfg, **({"sigma": value} if parameter == "noise" else {"radius": value})
-        )
-        out[value] = summarize_by_algorithm(run_monte_carlo(sub))
-    return out
+    # Every value's configuration is checked before the first run.
+    name = "sigma" if parameter == "noise" else "radius"
+    subs = [dataclasses.replace(cfg, **{name: value}) for value in values]
+    return {value: summarize_by_algorithm(run_monte_carlo(sub))
+            for value, sub in zip(values, subs)}
 
 
 # --- serialization -----------------------------------------------------------------

@@ -10,8 +10,8 @@ models occlusion, and the ellipse fitted to them.
 Determinism: every function that draws randomness takes a numpy Generator.
 Noise is always drawn as standard normals and scaled afterwards, so
 experiments that differ only in noise level consume identical random streams
-and stay pairwise comparable. Visibility is always classified on the clean
-(noise-free) projection.
+and stay pairwise comparable. Which luminaires a pose sees is always decided
+on the clean (noise-free) projection.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .frames import (
     CameraIntrinsics,
-    Pose,
     _wrap_angle,
     pixel_to_image,
     rotations_from_angles,
@@ -155,23 +154,6 @@ def _in_bounds(pixels: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
         return (u >= 0) & (u <= k.width) & (v >= 0) & (v <= k.height)
 
 
-@dataclass(frozen=True)
-class Visibility:
-    """How much of a luminaire the camera sees, on the clean projection.
-
-    Also carries that projection: `pixels` (one row per contour sample, NaN
-    behind the camera) and the `center` and mark pixels, all read-only.
-    """
-
-    luminaire_id: str
-    fraction: float     # share of contour samples inside the image
-    complete: bool      # full contour plus center and mark readable
-    contour_px: float   # pixel length of the visible part of the contour
-    pixels: np.ndarray
-    center: np.ndarray
-    mark: np.ndarray
-
-
 def luminaire_points(luminaires, contour_samples: int):
     """World contour rings (L, 3, n) and center/mark pairs (L, 3, 2), laid
     out for `_project`, and the radii (L,); they depend only on the scene
@@ -213,25 +195,24 @@ def classify(rotations, translations, k: CameraIntrinsics, points):
     """The clean projection of a block of P poses, rotations (P, 3, 3) and
     translations (P, 3), with `points` the luminaires' `luminaire_points`:
     contour pixels (P, L, n, 2), center and mark pixels (P, L, 2, 2), and
-    the `Visibility` fraction, completeness and contour length (P, L) of
-    every luminaire. A luminaire that `visibility_bounds` puts wholly
-    outside the image is not projected: its contour pixels stay NaN and its
-    fraction and length are 0. The others are projected and classified one
-    luminaire at a time, which keeps the temporaries to P contours: one
-    gathered call over the whole block allocates megabytes, whose fresh
-    pages cost every block hundreds of page faults."""
+    every luminaire's completeness (whole contour, center and mark inside
+    the image) and visible contour length (P, L). A luminaire that
+    `visibility_bounds` puts wholly outside the image is not projected: its
+    contour pixels stay NaN and its length is 0. The others are projected
+    and classified one luminaire at a time, which keeps the temporaries to P
+    contours: one gathered call over the whole block allocates megabytes,
+    whose fresh pages cost every block hundreds of page faults."""
     rings, marks, _ = points
     shown = ~visibility_bounds(rotations, translations, k, points)[1]
     pixels = np.full((len(rotations), len(rings), rings.shape[2], 2), np.nan)
     gm = _project_points_pixel(marks, rotations[:, None], translations[:, None], k)
-    gm.flags.writeable = False
-    fractions, complete, lengths = np.zeros((3, len(rotations), len(rings)))
+    complete = np.zeros((len(rotations), len(rings)), dtype=bool)
+    lengths = np.zeros(complete.shape)
     for i, ring in enumerate(rings):
         p = np.flatnonzero(shown[:, i])
         px = pixels[p, i] = _project_points_pixel(ring, rotations[p], translations[p], k)
         inside = _in_bounds(px, k)
-        fractions[p, i] = inside.mean(axis=1)
-        complete[p, i] = (fractions[p, i] == 1.0) & _in_bounds(gm[p, i], k).all(axis=1)
+        complete[p, i] = inside.all(axis=1) & _in_bounds(gm[p, i], k).all(axis=1)
         # Segment lengths to the next contour point, wrapping around.
         step = np.empty_like(px)
         np.subtract(px[:, 1:], px[:, :-1], out=step[:, :-1])
@@ -240,28 +221,33 @@ def classify(rotations, translations, k: CameraIntrinsics, points):
         seg = np.sqrt(step[..., 0] + step[..., 1])
         both = inside & np.roll(inside, -1, axis=1)
         lengths[p, i] = [row[kept].sum() for row, kept in zip(seg, both)]
-    return pixels, gm, fractions, complete.astype(bool), lengths
+    return pixels, gm, complete, lengths
 
 
 @dataclass(frozen=True)
-class SampledPose:
-    """A pose accepted by `sample_poses`, the number of draws it took, the
-    accepted one included, and the `pair` a capture takes: indices into the
-    scene's luminaires, in capture order, with their `visibility` on the
-    clean projection the pose was accepted on. `fraction`, `complete` and
-    `contour_px` hold those fields of every luminaire (L,), read-only."""
+class PoseBlock:
+    """The P poses `sample_poses` accepted, as read-only arrays: `rotation`
+    (P, 3, 3), `translation` (P, 3) and the candidates each took, the
+    accepted one included, `attempts` (P,); then the pair a capture takes,
+    `pair` (P, 2) indices into the scene's luminaires in capture order, with
+    its clean projection: contour `pixels` (P, 2, n, 2), center and mark
+    pixels `landmarks` (P, 2, 2, 2) and `complete` (P, 2)."""
 
-    pose: Pose
-    visibility: tuple[Visibility, Visibility]
-    attempts: int
-    pair: tuple[int, int]
-    fraction: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
+    attempts: np.ndarray
+    pair: np.ndarray
+    pixels: np.ndarray
+    landmarks: np.ndarray
     complete: np.ndarray
-    contour_px: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
 
 
 def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
-                 complete: bool) -> list[SampledPose]:
+                 complete: bool) -> PoseBlock:
     """Rejection-sample one camera pose per generator in `rngs`.
 
     Position is uniform over the room footprint with height in
@@ -278,16 +264,17 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
     `rotations_from_angles` call and tests them together.
     `visibility_bounds` gives a luminaire wholly inside the image fraction
     1.0 and one wholly outside it 0; only the luminaires that straddle the
-    image edge are projected, all of the round's in one gathered call. Those fractions then meet the same `MIN_FRACTION` (or
-    `complete`) test as projected ones, so a fraction of 1.0 is not shown
-    when `MIN_FRACTION` exceeds 1. Each generator draws only its own
-    candidates, so it ends where drawing its poses one at a time would leave
-    it. Each accepted pose comes with the pair a capture takes, as
-    `pair_rows` ranks the clean contours of its `classify` projection (the
-    best complete luminaire and the best other one, or with `complete` the
-    best two), the pair's `Visibility` and every luminaire's fraction,
-    completeness and contour length. Raises SamplingExhaustedError when a
-    pose is still rejected after `MAX_ATTEMPTS` candidates.
+    image edge are projected, all of the round's in one gathered call.
+    Those fractions then meet the same `MIN_FRACTION` (or `complete`) test
+    as projected ones, so a fraction of 1.0 is not shown when
+    `MIN_FRACTION` exceeds 1. Each generator draws only its own candidates,
+    so it ends where drawing its poses one at a time would leave it. The
+    block holds, per accepted pose, the pair a capture takes, as `pair_rows`
+    ranks the clean contours of its `classify` projection (the best
+    complete luminaire and the best other one, or with `complete` the best
+    two), and that pair's rows of the projection. Raises
+    SamplingExhaustedError when a pose is still rejected after
+    `MAX_ATTEMPTS` candidates.
     """
     length, width, _ = scene.room
     low, high = HEIGHT_RANGE
@@ -333,21 +320,12 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
 
         pending = np.concatenate([active[~accepted], pending[len(active):]])
 
-    # Only the pair a capture takes gets `Visibility` records.
-    pixels, gm, fractions, whole, lengths = classify(rotations, translations, k, points)
-    pairs = pair_rows(lengths.tolist(), [[lum.id for lum in scene.luminaires]] * count,
-                      whole.tolist(), not complete)
-    kept = pixels[np.arange(count)[:, None], pairs]
-    for arr in (kept, fractions, whole, lengths):
-        arr.flags.writeable = False
-    lums = scene.luminaires
-    return [SampledPose(
-        Pose.unchecked(rotations[p], translations[p]),
-        tuple(Visibility(lums[i].id, float(fractions[p, i]), bool(whole[p, i]),
-                         float(lengths[p, i]), kept[p, c], gm[p, i, 0], gm[p, i, 1])
-              for c, i in enumerate(pair)),
-        int(attempts[p]), pair, fractions[p], whole[p], lengths[p])
-        for p, pair in enumerate(pairs)]
+    pixels, landmarks, whole, lengths = classify(rotations, translations, k, points)
+    pairs = np.array(pair_rows(lengths.tolist(), [[lum.id for lum in scene.luminaires]] * count,
+                               whole.tolist(), not complete))
+    rows = np.arange(count)[:, None], pairs
+    return PoseBlock(rotations, translations, attempts, pairs, pixels[rows], landmarks[rows],
+                     whole[rows])
 
 
 # What a capture row fails on before its fit, then the checks of the fit.
@@ -379,12 +357,13 @@ class Capture(EllipseFits):
         return {**super()._details(row), "luminaire": str(self.luminaire[row])}
 
 
-def capture(rows, modes, noise_px: float, k: CameraIntrinsics, rngs,
-            arc_fraction: float = 0.6) -> Capture:
-    """The observations of M luminaires, from their clean projections `rows`
-    (visibilities with pixels of one contour length n): noisy contour
-    pixels cut to the part `modes[m]` keeps, all fitted in one
-    `fit_ellipses` call.
+def capture(clean, landmarks, ids, modes, noise_px: float, k: CameraIntrinsics,
+            rngs, arc_fraction: float) -> Capture:
+    """The observations of M luminaires of ids `ids` (M,), from their clean
+    projections: contour pixels `clean` (M, n, 2), NaN where a point is not
+    projected, and center and mark pixels `landmarks` (M, 2, 2). Each row's
+    noisy contour pixels are cut to the part `modes[m]` keeps, and all rows
+    are fitted in one `fit_ellipses` call.
 
     Every contour point gets zero-mean Gaussian noise of std `noise_px` on u
     and v. The mean of n images with pixel noise of std sigma has noise of
@@ -402,23 +381,22 @@ def capture(rows, modes, noise_px: float, k: CameraIntrinsics, rngs,
     whole luminaire face, and which cannot be read from a partial image.
 
     Row m draws from `rngs[m]` in row order, as if the rows were captured one
-    after the other. A row not in the image fails with NotVisibleError and
-    draws nothing; one cut below 5 points fails with ArcTooShortError and
-    draws no noise.
+    after the other. A row with no clean contour pixel inside the image
+    fails with NotVisibleError and draws nothing; one cut below 5 points
+    fails with ArcTooShortError and draws no noise.
     """
     if not set(modes) <= set(ARC_MODES):
         raise ValueError(f"mode must be one of {ARC_MODES}")
-    clean = np.stack([vis.pixels for vis in rows])
     m, n = clean.shape[:2]
     spans = {"semicircle": n // 2, "superior_arc": int(round(n * arc_fraction))}
     inside = _in_bounds(clean, k)
     count = np.where([mode == "image_bounds" for mode in modes], inside.sum(axis=1), n)
     start = np.zeros(m, dtype=int)
-    cut = np.full(m, -1)
+    shown = inside.any(axis=1)
+    cut = np.where(shown, -1, 0)
     noise = np.zeros_like(clean)
-    for i, (vis, mode, rng) in enumerate(zip(rows, modes, rngs)):
-        if vis.fraction == 0.0:
-            cut[i] = 0
+    for i, (seen, mode, rng) in enumerate(zip(shown.tolist(), modes, rngs)):
+        if not seen:
             continue
         if mode in spans:
             start[i], count[i] = rng.integers(n), spans[mode]
@@ -437,11 +415,10 @@ def capture(rows, modes, noise_px: float, k: CameraIntrinsics, rngs,
     pixels += clean[index]
     fits = fit_ellipses(pixel_to_image(pixels, k), np.where(cut < 0, count, 0))
     complete = np.array(modes) == "complete"
-    landmarks = np.array([(vis.center, vis.mark) for vis in rows])
     return Capture(
         coefficients=fits.coefficients, count=count,
         failure=np.where(cut >= 0, cut, np.where(fits.failure >= 0, fits.failure + 2, -1)),
-        luminaire=np.array([vis.luminaire_id for vis in rows]), pixels=pixels, keep=keep,
+        luminaire=np.asarray(ids), pixels=pixels, keep=keep,
         complete=complete, landmarks=np.where(complete[:, None, None], landmarks, np.nan),
         contour_px=contour_lengths(pixels, count))
 

@@ -113,8 +113,7 @@ class Observation:
 
     `complete` means the whole contour plus the center and mark projections
     were readable; partial captures carry only the fitted ellipse. The
-    averaged contour pixels and their circle parameters tag along for arc
-    ranking and for point-correspondence baselines.
+    averaged contour pixels tag along for arc ranking.
     """
 
     luminaire_id: str
@@ -123,13 +122,12 @@ class Observation:
     center_proj: np.ndarray | None = None
     mark_proj: np.ndarray | None = None
     contour_pixels: np.ndarray | None = None
-    contour_angles: np.ndarray | None = None
 
     def __post_init__(self):
         if self.complete and (self.center_proj is None or self.mark_proj is None):
             raise ValueError("complete observation requires center and mark points")
         arrays = {}
-        for name in ("center_proj", "mark_proj", "contour_pixels", "contour_angles"):
+        for name in ("center_proj", "mark_proj", "contour_pixels"):
             value = getattr(self, name)
             if value is not None:
                 arrays[name] = value
@@ -409,26 +407,27 @@ def pair_rows(lengths, ids, complete, prefer_complete: bool) -> list[tuple[int, 
 
 
 def pair_observations(items, prefer_complete: bool = True) -> tuple[int, int]:
-    """`pair_rows` of one set of items (observations or visibilities:
-    anything with `contour_px`, `luminaire_id` and `complete`), as indices
-    into `items`."""
+    """`pair_rows` of one set of items (anything with `contour_px`,
+    `luminaire_id` and `complete`, such as observations), as indices into
+    `items`."""
     return pair_rows([[item.contour_px for item in items]],
                      [[item.luminaire_id for item in items]],
                      [[item.complete for item in items]], prefer_complete)[0]
 
 
-def pair_inputs(coeffs, landmarks, pairs, k: CameraIntrinsics, vpca) -> dict:
+def pair_inputs(coeffs, landmarks, luminaires, k: CameraIntrinsics, vpca) -> dict:
     """The `solve_pairs` inputs (all but `f`) of S luminaire pairs: both
     observations' ellipse coefficients (S, 2, 5), the first one's center and
-    mark pixels (S, 2, 2), read on the rows where `vpca` (S,), and each
-    pair's two `LuminaireInfo`."""
+    mark pixels (S, 2, 2), read on the rows where `vpca` (S,), and
+    `luminaires`, the world centers (S, 2, 3) and radii (S, 2) of each
+    pair's two luminaires. The first one's mark is built as
+    `LuminaireInfo.mark_w` is."""
     vpca = np.asarray(vpca, dtype=bool)
+    centers, radius = (np.asarray(a, dtype=float) for a in luminaires)
     return dict(
         coeffs=np.asarray(coeffs, dtype=float),
         points=np.where(vpca[:, None, None], pixel_to_image(landmarks, k), np.nan),
-        centers=np.array([[a.center_w, b.center_w] for a, b in pairs]).reshape(-1, 2, 3),
-        marks=np.array([a.mark_w for a, _ in pairs]).reshape(-1, 3),
-        radius=np.array([[a.radius, b.radius] for a, b in pairs]).reshape(-1, 2),
+        centers=centers, marks=centers[:, 0] + radius[:, :1] * _PLUS_Y, radius=radius,
         vpca=vpca,
     )
 
@@ -439,8 +438,8 @@ def _solve_pair(first: Observation, second: Observation, lums,
     pair = (_resolve(lum_map, first.luminaire_id), _resolve(lum_map, second.luminaire_id))
     landmarks = [first.center_proj, first.mark_proj] if vpca else np.zeros((2, 2))
     sol = solve_pairs(**pair_inputs(
-        [[first.ellipse.coefficients, second.ellipse.coefficients]], [landmarks], [pair], k,
-        [vpca]), f=k.f)
+        [[first.ellipse.coefficients, second.ellipse.coefficients]], [landmarks],
+        ([[lum.center_w for lum in pair]], [[lum.radius for lum in pair]]), k, [vpca]), f=k.f)
     error = sol.error(0)
     if error is not None:
         raise error

@@ -27,7 +27,7 @@ from arcpose.errors import (
 )
 from arcpose.frames import CameraIntrinsics, EulerAngles, Pose, _wrap_angle, pixel_to_image
 from arcpose.harness import RECORD_COLUMNS
-from arcpose.sim import _in_bounds, contour_angles
+from arcpose.sim import _in_bounds
 from arcpose.solver import Observation
 
 
@@ -232,22 +232,22 @@ def rank_pair(lengths, ids, complete, prefer_complete):
     return first, next(i for i in order if i != first)
 
 
-def capture_observation_scalar(vis, mode, noise_px, k, rng, arc_fraction=0.6) -> Observation:
-    """One luminaire's observation from its clean projection `vis`: the
-    start index of a cut arc, then one standard normal pair per contour
-    point, the cut, and the `fit_ellipse_lstsq` fit."""
-    if vis.fraction == 0.0:
-        raise NotVisibleError(
-            f"luminaire {vis.luminaire_id!r} does not project into the image"
-        )
-    clean = vis.pixels
+def capture_observation_scalar(clean, landmarks, luminaire_id, mode, noise_px, k, rng,
+                               arc_fraction=0.6) -> Observation:
+    """One luminaire's observation from its clean projection, contour pixels
+    `clean` (n, 2) and center and mark pixels `landmarks` (2, 2): the start
+    index of a cut arc, then one standard normal pair per contour point, the
+    cut, and the `fit_ellipse_lstsq` fit."""
+    inside = _in_bounds(clean, k)
+    if not inside.any():
+        raise NotVisibleError(f"luminaire {luminaire_id!r} does not project into the image")
     n = len(clean)
     if mode in ("semicircle", "superior_arc"):
         start = int(rng.integers(n))
         span = n // 2 if mode == "semicircle" else int(round(n * arc_fraction))
         keep = np.arange(start, start + span) % n
     elif mode == "image_bounds":
-        keep = np.flatnonzero(_in_bounds(clean, k))
+        keep = np.flatnonzero(inside)
     else:
         keep = np.arange(n)
     if len(keep) < 5:
@@ -256,29 +256,28 @@ def capture_observation_scalar(vis, mode, noise_px, k, rng, arc_fraction=0.6) ->
     pixels = clean[keep] + rng.standard_normal(clean.shape)[keep] * noise_px
     complete = mode == "complete"
     return Observation(
-        luminaire_id=vis.luminaire_id,
+        luminaire_id=luminaire_id,
         ellipse=fit_ellipse_lstsq(pixel_to_image(pixels, k)),
         complete=complete,
-        center_proj=vis.center if complete else None,
-        mark_proj=vis.mark if complete else None,
+        center_proj=landmarks[0] if complete else None,
+        mark_proj=landmarks[1] if complete else None,
         contour_pixels=pixels,
-        contour_angles=contour_angles(n)[keep],
     )
 
 
 def capture_sample(cfg, drawn, rng) -> tuple[list[Observation], tuple[int, int]]:
-    """The two observations of a sampled pose `drawn` (its `pair`, cut per
-    `cfg.scenario`, noise sigma / sqrt(images)), captured one after the
-    other from the sample's generator, and the pair the dispatcher solves
-    among them. Raises the first failure."""
+    """The two observations of the one pose of `drawn`, a `sim.PoseBlock`
+    (its pair, cut per `cfg.scenario`, noise sigma / sqrt(images)), captured
+    one after the other from the sample's generator, and the pair the
+    dispatcher solves among them. Raises the first failure."""
     mixed = cfg.scenario == "mixed"
-    chosen = drawn.visibility
-    modes = (["complete" if v.complete else "image_bounds" for v in chosen] if mixed
-             else list(cfg.scenario))
+    modes = (["complete" if whole else "image_bounds" for whole in drawn.complete[0].tolist()]
+             if mixed else list(cfg.scenario))
     noise_px = cfg.sigma / math.sqrt(cfg.images_per_location)
-    obs = [capture_observation_scalar(vis, mode, noise_px, cfg.intrinsics, rng,
-                                      cfg.arc_fraction)
-           for vis, mode in zip(chosen, modes)]
+    obs = [capture_observation_scalar(drawn.pixels[0, c], drawn.landmarks[0, c],
+                                      cfg.scene.luminaires[i].id, mode, noise_px,
+                                      cfg.intrinsics, rng, cfg.arc_fraction)
+           for c, (i, mode) in enumerate(zip(drawn.pair[0].tolist(), modes))]
     pair = rank_pair([contour_px(o.contour_pixels) for o in obs],
                      [o.luminaire_id for o in obs], [o.complete for o in obs], True)
     return obs, pair

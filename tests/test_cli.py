@@ -252,6 +252,21 @@ def test_run_invalid_config_field_named(tmp_path, capsys, config, field):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["run", "--sigma", "inf"], "sigma"),
+    (["run", "--radius", "inf"], "radius"),
+    (["sweep-noise", "--sigma", "0,inf"], "sigma"),
+    (["sweep-radius", "--radius", "0.1,inf"], "radius"),
+], ids=["run_sigma", "run_radius", "sweep_noise", "sweep_radius"])
+def test_non_finite_sigma_or_radius_exits_2(tmp_path, capsys, argv, field):
+    # An infinite sigma once failed every sample and exited 0; an infinite
+    # radius exhausted the pose sampler. Both are refused before any run.
+    rc = main(argv + ["--samples", "5", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_overrides(tmp_path):
     rc = main(["run", "--config", tiny_config(tmp_path), "--samples", "2",
                "--seed", "3", "--out", str(tmp_path / "o")])

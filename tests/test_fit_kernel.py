@@ -16,6 +16,7 @@ from arcpose.conic import fit_ellipse, fit_ellipses
 from arcpose.frames import pixel_to_image
 from arcpose.sim import (
     ARC_MODES,
+    _in_bounds,
     default_intrinsics,
     default_scene,
     luminaire_points,
@@ -34,11 +35,14 @@ def arcs(mode, sigma, count=30, seed=21):
     drawn = sample_poses(scene, rngs, k, luminaire_points(scene.luminaires, 360),
                          mode != "image_bounds")
     out = []
-    for sampled, rng in zip(drawn, rngs):
-        for vis in sampled.visibility:
-            if mode == "image_bounds" and vis.fraction == 1.0:
+    for p, rng in enumerate(rngs):
+        for c, i in enumerate(drawn.pair[p].tolist()):
+            clean = drawn.pixels[p, c]
+            if mode == "image_bounds" and _in_bounds(clean, k).all():
                 continue
-            obs = capture_observation_scalar(vis, mode, sigma / math.sqrt(20), k, rng)
+            obs = capture_observation_scalar(clean, drawn.landmarks[p, c],
+                                             scene.luminaires[i].id, mode,
+                                             sigma / math.sqrt(20), k, rng)
             out.append(pixel_to_image(obs.contour_pixels, k))
             if len(out) == count:
                 return out

@@ -110,6 +110,13 @@ def test_config_validation():
         ExperimentConfig(algorithms=("VPA", "OAVPA", "VPA"))
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(sigma=-0.5)
+    # Every JSON reader refuses a non-finite number; the config does too.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidConfigError, match="sigma must be finite"):
+            ExperimentConfig(sigma=bad)
+    for bad in (math.inf, math.nan, -math.inf, 0.0):
+        with pytest.raises(InvalidConfigError, match="radius must be finite and positive"):
+            ExperimentConfig(radius=bad)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(images_per_location=0)
     with pytest.raises(InvalidConfigError):
@@ -229,7 +236,7 @@ def reference_records(cfg):
     out = []
     for index in range(cfg.samples):
         rng = np.random.default_rng([cfg.seed, index])
-        drawn, = sim.sample_poses(scene, [rng], k, points, cfg.scenario != "mixed")
+        drawn = sim.sample_poses(scene, [rng], k, points, cfg.scenario != "mixed")
         try:
             obs, (first, second) = capture_sample(cfg, drawn, rng)
         except (ArcPoseError, ValueError) as exc:
@@ -240,7 +247,7 @@ def reference_records(cfg):
             solve = solve_vpca if alg == "VPA" and obs[a].complete else solve_oavpa
             try:
                 pose = solve(obs[a], obs[b], scene.luminaires, k).pose
-                results[alg] = e_loc(drawn.pose.translation, pose.translation)
+                results[alg] = e_loc(drawn.translation[0], pose.translation)
             except (ArcPoseError, ValueError) as exc:
                 results[alg] = type(exc).__name__
         out.append((None, (obs[first].luminaire_id, obs[second].luminaire_id), results))
@@ -266,7 +273,7 @@ def test_runner_matches_sample_by_sample_reference(scenario, arc_fraction):
                 for i in range(start, min(start + harness.POSE_BLOCK, cfg.samples))]
         drawn = sim.sample_poses(scene, rngs, cfg.intrinsics, points, cfg.scenario != "mixed")
         cap, pair = _capture_block(cfg, drawn, rngs)
-        for j in range(len(drawn)):
+        for j in range(len(rngs)):
             rows = 2 * j + pair[j]
             error = cap.error(2 * j) or cap.error(2 * j + 1)
             captured.append((type(error).__name__ if error else None,

@@ -41,8 +41,8 @@ def captured_pairs(scenario, samples=40, seed=3):
     pairs = []
     for index in range(samples):
         rng = np.random.default_rng([seed, index])
-        drawn, = sample_poses(scene, [rng], cfg.intrinsics, points,
-                              cfg.scenario != "mixed")
+        drawn = sample_poses(scene, [rng], cfg.intrinsics, points,
+                             cfg.scenario != "mixed")
         obs, (first, second) = capture_sample(cfg, drawn, rng)
         pairs.append((obs[first], obs[second], obs[first].complete))
         pairs.append((obs[0], obs[1], False))
@@ -52,9 +52,10 @@ def captured_pairs(scenario, samples=40, seed=3):
 def one_row(first, second, lums, k, vpca):
     """The `pair_inputs` of two observations, as a batch of one."""
     landmarks = [first.center_proj, first.mark_proj] if vpca else np.zeros((2, 2))
+    pair = lums[first.luminaire_id], lums[second.luminaire_id]
     return pair_inputs([[first.ellipse.coefficients, second.ellipse.coefficients]],
-                       [landmarks], [(lums[first.luminaire_id], lums[second.luminaire_id])],
-                       k, [vpca])
+                       [landmarks], ([[lum.center_w for lum in pair]],
+                                     [[lum.radius for lum in pair]]), k, [vpca])
 
 
 def stack(rows):

@@ -15,21 +15,47 @@ from arcpose.solver import PNP_CHECKS, pnp_solve
 FIELDS = ("rotation", "translation", "rms_px", "iterations", "above_plane", "failure")
 
 
-def captured_rows(samples=40, seed=2):
-    """world (N, 4, 3), pixels (N, 4, 2) and the intrinsics of the PNP rows
-    the harness builds for the first `samples` samples."""
+def captured_samples(samples=40, seed=2):
+    """The config, the run's `luminaire_points` and, per sample, the pose
+    block and block capture of the harness's first `samples` samples."""
     cfg = ExperimentConfig(samples=samples, seed=seed)
     scene = cfg.effective_scene()
     points = luminaire_points(scene.luminaires, cfg.contour_samples)
-    rows = []
+    out = []
     for index in range(samples):
         rng = np.random.default_rng([seed, index])
-        drawn, = sample_poses(scene, [rng], cfg.intrinsics, points, False)
-        cap, _ = _capture_block(cfg, [drawn], [rng])
-        rows.append(_pnp_inputs(cap, [0], [scene.luminaires[i] for i in drawn.pair],
-                                contour_angles(cfg.contour_samples)))
+        drawn = sample_poses(scene, [rng], cfg.intrinsics, points, False)
+        out.append((drawn, _capture_block(cfg, drawn, [rng])[0]))
+    return cfg, points, out
+
+
+def captured_rows(samples=40, seed=2):
+    """world (N, 4, 3), pixels (N, 4, 2) and the intrinsics of the PNP rows
+    the harness builds for the first `samples` samples."""
+    cfg, (rings, _, _), captured = captured_samples(samples, seed)
+    rows = [_pnp_inputs(cap, [0], drawn.pair.ravel(), rings) for drawn, cap in captured]
     return (np.concatenate([r["world"] for r in rows]),
             np.concatenate([r["pixels"] for r in rows]), cfg.intrinsics)
+
+
+def test_world_points_are_circle_points_of_the_kept_angles():
+    # The rows gathered from the run's rings, against one
+    # `LuminaireInfo.circle_points` call per point at the contour angle of
+    # its kept index, and the pixel at that index, taken row by row.
+    cfg, (rings, _, _), captured = captured_samples()
+    lums = cfg.effective_scene().luminaires
+    angles = contour_angles(cfg.contour_samples)
+    for drawn, cap in captured:
+        got = _pnp_inputs(cap, [0], drawn.pair.ravel(), rings)
+        world, pixels = [], []
+        for row, lum in enumerate(drawn.pair[0].tolist()):
+            n = cap.count[row]
+            shift = row * (n // 8)
+            for idx in ((n // 4 + shift) % n, (3 * n // 4 + shift) % n):
+                world.append(lums[lum].circle_points(angles[cap.keep[row, idx]])[0])
+                pixels.append(cap.pixels[row, idx])
+        assert np.array_equal(got["world"], np.reshape(world, (1, 4, 3)))
+        assert np.array_equal(got["pixels"], np.reshape(pixels, (1, 4, 2)))
 
 
 def assert_rows_equal(a, rows_a, b, rows_b):

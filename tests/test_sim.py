@@ -5,6 +5,7 @@ import copy
 import itertools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from arcpose.frames import (
 from arcpose.sim import (
     ARC_MODES,
     Scene,
-    Visibility,
     _in_bounds,
     _project_points_pixel,
     classify,
@@ -56,32 +56,49 @@ def k():
     return default_intrinsics()
 
 
+class View(NamedTuple):
+    """One luminaire's clean projection from one pose, as `classify` gives
+    it, with the share of its contour pixels inside the image."""
+
+    luminaire_id: str
+    fraction: float
+    complete: bool
+    contour_px: float
+    pixels: np.ndarray
+    center: np.ndarray
+    mark: np.ndarray
+
+
 def visibility_at(scene, pose, k, contour_samples=360):
-    """Every luminaire's `Visibility`, pixels included, from one pose
-    classified as a block of one."""
+    """Every luminaire's `View` from one pose, classified as a block of one."""
     points = luminaire_points(scene.luminaires, contour_samples)
-    pixels, gm, fractions, complete, lengths = classify(
+    pixels, gm, complete, lengths = classify(
         pose.rotation[None], pose.translation[None], k, points)
-    pixels.flags.writeable = False
-    return tuple(Visibility(lum.id, float(fractions[0, i]), bool(complete[0, i]),
-                            float(lengths[0, i]), pixels[0, i], gm[0, i, 0], gm[0, i, 1])
+    return tuple(View(lum.id, float(_in_bounds(pixels[0, i], k).mean()),
+                      bool(complete[0, i]), float(lengths[0, i]), pixels[0, i],
+                      gm[0, i, 0], gm[0, i, 1])
                  for i, lum in enumerate(scene.luminaires))
 
 
+def capture_row(vis, mode, noise_px, k, rng, arc_fraction=0.6):
+    """`sim.capture` of the one luminaire `vis`."""
+    return sim.capture(vis.pixels[None], np.stack([vis.center, vis.mark])[None],
+                       [vis.luminaire_id], [mode], noise_px, k, [rng], arc_fraction)
+
+
 def capture_observation(vis, mode, noise_px, k, rng, arc_fraction=0.6):
-    """The `Observation` of one luminaire: `sim.capture` with one row, whose
-    error it raises."""
-    cap = sim.capture([vis], [mode], noise_px, k, [rng], arc_fraction)
+    """The `Observation` of one luminaire: `capture_row`, whose error it
+    raises."""
+    cap = capture_row(vis, mode, noise_px, k, rng, arc_fraction)
     error = cap.error(0)
     if error is not None:
         raise error
-    kept = cap.keep[0, :cap.count[0]]
     complete = bool(cap.complete[0])
     return Observation(
         luminaire_id=vis.luminaire_id, ellipse=EllipseCoeffs(*cap.coefficients[0]),
         complete=complete, center_proj=vis.center if complete else None,
-        mark_proj=vis.mark if complete else None, contour_pixels=cap.pixels[0, :len(kept)],
-        contour_angles=contour_angles(len(vis.pixels))[kept])
+        mark_proj=vis.mark if complete else None,
+        contour_pixels=cap.pixels[0, :cap.count[0]])
 
 
 def capture(scene, k, pose, mode="complete", noise_px=0.0, seed=0, lum=0,
@@ -133,16 +150,21 @@ def draw_poses(scene, k, rngs, complete=False):
 
 def test_sample_pose_postcondition(scene, k):
     rngs = [np.random.default_rng([40, i]) for i in range(200)]
-    for drawn in draw_poses(scene, k, rngs):
-        assert (drawn.fraction >= sim.MIN_FRACTION).sum() >= 2
-        x, y, z = drawn.pose.translation
-        assert 0 <= x <= 8 and 0 <= y <= 6 and 0.5 <= z <= 2.0
+    drawn = draw_poses(scene, k, rngs)
+    pixels, *_ = classify(drawn.rotation, drawn.translation, k,
+                          luminaire_points(scene.luminaires, 360))
+    fractions = _in_bounds(pixels, k).mean(axis=2)
+    assert ((fractions >= sim.MIN_FRACTION).sum(axis=1) >= 2).all()
+    x, y, z = drawn.translation.T
+    assert ((0 <= x) & (x <= 8) & (0 <= y) & (y <= 6) & (0.5 <= z) & (z <= 2.0)).all()
 
 
 def test_sample_pose_require_complete(scene, k):
     rngs = [np.random.default_rng([41, i]) for i in range(50)]
-    for drawn in draw_poses(scene, k, rngs, complete=True):
-        assert drawn.complete.sum() >= 2
+    drawn = draw_poses(scene, k, rngs, complete=True)
+    _, _, complete, _ = classify(drawn.rotation, drawn.translation, k,
+                                 luminaire_points(scene.luminaires, 360))
+    assert (complete.sum(axis=1) >= 2).all()
 
 
 def test_sample_pose_empty_scene(k):
@@ -154,8 +176,8 @@ def test_sample_pose_empty_scene(k):
 
 
 def test_sample_pose_deterministic(scene, k):
-    a = draw_poses(scene, k, [np.random.default_rng(7)])[0].pose
-    b = draw_poses(scene, k, [np.random.default_rng(7)])[0].pose
+    a = draw_poses(scene, k, [np.random.default_rng(7)])
+    b = draw_poses(scene, k, [np.random.default_rng(7)])
     assert np.array_equal(a.rotation, b.rotation)
     assert np.array_equal(a.translation, b.translation)
 
@@ -234,41 +256,41 @@ def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
     seeds = [[stream, i] for i in range(120)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # One block of 100 and one of 20: rounds in lockstep over many generators.
-    drawn = (draw_poses(scene, k, rngs[:100], complete)
-             + draw_poses(scene, k, rngs[100:], complete))
+    blocks = [draw_poses(scene, k, rngs[:100], complete),
+              draw_poses(scene, k, rngs[100:], complete)]
+    points = luminaire_points(scene.luminaires, 360)
     attempts = []
-    for seed, rng, got in zip(seeds, rngs, drawn):
+    rows = [(block, p) for block in blocks for p in range(len(block.pair))]
+    for seed, rng, (got, p) in zip(seeds, rngs, rows):
         ref_rng = np.random.default_rng(seed)
         pose, n, reference = scalar_sample_pose(scene, ref_rng, k, complete)
         attempts.append(n)
-        assert np.array_equal(got.pose.rotation, pose.rotation)
-        assert np.array_equal(got.pose.translation, pose.translation)
-        assert got.attempts == n
+        assert np.array_equal(got.rotation[p], pose.rotation)
+        assert np.array_equal(got.translation[p], pose.translation)
+        assert got.attempts[p] == n
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # The pair a capture takes has `Visibility` records with its pixels;
-        # every luminaire has its fraction, completeness and length.
-        assert got.pair == rank_pair([length for *_, length in reference],
-                                     [lum.id for lum in scene.luminaires],
-                                     [whole for *_, whole, _ in reference], not complete)
-        assert len(got.visibility) == 2
-        # The accepted pose's projection gives every luminaire's center and mark.
-        _, landmarks, *_ = classify(got.pose.rotation[None], got.pose.translation[None],
-                                    k, luminaire_points(scene.luminaires, 360))
-        for i, (lum, (pixels, gm, fraction, whole, length)) in enumerate(zip(
-                scene.luminaires, reference)):
-            assert (got.fraction[i], got.complete[i], got.contour_px[i]) == (
-                fraction, whole, length)
+        assert tuple(got.pair[p].tolist()) == rank_pair(
+            [length for *_, length in reference], [lum.id for lum in scene.luminaires],
+            [whole for *_, whole, _ in reference], not complete)
+        # The accepted pose's projection gives every luminaire's fraction,
+        # completeness, length, center and mark.
+        pixels, landmarks, whole, lengths = classify(got.rotation[p][None],
+                                                     got.translation[p][None], k, points)
+        for i, (_, gm, fraction, ref_whole, length) in enumerate(reference):
+            assert (_in_bounds(pixels[0, i], k).mean(), whole[0, i], lengths[0, i]) == (
+                fraction, ref_whole, length)
             assert np.array_equal(landmarks[0, i], gm, equal_nan=True)
-            if i not in got.pair:
-                continue
-            a = got.visibility[got.pair.index(i)]
-            assert (a.luminaire_id, a.fraction, a.complete, a.contour_px) == (
-                lum.id, fraction, whole, length)
-            for name, ref in [("center", gm[0]), ("mark", gm[1]), ("pixels", pixels)]:
-                assert np.array_equal(getattr(a, name), ref, equal_nan=True)
-                assert not getattr(a, name).flags.writeable
-        for row in (got.fraction, got.complete, got.contour_px):
-            assert not row.flags.writeable
+        # The block holds the pair's rows of that projection.
+        for c, i in enumerate(got.pair[p].tolist()):
+            ref_pixels, gm, _, ref_whole, _ = reference[i]
+            assert got.complete[p, c] == ref_whole
+            assert np.array_equal(got.pixels[p, c], ref_pixels, equal_nan=True)
+            assert np.array_equal(got.landmarks[p, c], gm, equal_nan=True)
+    assert len(attempts) == len(seeds)
+    for got in blocks:
+        for name in ("rotation", "translation", "attempts", "pair", "pixels", "landmarks",
+                     "complete"):
+            assert not getattr(got, name).flags.writeable, name
     # The case needs rejections to mean anything.
     assert max(attempts) > 3 and np.mean(attempts) > 1.5
 
@@ -343,9 +365,8 @@ def test_visibility_bounds_agree_at_tangency(contour_samples, offset):
     rngs = [np.random.default_rng([contour_samples, i]) for i in range(10)]
     drawn = sample_poses(scene, rngs, k, luminaire_points(scene.luminaires, 360), True)
     rotations, translations, tangent = [], [], []
-    for sampled in drawn:
-        r, t = sampled.pose.rotation, sampled.pose.translation
-        for i in sampled.pair:
+    for r, t, pair in zip(drawn.rotation, drawn.translation, drawn.pair.tolist()):
+        for i in pair:
             lum = scene.luminaires[i]
             for n, side, offset_m in itertools.product(edge_normals(k), (-1, 1),
                                                        (-1e-6, 1e-6)):
@@ -418,12 +439,35 @@ def test_luminaire_behind_camera_not_visible(scene, k):
         capture(scene, k, down)
 
 
+def test_rows_outside_the_image_fail_and_draw_nothing(scene, k):
+    # A luminaire that `visibility_bounds` left unprojected (all NaN) and
+    # one projected wholly to the right of the image fail as not visible,
+    # and draw nothing from their generators; a visible row beside them
+    # captures as usual.
+    vis = side_view(scene, k)
+    beside = vis.pixels + [k.width + 10.0, 0.0]
+    assert np.isfinite(beside).all()
+    clean = np.stack([np.full_like(vis.pixels, np.nan), beside, vis.pixels])
+    landmarks = np.stack([[vis.center, vis.mark]] * 3)
+    fresh = np.random.default_rng(5).bit_generator.state
+    for mode in ARC_MODES:
+        rngs = [np.random.default_rng(5) for _ in range(3)]
+        cap = sim.capture(clean, landmarks, ["L1", "L2", "L3"], [mode] * 3, 1.0, k, rngs, 0.6)
+        for row, lum_id in enumerate(["L1", "L2"]):
+            error = cap.error(row)
+            assert isinstance(error, NotVisibleError)
+            assert str(error) == f"luminaire {lum_id!r} does not project into the image"
+            assert rngs[row].bit_generator.state == fresh
+        assert cap.failure[2] == -1 and rngs[2].bit_generator.state != fresh
+
+
 def test_visibility_classification_ignores_noise(scene, k):
     # Classification runs on the clean projection, so it cannot depend on sigma.
-    drawn = draw_poses(scene, k, [np.random.default_rng(43)])[0]
-    flags = list(zip(drawn.fraction.tolist(), drawn.complete.tolist()))
-    assert flags == [(v.fraction, v.complete)
-                     for v in visibility_at(scene, drawn.pose, k)]
+    drawn = draw_poses(scene, k, [np.random.default_rng(43)])
+    views = visibility_at(scene, Pose(drawn.rotation[0], drawn.translation[0]), k)
+    for c, i in enumerate(drawn.pair[0].tolist()):
+        assert drawn.complete[0, c] == views[i].complete
+        assert np.array_equal(drawn.pixels[0, c], views[i].pixels)
 
 
 # --- truncation ------------------------------------------------------------------------
@@ -438,13 +482,13 @@ def test_semicircle_keeps_exactly_half(scene, k):
     rng = np.random.default_rng(0)
     start = int(copy.deepcopy(rng).integers(360))
     assert start + 180 > 360  # the kept span wraps the seam
-    obs = capture_observation(vis, "semicircle", 0.0, k, rng)
-    assert len(obs.contour_pixels) == 180
-    assert not obs.complete
-    assert obs.center_proj is None and obs.mark_proj is None
+    cap = capture_row(vis, "semicircle", 0.0, k, rng)
+    assert cap.count[0] == 180
+    assert not cap.complete[0]
+    assert np.isnan(cap.landmarks[0]).all()
     idx = np.arange(start, start + 180) % 360
-    assert np.array_equal(obs.contour_angles, contour_angles(360)[idx])
-    assert np.array_equal(obs.contour_pixels, vis.pixels[idx])
+    assert np.array_equal(cap.keep[0], idx)
+    assert np.array_equal(cap.pixels[0], vis.pixels[idx])
 
 
 def test_superior_arc_fraction(scene, k):
@@ -452,20 +496,18 @@ def test_superior_arc_fraction(scene, k):
     for fraction, span in ((0.6, 216), (0.25, 90)):
         rng = np.random.default_rng(1)
         start = int(copy.deepcopy(rng).integers(360))
-        obs = capture_observation(vis, "superior_arc", 0.0, k, rng, fraction)
-        assert np.array_equal(obs.contour_angles,
-                              contour_angles(360)[np.arange(start, start + span) % 360])
+        cap = capture_row(vis, "superior_arc", 0.0, k, rng, fraction)
+        assert np.array_equal(cap.keep[0], np.arange(start, start + span) % 360)
 
 
 def test_complete_mode_is_identity(scene, k):
     # Every contour point in order, and the center and mark as projected.
     vis = side_view(scene, k)
-    obs = capture_observation(vis, "complete", 0.0, k, np.random.default_rng(0))
-    assert obs.complete
-    assert np.array_equal(obs.contour_angles, contour_angles(360))
-    assert np.array_equal(obs.contour_pixels, vis.pixels)
-    assert np.array_equal(obs.center_proj, vis.center)
-    assert np.array_equal(obs.mark_proj, vis.mark)
+    cap = capture_row(vis, "complete", 0.0, k, np.random.default_rng(0))
+    assert cap.complete[0]
+    assert np.array_equal(cap.keep[0], np.arange(360))
+    assert np.array_equal(cap.pixels[0], vis.pixels)
+    assert np.array_equal(cap.landmarks[0], [vis.center, vis.mark])
 
 
 def test_semicircle_fits_same_ellipse(scene, k):
@@ -511,15 +553,15 @@ def test_noise_level_keeps_stream_aligned(scene, k, mode):
     # sweeps stay paired sample for sample.
     vis = side_view(scene, k)
     rngs = [np.random.default_rng([11, ARC_MODES.index(mode)]) for _ in range(3)]
-    clean = capture_observation(vis, mode, 0.0, k, rngs[0])
-    capture_observation(vis, mode, 2.0, k, rngs[1])
+    clean = capture_row(vis, mode, 0.0, k, rngs[0])
+    capture_row(vis, mode, 2.0, k, rngs[1])
     if mode in ("semicircle", "superior_arc"):
         rngs[2].integers(360)
     rngs[2].standard_normal((360, 2))
     states = [rng.bit_generator.state for rng in rngs]
     assert states[0] == states[1] == states[2]
-    idx = np.rint(clean.contour_angles * 360 / (2 * np.pi)).astype(int)
-    assert np.array_equal(clean.contour_pixels, vis.pixels[idx])
+    count = clean.count[0]
+    assert np.array_equal(clean.pixels[0, :count], vis.pixels[clean.keep[0, :count]])
 
 
 # --- averaging over the images of a location ----------------------------------------
@@ -530,14 +572,16 @@ def upright_view(scene, k):
 
 
 def capture_upright(cfg, vis, rng):
-    """The harness's capture of the pair it takes from the visibilities
-    `vis`, and the clean pixels of that pair's two rows."""
+    """The harness's capture of the pair it takes from the views `vis`, and
+    the clean pixels of that pair's two rows."""
     pair = pair_observations(vis, cfg.scenario == "mixed")
-    rows = [np.array([getattr(v, name) for v in vis])
-            for name in ("fraction", "complete", "contour_px")]
-    drawn = sim.SampledPose(make_pose(t=(4.0, 3.0, 0.5)), tuple(vis[i] for i in pair), 1,
-                            pair, *rows)
-    cap, _ = _capture_block(cfg, [drawn], [rng])
+    pose = make_pose(t=(4.0, 3.0, 0.5))
+    drawn = sim.PoseBlock(
+        pose.rotation[None], pose.translation[None], np.array([1]), np.array([pair]),
+        np.array([[vis[i].pixels for i in pair]]),
+        np.array([[(vis[i].center, vis[i].mark) for i in pair]]),
+        np.array([[vis[i].complete for i in pair]]))
+    cap, _ = _capture_block(cfg, drawn, [rng])
     return cap, [vis[i].pixels for i in pair]
 
 
@@ -565,11 +609,11 @@ def test_averaging_shrinks_noise_as_sqrt_n(scene, k):
 
 def test_burst_determinism(scene, k):
     vis = side_view(scene, k)
-    a, b = (capture_observation(vis, "superior_arc", 2.0, k, np.random.default_rng(99))
+    a, b = (capture_row(vis, "superior_arc", 2.0, k, np.random.default_rng(99))
             for _ in range(2))
-    assert np.array_equal(a.contour_pixels, b.contour_pixels)
-    assert np.array_equal(a.contour_angles, b.contour_angles)
-    assert a.ellipse == b.ellipse
+    assert np.array_equal(a.pixels, b.pixels)
+    assert np.array_equal(a.keep, b.keep)
+    assert np.array_equal(a.coefficients, b.coefficients)
 
 
 def test_tilted_view_has_perspective_bias(scene, k):
@@ -590,7 +634,8 @@ def reference_observation(lum, pose, k, mode, rng, sigma=2.0, n_img=20, n=360):
     One luminaire projected on its own, `n_img` separate noisy images, each
     truncated on its own, averaged as a list; every image reads the same
     clean center and mark. Returns (averaged pixels, angles, center, mark,
-    clean pixels) of the kept points.
+    clean pixels) of the kept points, with the kept contour indices in place
+    of their angles.
     """
     start = int(rng.integers(n)) if mode in ("semicircle", "superior_arc") else None
     angles = contour_angles(n)
@@ -610,7 +655,7 @@ def reference_observation(lum, pose, k, mode, rng, sigma=2.0, n_img=20, n=360):
             keep = np.arange(start, start + span) % n
         kept.append(image[keep])
     center, mark = gm if mode == "complete" else (None, None)
-    return np.mean(kept, axis=0), angles[keep], center, mark, clean[keep]
+    return np.mean(kept, axis=0), keep, center, mark, clean[keep]
 
 
 def ks_statistic(a, b):
@@ -631,18 +676,20 @@ def test_capture_matches_per_image_reference(scene, k, mode):
     noise, ref_noise = [], []
     for sample in range(25):
         rng = np.random.default_rng([ARC_MODES.index(mode), sample])
-        drawn = draw_poses(scene, k, [rng])[0]
-        for vis in drawn.visibility:
-            lum = scene.luminaire_map()[vis.luminaire_id]
-            ref = reference_observation(lum, drawn.pose, k, mode, copy.deepcopy(rng))
-            obs = capture_observation(vis, mode, 2.0 / math.sqrt(20), k, rng)
-            assert np.array_equal(obs.contour_angles, ref[1])
+        drawn = draw_poses(scene, k, [rng])
+        pose = Pose(drawn.rotation[0], drawn.translation[0])
+        for c, i in enumerate(drawn.pair[0].tolist()):
+            lum = scene.luminaires[i]
+            ref = reference_observation(lum, pose, k, mode, copy.deepcopy(rng))
+            cap = sim.capture(drawn.pixels[0, c:c + 1], drawn.landmarks[0, c:c + 1], [lum.id],
+                              [mode], 2.0 / math.sqrt(20), k, [rng], 0.6)
+            count = cap.count[0]
+            assert np.array_equal(cap.keep[0, :count], ref[1])
             if mode == "complete":
-                assert np.array_equal(obs.center_proj, ref[2])
-                assert np.array_equal(obs.mark_proj, ref[3])
+                assert np.array_equal(cap.landmarks[0], [ref[2], ref[3]])
             else:
-                assert obs.center_proj is None and obs.mark_proj is None
-            noise.append(obs.contour_pixels - ref[4])
+                assert np.isnan(cap.landmarks[0]).all()
+            noise.append(cap.pixels[0, :count] - ref[4])
             ref_noise.append(ref[0] - ref[4])
     noise = np.concatenate(noise).ravel()
     ref_noise = np.concatenate(ref_noise).ravel()

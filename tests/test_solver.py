@@ -61,7 +61,6 @@ def make_observation(lum, pose, k, complete=True, arc=None, n=360):
         center_proj=project_world_pixels(lum.center_w, pose, k) if complete else None,
         mark_proj=project_world_pixels(lum.mark_w, pose, k) if complete else None,
         contour_pixels=pixels,
-        contour_angles=angles,
     )
 
 
