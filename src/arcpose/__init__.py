@@ -11,17 +11,8 @@ simulator (`sim`), and a reproducible Monte Carlo experiment runner
 __version__ = "0.1.0"
 
 from .errors import ArcPoseError
-from .frames import CameraIntrinsics, EulerAngles, Pose, euler_to_rotation
-from .conic import EllipseCoeffs, fit_ellipse
-from .solver import (
-    LuminaireInfo,
-    Observation,
-    PoseEstimate,
-    pnp_baseline,
-    solve_oavpa,
-    solve_vpa,
-    solve_vpca,
-)
+from .frames import CameraIntrinsics, EulerAngles, Pose
+from .solver import LuminaireInfo, Observations, PoseEstimate, solve_vpa
 from .sim import Scene, default_intrinsics, default_scene
 from .harness import ExperimentConfig, run_monte_carlo, summarize, sweep
 
@@ -31,16 +22,10 @@ __all__ = [
     "CameraIntrinsics",
     "EulerAngles",
     "Pose",
-    "euler_to_rotation",
-    "EllipseCoeffs",
-    "fit_ellipse",
     "LuminaireInfo",
-    "Observation",
+    "Observations",
     "PoseEstimate",
-    "pnp_baseline",
-    "solve_oavpa",
     "solve_vpa",
-    "solve_vpca",
     "Scene",
     "default_intrinsics",
     "default_scene",

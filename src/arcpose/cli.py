@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conic import EllipseCoeffs, fit_ellipses
-from .errors import ArcPoseError, InvalidConfigError
+from .conic import DISCRIMINANT_SLACK, fit_ellipses
+from .errors import ArcPoseError, DegenerateConicError, InvalidConfigError
 from .frames import CameraIntrinsics, pixel_to_image, rotation_to_euler
 from .harness import (
     PERCENTILES,
@@ -52,7 +52,7 @@ from .sim import (
     read_object,
     scene_from_dict,
 )
-from .solver import Observation, solve_vpa
+from .solver import Observations, contour_lengths, solve_vpa
 
 OBSERVATION_SCHEMA_VERSION = 1
 
@@ -69,8 +69,11 @@ def _load_json(path: str) -> dict:
     return json.loads(p.read_text())
 
 
-def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrinsics]:
-    """Parse an observation file: fitted ellipses or raw contour pixels."""
+def observations_from_dict(data: dict) -> tuple[Observations, CameraIntrinsics]:
+    """Parse an observation file: per luminaire, its fitted ellipse or its
+    raw contour pixels. Every contour of the file is fitted in one
+    `fit_ellipses` call and measured in one `contour_lengths` call; an
+    ellipse given as coefficients has length 0."""
     read_object(data, ("schema_version", "intrinsics", "observations"), "observation file")
     version = read_numbers(data.get("schema_version", OBSERVATION_SCHEMA_VERSION),
                            "observation schema_version", kind=int)
@@ -81,7 +84,7 @@ def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrins
     items = data.get("observations", [])
     if not isinstance(items, list):
         raise InvalidConfigError("observations must be a list")
-    fields, seen_ids = [], set()
+    ids, coefficients, landmarks, complete, contours = [], [], [], [], {}
     for index, item in enumerate(items):
         where = f"observation {index}"
         read_object(item, ("luminaire_id", "ellipse", "contour_pixels",
@@ -91,42 +94,47 @@ def observations_from_dict(data: dict) -> tuple[list[Observation], CameraIntrins
         lum_id = item["luminaire_id"]
         if not isinstance(lum_id, str):
             raise InvalidConfigError(f"{where}: luminaire_id must be a string")
-        if lum_id in seen_ids:
-            raise InvalidConfigError(f"repeated luminaire_id {lum_id!r}")
-        seen_ids.add(lum_id)
+        ids.append(lum_id)
         where = f"observation {index} ({lum_id!r})"
         if ("ellipse" in item) == ("contour_pixels" in item):
             raise InvalidConfigError(f"{where} needs exactly one of ellipse/contour_pixels")
-        obs = dict(luminaire_id=lum_id, contour_pixels=None)
         if "ellipse" in item:
             coeffs = read_object(item["ellipse"], "abcde", f"{where}: ellipse")
-            obs["ellipse"] = EllipseCoeffs(*(read_numbers(coeffs.get(n), f"{where}: ellipse {n}")
-                                             for n in "abcde"))
+            row = [read_numbers(coeffs.get(n), f"{where}: ellipse {n}") for n in "abcde"]
+            a, b, c = row[:3]
+            discriminant = b * b - 4.0 * a * c
+            if not discriminant < DISCRIMINANT_SLACK:  # NaN once b * b or a * c overflows
+                raise DegenerateConicError(
+                    f"discriminant b^2-4ac = {discriminant:g} is not negative")
+            coefficients.append(row)
         else:
-            obs["contour_pixels"] = read_numbers(item["contour_pixels"],
-                                                 f"{where}: contour_pixels", (None, 2))
-        obs["complete"] = item.get("complete", False)
-        if not isinstance(obs["complete"], bool):
+            contours[index] = read_numbers(item["contour_pixels"],
+                                           f"{where}: contour_pixels", (None, 2))
+            coefficients.append([math.nan] * 5)
+        complete.append(item.get("complete", False))
+        if not isinstance(complete[-1], bool):
             raise InvalidConfigError(f"{where}: complete must be true or false")
+        landmarks.append([])
         for name in ("center_proj", "mark_proj"):
             if item.get(name) is not None:
-                obs[name] = read_numbers(item[name], f"{where}: {name}", (2,))
-            elif obs["complete"]:
+                landmarks[-1].append(read_numbers(item[name], f"{where}: {name}", (2,)))
+            elif complete[-1]:
                 raise InvalidConfigError(f"{where}: complete observation needs {name!r}")
-        fields.append(obs)
-    # Every contour of the file in one fit; the first that fails is raised.
-    contours = [obs for obs in fields if obs["contour_pixels"] is not None]
-    if contours:
-        pixels = [obs["contour_pixels"] for obs in contours]
-        points = np.zeros((len(pixels), max(map(len, pixels)), 2))
-        for row, contour in zip(points, pixels):
-            row[:len(contour)] = contour
-        fits = fit_ellipses(pixel_to_image(points, k), [len(p) for p in pixels])
-        for row, obs in enumerate(contours):
-            if fits.error(row) is not None:
-                raise fits.error(row)
-            obs["ellipse"] = EllipseCoeffs(*fits.coefficients[row])
-    return [Observation(**obs) for obs in fields], k
+            else:
+                landmarks[-1].append((math.nan, math.nan))
+    counts = [len(contours.get(index, ())) for index in range(len(ids))]
+    points = np.zeros((len(ids), max(counts, default=0), 2))
+    for index, contour in contours.items():
+        points[index, :len(contour)] = contour
+    if contours:  # the first contour whose fit fails is raised
+        rows = list(contours)
+        fits = fit_ellipses(pixel_to_image(points[rows], k), [counts[i] for i in rows])
+        for j, index in enumerate(rows):
+            if fits.error(j) is not None:
+                raise fits.error(j)
+            coefficients[index] = fits.coefficients[j]
+    return Observations(luminaire=ids, coefficients=coefficients, landmarks=landmarks,
+                        complete=complete, contour_px=contour_lengths(points, counts)), k
 
 
 def _default_out() -> str:

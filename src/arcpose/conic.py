@@ -34,35 +34,6 @@ from .errors import DegenerateConicError, TooFewPointsError
 DISCRIMINANT_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class EllipseCoeffs:
-    """General-conic coefficients with the constant term normalized to 1."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-
-    def __post_init__(self):
-        coeffs = (self.a, self.b, self.c, self.d, self.e)
-        if not all(np.isfinite(coeffs)):
-            raise DegenerateConicError("non-finite conic coefficients")
-        if self.discriminant >= DISCRIMINANT_SLACK:
-            raise DegenerateConicError(
-                f"discriminant b^2-4ac = {self.discriminant:g} is not negative"
-            )
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """The row (a, b, c, d, e) that the batched cone functions take."""
-        return np.array([self.a, self.b, self.c, self.d, self.e])
-
-    @property
-    def discriminant(self) -> float:
-        return self.b * self.b - 4.0 * self.a * self.c
-
-
 class _KernelRows:
     """Read-only per-row arrays of a batched kernel, whose `failure` column
     indexes the `CHECKS` entry each row failed (-1: passed). A message may
@@ -229,23 +200,6 @@ def _map_back(ap, bp, cp, dp, ep, mx, my, scale):
     if not all(map(math.isfinite, (*coefficients, discriminant))):
         return 7, *coefficients
     return (8 if discriminant >= DISCRIMINANT_SLACK else -1), *coefficients
-
-
-def fit_ellipse(points) -> EllipseCoeffs:
-    """Least-squares conic through image-plane points, constant term = 1:
-    `fit_ellipses` with one row.
-
-    Raises TooFewPointsError for fewer than 5 points and DegenerateConicError
-    when the minimizer is not an ellipse (collinear or too-noisy input, or an
-    ellipse through the ICS origin, which the F=1 form cannot represent) or
-    when the points' magnitudes overflow or underflow the arithmetic.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    fits = fit_ellipses(pts[None], [len(pts)])
-    error = fits.error(0)
-    if error is not None:
-        raise error
-    return EllipseCoeffs(*fits.coefficients[0])
 
 
 def ellipse_centers(coeffs) -> tuple[np.ndarray, np.ndarray]:

@@ -132,12 +132,14 @@ def _wrap_angle(a: float) -> float:
 def pixel_to_image(p, k: CameraIntrinsics) -> np.ndarray:
     """Pixel (u, v) to image-plane (x, y) in cm: x = dx*(u-u0), y = dy*(v-v0).
 
-    Accepts a single point or an (..., 2) array.
+    Accepts a single point or an (..., 2) array. A result out of range is
+    inf, for the fit or the pair kernel to reject by name.
     """
     p = np.asarray(p, dtype=float)
-    return np.stack(
-        [k.dx * (p[..., 0] - k.u0), k.dy * (p[..., 1] - k.v0)], axis=-1
-    )
+    with np.errstate(over="ignore"):
+        return np.stack(
+            [k.dx * (p[..., 0] - k.u0), k.dy * (p[..., 1] - k.v0)], axis=-1
+        )
 
 
 # --- Euler angles / quaternions -------------------------------------------------
@@ -146,11 +148,10 @@ def rotations_from_angles(phi, theta, psi) -> np.ndarray:
     """Rz(psi) @ Ry(theta) @ Rx(phi) (N, 3, 3) for N angles in radians,
     unvalidated.
 
-    The one builder of this composition: `rotation_from_angles` is its batch
-    of one, and each matrix is built with libm's cos and sin and the same
-    two 3x3 products as on its own, so it does not depend on the angles
-    beside it. (NumPy's vectorized cos and sin differ from libm in the last
-    bit on some inputs.)
+    The one builder of this composition. Each matrix is built with libm's
+    cos and sin and the same two 3x3 products as on its own, so it does not
+    depend on the angles beside it. (NumPy's vectorized cos and sin differ
+    from libm in the last bit on some inputs.)
     """
     phi, theta, psi = (np.asarray(a, dtype=float).tolist() for a in (phi, theta, psi))
     n = len(phi)
@@ -161,21 +162,6 @@ def rotations_from_angles(phi, theta, psi) -> np.ndarray:
         m[:, i, i] = m[:, j, j] = [math.cos(a) for a in angles]
         m[:, j, i], m[:, i, j] = sin, -sin
     return rz @ ry @ rx
-
-
-def rotation_from_angles(phi: float, theta: float, psi: float) -> np.ndarray:
-    """`rotations_from_angles` of one set of angles: `euler_to_rotation` and
-    the pose sampler's rounds build the same bits."""
-    return rotations_from_angles([phi], [theta], [psi])[0]
-
-
-def euler_to_rotation(e: EulerAngles) -> np.ndarray:
-    """Rotation for angles applied about the fixed x, y, z axes in that order.
-
-    Composes to Rz(psi) @ Ry(theta) @ Rx(phi); see the module docstring for why
-    this is the composition the normal-vector equations require.
-    """
-    return rotation_from_angles(e.phi, e.theta, e.psi)
 
 
 def angles_from_rotation(r) -> tuple[float, float, float]:
@@ -196,7 +182,7 @@ def euler_angles(r) -> tuple[float, float, float] | None:
 
 
 def rotation_to_euler(r: np.ndarray) -> EulerAngles:
-    """Invert euler_to_rotation on the non-degenerate domain.
+    """Invert `rotations_from_angles` on the non-degenerate domain.
 
     Picks theta in [-pi/2, pi/2] (principal asin branch). Raises
     GimbalLockError when |cos(theta)| < 1e-8 and phi/psi are not separable.
@@ -239,8 +225,3 @@ def rotations_to_quaternions(r: np.ndarray) -> np.ndarray:
     big = np.abs(q) > 1e-9
     first = q[np.arange(len(q)), big.argmax(axis=1)]
     return np.where((big.any(axis=1) & (first < 0))[:, None], -q, q)
-
-
-def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
-    """`rotations_to_quaternions` of one rotation."""
-    return rotations_to_quaternions(np.asarray(r, dtype=float)[None])[0]

@@ -103,16 +103,6 @@ def e_pos_rows(r_true, r_est) -> np.ndarray:
             / np.sqrt(q_est[:, None, :] @ q_est[:, :, None]))[:, 0, 0]
 
 
-def e_loc(truth, est) -> float:
-    """`e_loc_rows` of one pair of locations."""
-    return float(e_loc_rows(np.reshape(truth, (1, 3)), np.reshape(est, (1, 3)))[0])
-
-
-def e_pos(r_true: np.ndarray, r_est: np.ndarray) -> float:
-    """`e_pos_rows` of one pair of rotations."""
-    return float(e_pos_rows(np.reshape(r_true, (1, 3, 3)), np.reshape(r_est, (1, 3, 3)))[0])
-
-
 # --- configuration ---------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -343,7 +343,7 @@ class Capture(EllipseFits):
     pixels of `pixels` (M, N, 2), at the contour indices `keep` (M, N).
     `landmarks` (M, 2, 2) holds the clean center and mark pixels of
     `complete` rows (NaN on the others), `contour_px` each row's
-    `Observation.contour_px`; `failure` indexes CAPTURE_CHECKS."""
+    `contour_lengths`; `failure` indexes CAPTURE_CHECKS."""
 
     CHECKS = CAPTURE_CHECKS
     luminaire: np.ndarray

@@ -1,24 +1,22 @@
 """Pose and location estimators for circular-luminaire positioning.
 
-Two geometric solvers plus a dispatcher and a generic baseline:
+Two geometric solvers and a generic baseline, each one array kernel over N
+problems at once:
 
-* the circle-and-arc solver needs one *complete* luminaire image (its center
-  and mark projections are readable) and a second arc to break the
-  orientation duality;
-* the arcs-only solver works from two partial contours, approximating each
-  center projection by the fitted ellipse's center, at the cost of a small
-  perspective bias;
-* the dispatcher picks between them based on what was captured;
-* a Gauss-Newton reprojection-error minimizer over >= 4 world/pixel
-  correspondences serves as the comparison baseline.
+* `solve_pairs` takes N luminaire pairs from ellipse coefficients to camera
+  poses. A row runs the circle-and-arc solver (VPCA) when its first
+  luminaire was captured complete (its center and mark projections are
+  readable) and the second only breaks the orientation duality, or the
+  arcs-only solver (OAVPA), which stands in each fitted ellipse's center for
+  the unobservable center projection at the cost of a small perspective
+  bias;
+* `pnp_solve` runs Gauss-Newton on N sets of world/pixel correspondences, as
+  the comparison baseline.
 
-Both geometric solvers are one array kernel, `solve_pairs`, which takes N
-luminaire pairs from ellipse coefficients to poses at once; the Monte Carlo
-harness runs a whole experiment through it, and `solve_vpca`, `solve_oavpa`
-and `solve_vpa` call it with a batch of one. The baseline is a second array
-kernel, `pnp_solve`, which runs Gauss-Newton on N correspondence sets at
-once; the harness runs every PNP sample of an experiment through it, and
-`pnp_baseline` calls it with a batch of one.
+The Monte Carlo harness runs a whole experiment through both. One frame
+takes the same path: `solve_vpa` picks the pair of an `Observations` record
+with `pair_rows`, builds its row with `pair_inputs` and makes one
+`solve_pairs` call.
 
 World knowledge (luminaire centers, radii, mark orientation) arrives with the
 observation ids, the way an optical broadcast channel would deliver it.
@@ -28,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .conic import (
-    EllipseCoeffs,
     _KernelRows,
     cone_matrices,
     decompose_cones,
@@ -49,6 +46,7 @@ from .errors import (
     DegenerateDirectionError,
     GimbalLockError,
     InconsistentInputError,
+    InvalidConfigError,
     LineParallelToPlaneError,
     NonConvergenceError,
     NotAConeError,
@@ -108,37 +106,34 @@ class LuminaireInfo:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One luminaire as seen in the (averaged) image.
+class Observations:
+    """M luminaires as seen in one (averaged) image, as read-only arrays:
+    ids `luminaire` (M,), fitted ellipse `coefficients` (M, 5) rows
+    (a, b, c, d, e), center and mark pixels `landmarks` (M, 2, 2), NaN where
+    absent, `complete` (M,), whether the whole contour plus the center and
+    mark were readable, and `contour_px` (M,), each contour's
+    `contour_lengths` (0 when unknown). Raises InvalidConfigError for a
+    repeated id, or a complete row whose landmarks are not finite."""
 
-    `complete` means the whole contour plus the center and mark projections
-    were readable; partial captures carry only the fitted ellipse. The
-    averaged contour pixels tag along for arc ranking.
-    """
-
-    luminaire_id: str
-    ellipse: EllipseCoeffs
-    complete: bool = False
-    center_proj: np.ndarray | None = None
-    mark_proj: np.ndarray | None = None
-    contour_pixels: np.ndarray | None = None
+    luminaire: np.ndarray
+    coefficients: np.ndarray
+    landmarks: np.ndarray
+    complete: np.ndarray
+    contour_px: np.ndarray
 
     def __post_init__(self):
-        if self.complete and (self.center_proj is None or self.mark_proj is None):
-            raise ValueError("complete observation requires center and mark points")
-        arrays = {}
-        for name in ("center_proj", "mark_proj", "contour_pixels"):
-            value = getattr(self, name)
-            if value is not None:
-                arrays[name] = value
-        _freeze(self, **arrays)
-
-    @property
-    def contour_px(self) -> float:
-        """Approximate pixel length of the extracted contour (0 when unknown);
-        see `contour_lengths`."""
-        p = self.contour_pixels
-        return 0.0 if p is None else float(contour_lengths(p[None], [len(p)])[0])
+        for name, dtype in (("luminaire", str), ("coefficients", float),
+                            ("landmarks", float), ("complete", bool), ("contour_px", float)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        ids = self.luminaire.tolist()
+        for i, lum_id in enumerate(ids):
+            if lum_id in ids[:i]:
+                raise InvalidConfigError(f"repeated luminaire_id {lum_id!r}")
+            if self.complete[i] and not np.isfinite(self.landmarks[i]).all():
+                raise InvalidConfigError(f"observation {i} ({lum_id!r}): complete "
+                                         "observation needs finite center and mark")
 
 
 def contour_lengths(pixels, counts) -> np.ndarray:
@@ -164,24 +159,14 @@ def contour_lengths(pixels, counts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PoseEstimate:
-    """Solver output: pose, which algorithm produced it, and diagnostics."""
+    """`solve_vpa`'s pose, the solver that ran ("VPCA" or "OAVPA"), and the
+    kernel row's disambiguation `gap` and heading residual `psi_residual`
+    (NaN on arcs-only rows)."""
 
     pose: Pose
     algorithm: str
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _luminaire_map(lums) -> Mapping[str, LuminaireInfo]:
-    if isinstance(lums, Mapping):
-        return lums
-    return {lum.id: lum for lum in lums}
-
-
-def _resolve(lums: Mapping[str, LuminaireInfo], lum_id: str) -> LuminaireInfo:
-    try:
-        return lums[lum_id]
-    except KeyError:
-        raise UnknownLuminaireError(f"luminaire id {lum_id!r} not in scene") from None
+    gap: float
+    psi_residual: float
 
 
 # --- the pair kernel: from two cones to a pose, for N pairs at once -------------
@@ -292,7 +277,7 @@ PAIR_CHECKS = (
     (DegenerateDirectionError, "inter-luminaire direction is along the world z-axis"),
     (InconsistentInputError, "heading system collapsed to zero"),
     (InconsistentInputError, f"heading residual exceeds {PSI_RESIDUAL_LIMIT:g}"),
-    (ValueError, "pose is not finite"),
+    (InconsistentInputError, "pose is not finite"),
 )
 
 
@@ -337,11 +322,12 @@ def solve_pairs(coeffs, points, centers, marks, radius, vpca, f: float) -> PairS
     coeffs = np.asarray(coeffs, dtype=float).reshape(2 * n, 5)
     centers = np.asarray(centers, dtype=float)
     with np.errstate(all="ignore"):
-        # Observations are rows 2i and 2i + 1. A zero row builds diag(0, 0, 1),
-        # which is no cone, so eigh never sees a NaN.
-        finite = np.isfinite(coeffs).all(axis=1)
-        coeffs = np.where(finite[:, None], coeffs, 0.0)
-        lambdas, r_a_c, _, not_cone = decompose_cones(cone_matrices(coeffs, f))
+        # Observations are rows 2i and 2i + 1. A cone matrix that is not
+        # finite (coefficients that are not, or entries that overflow) becomes
+        # diag(0, 0, 1), which is no cone, so eigh never sees a NaN.
+        q = cone_matrices(coeffs, f)
+        q[~np.isfinite(q).all(axis=(1, 2))] = np.diag([0.0, 0.0, 1.0])
+        lambdas, r_a_c, _, not_cone = decompose_cones(q)
         slopes, normals = section_normals(lambdas, r_a_c)
         pick, gap, ambiguous = disambiguate(normals.reshape(n, 2, 2, 3))
         pick = pick.ravel()
@@ -387,7 +373,7 @@ def solve_pairs(coeffs, points, centers, marks, radius, vpca, f: float) -> PairS
     )
 
 
-# --- one pair at a time: batches of one -----------------------------------------
+# --- pairing, and one frame through the kernel ------------------------------------
 
 def pair_rows(lengths, ids, complete, prefer_complete: bool) -> list[tuple[int, int]]:
     """The pair the dispatcher solves in each of P sets of items, given as
@@ -404,15 +390,6 @@ def pair_rows(lengths, ids, complete, prefer_complete: bool) -> list[tuple[int, 
         first = next((i for i in order if prefer_complete and row_complete[i]), order[0])
         pairs.append((first, next(i for i in order if i != first)))
     return pairs
-
-
-def pair_observations(items, prefer_complete: bool = True) -> tuple[int, int]:
-    """`pair_rows` of one set of items (anything with `contour_px`,
-    `luminaire_id` and `complete`, such as observations), as indices into
-    `items`."""
-    return pair_rows([[item.contour_px for item in items]],
-                     [[item.luminaire_id for item in items]],
-                     [[item.complete for item in items]], prefer_complete)[0]
 
 
 def pair_inputs(coeffs, landmarks, luminaires, k: CameraIntrinsics, vpca) -> dict:
@@ -432,84 +409,34 @@ def pair_inputs(coeffs, landmarks, luminaires, k: CameraIntrinsics, vpca) -> dic
     )
 
 
-def _solve_pair(first: Observation, second: Observation, lums,
-                k: CameraIntrinsics, vpca: bool) -> PoseEstimate:
-    lum_map = _luminaire_map(lums)
-    pair = (_resolve(lum_map, first.luminaire_id), _resolve(lum_map, second.luminaire_id))
-    landmarks = [first.center_proj, first.mark_proj] if vpca else np.zeros((2, 2))
+def solve_vpa(observations: Observations, luminaires: Mapping[str, LuminaireInfo],
+              k: CameraIntrinsics) -> PoseEstimate:
+    """The pose of one frame: circle-and-arc when the pair that `pair_rows`
+    picks (preferring a complete capture) starts with a complete one, else
+    arcs-only; one `solve_pairs` row. The estimate's algorithm tag records
+    which solver ran. Raises TooFewLuminairesError below two observations,
+    UnknownLuminaireError for a pair id absent from `luminaires`, and the
+    error of the first check the row fails."""
+    obs = observations
+    if len(obs.luminaire) < 2:
+        raise TooFewLuminairesError(f"need at least 2 observations, got {len(obs.luminaire)}")
+    both = list(pair_rows([obs.contour_px.tolist()], [obs.luminaire.tolist()],
+                          [obs.complete.tolist()], True)[0])
+    pair = []
+    for lum_id in obs.luminaire[both].tolist():
+        if lum_id not in luminaires:
+            raise UnknownLuminaireError(f"luminaire id {lum_id!r} not in scene")
+        pair.append(luminaires[lum_id])
+    vpca = bool(obs.complete[both[0]])
     sol = solve_pairs(**pair_inputs(
-        [[first.ellipse.coefficients, second.ellipse.coefficients]], [landmarks],
+        obs.coefficients[both][None], obs.landmarks[both[:1]],
         ([[lum.center_w for lum in pair]], [[lum.radius for lum in pair]]), k, [vpca]), f=k.f)
     error = sol.error(0)
     if error is not None:
         raise error
-    diagnostics = {
-        "gap": float(sol.gap[0]),
-        "chosen_k": {
-            first.luminaire_id: float(sol.chosen_k[0, 0]),
-            second.luminaire_id: float(sol.chosen_k[0, 1]),
-        },
-    }
-    if vpca:
-        diagnostics["psi_residual"] = float(sol.psi_residual[0])
-    return PoseEstimate(
-        pose=Pose(rotation=sol.rotation[0], translation=sol.translation[0]),
-        algorithm="VPCA" if vpca else "OAVPA",
-        diagnostics=diagnostics,
-    )
-
-
-def solve_vpca(
-    obs_complete: Observation,
-    obs_other: Observation,
-    lums,
-    k: CameraIntrinsics,
-) -> PoseEstimate:
-    """Pose from one complete luminaire image plus a disambiguating arc.
-
-    The complete image supplies the true center and mark projections; the
-    second arc only resolves which of the two cone sections is the real
-    luminaire plane.
-    """
-    if not obs_complete.complete:
-        raise ValueError("first observation must be complete (center and mark known)")
-    return _solve_pair(obs_complete, obs_other, lums, k, vpca=True)
-
-
-def solve_oavpa(
-    obs1: Observation,
-    obs2: Observation,
-    lums,
-    k: CameraIntrinsics,
-) -> PoseEstimate:
-    """Pose from two partial arcs, using fitted-ellipse centers as stand-ins
-    for the (unobservable) center projections.
-
-    The stand-in introduces a small perspective bias even at zero noise; what
-    it buys is independence from occlusions of the coded center/mark points.
-    """
-    if obs1.luminaire_id == obs2.luminaire_id:
-        raise ValueError("observations must reference two distinct luminaires")
-    return _solve_pair(obs1, obs2, lums, k, vpca=False)
-
-
-def solve_vpa(
-    observations: Sequence[Observation],
-    lums,
-    k: CameraIntrinsics,
-) -> PoseEstimate:
-    """Dispatch: circle-and-arc when any capture is complete, else arcs-only.
-
-    The pair comes from `pair_observations`. The returned estimate's
-    algorithm tag records which solver actually ran.
-    """
-    if len(observations) < 2:
-        raise TooFewLuminairesError(
-            f"need at least 2 observations, got {len(observations)}"
-        )
-    first, second = pair_observations(observations)
-    solve = solve_vpca if observations[first].complete else solve_oavpa
-    return solve(observations[first], observations[second], lums, k)
+    return PoseEstimate(pose=Pose(rotation=sol.rotation[0], translation=sol.translation[0]),
+                        algorithm="VPCA" if vpca else "OAVPA", gap=float(sol.gap[0]),
+                        psi_residual=float(sol.psi_residual[0]))
 
 
 # --- point-correspondence baseline: N problems at once --------------------------
@@ -822,23 +749,4 @@ def pnp_solve(world, pixels, k: CameraIntrinsics) -> PnpSolutions:
         rotation=_pnp_rotations(x), translation=x[:, 3:], rms_px=rms,
         iterations=iterations, above_plane=above,
         failure=np.where(checks.any(axis=0), checks.argmax(axis=0), -1),
-    )
-
-
-def pnp_baseline(correspondences: Sequence[tuple], k: CameraIntrinsics) -> PoseEstimate:
-    """Gauss-Newton pose from >= 4 (world point, pixel) correspondences:
-    `pnp_solve` with a batch of one. Raises the error of the check it
-    fails."""
-    world = np.array([w for w, _ in correspondences], dtype=float).reshape(1, -1, 3)
-    pixels = np.array([p for _, p in correspondences], dtype=float).reshape(1, -1, 2)
-    sol = pnp_solve(world, pixels, k)
-    error = sol.error(0)
-    if error is not None:
-        raise error
-    return PoseEstimate(
-        pose=Pose(rotation=sol.rotation[0], translation=sol.translation[0]),
-        algorithm="PNP",
-        diagnostics={"rms_px": float(sol.rms_px[0]),
-                     "iterations": int(sol.iterations[0]),
-                     "above_plane": bool(sol.above_plane[0])},
     )

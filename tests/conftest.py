@@ -11,16 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from arcpose.frames import (
-    CameraIntrinsics,
-    EulerAngles,
-    Pose,
-    euler_to_rotation,
-    rotations_from_angles,
-)
+from arcpose.frames import CameraIntrinsics, EulerAngles, Pose, rotations_from_angles
 from arcpose.solver import LuminaireInfo
 
-from oracles import image_to_pixel, project_to_image, quaternion_to_rotation, world_to_camera
+from oracles import (
+    image_to_pixel,
+    project_to_image,
+    quaternion_to_rotation,
+    rotation_scalar,
+    world_to_camera,
+)
 
 
 @pytest.fixture
@@ -31,8 +31,8 @@ def intrinsics() -> CameraIntrinsics:
 
 
 def make_pose(phi=0.0, theta=0.0, psi=0.0, t=(0.0, 0.0, 0.0)) -> Pose:
-    e = EulerAngles(phi=phi, theta=theta, psi=psi)
-    return Pose(rotation=euler_to_rotation(e), translation=np.asarray(t, float))
+    EulerAngles(phi, theta, psi)  # checks the angle ranges
+    return Pose(rotation=rotation_scalar(phi, theta, psi), translation=np.asarray(t, float))
 
 
 def circle_world_points(center, radius, angles) -> np.ndarray:
@@ -67,7 +67,7 @@ def random_visible_scene(rng, k: CameraIntrinsics, radius=0.15, n=360):
             theta=rng.uniform(-0.6, 0.6),
             psi=rng.uniform(-np.pi, np.pi),
         )
-        pose = Pose(rotation=euler_to_rotation(e), translation=t)
+        pose = Pose(rotation=rotation_scalar(e.phi, e.theta, e.psi), translation=t)
         # Aim the disc center along a ray near the optical axis.
         ray_c = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), 1.0])
         ray_w = pose.rotation @ ray_c
@@ -102,7 +102,7 @@ def axis_turn(axis, angle):
 BRANCH_ROTATIONS = {
     "identity": np.eye(3),
     "trace>0": axis_turn([1, 2, 3], 1.0),
-    "quarter_turn": euler_to_rotation(EulerAngles(0, 0, math.pi / 2)),
+    "quarter_turn": rotation_scalar(0, 0, math.pi / 2),
     "argmax0": axis_turn([3, 1, 1], 2.8),
     "argmax1": axis_turn([1, 3, -1], 2.8),
     "argmax2": axis_turn([-1, 1, 3], 2.8),

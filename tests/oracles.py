@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from arcpose.conic import EllipseCoeffs
+from arcpose.conic import DISCRIMINANT_SLACK
 from arcpose.errors import (
     ArcTooShortError,
     DegenerateConicError,
@@ -28,7 +28,7 @@ from arcpose.errors import (
 from arcpose.frames import CameraIntrinsics, EulerAngles, Pose, _wrap_angle, pixel_to_image
 from arcpose.harness import RECORD_COLUMNS
 from arcpose.sim import _in_bounds
-from arcpose.solver import Observation
+from arcpose.solver import Observations
 
 
 # --- ICS <-> PCS, CCS -> ICS ---------------------------------------------------
@@ -172,10 +172,10 @@ def e_pos_scalar(r_true, r_est) -> float:
 
 # --- the scalar ellipse fit -------------------------------------------------------
 
-def fit_ellipse_lstsq(points) -> EllipseCoeffs:
-    """Least-squares conic through image-plane points, constant term = 1, by
-    one `np.linalg.lstsq` on the centered and scaled design; the errors it
-    raises are those `conic.FIT_CHECKS` lists."""
+def fit_ellipse_lstsq(points) -> np.ndarray:
+    """Least-squares conic (a, b, c, d, e) through image-plane points,
+    constant term = 1, by one `np.linalg.lstsq` on the centered and scaled
+    design; the errors it raises are those `conic.FIT_CHECKS` lists."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] < 5:
         raise TooFewPointsError(f"need at least 5 points, got {pts.shape[0]}")
@@ -210,9 +210,14 @@ def fit_ellipse_lstsq(points) -> EllipseCoeffs:
             )
             if abs(const) < 1e-12 * max(abs(a), abs(c), 1.0):
                 raise DegenerateConicError("conic passes through the ICS origin")
-            return EllipseCoeffs(a / const, b / const, c / const, d / const, e / const)
+            coefficients = np.array([a, b, c, d, e]) / const
+            a, b, c = coefficients[:3]
+            discriminant = b * b - 4.0 * a * c
     except FloatingPointError as exc:
         raise DegenerateConicError(f"contour points out of floating-point range: {exc}") from exc
+    if discriminant >= DISCRIMINANT_SLACK:
+        raise DegenerateConicError(f"discriminant b^2-4ac = {discriminant:g} is not negative")
+    return coefficients
 
 
 # --- one sample, one luminaire at a time ---------------------------------------------
@@ -232,12 +237,12 @@ def rank_pair(lengths, ids, complete, prefer_complete):
     return first, next(i for i in order if i != first)
 
 
-def capture_observation_scalar(clean, landmarks, luminaire_id, mode, noise_px, k, rng,
-                               arc_fraction=0.6) -> Observation:
-    """One luminaire's observation from its clean projection, contour pixels
-    `clean` (n, 2) and center and mark pixels `landmarks` (2, 2): the start
-    index of a cut arc, then one standard normal pair per contour point, the
-    cut, and the `fit_ellipse_lstsq` fit."""
+def capture_observation_scalar(clean, luminaire_id, mode, noise_px, k, rng,
+                               arc_fraction=0.6) -> tuple[np.ndarray, np.ndarray]:
+    """One luminaire's fitted ellipse (5,) and noisy contour pixels, from its
+    clean projection `clean` (n, 2): the start index of a cut arc, then one
+    standard normal pair per contour point, the cut, and the
+    `fit_ellipse_lstsq` fit."""
     inside = _in_bounds(clean, k)
     if not inside.any():
         raise NotVisibleError(f"luminaire {luminaire_id!r} does not project into the image")
@@ -254,18 +259,10 @@ def capture_observation_scalar(clean, landmarks, luminaire_id, mode, noise_px, k
         raise ArcTooShortError(f"only {len(keep)} contour points survive truncation")
 
     pixels = clean[keep] + rng.standard_normal(clean.shape)[keep] * noise_px
-    complete = mode == "complete"
-    return Observation(
-        luminaire_id=luminaire_id,
-        ellipse=fit_ellipse_lstsq(pixel_to_image(pixels, k)),
-        complete=complete,
-        center_proj=landmarks[0] if complete else None,
-        mark_proj=landmarks[1] if complete else None,
-        contour_pixels=pixels,
-    )
+    return fit_ellipse_lstsq(pixel_to_image(pixels, k)), pixels
 
 
-def capture_sample(cfg, drawn, rng) -> tuple[list[Observation], tuple[int, int]]:
+def capture_sample(cfg, drawn, rng) -> tuple[Observations, tuple[int, int]]:
     """The two observations of the one pose of `drawn`, a `sim.PoseBlock`
     (its pair, cut per `cfg.scenario`, noise sigma / sqrt(images)), captured
     one after the other from the sample's generator, and the pair the
@@ -274,13 +271,16 @@ def capture_sample(cfg, drawn, rng) -> tuple[list[Observation], tuple[int, int]]
     modes = (["complete" if whole else "image_bounds" for whole in drawn.complete[0].tolist()]
              if mixed else list(cfg.scenario))
     noise_px = cfg.sigma / math.sqrt(cfg.images_per_location)
-    obs = [capture_observation_scalar(drawn.pixels[0, c], drawn.landmarks[0, c],
-                                      cfg.scene.luminaires[i].id, mode, noise_px,
-                                      cfg.intrinsics, rng, cfg.arc_fraction)
-           for c, (i, mode) in enumerate(zip(drawn.pair[0].tolist(), modes))]
-    pair = rank_pair([contour_px(o.contour_pixels) for o in obs],
-                     [o.luminaire_id for o in obs], [o.complete for o in obs], True)
-    return obs, pair
+    ids = [cfg.scene.luminaires[i].id for i in drawn.pair[0].tolist()]
+    fits = [capture_observation_scalar(drawn.pixels[0, c], lum_id, mode, noise_px,
+                                       cfg.intrinsics, rng, cfg.arc_fraction)
+            for c, (lum_id, mode) in enumerate(zip(ids, modes))]
+    complete = np.array(modes) == "complete"
+    obs = Observations(
+        luminaire=ids, coefficients=[c for c, _ in fits],
+        landmarks=np.where(complete[:, None, None], drawn.landmarks[0], np.nan),
+        complete=complete, contour_px=[contour_px(p) for _, p in fits])
+    return obs, rank_pair(obs.contour_px.tolist(), ids, complete.tolist(), True)
 
 
 # --- records.csv, one value at a time ----------------------------------------------

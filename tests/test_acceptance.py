@@ -15,15 +15,15 @@ import pytest
 from arcpose.conic import (
     cone_matrices,
     decompose_cones,
-    fit_ellipse,
+    fit_ellipses,
     plane_intercepts,
     section_normals,
 )
-from arcpose.frames import EulerAngles, euler_to_rotation
+from arcpose.frames import rotations_from_angles
 from arcpose.harness import (
     ExperimentConfig,
-    e_loc,
-    e_pos,
+    e_loc_rows,
+    e_pos_rows,
     run_monte_carlo,
     summarize_by_algorithm,
     sweep,
@@ -233,7 +233,9 @@ def test_criterion_7_conic_chain_oracle(intrinsics):
     worst_probe = 0.0
     for _ in range(500):
         lum, pose, contour = random_visible_scene(rng, intrinsics)
-        q = cone_matrices(fit_ellipse(contour).coefficients[None], intrinsics.f)
+        fit = fit_ellipses(contour[None], [len(contour)])
+        assert fit.error(0) is None
+        q = cone_matrices(fit.coefficients, intrinsics.f)
         lambdas, r_a_c, _, not_cone = decompose_cones(q)
         assert not not_cone[0]
         slopes, normals = section_normals(lambdas, r_a_c)
@@ -259,9 +261,9 @@ def test_criterion_7_conic_chain_oracle(intrinsics):
 
 def test_criterion_8_metric_sanity():
     """Quaternion metric and Euclidean metric agree with hand arithmetic."""
-    r_quarter = euler_to_rotation(EulerAngles(0.0, 0.0, np.pi / 2))
-    value = e_pos(np.eye(3), r_quarter)
-    loc = e_loc([0.0, 0.0, 0.0], [0.06, 0.08, 0.0])
+    r_quarter = rotations_from_angles([0.0], [0.0], [np.pi / 2])
+    value = e_pos_rows(np.eye(3)[None], r_quarter)[0]
+    loc = e_loc_rows([[0.0, 0.0, 0.0]], [[0.06, 0.08, 0.0]])[0]
     passed = abs(value - 0.7654) <= 1e-4 and loc == 0.10
     report(8, passed, (
         f"e_pos(I, quarter-turn) {value:.6f} (0.7654 +- 1e-4), "

@@ -5,6 +5,7 @@ import json
 from dataclasses import replace
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from arcpose.cli import main, observations_from_dict
 from arcpose.errors import ArcPoseError, InvalidConfigError
 from arcpose.harness import ExperimentConfig, config_from_dict, config_to_dict
 from arcpose.sim import intrinsics_from_dict, scene_from_dict
+from arcpose.solver import solve_vpa
 
 # Ground truth of the bundled zero-noise fixture (generated by the simulator
 # with seed 0; see data/fixture_observations.json).
@@ -27,6 +29,9 @@ def data_path(name: str) -> str:
 
 def bundled(name: str):
     return json.loads((resources.files("arcpose") / "data" / name).read_text())
+
+
+FIXTURE_LUMINAIRES = scene_from_dict(bundled("fixture_scene.json")).luminaire_map()
 
 
 def tiny_config(tmp_path, **overrides):
@@ -171,6 +176,26 @@ def test_solve_repeated_luminaire_id_exits_2(tmp_path, capsys):
     obs_path.write_text(json.dumps(data))
     assert main(["solve", data_path("fixture_scene.json"), str(obs_path)]) == 2
     assert "'L2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("f", 2.375727087555405e307, "NotAConeError"),  # once LinAlgError from eigh
+    ("dy", 721377100445297.0, "InconsistentInputError"),  # once a bare ValueError
+    ("dx", 1e307, "LineParallelToPlaneError"),  # once an overflow RuntimeWarning
+])
+def test_solve_out_of_range_intrinsics_exits_1_by_name(tmp_path, capsys, field, value, error):
+    # The fixture's luminaires given as their fitted ellipses, seen by a
+    # camera whose intrinsics overflow the cone or the landmarks.
+    data = bundled("fixture_observations.json")
+    observations, _ = observations_from_dict(data)
+    for item, row in zip(data["observations"], observations.coefficients.tolist()):
+        del item["contour_pixels"]
+        item["ellipse"] = dict(zip("abcde", row))
+    data["intrinsics"][field] = value
+    obs_path = tmp_path / "overflow.json"
+    obs_path.write_text(json.dumps(data))
+    assert main(["solve", data_path("fixture_scene.json"), str(obs_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"{error}: ")
 
 
 @pytest.mark.parametrize("patch, message", [
@@ -458,6 +483,8 @@ def field_paths(value, path=()):
 def test_reader_returns_or_raises_named_error(reader, document, key, data):
     # Any JSON value, as the whole document or in place of one of its fields,
     # gives a result or an ArcPoseError: no other exception and no warning.
+    # An observation file the reader accepts goes on to `solve_vpa` with the
+    # fixture scene, which gives a finite pose or an ArcPoseError.
     doc = bundled(document)
     if key:
         doc = doc[key]
@@ -471,6 +498,10 @@ def test_reader_returns_or_raises_named_error(reader, document, key, data):
     else:
         doc = value
     try:
-        reader(doc)
+        result = reader(doc)
+        if reader is observations_from_dict:
+            observations, k = result
+            pose = solve_vpa(observations, FIXTURE_LUMINAIRES, k).pose
+            assert np.isfinite(pose.rotation).all() and np.isfinite(pose.translation).all()
     except ArcPoseError:
         pass

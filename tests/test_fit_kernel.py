@@ -7,12 +7,11 @@ capture mode cuts them, so they cover the arcs the experiments fit.
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
 
-from arcpose.conic import fit_ellipse, fit_ellipses
+from arcpose.conic import fit_ellipses
 from arcpose.frames import pixel_to_image
 from arcpose.sim import (
     ARC_MODES,
@@ -40,10 +39,9 @@ def arcs(mode, sigma, count=30, seed=21):
             clean = drawn.pixels[p, c]
             if mode == "image_bounds" and _in_bounds(clean, k).all():
                 continue
-            obs = capture_observation_scalar(clean, drawn.landmarks[p, c],
-                                             scene.luminaires[i].id, mode,
-                                             sigma / math.sqrt(20), k, rng)
-            out.append(pixel_to_image(obs.contour_pixels, k))
+            _, pixels = capture_observation_scalar(clean, scene.luminaires[i].id, mode,
+                                                   sigma / math.sqrt(20), k, rng)
+            out.append(pixel_to_image(pixels, k))
             if len(out) == count:
                 return out
     raise AssertionError(f"only {len(out)} {mode} arcs")
@@ -65,7 +63,7 @@ def test_fit_matches_lstsq_reference(mode, sigma):
     fits = fit_ellipses(*block(contours))
     assert (fits.failure == -1).all()
     for row, contour in zip(fits.coefficients, contours):
-        reference = fit_ellipse_lstsq(contour).coefficients
+        reference = fit_ellipse_lstsq(contour)
         assert np.abs(row - reference).max() <= 1e-9 * np.abs(reference).max()
 
 
@@ -112,8 +110,6 @@ def test_row_in_a_block_is_the_row_fitted_alone():
         if i < 3:
             assert np.array_equal(three.coefficients[i], alone.coefficients[0],
                                   equal_nan=True)
-        if alone.failure[0] < 0:
-            assert np.array_equal(fit_ellipse(contour).coefficients, alone.coefficients[0])
 
 
 def test_failures_match_the_reference_row_by_row():
@@ -137,6 +133,3 @@ def test_failures_match_the_reference_row_by_row():
             assert str(error).split(":")[0] == expected
         else:
             assert str(error) == expected
-        # fit_ellipse raises the row's error.
-        with pytest.raises(type(error), match=re.escape(str(error))):
-            fit_ellipse(contour)

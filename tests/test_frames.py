@@ -11,11 +11,8 @@ from arcpose.frames import (
     EulerAngles,
     Pose,
     are_rotations,
-    euler_to_rotation,
     pixel_to_image,
-    rotation_from_angles,
     rotation_to_euler,
-    rotation_to_quaternion,
     rotations_from_angles,
     rotations_to_quaternions,
 )
@@ -130,44 +127,40 @@ def test_world_camera_round_trip():
 # --- Euler angles ------------------------------------------------------------------
 
 def test_zero_angles_give_identity():
-    assert np.allclose(euler_to_rotation(EulerAngles(0, 0, 0)), np.eye(3))
+    assert np.allclose(rotations_from_angles([0.0], [0.0], [0.0])[0], np.eye(3))
 
 
 def test_pure_heading_rotation_maps_x_to_y():
-    r = euler_to_rotation(EulerAngles(0, 0, math.pi / 2))
+    r = rotations_from_angles([0.0], [0.0], [math.pi / 2])[0]
     assert np.allclose(r @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_heading_rotation_fixes_world_z():
-    for psi in np.linspace(-3, 3, 13):
-        r = euler_to_rotation(EulerAngles(0, 0, psi))
-        assert np.allclose(r @ np.array([0, 0, 1.0]), [0, 0, 1.0], atol=1e-15)
+    zero = np.zeros(13)
+    r = rotations_from_angles(zero, zero, np.linspace(-3, 3, 13))
+    assert np.allclose(r @ np.array([0, 0, 1.0]), [0, 0, 1.0], atol=1e-15)
 
 
 def test_rotation_orthonormality_bulk():
     rng = np.random.default_rng(3)
-    for _ in range(10_000):
-        phi, psi = rng.uniform(-math.pi, math.pi, 2)
-        theta = rng.uniform(-math.pi / 2, math.pi / 2)
-        r = euler_to_rotation(EulerAngles(phi, theta, psi))
-        assert np.abs(r.T @ r - np.eye(3)).max() < 1e-10
-        assert abs(np.linalg.det(r) - 1) < 1e-10
+    phi, psi = rng.uniform(-math.pi, math.pi, (2, 10_000))
+    theta = rng.uniform(-math.pi / 2, math.pi / 2, 10_000)
+    r = rotations_from_angles(phi, theta, psi)
+    assert np.abs(r.transpose(0, 2, 1) @ r - np.eye(3)).max() < 1e-10
+    assert np.abs(np.linalg.det(r) - 1).max() < 1e-10
 
 
 def test_euler_round_trip_off_gimbal():
     rng = np.random.default_rng(4)
-    for _ in range(1000):
-        phi, psi = rng.uniform(-math.pi + 1e-6, math.pi, 2)
-        theta = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
-        e = EulerAngles(phi, theta, psi)
-        back = rotation_to_euler(euler_to_rotation(e))
-        assert abs(back.phi - phi) < 1e-9
-        assert abs(back.theta - theta) < 1e-9
-        assert abs(back.psi - psi) < 1e-9
+    phi, psi = rng.uniform(-math.pi + 1e-6, math.pi, (2, 1000))
+    theta = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 1000)
+    for angles, r in zip(zip(phi, theta, psi), rotations_from_angles(phi, theta, psi)):
+        back = rotation_to_euler(r)
+        assert np.abs(np.array([back.phi, back.theta, back.psi]) - angles).max() < 1e-9
 
 
 def test_rotation_to_euler_reports_gimbal_lock():
-    r = euler_to_rotation(EulerAngles(0.3, math.pi / 2, 0.0))
+    r = rotations_from_angles([0.3], [math.pi / 2], [0.0])[0]
     with pytest.raises(GimbalLockError):
         rotation_to_euler(r)
 
@@ -187,7 +180,6 @@ def test_rotations_do_not_depend_on_their_batch():
     whole = rotations_from_angles(*angles.T)
     for a, r in zip(angles, whole):
         assert np.array_equal(r, rotation_scalar(*a))
-        assert np.array_equal(r, rotation_from_angles(*a))
     for size in (1, 2, 77):
         rows = rng.permutation(len(angles))[:size]
         assert np.array_equal(rotations_from_angles(*angles[rows].T), whole[rows])
@@ -195,42 +187,35 @@ def test_rotations_do_not_depend_on_their_batch():
 
 # --- quaternions -----------------------------------------------------------------
 
+def random_rotations(seed, n=200):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform([-math.pi + 1e-3, -math.pi / 2, -math.pi + 1e-3],
+                         [math.pi, math.pi / 2, math.pi], size=(n, 3))
+    return rotations_from_angles(*angles.T)
+
+
 def test_identity_quaternion():
-    assert np.allclose(rotation_to_quaternion(np.eye(3)), [1, 0, 0, 0])
+    assert np.allclose(rotations_to_quaternions(np.eye(3)[None]), [1, 0, 0, 0])
 
 
 def test_quarter_turn_quaternion():
-    r = euler_to_rotation(EulerAngles(0, 0, math.pi / 2))
+    r = rotations_from_angles([0.0], [0.0], [math.pi / 2])
     expected = [math.cos(math.pi / 4), 0, 0, math.sin(math.pi / 4)]
-    assert np.allclose(rotation_to_quaternion(r), expected, atol=1e-12)
+    assert np.allclose(rotations_to_quaternions(r)[0], expected, atol=1e-12)
 
 
 def test_quaternion_hemisphere_canonicalization():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        e = EulerAngles(
-            rng.uniform(-math.pi + 1e-3, math.pi),
-            rng.uniform(-math.pi / 2, math.pi / 2),
-            rng.uniform(-math.pi + 1e-3, math.pi),
-        )
-        r = euler_to_rotation(e)
-        q = rotation_to_quaternion(r)
-        assert q[0] >= 0
-        # Rebuilding the rotation from q (or -q) gives the same canonical form.
-        assert np.allclose(rotation_to_quaternion(quaternion_to_rotation(-q)), q,
-                           atol=1e-9)
+    q = rotations_to_quaternions(random_rotations(5))
+    assert (q[:, 0] >= 0).all()
+    # Rebuilding the rotation from q (or -q) gives the same canonical form.
+    rebuilt = np.array([quaternion_to_rotation(-row) for row in q])
+    assert np.allclose(rotations_to_quaternions(rebuilt), q, atol=1e-9)
 
 
 def test_quaternion_reproduces_rotation():
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        e = EulerAngles(
-            rng.uniform(-math.pi + 1e-3, math.pi),
-            rng.uniform(-math.pi / 2, math.pi / 2),
-            rng.uniform(-math.pi + 1e-3, math.pi),
-        )
-        r = euler_to_rotation(e)
-        assert np.abs(quaternion_to_rotation(rotation_to_quaternion(r)) - r).max() < 1e-9
+    r = random_rotations(6)
+    rebuilt = np.array([quaternion_to_rotation(q) for q in rotations_to_quaternions(r)])
+    assert np.abs(rebuilt - r).max() < 1e-9
 
 
 def test_batched_quaternions_match_scalar_definition():
@@ -243,7 +228,7 @@ def test_batched_quaternions_match_scalar_definition():
     # 2 ulp: the norms may sum in another order under another BLAS.
     np.testing.assert_array_max_ulp(batched, reference, maxulp=2)
     # A row takes the arithmetic it takes alone.
-    assert np.array_equal(np.array([rotation_to_quaternion(m) for m in r]), batched)
+    assert np.array_equal(np.array([rotations_to_quaternions(m[None])[0] for m in r]), batched)
     half = np.array([BRANCH_ROTATIONS[name] for name in ("half_turn_w0_sign",
                                                          "half_turn_w0_first")])
     q = rotations_to_quaternions(half)

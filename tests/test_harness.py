@@ -11,7 +11,7 @@ import pytest
 
 from arcpose import cli, harness, sim
 from arcpose.errors import ArcPoseError, InvalidConfigError, SamplingExhaustedError
-from arcpose.frames import EulerAngles, Pose, euler_to_rotation, rotation_from_angles
+from arcpose.frames import Pose, rotation_to_euler
 from arcpose.harness import (
     DEFAULT_CDF_GRID,
     ExperimentConfig,
@@ -19,9 +19,7 @@ from arcpose.harness import (
     _capture_block,
     config_from_dict,
     config_to_dict,
-    e_loc,
     e_loc_rows,
-    e_pos,
     e_pos_rows,
     run_monte_carlo,
     summarize,
@@ -31,38 +29,48 @@ from arcpose.harness import (
 )
 
 from arcpose.sim import luminaire_points
-from arcpose.solver import solve_oavpa, solve_vpca
+from arcpose.solver import solve_pairs, solve_vpa
 
 from conftest import BRANCH_ROTATIONS, branch_and_random_rotations, make_pose
-from oracles import capture_sample, e_loc_scalar, e_pos_scalar, record_row, write_records
+from oracles import (
+    capture_sample,
+    e_loc_scalar,
+    e_pos_scalar,
+    record_row,
+    rotation_scalar,
+    write_records,
+)
+from test_pair_kernel import one_row
 
 
 # --- metrics ----------------------------------------------------------------------
 
 def test_e_loc_hand_values():
-    assert e_loc([0, 0, 0], [0, 0, 0]) == 0.0
-    assert e_loc([0, 0, 0], [0.06, 0.08, 0.0]) == pytest.approx(0.10)
-    assert e_loc([1, 2, 3], [4, 5, 6]) == e_loc([4, 5, 6], [1, 2, 3])
+    origin = [[0, 0, 0]] * 2
+    assert e_loc_rows(origin, [[0, 0, 0], [0.06, 0.08, 0.0]]).tolist() == [
+        0.0, pytest.approx(0.10)]
+    assert e_loc_rows([[1, 2, 3]], [[4, 5, 6]]) == e_loc_rows([[4, 5, 6]], [[1, 2, 3]])
 
 
 def test_e_pos_identity():
-    r = euler_to_rotation(EulerAngles(0.3, -0.2, 1.1))
-    assert e_pos(r, r) == 0.0
+    r = rotation_scalar(0.3, -0.2, 1.1)[None]
+    assert e_pos_rows(r, r)[0] == 0.0
 
 
 def test_e_pos_quarter_turn():
     # ||(1,0,0,0) - (sqrt2/2,0,0,sqrt2/2)|| = sqrt(2 - sqrt2) = 0.765367...
-    r = euler_to_rotation(EulerAngles(0, 0, math.pi / 2))
-    assert e_pos(np.eye(3), r) == pytest.approx(math.sqrt(2 - math.sqrt(2)), abs=1e-12)
+    r = rotation_scalar(0, 0, math.pi / 2)
+    assert e_pos_rows(np.eye(3)[None], r[None])[0] == pytest.approx(
+        math.sqrt(2 - math.sqrt(2)), abs=1e-12)
 
 
 def test_e_pos_representation_invariance():
-    from arcpose.frames import rotation_to_euler
-
-    r1 = euler_to_rotation(EulerAngles(0.4, 0.1, -2.0))
-    r2 = euler_to_rotation(EulerAngles(-0.1, 0.3, 2.9))
-    rebuilt = euler_to_rotation(rotation_to_euler(r1))
-    assert e_pos(r1, r2) == pytest.approx(e_pos(rebuilt, r2), abs=1e-9)
+    r1 = rotation_scalar(0.4, 0.1, -2.0)
+    r2 = rotation_scalar(-0.1, 0.3, 2.9)
+    e = rotation_to_euler(r1)
+    rebuilt = rotation_scalar(e.phi, e.theta, e.psi)
+    assert e_pos_rows(np.array([r1, rebuilt]), np.array([r2, r2])).tolist() == pytest.approx(
+        [e_pos_scalar(r1, r2)] * 2, abs=1e-9)
 
 
 def test_batched_metrics_match_scalar_definitions():
@@ -82,9 +90,6 @@ def test_batched_metrics_match_scalar_definitions():
     truth, est = rng.uniform(-5, 5, size=(2, 1000, 3))
     np.testing.assert_array_max_ulp(
         e_loc_rows(truth, est), [e_loc_scalar(a, b) for a, b in zip(truth, est)], maxulp=2)
-    # The scalar metrics are batches of one.
-    assert [e_pos(a, b) for a, b in pairs] == e_pos_rows(r_true, r_est).tolist()
-    assert [e_loc(a, b) for a, b in zip(truth, est)] == e_loc_rows(truth, est).tolist()
 
 
 # --- config -----------------------------------------------------------------------
@@ -243,14 +248,15 @@ def reference_records(cfg):
             out.append((type(exc).__name__, None, None))
             continue
         results = {}
-        for alg, (a, b) in (("VPA", (first, second)), ("OAVPA", (0, 1))):
-            solve = solve_vpca if alg == "VPA" and obs[a].complete else solve_oavpa
-            try:
-                pose = solve(obs[a], obs[b], scene.luminaires, k).pose
-                results[alg] = e_loc(drawn.translation[0], pose.translation)
-            except (ArcPoseError, ValueError) as exc:
-                results[alg] = type(exc).__name__
-        out.append((None, (obs[first].luminaire_id, obs[second].luminaire_id), results))
+        try:
+            translation = solve_vpa(obs, scene.luminaire_map(), k).pose.translation
+            results["VPA"] = e_loc_scalar(drawn.translation[0], translation)
+        except (ArcPoseError, ValueError) as exc:
+            results["VPA"] = type(exc).__name__
+        sol = solve_pairs(**one_row(obs, 0, 1, False, scene.luminaire_map(), k), f=k.f)
+        results["OAVPA"] = (type(sol.error(0)).__name__ if sol.error(0)
+                            else e_loc_scalar(drawn.translation[0], sol.translation[0]))
+        out.append((None, tuple(obs.luminaire[[first, second]].tolist()), results))
     return out
 
 
@@ -421,7 +427,7 @@ def test_write_results_round_trip(tmp_path):
 def hand_built_records():
     """Records with gimbal-locked truths and estimates, whose Euler angles
     are NaN, beside plain ones; a failed record shares a truth."""
-    locked = Pose(rotation_from_angles(0.3, math.pi / 2, 0.0), np.array([1.0, 2.0, 1.5]))
+    locked = Pose(rotation_scalar(0.3, math.pi / 2, 0.0), np.array([1.0, 2.0, 1.5]))
     plain = make_pose(0.1, -0.2, 3.0, t=(4.0, 3.0, 1.0))
     return [
         ResultRecord(0, "VPA", locked, estimate=plain, solver_tag="VPCA", e_loc=0.25,

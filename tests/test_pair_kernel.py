@@ -33,8 +33,8 @@ FIELDS = ("rotation", "translation", "gap", "chosen_k", "psi_residual", "failure
 
 
 def captured_pairs(scenario, samples=40, seed=3):
-    """(first, second, vpca) for the VPA pair and the OAVPA pair of each
-    captured sample, plus the scene map and intrinsics."""
+    """(observations, first, second, vpca) for the VPA pair and the OAVPA
+    pair of each captured sample, plus the scene map and intrinsics."""
     cfg = ExperimentConfig(scenario=scenario, samples=samples, seed=seed)
     scene = cfg.effective_scene()
     points = luminaire_points(scene.luminaires, cfg.contour_samples)
@@ -44,18 +44,19 @@ def captured_pairs(scenario, samples=40, seed=3):
         drawn = sample_poses(scene, [rng], cfg.intrinsics, points,
                              cfg.scenario != "mixed")
         obs, (first, second) = capture_sample(cfg, drawn, rng)
-        pairs.append((obs[first], obs[second], obs[first].complete))
-        pairs.append((obs[0], obs[1], False))
+        pairs.append((obs, first, second, bool(obs.complete[first])))
+        pairs.append((obs, 0, 1, False))
     return pairs, scene.luminaire_map(), cfg.intrinsics
 
 
-def one_row(first, second, lums, k, vpca):
-    """The `pair_inputs` of two observations, as a batch of one."""
-    landmarks = [first.center_proj, first.mark_proj] if vpca else np.zeros((2, 2))
-    pair = lums[first.luminaire_id], lums[second.luminaire_id]
-    return pair_inputs([[first.ellipse.coefficients, second.ellipse.coefficients]],
-                       [landmarks], ([[lum.center_w for lum in pair]],
-                                     [[lum.radius for lum in pair]]), k, [vpca])
+def one_row(obs, first, second, vpca, lums, k):
+    """The `pair_inputs` of rows `first` and `second` of an `Observations`
+    record, solved as VPCA when `vpca`, as a batch of one."""
+    both = [first, second]
+    pair = [lums[lum_id] for lum_id in obs.luminaire[both].tolist()]
+    return pair_inputs(obs.coefficients[both][None], obs.landmarks[[first]],
+                       ([[lum.center_w for lum in pair]], [[lum.radius for lum in pair]]),
+                       k, [vpca])
 
 
 def stack(rows):
@@ -71,7 +72,7 @@ def assert_row_equal(batch, row, one):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_one_batch_equals_batches_of_one(scenario):
     pairs, lums, k = captured_pairs(scenario)
-    rows = [one_row(a, b, lums, k, vpca) for a, b, vpca in pairs]
+    rows = [one_row(*pair, lums, k) for pair in pairs]
     batch = solve_pairs(**stack(rows), f=k.f)
     assert (batch.failure < 0).mean() > 0.9
     for i, row in enumerate(rows):
@@ -80,7 +81,7 @@ def test_one_batch_equals_batches_of_one(scenario):
 
 def test_failed_rows_are_isolated():
     pairs, lums, k = captured_pairs("mixed", samples=12)
-    rows = [one_row(a, b, lums, k, vpca) for a, b, vpca in pairs]
+    rows = [one_row(*pair, lums, k) for pair in pairs]
     vpca_row = next(r for r in rows if r["vpca"][0])
     oavpa_row = next(r for r in rows if not r["vpca"][0])
 
@@ -242,7 +243,7 @@ def ref_solve(row, f):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_kernel_matches_scalar_reference(scenario):
     pairs, lums, k = captured_pairs(scenario, samples=25, seed=11)
-    rows = [one_row(a, b, lums, k, vpca) for a, b, vpca in pairs]
+    rows = [one_row(*pair, lums, k) for pair in pairs]
     sol = solve_pairs(**stack(rows), f=k.f)
     for i, row in enumerate(rows):
         try:

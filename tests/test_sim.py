@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from arcpose import sim
-from arcpose.conic import EllipseCoeffs, ellipse_centers, fit_ellipse
+from arcpose.conic import ellipse_centers, fit_ellipses
 from arcpose.errors import (
     ArcTooShortError,
     InvalidConfigError,
@@ -22,7 +22,6 @@ from arcpose.frames import (
     EulerAngles,
     Pose,
     _wrap_angle,
-    euler_to_rotation,
     pixel_to_image,
 )
 from arcpose.sim import (
@@ -40,10 +39,10 @@ from arcpose.sim import (
     default_scene,
 )
 from arcpose.harness import ExperimentConfig, _capture_block
-from arcpose.solver import LuminaireInfo, Observation, pair_observations
+from arcpose.solver import LuminaireInfo, pair_rows
 
 from conftest import make_pose
-from oracles import image_to_pixel, project_to_image, rank_pair, world_to_camera
+from oracles import image_to_pixel, project_to_image, rank_pair, rotation_scalar, world_to_camera
 
 
 @pytest.fixture
@@ -87,23 +86,17 @@ def capture_row(vis, mode, noise_px, k, rng, arc_fraction=0.6):
 
 
 def capture_observation(vis, mode, noise_px, k, rng, arc_fraction=0.6):
-    """The `Observation` of one luminaire: `capture_row`, whose error it
-    raises."""
+    """`capture_row`, raising its error, and the row's kept contour pixels."""
     cap = capture_row(vis, mode, noise_px, k, rng, arc_fraction)
     error = cap.error(0)
     if error is not None:
         raise error
-    complete = bool(cap.complete[0])
-    return Observation(
-        luminaire_id=vis.luminaire_id, ellipse=EllipseCoeffs(*cap.coefficients[0]),
-        complete=complete, center_proj=vis.center if complete else None,
-        mark_proj=vis.mark if complete else None,
-        contour_pixels=cap.pixels[0, :cap.count[0]])
+    return cap, cap.pixels[0, :cap.count[0]]
 
 
 def capture(scene, k, pose, mode="complete", noise_px=0.0, seed=0, lum=0,
             contour_samples=360):
-    """The observation of scene luminaire `lum` seen from `pose`."""
+    """The `capture_observation` of scene luminaire `lum` seen from `pose`."""
     vis = visibility_at(scene, pose, k, contour_samples)[lum]
     return capture_observation(vis, mode, noise_px, k, np.random.default_rng(seed))
 
@@ -211,7 +204,7 @@ def scalar_sample_pose(scene, rng, k, complete):
             theta=(2 * draw[4] - 1) * sim.MAX_TILT,
             psi=_wrap_angle((2 * draw[5] - 1) * math.pi),
         )
-        pose = Pose(rotation=euler_to_rotation(e), translation=position)
+        pose = Pose(rotation=rotation_scalar(e.phi, e.theta, e.psi), translation=position)
         fractions = _in_bounds(project(rings, pose), k).mean(axis=1)
         if int((fractions >= (1.0 if complete else sim.MIN_FRACTION)).sum()) < 2:
             continue
@@ -391,11 +384,11 @@ def test_clean_head_on_contour_is_pixel_circle(scene, k):
     lum = scene.luminaires[0]
     h = 2.0
     pose = make_pose(t=(*lum.center_w[:2], lum.center_w[2] - h))
-    obs = capture(scene, k, pose)
+    cap, pixels = capture(scene, k, pose)
     radius_px = k.f * lum.radius / (h * k.dx)
-    dist = np.linalg.norm(obs.contour_pixels - np.array([k.u0, k.v0]), axis=1)
+    dist = np.linalg.norm(pixels - np.array([k.u0, k.v0]), axis=1)
     assert np.abs(dist - radius_px).max() < 1e-9
-    assert np.allclose(obs.center_proj, [k.u0, k.v0])
+    assert np.allclose(cap.landmarks[0, 0], [k.u0, k.v0])
 
 
 def test_projection_matches_frame_oracles(k):
@@ -424,7 +417,7 @@ def test_noise_statistics(scene, k):
     vis = visibility_at(scene, make_pose(t=(*lum.center_w[:2], 1.0)), k)[0]
     rng = np.random.default_rng(42)
     deltas = np.concatenate([
-        capture_observation(vis, "complete", 2.0, k, rng).contour_pixels - vis.pixels
+        capture_observation(vis, "complete", 2.0, k, rng)[1] - vis.pixels
         for _ in range(150)
     ]).ravel()
     assert deltas.size >= 1e5
@@ -512,13 +505,9 @@ def test_complete_mode_is_identity(scene, k):
 
 def test_semicircle_fits_same_ellipse(scene, k):
     vis = side_view(scene, k)
-    full = capture_observation(vis, "complete", 0.0, k, np.random.default_rng(0)).ellipse
-    half = capture_observation(vis, "semicircle", 0.0, k, np.random.default_rng(5)).ellipse
-    assert np.allclose(
-        [full.a, full.b, full.c, full.d, full.e],
-        [half.a, half.b, half.c, half.d, half.e],
-        rtol=1e-9, atol=1e-9,
-    )
+    full = capture_observation(vis, "complete", 0.0, k, np.random.default_rng(0))[0]
+    half = capture_observation(vis, "semicircle", 0.0, k, np.random.default_rng(5))[0]
+    assert np.allclose(full.coefficients, half.coefficients, rtol=1e-9, atol=1e-9)
 
 
 def test_truncation_too_short(scene, k):
@@ -540,10 +529,10 @@ def test_image_bounds_mode_drops_outside_points(scene, k):
             break
     assert pose is not None
     vis = visibility_at(scene, pose, k)[0]
-    obs = capture(scene, k, pose, mode="image_bounds")
-    assert len(obs.contour_pixels) == round(vis.fraction * 360)
-    assert (obs.contour_pixels[:, 0] >= 0).all()
-    assert (obs.contour_pixels[:, 0] <= k.width).all()
+    _, pixels = capture(scene, k, pose, mode="image_bounds")
+    assert len(pixels) == round(vis.fraction * 360)
+    assert (pixels[:, 0] >= 0).all()
+    assert (pixels[:, 0] <= k.width).all()
 
 
 @pytest.mark.parametrize("mode", ARC_MODES)
@@ -574,7 +563,8 @@ def upright_view(scene, k):
 def capture_upright(cfg, vis, rng):
     """The harness's capture of the pair it takes from the views `vis`, and
     the clean pixels of that pair's two rows."""
-    pair = pair_observations(vis, cfg.scenario == "mixed")
+    pair = pair_rows([[v.contour_px for v in vis]], [[v.luminaire_id for v in vis]],
+                     [[v.complete for v in vis]], cfg.scenario == "mixed")[0]
     pose = make_pose(t=(4.0, 3.0, 0.5))
     drawn = sim.PoseBlock(
         pose.rotation[None], pose.translation[None], np.array([1]), np.array([pair]),
@@ -590,8 +580,8 @@ def test_average_of_identical_captures_matches_single_fit(scene, k):
     cfg = ExperimentConfig(sigma=0.0, images_per_location=20)
     cap, clean = capture_upright(cfg, upright_view(scene, k), np.random.default_rng(0))
     for row, pixels in enumerate(clean):
-        single = fit_ellipse(pixel_to_image(pixels, k))
-        assert np.array_equal(cap.coefficients[row], single.coefficients)
+        single = fit_ellipses(pixel_to_image(pixels, k)[None], [len(pixels)])
+        assert np.array_equal(cap.coefficients[row], single.coefficients[0])
         assert cap.complete[row]
 
 
@@ -619,9 +609,9 @@ def test_burst_determinism(scene, k):
 def test_tilted_view_has_perspective_bias(scene, k):
     # At a 30-degree tilt the fitted ellipse center must differ from the true
     # projected center; that gap is exactly what the arcs-only solver accepts.
-    obs = capture(scene, k, make_pose(phi=math.radians(30), t=(2.0, 3.2, 1.2)))
-    center_fit = image_to_pixel(ellipse_centers(obs.ellipse.coefficients[None])[0][0], k)
-    gap = np.linalg.norm(center_fit - obs.center_proj)
+    cap, _ = capture(scene, k, make_pose(phi=math.radians(30), t=(2.0, 3.2, 1.2)))
+    center_fit = image_to_pixel(ellipse_centers(cap.coefficients)[0][0], k)
+    gap = np.linalg.norm(center_fit - cap.landmarks[0, 0])
     assert gap > 0.05  # pixels
 
 

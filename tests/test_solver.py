@@ -1,37 +1,38 @@
 """Pose solvers: duality resolution, angle recovery, translation, dispatch,
 and the point-correspondence baseline."""
 
+import dataclasses
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arcpose.conic import cone_matrices, decompose_cones, fit_ellipse, section_normals
+from arcpose.cli import observations_from_dict
+from arcpose.conic import cone_matrices, decompose_cones, fit_ellipses, section_normals
 from arcpose.errors import (
     DegenerateDirectionError,
+    InvalidConfigError,
     TooFewLuminairesError,
     UnknownLuminaireError,
 )
-from arcpose.frames import (
-    CameraIntrinsics,
-    EulerAngles,
-    euler_to_rotation,
-    rotation_from_angles,
-)
+from arcpose.frames import CameraIntrinsics, angles_from_rotation, pixel_to_image
+from arcpose.harness import e_loc_rows, e_pos_rows
+from arcpose.sim import scene_from_dict
 from arcpose.solver import (
     LuminaireInfo,
-    Observation,
+    Observations,
     PSI_RESIDUAL_LIMIT,
+    contour_lengths,
     disambiguate,
     heading,
-    pnp_baseline,
     pnp_jacobian,
     pnp_residuals,
-    solve_oavpa,
+    pnp_solve,
     solve_vpa,
-    solve_vpca,
     tilt,
     translation_two_points,
 )
@@ -42,26 +43,34 @@ from conftest import (
     project_world_pixels,
     random_visible_scene,
 )
+from oracles import rotation_scalar
 
 
-def make_observation(lum, pose, k, complete=True, arc=None, n=360):
-    """Exact zero-noise observation of a luminaire via the reference pinhole chain."""
+def observation_row(lum, pose, k, complete=True, arc=None, n=360) -> dict:
+    """One luminaire's row of an `Observations` record, exact at zero noise
+    via the reference pinhole chain."""
     angles = np.linspace(0, 2 * np.pi, n, endpoint=False)
     if arc is not None:
         angles = angles[arc]
     pixels = project_world_pixels(
         circle_world_points(lum.center_w, lum.radius, angles), pose, k
     )
-    from arcpose.frames import pixel_to_image
-
-    return Observation(
-        luminaire_id=lum.id,
-        ellipse=fit_ellipse(pixel_to_image(pixels, k)),
+    landmarks = project_world_pixels(np.array([lum.center_w, lum.mark_w]), pose, k)
+    return dict(
+        luminaire=lum.id,
+        coefficients=fit_ellipses(pixel_to_image(pixels, k)[None], [len(pixels)]).coefficients[0],
+        landmarks=landmarks if complete else np.full((2, 2), np.nan),
         complete=complete,
-        center_proj=project_world_pixels(lum.center_w, pose, k) if complete else None,
-        mark_proj=project_world_pixels(lum.mark_w, pose, k) if complete else None,
-        contour_pixels=pixels,
+        contour_px=contour_lengths(pixels[None], [len(pixels)])[0],
     )
+
+
+def observations(*rows) -> Observations:
+    return Observations(**{key: [row[key] for row in rows] for key in rows[0]})
+
+
+def lum_map(*lums) -> dict:
+    return {lum.id: lum for lum in lums}
 
 
 def two_luminaire_setup(rng, k):
@@ -95,22 +104,43 @@ def test_luminaire_default_mark():
 def test_contour_px_is_count_times_median_step():
     # The reference is np.median over the point-to-point steps.
     rng = np.random.default_rng(27)
-    ellipse = fit_ellipse(np.stack([0.1 * np.cos(np.linspace(0, 6, 12)),
-                                    0.1 * np.sin(np.linspace(0, 6, 12))], axis=-1))
     for n in (2, 3, 50, 51, 360):
         pixels = rng.uniform(0, 640, (n, 2))
-        obs = Observation(luminaire_id="L", ellipse=ellipse, contour_pixels=pixels)
         steps = np.linalg.norm(np.diff(pixels, axis=0), axis=1)
-        assert obs.contour_px == float(n * np.median(steps))
+        assert contour_lengths(pixels[None], [n])[0] == float(n * np.median(steps))
 
 
 def test_observation_requires_points_when_complete():
-    ellipse = fit_ellipse(
-        np.stack([0.1 * np.cos(np.linspace(0, 6, 12)),
-                  0.1 * np.sin(np.linspace(0, 6, 12))], axis=-1)
-    )
-    with pytest.raises(ValueError):
-        Observation(luminaire_id="L", ellipse=ellipse, complete=True)
+    row = dict(luminaire="L", coefficients=np.zeros(5), landmarks=np.full((2, 2), np.nan),
+               complete=False, contour_px=0.0)
+    observations(row)
+    with pytest.raises(InvalidConfigError, match="complete observation needs finite"):
+        observations(dict(row, complete=True))
+
+
+def fixture_frame():
+    """The bundled fixture's observations, intrinsics and scene."""
+    data = resources.files("arcpose") / "data"
+    obs, k = observations_from_dict(json.loads((data / "fixture_observations.json").read_text()))
+    scene = scene_from_dict(json.loads((data / "fixture_scene.json").read_text()))
+    return obs, k, scene.luminaire_map()
+
+
+def test_direct_call_rejects_nan_center():
+    # Once a NaN center in a direct call ended in "ValueError: pose is not finite".
+    obs, k, lums = fixture_frame()
+    landmarks = obs.landmarks.copy()
+    landmarks[0, 0, 0] = np.nan
+    with pytest.raises(InvalidConfigError, match="observation 0 \\('L1'\\)"):
+        solve_vpa(dataclasses.replace(obs, landmarks=landmarks), lums, k)
+
+
+def test_direct_call_rejects_repeated_id():
+    # Once the second observation relabelled with the first one's id solved
+    # to a pose without a word.
+    obs, k, lums = fixture_frame()
+    with pytest.raises(InvalidConfigError, match="repeated luminaire_id 'L1'"):
+        solve_vpa(dataclasses.replace(obs, luminaire=["L1", "L1"]), lums, k)
 
 
 # --- disambiguate ------------------------------------------------------------------
@@ -142,8 +172,8 @@ def test_disambiguation_on_synthetic_scene(intrinsics):
     rng = np.random.default_rng(20)
     for _ in range(50):
         lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
-        obs = [make_observation(lum, pose, intrinsics) for lum in (lum_a, lum_b)]
-        q = cone_matrices([o.ellipse.coefficients for o in obs], intrinsics.f)
+        obs = observations(*(observation_row(lum, pose, intrinsics) for lum in (lum_a, lum_b)))
+        q = cone_matrices(obs.coefficients, intrinsics.f)
         _, normals = section_normals(*decompose_cones(q)[:2])
         chosen_a, chosen_b, _, ambiguous = pick(*normals)
         n_true = pose.rotation.T @ np.array([0.0, 0.0, -1.0])
@@ -193,7 +223,7 @@ def test_euler_from_normal_round_trip():
         phi = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
         theta = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
         psi = rng.uniform(-math.pi + 1e-9, math.pi)
-        r = euler_to_rotation(EulerAngles(phi, theta, psi))
+        r = rotation_scalar(phi, theta, psi)
         angles.append((phi, theta))
         normals.append(r.T @ np.array([0.0, 0.0, -1.0]))
     got_phi, got_theta, gimbal = tilt(np.array(normals))
@@ -234,7 +264,7 @@ def test_psi_vpca_round_trip():
         phi = rng.uniform(-1.2, 1.2)
         theta = rng.uniform(-1.2, 1.2)
         psi = rng.uniform(-math.pi + 1e-9, math.pi)
-        r = euler_to_rotation(EulerAngles(phi, theta, psi))
+        r = rotation_scalar(phi, theta, psi)
         s = r.T @ np.array(PLUS_Y)
         got, residual = psi_of(PLUS_Y, s, phi, theta)
         assert abs(got - psi) < 1e-9
@@ -254,7 +284,7 @@ def test_psi_vpca_inconsistent_input():
 def test_psi_vpca_gimbal():
     # A pose with theta = pi/2 has its ceiling normal on the camera x-axis;
     # the tilt flags it before any heading is solved.
-    r = euler_to_rotation(EulerAngles(0.0, math.pi / 2, 0.0))
+    r = rotation_scalar(0.0, math.pi / 2, 0.0)
     assert tilt((r.T @ np.array([0.0, 0.0, -1.0]))[None])[2][0]
 
 
@@ -273,7 +303,7 @@ def test_psi_oavpa_round_trip():
         theta = rng.uniform(-1.2, 1.2)
         psi = rng.uniform(-math.pi + 1e-9, math.pi)
         g = unit(np.append(rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5)))
-        r = euler_to_rotation(EulerAngles(phi, theta, psi))
+        r = rotation_scalar(phi, theta, psi)
         h = r.T @ g
         assert abs(psi_of(g, h, phi, theta)[0] - psi) < 1e-9
 
@@ -282,12 +312,12 @@ def test_psi_oavpa_degenerate_direction(intrinsics):
     # Luminaire centers one above the other carry no heading information.
     rng = np.random.default_rng(26)
     lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
-    obs_a = make_observation(lum_a, pose, intrinsics, complete=False)
-    obs_b = make_observation(lum_b, pose, intrinsics, complete=False)
+    obs = observations(observation_row(lum_a, pose, intrinsics, complete=False),
+                       observation_row(lum_b, pose, intrinsics, complete=False))
     above = LuminaireInfo(id=lum_b.id, center_w=lum_a.center_w + [0.0, 0.0, 0.5],
                           radius=lum_b.radius)
     with pytest.raises(DegenerateDirectionError):
-        solve_oavpa(obs_a, obs_b, [lum_a, above], intrinsics)
+        solve_vpa(obs, lum_map(lum_a, above), intrinsics)
 
 
 # --- translation ------------------------------------------------------------------
@@ -318,17 +348,20 @@ def test_translation_consistent_pose():
 
 def test_vpca_zero_noise_random_scenes(intrinsics):
     rng = np.random.default_rng(25)
-    from arcpose.harness import e_loc, e_pos
-
-    worst_loc, worst_pos = 0.0, 0.0
+    truths, estimates = [], []
     for _ in range(100):
         lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
-        obs_a = make_observation(lum_a, pose, intrinsics)
-        obs_b = make_observation(lum_b, pose, intrinsics, complete=False,
-                                 arc=slice(10, 150))
-        est = solve_vpca(obs_a, obs_b, [lum_a, lum_b], intrinsics)
-        worst_loc = max(worst_loc, e_loc(pose.translation, est.pose.translation))
-        worst_pos = max(worst_pos, e_pos(pose.rotation, est.pose.rotation))
+        obs = observations(observation_row(lum_a, pose, intrinsics),
+                           observation_row(lum_b, pose, intrinsics, complete=False,
+                                           arc=slice(10, 150)))
+        est = solve_vpa(obs, lum_map(lum_a, lum_b), intrinsics)
+        assert est.algorithm == "VPCA" and est.psi_residual < 1e-9
+        truths.append(pose)
+        estimates.append(est.pose)
+    worst_loc = e_loc_rows([p.translation for p in truths],
+                           [p.translation for p in estimates]).max()
+    worst_pos = e_pos_rows(np.array([p.rotation for p in truths]),
+                           np.array([p.rotation for p in estimates])).max()
     assert worst_loc < 1e-6
     assert worst_pos < 1e-8
 
@@ -337,9 +370,9 @@ def test_vpca_head_on_geometry(intrinsics):
     lum = LuminaireInfo(id="A", center_w=np.array([2.0, 2.0, 3.0]), radius=0.15)
     other = LuminaireInfo(id="B", center_w=np.array([2.6, 2.0, 3.0]), radius=0.15)
     pose = make_pose(t=(2.0, 2.0, 1.0))  # upright, 2 m below the center
-    obs_a = make_observation(lum, pose, intrinsics)
-    obs_b = make_observation(other, pose, intrinsics, complete=False)
-    est = solve_vpca(obs_a, obs_b, [lum, other], intrinsics)
+    obs = observations(observation_row(lum, pose, intrinsics),
+                       observation_row(other, pose, intrinsics, complete=False))
+    est = solve_vpa(obs, lum_map(lum, other), intrinsics)
     # The exactly-degenerate head-on cone (l1 == l2) turns eigenvalue-gap
     # rounding into k ~ sqrt(eps), so expect ~1e-8 rather than 1e-12 here.
     assert np.allclose(est.pose.translation, [2.0, 2.0, 1.0], atol=1e-7)
@@ -347,39 +380,28 @@ def test_vpca_head_on_geometry(intrinsics):
     assert est.algorithm == "VPCA"
 
 
-def test_vpca_requires_complete_observation(intrinsics):
-    rng = np.random.default_rng(26)
-    lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
-    obs_a = make_observation(lum_a, pose, intrinsics, complete=False)
-    obs_b = make_observation(lum_b, pose, intrinsics, complete=False)
-    with pytest.raises(ValueError):
-        solve_vpca(obs_a, obs_b, [lum_a, lum_b], intrinsics)
-
-
 def test_vpca_unknown_luminaire(intrinsics):
     rng = np.random.default_rng(27)
     lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
-    obs_a = make_observation(lum_a, pose, intrinsics)
-    obs_b = make_observation(lum_b, pose, intrinsics, complete=False)
-    with pytest.raises(UnknownLuminaireError):
-        solve_vpca(obs_a, obs_b, [lum_b], intrinsics)
+    obs = observations(observation_row(lum_a, pose, intrinsics),
+                       observation_row(lum_b, pose, intrinsics, complete=False))
+    with pytest.raises(UnknownLuminaireError, match=repr(lum_a.id)):
+        solve_vpa(obs, lum_map(lum_b), intrinsics)
 
 
 def test_oavpa_zero_noise_bias_is_small_but_nonzero(intrinsics):
     rng = np.random.default_rng(28)
-    from arcpose.harness import e_loc
-
-    errors = []
+    truths, estimates = [], []
     for _ in range(50):
         lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
-        obs_a = make_observation(lum_a, pose, intrinsics, complete=False,
-                                 arc=slice(0, 180))
-        obs_b = make_observation(lum_b, pose, intrinsics, complete=False,
-                                 arc=slice(90, 270))
-        est = solve_oavpa(obs_a, obs_b, [lum_a, lum_b], intrinsics)
-        assert est.algorithm == "OAVPA"
-        errors.append(e_loc(pose.translation, est.pose.translation))
-    mean = float(np.mean(errors))
+        obs = observations(
+            observation_row(lum_a, pose, intrinsics, complete=False, arc=slice(0, 180)),
+            observation_row(lum_b, pose, intrinsics, complete=False, arc=slice(90, 270)))
+        est = solve_vpa(obs, lum_map(lum_a, lum_b), intrinsics)
+        assert est.algorithm == "OAVPA" and math.isnan(est.psi_residual)
+        truths.append(pose.translation)
+        estimates.append(est.pose.translation)
+    mean = float(e_loc_rows(truths, estimates).mean())
     assert 0.0 < mean <= 0.02
 
 
@@ -389,44 +411,47 @@ def test_oavpa_head_on_symmetry_has_no_bias(intrinsics):
     lum_a = LuminaireInfo(id="A", center_w=np.array([3.7, 3.0, 3.0]), radius=0.15)
     lum_b = LuminaireInfo(id="B", center_w=np.array([4.3, 3.0, 3.0]), radius=0.15)
     pose = make_pose(psi=0.4, t=(4.0, 3.0, 1.2))
-    obs_a = make_observation(lum_a, pose, intrinsics, complete=False, arc=slice(0, 200))
-    obs_b = make_observation(lum_b, pose, intrinsics, complete=False, arc=slice(100, 300))
-    est = solve_oavpa(obs_a, obs_b, [lum_a, lum_b], intrinsics)
+    obs = observations(
+        observation_row(lum_a, pose, intrinsics, complete=False, arc=slice(0, 200)),
+        observation_row(lum_b, pose, intrinsics, complete=False, arc=slice(100, 300)))
+    est = solve_vpa(obs, lum_map(lum_a, lum_b), intrinsics)
+    assert est.algorithm == "OAVPA"
     assert np.linalg.norm(est.pose.translation - pose.translation) < 1e-6
 
 
 def test_oavpa_rejects_duplicate_luminaire(intrinsics):
     rng = np.random.default_rng(29)
     lum_a, _, pose = two_luminaire_setup(rng, intrinsics)
-    obs = make_observation(lum_a, pose, intrinsics, complete=False)
-    with pytest.raises(ValueError):
-        solve_oavpa(obs, obs, [lum_a], intrinsics)
+    row = observation_row(lum_a, pose, intrinsics, complete=False)
+    with pytest.raises(InvalidConfigError, match=f"repeated luminaire_id {lum_a.id!r}"):
+        observations(row, row)
 
 
 def test_vpa_dispatch(intrinsics):
     rng = np.random.default_rng(30)
     lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
-    complete = make_observation(lum_a, pose, intrinsics)
-    partial_a = make_observation(lum_a, pose, intrinsics, complete=False,
-                                 arc=slice(0, 180))
-    partial_b = make_observation(lum_b, pose, intrinsics, complete=False,
-                                 arc=slice(0, 180))
-    assert solve_vpa([complete, partial_b], [lum_a, lum_b], intrinsics).algorithm == "VPCA"
-    assert solve_vpa([partial_a, partial_b], [lum_a, lum_b], intrinsics).algorithm == "OAVPA"
+    lums = lum_map(lum_a, lum_b)
+    complete = observation_row(lum_a, pose, intrinsics)
+    partial_a = observation_row(lum_a, pose, intrinsics, complete=False, arc=slice(0, 180))
+    partial_b = observation_row(lum_b, pose, intrinsics, complete=False, arc=slice(0, 180))
+    assert solve_vpa(observations(complete, partial_b), lums, intrinsics).algorithm == "VPCA"
+    # The complete capture leads the pair wherever it stands in the record.
+    assert solve_vpa(observations(partial_b, complete), lums, intrinsics).algorithm == "VPCA"
+    assert solve_vpa(observations(partial_a, partial_b), lums, intrinsics).algorithm == "OAVPA"
     with pytest.raises(TooFewLuminairesError):
-        solve_vpa([complete], [lum_a, lum_b], intrinsics)
+        solve_vpa(observations(complete), lums, intrinsics)
 
 
 def test_vpa_dispatch_is_deterministic(intrinsics):
     rng = np.random.default_rng(31)
     lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
-    obs = [
-        make_observation(lum_a, pose, intrinsics, complete=False, arc=slice(0, 200)),
-        make_observation(lum_b, pose, intrinsics, complete=False, arc=slice(0, 200)),
-    ]
-    first = solve_vpa(obs, [lum_a, lum_b], intrinsics)
-    second = solve_vpa(obs, [lum_a, lum_b], intrinsics)
-    assert first.algorithm == second.algorithm
+    obs = observations(
+        observation_row(lum_a, pose, intrinsics, complete=False, arc=slice(0, 200)),
+        observation_row(lum_b, pose, intrinsics, complete=False, arc=slice(0, 200)),
+    )
+    first = solve_vpa(obs, lum_map(lum_a, lum_b), intrinsics)
+    second = solve_vpa(obs, lum_map(lum_a, lum_b), intrinsics)
+    assert (first.algorithm, first.gap) == (second.algorithm, second.gap)
     assert np.array_equal(first.pose.translation, second.pose.translation)
     assert np.array_equal(first.pose.rotation, second.pose.rotation)
 
@@ -437,20 +462,20 @@ def test_vpa_parallel_planes_at_different_heights(intrinsics):
     lum_a = LuminaireInfo(id="A", center_w=np.array([3.8, 3.0, 3.0]), radius=0.15)
     lum_b = LuminaireInfo(id="B", center_w=np.array([4.35, 3.1, 2.7]), radius=0.15)
     pose = make_pose(phi=0.1, theta=-0.08, psi=0.7, t=(4.0, 3.0, 1.1))
-    obs = [
-        make_observation(lum_a, pose, intrinsics),
-        make_observation(lum_b, pose, intrinsics, complete=False, arc=slice(20, 200)),
-    ]
-    est = solve_vpa(obs, [lum_a, lum_b], intrinsics)
+    obs = observations(
+        observation_row(lum_a, pose, intrinsics),
+        observation_row(lum_b, pose, intrinsics, complete=False, arc=slice(20, 200)),
+    )
+    est = solve_vpa(obs, lum_map(lum_a, lum_b), intrinsics)
     assert est.algorithm == "VPCA"
     assert np.linalg.norm(est.pose.translation - pose.translation) < 1e-6
 
     # The arcs-only solver also copes with the height difference (small bias).
-    obs_partial = [
-        make_observation(lum_a, pose, intrinsics, complete=False, arc=slice(0, 200)),
-        make_observation(lum_b, pose, intrinsics, complete=False, arc=slice(20, 200)),
-    ]
-    est2 = solve_vpa(obs_partial, [lum_a, lum_b], intrinsics)
+    obs_partial = observations(
+        observation_row(lum_a, pose, intrinsics, complete=False, arc=slice(0, 200)),
+        observation_row(lum_b, pose, intrinsics, complete=False, arc=slice(20, 200)),
+    )
+    est2 = solve_vpa(obs_partial, lum_map(lum_a, lum_b), intrinsics)
     assert est2.algorithm == "OAVPA"
     assert np.linalg.norm(est2.pose.translation - pose.translation) < 0.05
 
@@ -458,68 +483,60 @@ def test_vpa_parallel_planes_at_different_heights(intrinsics):
 # --- PnP baseline ------------------------------------------------------------------
 
 def pnp_scene(rng, intrinsics):
+    """Four world points (1, 4, 3) on two luminaires, their pixels (1, 4, 2),
+    and the pose that sees them."""
     lum_a, lum_b, pose = two_luminaire_setup(rng, intrinsics)
-    pairs = []
-    for lum, phase in ((lum_a, 0.0), (lum_b, np.pi / 4)):
-        for ang in (phase + np.pi / 2, phase + 3 * np.pi / 2):
-            w = circle_world_points(lum.center_w, lum.radius, [ang])[0]
-            pairs.append((w, project_world_pixels(w, pose, intrinsics)))
-    return pairs, pose
+    world = np.array([circle_world_points(lum.center_w, lum.radius,
+                                          [phase + np.pi / 2, phase + 3 * np.pi / 2])
+                      for lum, phase in ((lum_a, 0.0), (lum_b, np.pi / 4))]).reshape(1, 4, 3)
+    return world, project_world_pixels(world, pose, intrinsics), pose
 
 
 def test_pnp_zero_noise_exact(intrinsics):
     rng = np.random.default_rng(32)
-    for _ in range(30):
-        pairs, pose = pnp_scene(rng, intrinsics)
-        est = pnp_baseline(pairs, intrinsics)
-        assert np.linalg.norm(est.pose.translation - pose.translation) < 1e-6
-        assert est.algorithm == "PNP"
-        assert est.diagnostics["rms_px"] < 1e-6
-        assert 1 <= est.diagnostics["iterations"] <= 100
-        assert est.diagnostics["above_plane"] is False
+    world, pixels, poses = zip(*(pnp_scene(rng, intrinsics) for _ in range(30)))
+    sol = pnp_solve(np.concatenate(world), np.concatenate(pixels), intrinsics)
+    assert (sol.failure == -1).all()
+    truth = np.array([pose.translation for pose in poses])
+    assert np.linalg.norm(sol.translation - truth, axis=1).max() < 1e-6
+    assert (sol.rms_px < 1e-6).all()
+    assert ((sol.iterations >= 1) & (sol.iterations <= 100)).all()
+    assert not sol.above_plane.any()
 
 
 def test_pnp_requires_four_points(intrinsics):
     rng = np.random.default_rng(33)
-    pairs, _ = pnp_scene(rng, intrinsics)
-    with pytest.raises(ValueError):
-        pnp_baseline(pairs[:3], intrinsics)
+    world, pixels, _ = pnp_scene(rng, intrinsics)
+    error = pnp_solve(world[:, :3], pixels[:, :3], intrinsics).error(0)
+    assert type(error) is ValueError and "at least 4" in str(error)
 
 
 def test_pnp_rejects_collinear_world_points(intrinsics):
-    pairs = [
-        (np.array([x, 2.0, 3.0]), np.array([300.0 + 10 * x, 240.0]))
-        for x in (1.0, 2.0, 3.0, 4.0)
-    ]
-    with pytest.raises(ValueError):
-        pnp_baseline(pairs, intrinsics)
+    world = np.array([[[x, 2.0, 3.0] for x in (1.0, 2.0, 3.0, 4.0)]])
+    pixels = np.array([[[300.0 + 10 * x, 240.0] for x in (1.0, 2.0, 3.0, 4.0)]])
+    error = pnp_solve(world, pixels, intrinsics).error(0)
+    assert type(error) is ValueError and "collinear" in str(error)
 
 
 def test_pnp_noisy_residual_is_local_minimum(intrinsics):
     # With perturbed pixels the output must beat the true pose's residual and
     # sit at a local minimum of the reprojection cost.
-    from arcpose.frames import angles_from_rotation
-
     rng = np.random.default_rng(34)
-    pairs, pose = pnp_scene(rng, intrinsics)
-    noisy = [(w, p + rng.normal(0, 0.5, size=2)) for w, p in pairs]
-    est = pnp_baseline(noisy, intrinsics)
-
-    world = np.array([w for w, _ in noisy])
-    pixels = np.array([p for _, p in noisy])
+    world, pixels, pose = pnp_scene(rng, intrinsics)
+    pixels = pixels + rng.normal(0, 0.5, size=pixels.shape)
+    sol = pnp_solve(world, pixels, intrinsics)
+    assert sol.error(0) is None
 
     def cost(x):
-        res = pnp_residuals(np.asarray(x)[None], world[None], pixels[None], intrinsics)
+        res = pnp_residuals(np.asarray(x)[None], world, pixels, intrinsics)
         return float(res[0] @ res[0])
 
-    x_est = np.concatenate([
-        angles_from_rotation(est.pose.rotation), est.pose.translation
-    ])
+    x_est = np.concatenate([angles_from_rotation(sol.rotation[0]), sol.translation[0]])
     cost_est = cost(x_est)
     assert cost_est <= cost(np.concatenate([
         angles_from_rotation(pose.rotation), pose.translation
     ])) + 1e-9
-    assert est.diagnostics["rms_px"] == pytest.approx(math.sqrt(cost_est / 8), rel=1e-6)
+    assert sol.rms_px[0] == pytest.approx(math.sqrt(cost_est / 8), rel=1e-6)
     # Coordinate-wise probing cannot improve the cost to first order.
     for j in range(6):
         for delta in (-1e-5, 1e-5):
@@ -557,7 +574,7 @@ def assert_jacobian_matches_central_differences(x, world):
 
 
 def camera_depths(x, world):
-    return ((world - x[3:6]) @ rotation_from_angles(x[0], x[1], x[2]))[:, 2]
+    return ((world - x[3:6]) @ rotation_scalar(x[0], x[1], x[2]))[:, 2]
 
 
 POSE_ROW = st.tuples(
