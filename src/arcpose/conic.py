@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -90,32 +89,30 @@ class EllipseFits(_KernelRows):
         return {"count": self.count[row], "discriminant": b * b - 4.0 * a * c}
 
 
-# The normal equations need the point sums of x, y, x^2, xy, y^2 and of nine
-# products of two of those (x^3 ... y^4); `_GRAM` and `_RHS` place the sums in
-# the Gram matrix of the design columns (x^2, xy, y^2, x, y) and its right side.
-_X, _Y, _XX, _XY, _YY = range(5)
-_PRODUCTS = ((_XX, _X), (_XX, _Y), (_XY, _Y), (_YY, _Y),
-             (_XX, _XX), (_XX, _XY), (_XX, _YY), (_XY, _YY), (_YY, _YY))
-_GRAM = np.array([[9, 10, 11, 5, 6],
-                  [10, 11, 12, 6, 7],
-                  [11, 12, 13, 7, 8],
-                  [5, 6, 7, _XX, _XY],
-                  [6, 7, 8, _XY, _YY]])
-_RHS = np.array([_XX, _XY, _YY, _X, _Y])
+# The normal equations need the point sums of 14 monomials of the centered,
+# scaled points, held in this column order: x, y, x^2, xy, y^2, then x^2
+# times each of those five, then xy and y^2 times y, then xy and y^2 times
+# y^2. `_GRAM` and `_RHS` place the sums in the Gram matrix of the design
+# columns (x^2, xy, y^2, x, y) and its right side.
+_GRAM = np.array([[7, 8, 9, 5, 6],
+                  [8, 9, 12, 6, 10],
+                  [9, 12, 13, 10, 11],
+                  [5, 6, 10, 2, 3],
+                  [6, 10, 11, 3, 4]])
+_RHS = np.array([2, 3, 4, 0, 1])
 _EPS = np.finfo(float).eps
 
 
-def _column_sums(arrays) -> np.ndarray:
-    """Column sums (K, M) of an iterable of K arrays (N, M), each adding its
-    N values in order, so that trailing zeros leave it bit-identical. Few
-    columns take a cumulative sum; more take NumPy's reduction down the
-    first axis of a C-ordered array, which also adds one row at a time once
-    M >= 2."""
-    arrays = (np.ascontiguousarray(a) for a in arrays)
-    first = next(arrays)
-    if first.shape[1] < 4 and len(first):
-        return np.stack([first, *arrays]).cumsum(axis=1)[:, -1]
-    return np.array([first.sum(axis=0)] + [a.sum(axis=0) for a in arrays])
+def _column_sums(columns) -> np.ndarray:
+    """Sums (K, M) of K >= 2 columns (K, N, M) over their N points, each
+    adding its values in point order, so that trailing zeros leave it
+    bit-identical. NumPy's reduction down an axis that is not the innermost
+    adds one point at a time: few rows (M < 4) are summed down a small
+    point-major copy (N, M, K), whose inner loop runs along all K columns;
+    more are summed in place, the inner loop running along the rows."""
+    if columns.shape[2] < 4:
+        return np.ascontiguousarray(columns.transpose(1, 2, 0)).sum(axis=0).T
+    return columns.sum(axis=1)
 
 
 def fit_ellipses(points, counts) -> EllipseFits:
@@ -133,17 +130,20 @@ def fit_ellipses(points, counts) -> EllipseFits:
     pts = np.asarray(points, dtype=float)
     count = np.array(counts, dtype=int)
     valid = np.arange(pts.shape[1])[:, None] < count  # (N, M)
+    # The 14 monomial columns (14, N, M); x and y are zero past each row's
+    # count, and so is every product of them.
+    cols = np.empty((14, *valid.shape))
+    x, y, xy = cols[0], cols[1], cols[:2]
+    xy.fill(0.0)
+    np.copyto(xy, pts.transpose(2, 1, 0), where=valid)
     with np.errstate(all="ignore"):
-        x = np.where(valid, pts[:, :, 0].T, 0.0)
-        y = np.where(valid, pts[:, :, 1].T, 0.0)
         few = count < 5
         bad = ~np.isfinite(pts)
-        nonfinite = (bad.any(axis=2) & valid.T).any(axis=1) if bad.any() else np.zeros_like(few)
+        nonfinite = (bad.any(axis=2) & valid.T).any(axis=1) if bad.any() else np.zeros(len(few), bool)
         points_or_one = np.maximum(count, 1)
-        mean = _column_sums((x, y)) / points_or_one
-        np.subtract(x, mean[0], out=x, where=valid)
-        np.subtract(y, mean[1], out=y, where=valid)
-        squares = _column_sums((x * x, y * y))
+        mean = _column_sums(xy) / points_or_one
+        np.subtract(xy, mean[:, None], out=xy, where=valid)
+        squares = _column_sums(np.multiply(xy, xy, out=cols[2:4]))
         scale = np.sqrt((squares[0] + squares[1]) / points_or_one)
         range_1 = ~np.isfinite(mean).all(axis=0) | ~np.isfinite(scale)
         # Rows that failed already go on as the unit circle: eigh must see no
@@ -154,10 +154,13 @@ def fit_ellipses(points, counts) -> EllipseFits:
             turn = 2.0 * np.pi * np.arange(len(x)) / len(x)
             x[:, early], y[:, early] = np.cos(turn)[:, None], np.sin(turn)[:, None]
             mean[:, early], scale[early] = 0.0, 1.0
-        x /= scale
-        y /= scale
-        low = (x, y, x * x, x * y, y * y)
-        sums = _column_sums(chain(low, (low[i] * low[j] for i, j in _PRODUCTS))).T
+        xy /= scale
+        np.multiply(x, xy, out=cols[2:4])
+        np.multiply(y, y, out=cols[4])
+        np.multiply(cols[2], cols[:5], out=cols[5:10])
+        np.multiply(cols[3:5], y, out=cols[10:12])
+        np.multiply(cols[3:5], cols[4], out=cols[12:14])
+        sums = _column_sums(cols).T
         w, v = np.linalg.eigh(sums[:, _GRAM])
         rank = w[:, 0] <= _EPS * np.maximum(count, 5) * w[:, -1]
         sol = v @ ((v.transpose(0, 2, 1) @ -sums[:, _RHS, None]) / w[:, :, None])
@@ -166,9 +169,9 @@ def fit_ellipses(points, counts) -> EllipseFits:
     coefficients = np.full((len(count), 5), np.nan)
     # The mapping back costs a few dozen operations a row, cheaper on Python
     # floats than as NumPy calls on short arrays; the arithmetic is the same.
-    rows = np.flatnonzero(failure < 0)
+    rows = (failure < 0).nonzero()[0]
     if len(rows):
-        args = np.column_stack([sol[rows, :, 0], mean[:, rows].T, scale[rows]]).tolist()
+        args = np.concatenate([sol[rows, :, 0], mean[:, rows].T, scale[rows, None]], axis=1).tolist()
         mapped = np.array([_map_back(*row) for row in args])
         failure[rows], coefficients[rows] = mapped[:, 0], mapped[:, 1:]
     return EllipseFits(coefficients=coefficients, count=count, failure=failure)
@@ -210,7 +213,7 @@ def ellipse_centers(coeffs) -> tuple[np.ndarray, np.ndarray]:
     den = 4.0 * a * c - b * b
     flat = np.abs(den) < 1e-14 * np.maximum(np.maximum(a * a, c * c), 1.0)
     # (b*e - 2*c*d, b*d - 2*a*e) / den
-    num = b[:, None] * co[:, [4, 3]] - 2.0 * co[:, [2, 0]] * co[:, [3, 4]]
+    num = b[:, None] * co[:, 4:2:-1] - 2.0 * co[:, 2::-2] * co[:, 3:]
     return num / den[:, None], flat
 
 

@@ -65,6 +65,11 @@ class TooFewLuminairesError(ArcPoseError):
     """Fewer than two usable observations were supplied."""
 
 
+class NoCompleteCaptureError(ArcPoseError):
+    """The circle-and-arc solver (VPCA) was asked for, but no luminaire of
+    the pair was captured complete."""
+
+
 class NonConvergenceError(ArcPoseError):
     """Iterative solver stopped with an unacceptably large residual."""
 

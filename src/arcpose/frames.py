@@ -31,6 +31,8 @@ import numpy as np
 from .errors import GimbalLockError
 
 ROTATION_TOL = 1e-10
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
 
 
 def _freeze(obj, **arrays):
@@ -110,7 +112,7 @@ def are_rotations(r: np.ndarray) -> np.ndarray:
     finite = np.isfinite(r).all(axis=(1, 2))
     with np.errstate(invalid="ignore"):
         return (finite
-                & (np.abs(r.swapaxes(1, 2) @ r - np.eye(3)).max(axis=(1, 2)) <= ROTATION_TOL)
+                & (np.abs(r.swapaxes(1, 2) @ r - _EYE).max(axis=(1, 2)) <= ROTATION_TOL)
                 & (np.abs(np.linalg.det(r) - 1.0) <= ROTATION_TOL))
 
 
@@ -135,11 +137,8 @@ def pixel_to_image(p, k: CameraIntrinsics) -> np.ndarray:
     Accepts a single point or an (..., 2) array. A result out of range is
     inf, for the fit or the pair kernel to reject by name.
     """
-    p = np.asarray(p, dtype=float)
     with np.errstate(over="ignore"):
-        return np.stack(
-            [k.dx * (p[..., 0] - k.u0), k.dy * (p[..., 1] - k.v0)], axis=-1
-        )
+        return np.multiply(np.subtract(p, (k.u0, k.v0), dtype=float), (k.dx, k.dy))
 
 
 # --- Euler angles / quaternions -------------------------------------------------

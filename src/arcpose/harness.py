@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, NoCompleteCaptureError
 from .frames import (
     CameraIntrinsics,
     Pose,
@@ -346,7 +346,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
                 rows = ok
                 if alg == "VPCA":
                     for j in ok[~vpca].tolist():
-                        records[start + j][slot] = failed(start + j, alg, ValueError(
+                        records[start + j][slot] = failed(start + j, alg, NoCompleteCaptureError(
                             "no complete capture for the circle-and-arc solver"))
                     rows, both, vpca = ok[vpca], both[vpca], vpca[vpca]
                 kernel, inputs = solve_pairs, pair_inputs(

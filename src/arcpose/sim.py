@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -439,12 +440,14 @@ def read_object(data, fields, what: str) -> dict:
 
 
 def read_numbers(value, what: str, shape=(), kind=float):
-    """A finite JSON number or, with a `shape` (None for any length), an
-    array of them, as `kind`: a Python float or int, or an array of that
-    dtype; an int takes only JSON integers. Raises InvalidConfigError naming
-    `what` for a boolean, string or null, a list of them, a ragged list or
-    another shape. An array is read with one `np.asarray` and a dtype-kind
-    check, with no Python loop over a contour's points."""
+    """A finite JSON number or, with a one- or two-axis `shape` (None for
+    any length), a JSON list of them or of equal-length rows, as `kind`: a
+    Python float or int, or an array of that dtype; an int takes only JSON
+    integers. Raises InvalidConfigError naming `what` for a boolean, string
+    or null, a list holding one, a row that is no list, a ragged list,
+    another shape, or an integer beyond the dtype's range. An array is
+    checked with one pass of `type` over its numbers and one of `len` over
+    its rows, and read with one `np.fromiter`."""
     noun = "JSON integer" if kind is int else "finite JSON number"
     if not shape:  # Python's checks cost a tenth of NumPy's on one number
         if (isinstance(value, bool)
@@ -452,17 +455,22 @@ def read_numbers(value, what: str, shape=(), kind=float):
                 or not abs(value) <= sys.float_info.max):
             raise InvalidConfigError(f"{what} must be a {noun}")
         return kind(value)
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged list
-        arr = np.asarray(None)
-    if (arr.dtype.kind not in ("iu" if kind is int else "iuf")
-            or arr.ndim != len(shape)
-            or any(n not in (None, m) for n, m in zip(shape, arr.shape))
-            or not np.isfinite(arr).all()):
-        dims = ", ".join("N" if n is None else str(n) for n in shape)
-        raise InvalidConfigError(f"{what} must be a ({dims}) array of {noun}s")
-    return arr.astype(kind, copy=False)
+    if isinstance(value, list):
+        numbers, size = value, (len(value),)
+        try:
+            if len(shape) == 2:  # a row that is no list fails `len` or the type check
+                size = (len(value), *set(map(len, value)))
+                numbers = list(chain.from_iterable(value))
+            # `type`, not `isinstance`: a JSON boolean is a Python int.
+            if (len(size) == len(shape) and all(n in (None, m) for n, m in zip(shape, size))
+                    and set(map(type, numbers)) <= ({int} if kind is int else {int, float})):
+                arr = np.fromiter(numbers, kind, len(numbers))
+                if np.isfinite(arr).all():
+                    return arr.reshape(size)
+        except (TypeError, OverflowError):  # OverflowError: an integer beyond the dtype
+            pass
+    dims = ", ".join("N" if n is None else str(n) for n in shape)
+    raise InvalidConfigError(f"{what} must be a ({dims}) array of {noun}s")
 
 
 def scene_to_dict(scene: Scene) -> dict:

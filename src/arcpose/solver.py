@@ -252,7 +252,8 @@ def _rotations(phi, theta, cos_sin) -> np.ndarray:
 def translation_two_points(pw1, pc1, pw2, pc2, r: np.ndarray) -> np.ndarray:
     """Average the two single-point location estimates t = P_w - R @ P_c
     (leading batch axes allowed)."""
-    lifted = np.asarray(r, float) @ np.stack([pc1, pc2], axis=-1).astype(float)
+    pc = np.array([pc1, pc2], dtype=float)
+    lifted = np.asarray(r, float) @ np.ascontiguousarray(pc.transpose(*range(1, pc.ndim), 0))
     return 0.5 * ((np.asarray(pw1, float) - lifted[..., 0])
                   + (np.asarray(pw2, float) - lifted[..., 1]))
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 from dataclasses import replace
 from importlib import resources
 
@@ -14,7 +15,7 @@ from arcpose import cli
 from arcpose.cli import main, observations_from_dict
 from arcpose.errors import ArcPoseError, InvalidConfigError
 from arcpose.harness import ExperimentConfig, config_from_dict, config_to_dict
-from arcpose.sim import intrinsics_from_dict, scene_from_dict
+from arcpose.sim import intrinsics_from_dict, read_numbers, scene_from_dict
 from arcpose.solver import solve_vpa
 
 # Ground truth of the bundled zero-noise fixture (generated by the simulator
@@ -210,9 +211,16 @@ def test_solve_out_of_range_intrinsics_exits_1_by_name(tmp_path, capsys, field, 
     ({"luminaire_id": 1}, "observation 0: luminaire_id"),
     ({"contour_pixels": [["1", "2"]] * 20}, "observation 0 ('L1'): contour_pixels"),
     ({"center_proj": [True, False]}, "observation 0 ('L1'): center_proj"),
+    # A boolean among numbers was once read as 1.
+    ({"center_proj": [True, 240.0]}, "observation 0 ('L1'): center_proj"),
+    ({"contour_pixels": [[True, 2.0]] + [[1.0, 2.0]] * 19}, "observation 0 ('L1'): contour_pixels"),
+    ({"contour_pixels": [[1.0, 2.0]] * 19 + [3.0]}, "observation 0 ('L1'): contour_pixels"),
+    ({"contour_pixels": [[10 ** 400, 2]] * 20}, "observation 0 ('L1'): contour_pixels"),
+    ({"mark_proj": [10 ** 400, 240]}, "observation 0 ('L1'): mark_proj"),
 ], ids=["missing_id", "nan_center", "three_columns", "bad_ellipse", "non_object",
         "complete_without_center", "complete_without_mark", "text_complete",
-        "int_id", "text_contour", "bool_center"])
+        "int_id", "text_contour", "bool_center", "bool_in_center", "bool_in_contour",
+        "number_row", "huge_int_contour", "huge_int_mark"])
 def test_solve_malformed_observation_exits_2(tmp_path, capsys, patch, message):
     # Each of these was once accepted, or ended in a traceback or in an error
     # that named neither the field nor the observation. None deletes the field.
@@ -440,8 +448,14 @@ def test_scene_validate_ok(capsys):
     (lambda s: s["luminaires"][2].update(id="L1"), "repeated luminaire id 'L1'"),
     (lambda s: s.update(luminaires=[]), "at least 2"),
     (lambda s: s.update(luminaires=s["luminaires"][:1]), "at least 2"),
+    # A boolean among numbers was once read as 1.
+    (lambda s: s.update(room=[True, 6, 3]), "scene room"),
+    (lambda s: s["luminaires"][0].update(center=[2, True, 3]), "luminaire 0 ('L1'): center"),
+    (lambda s: s.update(room=[[8], 6, 3]), "scene room"),
+    (lambda s: s["luminaires"][0].update(center=[10 ** 400, 2, 3]), "luminaire 0 ('L1'): center"),
 ], ids=["unknown_field", "text_room", "text_center", "bool_radius", "repeated_id",
-        "no_luminaires", "one_luminaire"])
+        "no_luminaires", "one_luminaire", "bool_in_room", "bool_in_center", "list_in_room",
+        "huge_int_center"])
 def test_scene_validate_bad_scene(tmp_path, capsys, patch, message):
     scene = bundled("fixture_scene.json")
     patch(scene)
@@ -459,6 +473,31 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=12,
 )
+
+
+FINITE_NUMBERS = st.integers(-int(sys.float_info.max), int(sys.float_info.max)) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.lists(FINITE_NUMBERS, min_size=2, max_size=2), min_size=1))
+def test_read_numbers_matches_asarray(pairs):
+    # The reader of contours gives the bytes NumPy gives for the same list.
+    got = read_numbers(pairs, "pairs", (None, 2))
+    want = np.asarray(pairs, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(None, 2), (2,), (3,)])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=JSON_VALUES)
+def test_read_numbers_returns_array_or_raises_named_error(shape, value):
+    try:
+        arr = read_numbers(value, "value", shape)
+    except InvalidConfigError:
+        return
+    assert arr.dtype == float and np.isfinite(arr).all()
+    assert arr.shape == tuple(len(value) if n is None else n for n in shape)
 
 
 def field_paths(value, path=()):

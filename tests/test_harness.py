@@ -464,7 +464,7 @@ def test_records_csv_matches_value_at_a_time_writer(case, tmp_path):
                         ("OAVPA", "OAVPA", None), ("PNP", "PNP", None)}
     else:
         # VPCA fails on arcs alone; a capture failure fails every algorithm.
-        assert rows == {("VPCA", None, "ValueError"), ("OAVPA", "OAVPA", None),
+        assert rows == {("VPCA", None, "NoCompleteCaptureError"), ("OAVPA", "OAVPA", None),
                         ("PNP", "PNP", None)} | {
             (alg, None, "DegenerateConicError") for alg in cfg.algorithms}
 
