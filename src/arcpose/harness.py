@@ -43,6 +43,7 @@ from .sim import (
     default_scene,
     intrinsics_from_dict,
     luminaire_points,
+    pose_block,
     read_numbers,
     read_object,
     sample_poses,
@@ -63,12 +64,15 @@ CONFIG_SCHEMA_VERSION = 1
 PERCENTILES = (50, 78, 86, 90, 95, 97)
 DEFAULT_CDF_GRID = np.round(np.linspace(0.0, 0.5, 101), 6)
 
-# Samples whose poses `run_monte_carlo` draws together, and rows it hands
-# one `solve_pairs` or `pnp_solve` call. Neither changes a record: each
-# sample draws from its own generator and each kernel row is solved on its
-# own. Blocks amortize the rejection sampler's per-round work; slices bound
-# the kernels' temporaries (about 1 KB a pair row, 20 KB a PnP row) whatever
-# the run length.
+# Samples whose poses `run_monte_carlo` classifies, captures and fits
+# together, and rows it hands one `solve_pairs` or `pnp_solve` call. Neither
+# changes a record: each sample draws from its own generator and each kernel
+# row is solved on its own. Blocks amortize the capture's and the fit's
+# per-call work; slices bound the kernels' temporaries (about 1 KB a pair
+# row, 20 KB a PnP row) whatever the run length. The rejection sampler runs
+# its rounds for a group of whole blocks, the most that fit in a slice (at
+# least one), so that a group takes about as many rounds as its slowest
+# sample takes candidates.
 POSE_BLOCK = 24
 SOLVE_SLICE = 1024
 
@@ -286,10 +290,11 @@ def _pnp_inputs(cap: Capture, samples, lum, rings) -> dict:
 def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Run the configured experiment; one record per sample per algorithm.
 
-    Two phases. Per block of `POSE_BLOCK` samples, draw the poses together
-    (each from its own generator, which also draws that sample's noise),
-    capture and fit the block's pairs at once on the projections the poses
-    were accepted on (`_capture_block`), and keep, per algorithm, the
+    Two phases. Per group of whole blocks of `POSE_BLOCK` samples, draw the
+    poses in one `sample_poses` call (each from its own generator, which
+    later draws that sample's noise). Then per block, classify its poses
+    (`pose_block`), capture and fit its pairs at once on the projections the
+    poses were accepted on (`_capture_block`), and keep, per algorithm, the
     compact rows its kernel solves: the pair a geometric algorithm solves,
     or PNP's four contour correspondences. Then `solve_pairs` and
     `pnp_solve` take every row of the run to a pose, `SOLVE_SLICE` rows per
@@ -321,11 +326,16 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     # Per kernel, per block and algorithm: the sample index of each row, the
     # algorithm's slot, and the rows' inputs as one array per argument.
     kernels = {solve_pairs: [], pnp_solve: []}
+    group = POSE_BLOCK * max(1, SOLVE_SLICE // POSE_BLOCK)
     for start in range(0, cfg.samples, POSE_BLOCK):
+        if start % group == 0:
+            rngs = [np.random.default_rng([cfg.seed, index])
+                    for index in range(start, min(start + group, cfg.samples))]
+            drawn = sample_poses(scene, rngs, k, points, complete)
+        at = slice(start % group, start % group + POSE_BLOCK)
         indices = range(start, min(start + POSE_BLOCK, cfg.samples))
-        rngs = [np.random.default_rng([cfg.seed, index]) for index in indices]
-        block = sample_poses(scene, rngs, k, points, complete)
-        cap, pair = _capture_block(cfg, block, rngs)
+        block = pose_block(scene, *(a[at] for a in drawn), k, points, complete)
+        cap, pair = _capture_block(cfg, block, rngs[at])
         truths += map(Pose.unchecked, block.rotation, block.translation)
         attempts += block.attempts.tolist()
         lost = (cap.failure >= 0).reshape(-1, 2)
@@ -353,7 +363,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
                     cap.coefficients[both], cap.landmarks[both[:, 0]],
                     (centers[lum[both]], radii[lum[both]]), k, vpca)
             kernels[kernel].append((start + rows, slot, inputs))
-        # The block's projections go before the next block is drawn.
+        # The block's projections go before the next block is classified.
         del block, cap
 
     truth_r = np.array([truth.rotation for truth in truths])

@@ -59,9 +59,15 @@ BOUND_MARGIN = 1e-9
 # Rounds after which `sample_poses` advances only its first pending
 # generator. About 3 candidates in 10 pass the visibility test, so a pose
 # still pending after 64 rounds (p < 1e-9) means a test that rejects almost
-# everything; drawing one pose at a time then makes a block fail after
+# everything; drawing one pose at a time then makes a draw fail after
 # MAX_ATTEMPTS candidates, not MAX_ATTEMPTS for each of its poses.
 SOLO_AFTER = 64
+
+# Straddling luminaires whose contours one `_inside` call of a sampler round
+# projects. A first round over 1008 poses has some 230 of them; in pieces of
+# 48 the projection's temporaries (about 26 KB a 360-point contour) stay
+# near 1.2 MB however many generators `sample_poses` runs.
+STRADDLE_PIECE = 48
 
 
 @dataclass(frozen=True)
@@ -227,12 +233,12 @@ def classify(rotations, translations, k: CameraIntrinsics, points):
 
 @dataclass(frozen=True)
 class PoseBlock:
-    """The P poses `sample_poses` accepted, as read-only arrays: `rotation`
-    (P, 3, 3), `translation` (P, 3) and the candidates each took, the
-    accepted one included, `attempts` (P,); then the pair a capture takes,
-    `pair` (P, 2) indices into the scene's luminaires in capture order, with
-    its clean projection: contour `pixels` (P, 2, n, 2), center and mark
-    pixels `landmarks` (P, 2, 2, 2) and `complete` (P, 2)."""
+    """P poses of `sample_poses` as `pose_block` classifies them, as
+    read-only arrays: `rotation` (P, 3, 3), `translation` (P, 3) and
+    `attempts` (P,); then the pair a capture takes, `pair` (P, 2) indices
+    into the scene's luminaires in capture order, with its clean projection:
+    contour `pixels` (P, 2, n, 2), center and mark pixels `landmarks`
+    (P, 2, 2, 2) and `complete` (P, 2)."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -247,9 +253,10 @@ class PoseBlock:
             value.flags.writeable = False
 
 
-def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
-                 complete: bool) -> PoseBlock:
-    """Rejection-sample one camera pose per generator in `rngs`.
+def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points, complete: bool):
+    """Rejection-sample one camera pose per generator in `rngs`: rotations
+    (P, 3, 3), translations (P, 3) and the candidates each took, the accepted
+    one included, `attempts` (P,).
 
     Position is uniform over the room footprint with height in
     `HEIGHT_RANGE`; roll and pitch are uniform within +-`MAX_TILT` and the
@@ -262,18 +269,15 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
     The generators advance in rounds: each round draws `uniform(size=6)`
     from every generator whose pose is still rejected (from the first of
     them alone after `SOLO_AFTER` rounds), builds all their rotations in one
-    `rotations_from_angles` call and tests them together.
+    `rotations_from_angles` call and tests them together, so the rounds
+    number about the slowest generator's candidates whatever P is.
     `visibility_bounds` gives a luminaire wholly inside the image fraction
     1.0 and one wholly outside it 0; only the luminaires that straddle the
-    image edge are projected, all of the round's in one gathered call.
+    image edge are projected, `STRADDLE_PIECE` of the round's at a time.
     Those fractions then meet the same `MIN_FRACTION` (or `complete`) test
     as projected ones, so a fraction of 1.0 is not shown when
     `MIN_FRACTION` exceeds 1. Each generator draws only its own candidates,
-    so it ends where drawing its poses one at a time would leave it. The
-    block holds, per accepted pose, the pair a capture takes, as `pair_rows`
-    ranks the clean contours of its `classify` projection (the best
-    complete luminaire and the best other one, or with `complete` the best
-    two), and that pair's rows of the projection. Raises
+    so it ends where drawing its poses one at a time would leave it. Raises
     SamplingExhaustedError when a pose is still rejected after
     `MAX_ATTEMPTS` candidates.
     """
@@ -309,9 +313,11 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
         r, t = rotations[active], translations[active]
         inside, outside = visibility_bounds(r, t, k, points)
         fractions = inside.astype(float)
-        p, i = np.nonzero(~(inside | outside))
-        hits = _inside(rings[i], r[p], t[p], k)
-        fractions[p, i] = np.count_nonzero(hits, axis=1) / hits.shape[1]
+        straddle = np.nonzero(~(inside | outside))
+        for first in range(0, len(straddle[0]), STRADDLE_PIECE):
+            p, i = (a[first:first + STRADDLE_PIECE] for a in straddle)
+            hits = _inside(rings[i], r[p], t[p], k)
+            fractions[p, i] = np.count_nonzero(hits, axis=1) / hits.shape[1]
         if complete:
             marks_in = _inside(marks, r[:, None], t[:, None], k).all(axis=2)
             shown = (fractions == 1.0) & marks_in
@@ -320,11 +326,21 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points,
         accepted = shown.sum(axis=1) >= 2
 
         pending = np.concatenate([active[~accepted], pending[len(active):]])
+    return rotations, translations, attempts
 
+
+def pose_block(scene: Scene, rotations, translations, attempts, k: CameraIntrinsics,
+               points, complete: bool) -> PoseBlock:
+    """The `PoseBlock` of poses that `sample_poses` accepted with the same
+    `points` and `complete`: per pose, the pair a capture takes, as
+    `pair_rows` ranks the clean contours of its `classify` projection (the
+    best complete luminaire and the best other one, or with `complete` the
+    best two), and that pair's rows of the projection."""
     pixels, landmarks, whole, lengths = classify(rotations, translations, k, points)
-    pairs = np.array(pair_rows(lengths.tolist(), [[lum.id for lum in scene.luminaires]] * count,
+    pairs = np.array(pair_rows(lengths.tolist(),
+                               [[lum.id for lum in scene.luminaires]] * len(rotations),
                                whole.tolist(), not complete))
-    rows = np.arange(count)[:, None], pairs
+    rows = np.arange(len(rotations))[:, None], pairs
     return PoseBlock(rotations, translations, attempts, pairs, pixels[rows], landmarks[rows],
                      whole[rows])
 

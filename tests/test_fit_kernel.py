@@ -19,6 +19,7 @@ from arcpose.sim import (
     default_intrinsics,
     default_scene,
     luminaire_points,
+    pose_block,
     sample_poses,
 )
 
@@ -31,8 +32,9 @@ def arcs(mode, sigma, count=30, seed=21):
     image edge."""
     scene, k = default_scene(), default_intrinsics()
     rngs = [np.random.default_rng([seed, ARC_MODES.index(mode), i]) for i in range(200)]
-    drawn = sample_poses(scene, rngs, k, luminaire_points(scene.luminaires, 360),
-                         mode != "image_bounds")
+    points, complete = luminaire_points(scene.luminaires, 360), mode != "image_bounds"
+    drawn = pose_block(scene, *sample_poses(scene, rngs, k, points, complete), k, points,
+                       complete)
     out = []
     for p, rng in enumerate(rngs):
         for c, i in enumerate(drawn.pair[p].tolist()):

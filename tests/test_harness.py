@@ -194,14 +194,22 @@ def test_runner_records_do_not_depend_on_block_or_slice_size(monkeypatch):
     cfg = ExperimentConfig(samples=40, algorithms=("VPA", "VPCA", "OAVPA", "PNP"),
                            seed=9)
     default = run_monte_carlo(cfg)
-    monkeypatch.setattr(harness, "POSE_BLOCK", 7)
-    monkeypatch.setattr(harness, "SOLVE_SLICE", 5)
-    sliced = run_monte_carlo(cfg)
-    assert rows(sliced) == rows(default)
-    # Poses agree bit for bit, not just to the 12 digits records.csv keeps.
-    assert all(np.array_equal(a.estimate.rotation, b.estimate.rotation)
-               and np.array_equal(a.estimate.translation, b.estimate.translation)
-               for a, b in zip(default, sliced) if a.ok)
+    # The sampler's group is the whole blocks that fit in a slice, at least
+    # one: (8, 8) draws one block a group, (3, 10) three, so that 40 samples
+    # end inside a block and inside a group, and (7, 5) one block of more
+    # samples than a slice.
+    for block, size in ((8, 8), (3, 10), (7, 5)):
+        monkeypatch.setattr(harness, "POSE_BLOCK", block)
+        monkeypatch.setattr(harness, "SOLVE_SLICE", size)
+        sliced = run_monte_carlo(cfg)
+        assert rows(sliced) == rows(default)
+        # Poses agree bit for bit, not just to the 12 digits records.csv keeps.
+        for a, b in zip(default, sliced):
+            assert np.array_equal(a.truth.rotation, b.truth.rotation)
+            assert np.array_equal(a.truth.translation, b.truth.translation)
+            if a.ok:
+                assert np.array_equal(a.estimate.rotation, b.estimate.rotation)
+                assert np.array_equal(a.estimate.translation, b.estimate.translation)
     assert all(attempts >= 1 for *_, attempts in rows(default))
 
 
@@ -224,11 +232,18 @@ def test_runner_rejects_a_solved_row_that_is_no_rotation(monkeypatch, tmp_path, 
     assert f"ValueError: {message}" in capsys.readouterr().err
 
 
-def test_runner_propagates_sampling_exhaustion(monkeypatch):
+def test_runner_propagates_sampling_exhaustion(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(sim, "MIN_FRACTION", 1.5)
     monkeypatch.setattr(sim, "MAX_ATTEMPTS", 5)
     with pytest.raises(SamplingExhaustedError):
         run_monte_carlo(ExperimentConfig(samples=3, seed=1))
+    # One draw over the generators of three blocks.
+    samples = 2 * harness.POSE_BLOCK + 1
+    with pytest.raises(SamplingExhaustedError, match="in 5 attempts"):
+        run_monte_carlo(ExperimentConfig(samples=samples, seed=1))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--samples", str(samples), "--out", str(out)]) == 1
+    assert "SamplingExhaustedError: no pose passed" in capsys.readouterr().err
 
 
 def reference_records(cfg):
@@ -241,7 +256,9 @@ def reference_records(cfg):
     out = []
     for index in range(cfg.samples):
         rng = np.random.default_rng([cfg.seed, index])
-        drawn = sim.sample_poses(scene, [rng], k, points, cfg.scenario != "mixed")
+        complete = cfg.scenario != "mixed"
+        drawn = sim.pose_block(scene, *sim.sample_poses(scene, [rng], k, points, complete), k,
+                               points, complete)
         try:
             obs, (first, second) = capture_sample(cfg, drawn, rng)
         except (ArcPoseError, ValueError) as exc:
@@ -277,7 +294,10 @@ def test_runner_matches_sample_by_sample_reference(scenario, arc_fraction):
     for start in range(0, cfg.samples, harness.POSE_BLOCK):
         rngs = [np.random.default_rng([cfg.seed, i])
                 for i in range(start, min(start + harness.POSE_BLOCK, cfg.samples))]
-        drawn = sim.sample_poses(scene, rngs, cfg.intrinsics, points, cfg.scenario != "mixed")
+        complete = cfg.scenario != "mixed"
+        drawn = sim.pose_block(scene, *sim.sample_poses(scene, rngs, cfg.intrinsics, points,
+                                                        complete),
+                               cfg.intrinsics, points, complete)
         cap, pair = _capture_block(cfg, drawn, rngs)
         for j in range(len(rngs)):
             rows = 2 * j + pair[j]

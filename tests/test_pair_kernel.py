@@ -22,7 +22,7 @@ from arcpose.errors import (
     ParallelLineError,
 )
 from arcpose.harness import ExperimentConfig
-from arcpose.sim import luminaire_points, sample_poses
+from arcpose.sim import luminaire_points, pose_block, sample_poses
 from arcpose.solver import pair_inputs, solve_pairs
 
 from oracles import capture_sample, rot_x, rot_y, rot_z
@@ -41,8 +41,9 @@ def captured_pairs(scenario, samples=40, seed=3):
     pairs = []
     for index in range(samples):
         rng = np.random.default_rng([seed, index])
-        drawn = sample_poses(scene, [rng], cfg.intrinsics, points,
-                             cfg.scenario != "mixed")
+        complete = cfg.scenario != "mixed"
+        drawn = pose_block(scene, *sample_poses(scene, [rng], cfg.intrinsics, points, complete),
+                           cfg.intrinsics, points, complete)
         obs, (first, second) = capture_sample(cfg, drawn, rng)
         pairs.append((obs, first, second, bool(obs.complete[first])))
         pairs.append((obs, 0, 1, False))

@@ -9,7 +9,7 @@ samples (seed 2, 40 samples: one of them runs all three heading restarts).
 import numpy as np
 
 from arcpose.harness import ExperimentConfig, _capture_block, _pnp_inputs
-from arcpose.sim import contour_angles, luminaire_points, sample_poses
+from arcpose.sim import contour_angles, luminaire_points, pose_block, sample_poses
 from arcpose.solver import PNP_CHECKS, pnp_solve
 
 FIELDS = ("rotation", "translation", "rms_px", "iterations", "above_plane", "failure")
@@ -24,7 +24,8 @@ def captured_samples(samples=40, seed=2):
     out = []
     for index in range(samples):
         rng = np.random.default_rng([seed, index])
-        drawn = sample_poses(scene, [rng], cfg.intrinsics, points, False)
+        drawn = pose_block(scene, *sample_poses(scene, [rng], cfg.intrinsics, points, False),
+                           cfg.intrinsics, points, False)
         out.append((drawn, _capture_block(cfg, drawn, [rng])[0]))
     return cfg, points, out
 

@@ -32,6 +32,7 @@ from arcpose.sim import (
     classify,
     contour_angles,
     luminaire_points,
+    pose_block,
     sample_poses,
     scene_from_dict,
     scene_to_dict,
@@ -137,8 +138,11 @@ def test_upright_center_sees_all_four_with_wide_lens(scene):
 
 
 def draw_poses(scene, k, rngs, complete=False):
-    """`sample_poses` with the scene's 360-point contours."""
-    return sample_poses(scene, rngs, k, luminaire_points(scene.luminaires, 360), complete)
+    """The `pose_block` of `sample_poses` with the scene's 360-point
+    contours."""
+    points = luminaire_points(scene.luminaires, 360)
+    return pose_block(scene, *sample_poses(scene, rngs, k, points, complete), k, points,
+                      complete)
 
 
 def test_sample_pose_postcondition(scene, k):
@@ -244,14 +248,18 @@ def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
                                                   solo_after, offset, monkeypatch):
     # solo_after=2: after two rounds the generators advance one at a time.
     monkeypatch.setattr(sim, "SOLO_AFTER", solo_after)
+    # A round projects its straddling luminaires four at a time.
+    monkeypatch.setattr(sim, "STRADDLE_PIECE", 4)
     if offset:
         scene, k = offset_camera()
     seeds = [[stream, i] for i in range(120)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    # One block of 100 and one of 20: rounds in lockstep over many generators.
-    blocks = [draw_poses(scene, k, rngs[:100], complete),
-              draw_poses(scene, k, rngs[100:], complete)]
     points = luminaire_points(scene.luminaires, 360)
+    # Rounds in lockstep over 120 generators, then a block of 100 and one of
+    # 20, as the runner draws a group and classifies its blocks.
+    drawn = sample_poses(scene, rngs, k, points, complete)
+    blocks = [pose_block(scene, *(a[rows] for a in drawn), k, points, complete)
+              for rows in (slice(0, 100), slice(100, 120))]
     attempts = []
     rows = [(block, p) for block in blocks for p in range(len(block.pair))]
     for seed, rng, (got, p) in zip(seeds, rngs, rows):
@@ -356,7 +364,7 @@ def test_visibility_bounds_agree_at_tangency(contour_samples, offset):
     # from the z = 0 plane, on either side of it.
     scene, k = offset_camera() if offset else (default_scene(), default_intrinsics())
     rngs = [np.random.default_rng([contour_samples, i]) for i in range(10)]
-    drawn = sample_poses(scene, rngs, k, luminaire_points(scene.luminaires, 360), True)
+    drawn = draw_poses(scene, k, rngs, complete=True)
     rotations, translations, tangent = [], [], []
     for r, t, pair in zip(drawn.rotation, drawn.translation, drawn.pair.tolist()):
         for i in pair:
