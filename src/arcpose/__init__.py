@@ -14,7 +14,7 @@ from .errors import ArcPoseError
 from .frames import CameraIntrinsics, EulerAngles, Pose
 from .solver import LuminaireInfo, Observations, PoseEstimate, solve_vpa
 from .sim import Scene, default_intrinsics, default_scene
-from .harness import ExperimentConfig, run_monte_carlo, summarize, sweep
+from .harness import ExperimentConfig, Records, run_monte_carlo, summarize, sweep
 
 __all__ = [
     "__version__",
@@ -30,6 +30,7 @@ __all__ = [
     "default_intrinsics",
     "default_scene",
     "ExperimentConfig",
+    "Records",
     "run_monte_carlo",
     "summarize",
     "sweep",

@@ -279,7 +279,7 @@ def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     _echo_config(args, cfg)
     records = run_monte_carlo(cfg)
-    stats = summarize_by_algorithm(records)
+    stats = summarize_by_algorithm(records.e_loc_by_algorithm())
     out_dir = args.out or _default_out()
     paths = write_results(records, stats, out_dir, cfg)
     _print_summary(stats)

@@ -97,13 +97,6 @@ class Pose:
         check_rotations(r[None])
         _freeze(self, rotation=r, translation=t)
 
-    @classmethod
-    def unchecked(cls, rotation, translation) -> "Pose":
-        """A pose built from a rotation that is one by construction."""
-        pose = object.__new__(cls)
-        _freeze(pose, rotation=rotation, translation=translation)
-        return pose
-
 
 def are_rotations(r: np.ndarray) -> np.ndarray:
     """Per matrix of a stack (N, 3, 3): orthonormal with determinant +1

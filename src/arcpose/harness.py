@@ -3,9 +3,10 @@
 One *sample* is: draw a random pose, observe the two best-visible
 luminaires (contour pixels with the noise left after averaging the
 location's images, cut to arcs per the configured scenario, and their
-fitted ellipses), and run every requested algorithm on the pair. Records
-carry the per-sample errors; failures are recorded with the error name and
-excluded from statistics (but counted).
+fitted ellipses), and run every requested algorithm on the pair. A run's
+records form one `Records` table, a row per sample and a column per
+algorithm; failures are recorded with the error name and excluded from
+statistics (but counted).
 
 Reproducibility contract: the per-sample random generator is derived from
 (seed, sample_index) only, so identical configurations produce identical
@@ -29,7 +30,6 @@ from . import __version__
 from .errors import InvalidConfigError, NoCompleteCaptureError
 from .frames import (
     CameraIntrinsics,
-    Pose,
     check_rotations,
     euler_angles,
     rotations_to_quaternions,
@@ -232,28 +232,41 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 # --- records ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ResultRecord:
-    """Outcome of one algorithm on one sample; no truth when read back."""
+class Records:
+    """A run's records as one read-only table, in sample, then algorithm
+    order. Per sample: `truth_rotation` (S, 3, 3), `truth_translation`
+    (S, 3) and pose-sampling draws `attempts` (S,). Per record of algorithm
+    `algorithms[a]` on sample s, at [s, a]: `solver_tag`, `error` (class
+    name, "" when ok), `e_loc`, `e_pos`, and the estimate's `rotation`
+    (S, A, 3, 3) and `translation` (S, A, 3). A failed record has tag "" and
+    NaN metrics and estimate."""
 
-    sample_index: int
-    algorithm: str
-    truth: Pose | None
-    estimate: Pose | None = None
-    solver_tag: str | None = None
-    e_loc: float | None = None
-    e_pos: float | None = None
-    error: str | None = None
-    attempts: int | None = None  # pose-sampling draws of the sample
+    algorithms: tuple[str, ...]
+    truth_rotation: np.ndarray
+    truth_translation: np.ndarray
+    attempts: np.ndarray
+    solver_tag: np.ndarray
+    error: np.ndarray
+    e_loc: np.ndarray
+    e_pos: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def e_loc_by_algorithm(self) -> dict[str, np.ndarray]:
+        """{algorithm: its `e_loc` column}, as `summarize_by_algorithm` takes."""
+        return dict(zip(self.algorithms, self.e_loc.T))
 
 
 @dataclass(frozen=True)
 class SummaryStats:
     """Aggregate statistics of the successful records of one algorithm;
-    None for each statistic when no record succeeded."""
+    None for each statistic when no record succeeded. `cdf_fraction` holds
+    the CDF at each point of `DEFAULT_CDF_GRID`, or nothing."""
 
     n_success: int
     n_failed: int
@@ -261,7 +274,6 @@ class SummaryStats:
     std_err: float | None
     median: float | None
     percentiles: dict
-    cdf_grid: np.ndarray
     cdf_fraction: np.ndarray
 
 
@@ -287,7 +299,12 @@ def _pnp_inputs(cap: Capture, samples, lum, rings) -> dict:
     return dict(world=world.reshape(-1, 4, 3), pixels=cap.pixels[at].reshape(-1, 4, 2))
 
 
-def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
+def _error_names(rows) -> np.ndarray:
+    """Each kernel row's error class name by its `CHECKS` code ("" if passed)."""
+    return np.array([cls.__name__ for cls, _ in rows.CHECKS] + [""], dtype=object)[rows.failure]
+
+
+def run_monte_carlo(cfg: ExperimentConfig) -> Records:
     """Run the configured experiment; one record per sample per algorithm.
 
     Two phases. Per group of whole blocks of `POSE_BLOCK` samples, draw the
@@ -299,8 +316,8 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     or PNP's four contour correspondences. Then `solve_pairs` and
     `pnp_solve` take every row of the run to a pose, `SOLVE_SLICE` rows per
     call, and each call's solved rows pass `Pose`'s rotation check and get
-    their errors as arrays. Records come out by sample, then in
-    `cfg.algorithms` order.
+    their errors as arrays. Every outcome is written into the `Records`
+    table in place.
 
     Solver failures never abort the run: the record carries the error class
     name and no metrics. Pose-sampling exhaustion does propagate, since a
@@ -316,12 +333,12 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     centers = marks[:, :, 0]
     k = cfg.intrinsics
 
-    truths: list[Pose] = []  # per sample
-    attempts: list[int] = []
-    records: list[list] = []  # per sample, its records in algorithm order
-
-    def failed(i, alg, exc) -> ResultRecord:
-        return ResultRecord(i, alg, truths[i], error=type(exc).__name__, attempts=attempts[i])
+    shape = (cfg.samples, len(cfg.algorithms))
+    truth_r, truth_t = np.empty((cfg.samples, 3, 3)), np.empty((cfg.samples, 3))
+    attempts = np.empty(cfg.samples, dtype=int)
+    tag, error = np.full((2, *shape), "", dtype=object)
+    e_loc, e_pos = np.full((2, *shape), np.nan)
+    rotation, translation = np.full((*shape, 3, 3), np.nan), np.full((*shape, 3), np.nan)
 
     # Per kernel, per block and algorithm: the sample index of each row, the
     # algorithm's slot, and the rows' inputs as one array per argument.
@@ -329,22 +346,19 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
     group = POSE_BLOCK * max(1, SOLVE_SLICE // POSE_BLOCK)
     for start in range(0, cfg.samples, POSE_BLOCK):
         if start % group == 0:
+            drawn_at = slice(start, min(start + group, cfg.samples))
             rngs = [np.random.default_rng([cfg.seed, index])
-                    for index in range(start, min(start + group, cfg.samples))]
+                    for index in range(drawn_at.start, drawn_at.stop)]
             drawn = sample_poses(scene, rngs, k, points, complete)
+            truth_r[drawn_at], truth_t[drawn_at], attempts[drawn_at] = drawn
         at = slice(start % group, start % group + POSE_BLOCK)
-        indices = range(start, min(start + POSE_BLOCK, cfg.samples))
         block = pose_block(scene, *(a[at] for a in drawn), k, points, complete)
         cap, pair = _capture_block(cfg, block, rngs[at])
-        truths += map(Pose.unchecked, block.rotation, block.translation)
-        attempts += block.attempts.tolist()
-        lost = (cap.failure >= 0).reshape(-1, 2)
-        for j, index in enumerate(indices):
-            records.append([None] * len(cfg.algorithms))
-            if lost[j].any():  # the first failure in capture order
-                exc = cap.error(2 * j + int(not lost[j, 0]))
-                records[-1][:] = [failed(index, alg, exc) for alg in cfg.algorithms]
-        ok = np.flatnonzero(~lost.any(axis=1))
+        # A lost capture fails every algorithm with its first failure in
+        # capture order.
+        names = _error_names(cap).reshape(-1, 2)
+        error[start:start + len(names)] = np.where(names[:, :1] != "", names[:, :1], names[:, 1:])
+        ok = np.flatnonzero((names == "").all(axis=1))
         lum = block.pair.ravel()  # per capture row
         for slot, alg in enumerate(cfg.algorithms):
             if alg == "PNP":
@@ -355,9 +369,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
                 vpca = cap.complete[both[:, 0]] & (alg != "OAVPA")
                 rows = ok
                 if alg == "VPCA":
-                    for j in ok[~vpca].tolist():
-                        records[start + j][slot] = failed(start + j, alg, NoCompleteCaptureError(
-                            "no complete capture for the circle-and-arc solver"))
+                    error[start + ok[~vpca], slot] = NoCompleteCaptureError.__name__
                     rows, both, vpca = ok[vpca], both[vpca], vpca[vpca]
                 kernel, inputs = solve_pairs, pair_inputs(
                     cap.coefficients[both], cap.landmarks[both[:, 0]],
@@ -366,8 +378,6 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
         # The block's projections go before the next block is classified.
         del block, cap
 
-    truth_r = np.array([truth.rotation for truth in truths])
-    truth_t = np.array([truth.translation for truth in truths])
     for kernel, parts in kernels.items():
         if not parts:
             continue
@@ -379,25 +389,19 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[ResultRecord]:
             rows = slice(first, first + SOLVE_SLICE)
             args = {key: v[rows] for key, v in batch.items()}
             sol = kernel(**args, f=k.f) if kernel is solve_pairs else kernel(**args, k=k)
-            at = index[rows]
-            tags = (np.where(args["vpca"], "VPCA", "OAVPA").tolist() if kernel is solve_pairs
-                    else ["PNP"] * len(at))
             # The slice's solved rows pass the `Pose` guard and are scored at once.
             solved = sol.failure < 0
             check_rotations(sol.rotation[solved])
-            e_l, e_p = np.full((2, len(at)), np.nan)
-            e_l[solved] = e_loc_rows(truth_t[at[solved]], sol.translation[solved])
-            e_p[solved] = e_pos_rows(truth_r[at[solved]], sol.rotation[solved])
-            for j, (i, slot, tag, loc, pos) in enumerate(zip(
-                    at.tolist(), slots[rows].tolist(), tags, e_l.tolist(), e_p.tolist())):
-                alg = cfg.algorithms[slot]
-                if solved[j]:
-                    pose = Pose.unchecked(sol.rotation[j], sol.translation[j])
-                    records[i][slot] = ResultRecord(i, alg, truths[i], pose, tag, loc, pos,
-                                                    attempts=attempts[i])
-                else:
-                    records[i][slot] = failed(i, alg, sol.error(j))
-    return [r for sample_records in records for r in sample_records]
+            i, a = index[rows], slots[rows]
+            error[i, a] = _error_names(sol)
+            at = i[solved], a[solved]
+            tag[at] = (np.where(args["vpca"][solved], "VPCA", "OAVPA")
+                       if kernel is solve_pairs else "PNP")
+            rotation[at], translation[at] = sol.rotation[solved], sol.translation[solved]
+            e_loc[at] = e_loc_rows(truth_t[at[0]], sol.translation[solved])
+            e_pos[at] = e_pos_rows(truth_r[at[0]], sol.rotation[solved])
+    return Records(cfg.algorithms, truth_r, truth_t, attempts, tag, error, e_loc, e_pos,
+                   rotation, translation)
 
 
 def _capture_block(cfg, block, rngs) -> tuple[Capture, np.ndarray]:
@@ -426,37 +430,35 @@ def _capture_block(cfg, block, rngs) -> tuple[Capture, np.ndarray]:
 
 # --- aggregation -----------------------------------------------------------------
 
-def summarize(records) -> SummaryStats:
-    """Aggregate the successful records; failures are counted separately and
-    left out of the CDF, the share of successes with e_loc <= each point of
-    `DEFAULT_CDF_GRID`. With no success, n_success is 0 and every statistic
-    is None, with an empty CDF."""
-    errors = np.array([r.e_loc for r in records if r.ok])
-    n_failed = sum(1 for r in records if not r.ok)
+def summarize(e_loc) -> SummaryStats:
+    """Aggregate one algorithm's `e_loc` column, where NaN marks a failed
+    record: failures are counted separately and left out of the CDF, the
+    share of successes with e_loc <= each point of `DEFAULT_CDF_GRID`. With
+    no success, n_success is 0 and every statistic is None, with an empty
+    CDF."""
+    e_loc = np.asarray(e_loc, dtype=float)
+    errors = e_loc[~np.isnan(e_loc)]
+    n_failed = e_loc.size - errors.size
     if errors.size == 0:
         return SummaryStats(0, n_failed, None, None, None, dict.fromkeys(PERCENTILES),
-                            cdf_grid=np.empty(0), cdf_fraction=np.empty(0))
+                            cdf_fraction=np.empty(0))
     std_err = (
         float(errors.std(ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
     )
     return SummaryStats(
         n_success=int(errors.size),
-        n_failed=int(n_failed),
+        n_failed=n_failed,
         mean=float(errors.mean()),
         std_err=std_err,
         median=float(np.median(errors)),
         percentiles={p: float(np.percentile(errors, p)) for p in PERCENTILES},
-        cdf_grid=DEFAULT_CDF_GRID,
         cdf_fraction=(errors[None, :] <= DEFAULT_CDF_GRID[:, None]).mean(axis=1),
     )
 
 
-def summarize_by_algorithm(records) -> dict[str, SummaryStats]:
-    """`summarize` per algorithm, in name order."""
-    return {
-        alg: summarize([r for r in records if r.algorithm == alg])
-        for alg in sorted({r.algorithm for r in records})
-    }
+def summarize_by_algorithm(e_loc_by_algorithm) -> dict[str, SummaryStats]:
+    """`summarize` of each {algorithm: e_loc} column, in name order."""
+    return {alg: summarize(e_loc) for alg, e_loc in sorted(e_loc_by_algorithm.items())}
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
@@ -474,7 +476,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
     # Every value's configuration is checked before the first run.
     name = "sigma" if parameter == "noise" else "radius"
     subs = [dataclasses.replace(cfg, **{name: value}) for value in values]
-    return {value: summarize_by_algorithm(run_monte_carlo(sub))
+    return {value: summarize_by_algorithm(run_monte_carlo(sub).e_loc_by_algorithm())
             for value, sub in zip(values, subs)}
 
 
@@ -483,9 +485,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
+    if isinstance(value, float):  # NaN formats as "nan"
         return f"{value:.12g}"
     return str(value)
 
@@ -499,30 +499,27 @@ _FAILED_ROW = "{},{},{},failed,{},,,{},,,,,,\r\n"
 _NO_ANGLES = (math.nan,) * 3
 
 
-def _write_records(fh, records) -> None:
+def _write_records(fh, records: Records) -> None:
     """The records.csv lines of `records`; the truth cells are formatted
-    once per run of records that share a truth."""
-    truth = cells = None
-    for r in records:
-        if r.truth is not truth:
-            truth = r.truth
-            cells = _TRUTH_CELLS.format(*truth.translation.tolist(),
-                                        *euler_angles(truth.rotation.tolist()) or _NO_ANGLES)
-        if r.ok:
-            est = r.estimate
-            fh.write(_SOLVED_ROW.format(
-                r.sample_index, r.algorithm, r.solver_tag or "", r.e_loc, r.e_pos, cells,
-                *est.translation.tolist(), *euler_angles(est.rotation.tolist()) or _NO_ANGLES))
-        else:
-            fh.write(_FAILED_ROW.format(r.sample_index, r.algorithm, r.solver_tag or "",
-                                        r.error, cells))
+    once per sample."""
+    for s, (t, r, *row) in enumerate(zip(
+            records.truth_translation.tolist(), records.truth_rotation.tolist(),
+            records.solver_tag.tolist(), records.error.tolist(), records.e_loc.tolist(),
+            records.e_pos.tolist(), records.translation.tolist(), records.rotation.tolist())):
+        cells = _TRUTH_CELLS.format(*t, *euler_angles(r) or _NO_ANGLES)
+        for alg, tag, error, loc, pos, est_t, est_r in zip(records.algorithms, *row):
+            if error:
+                fh.write(_FAILED_ROW.format(s, alg, tag, error, cells))
+            else:
+                fh.write(_SOLVED_ROW.format(s, alg, tag, loc, pos, cells, *est_t,
+                                            *euler_angles(est_r) or _NO_ANGLES))
 
 
-def write_results(records, stats_by_alg, out_dir, cfg: ExperimentConfig) -> dict:
+def write_results(records: Records, stats_by_alg, out_dir, cfg: ExperimentConfig) -> dict:
     """Write records.csv, cdf.csv, and manifest.json under out_dir.
 
     Returns the paths written. CSV content is deterministic for a given
-    records list; only the manifest carries a timestamp.
+    records table; only the manifest carries a timestamp.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -538,17 +535,15 @@ def write_results(records, stats_by_alg, out_dir, cfg: ExperimentConfig) -> dict
 
     write_cdf(stats_by_alg, paths["cdf"])
 
-    # Rejection-sampling draws per pose, once per sample.
-    attempts = list({r.sample_index: r.attempts for r in records
-                     if r.attempts is not None}.values())
     manifest = {
         "config": config_to_dict(cfg),
         "seed": cfg.seed,
         "code_version": __version__,
         "created_unix": time.time(),
+        # Rejection-sampling draws per pose.
         "pose_attempts": {
-            "mean": float(np.mean(attempts)) if attempts else None,
-            "max": max(attempts, default=None),
+            "mean": float(records.attempts.mean()),
+            "max": int(records.attempts.max()),
         },
         "summary": {
             alg: {
@@ -573,29 +568,34 @@ def write_cdf(stats_by_alg, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "e_loc_m", "fraction"])
         for alg, stats in sorted(stats_by_alg.items()):
-            for g, frac in zip(stats.cdf_grid, stats.cdf_fraction):
+            for g, frac in zip(DEFAULT_CDF_GRID, stats.cdf_fraction):
                 writer.writerow([alg, _fmt(float(g)), _fmt(float(frac))])
 
 
 _READ_COLUMNS = ("sample_index", "algorithm", "status", "error", "e_loc_m")
 
 
-def read_records(path) -> list[ResultRecord]:
-    """The records of a records.csv as far as aggregation reads them, with no
-    truth. Raises InvalidConfigError naming a missing column or a bad line."""
+def read_records(path) -> dict[str, np.ndarray]:
+    """The {algorithm: e_loc} of a records.csv, NaN where a record failed.
+    Raises InvalidConfigError naming a missing column, or the line of a
+    status other than ok or failed or of an ok e_loc_m that is not a
+    finite number >= 0."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in _READ_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise InvalidConfigError(f"{path}: not a records file, missing {missing}")
-        records = []
+        e_loc = {}
         for row in reader:
-            ok = row["status"] == "ok"
+            status, cell = row["status"], row["e_loc_m"]
             try:
-                records.append(ResultRecord(
-                    int(row["sample_index"]), row["algorithm"], None,
-                    e_loc=float(row["e_loc_m"]) if ok else None,
-                    error=None if ok else row["error"] or "failed"))
+                int(row["sample_index"])
+                value = float(cell) if status == "ok" else math.nan
             except (TypeError, ValueError) as exc:
                 raise InvalidConfigError(f"{path}: line {reader.line_num}: {exc}") from exc
-    return records
+            if not (status == "failed" or status == "ok" and 0 <= value < math.inf):
+                raise InvalidConfigError(
+                    f"{path}: line {reader.line_num}: status {status!r}, e_loc_m {cell!r}; "
+                    "a record is failed, or ok with a finite e_loc_m >= 0")
+            e_loc.setdefault(row["algorithm"], []).append(value)
+    return {alg: np.array(values) for alg, values in e_loc.items()}

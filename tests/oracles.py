@@ -307,30 +307,40 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def record_row(r) -> list[str]:
-    """The records.csv cells of one `ResultRecord`."""
-    tphi, ttheta, tpsi = _euler_or_nan(r.truth.rotation)
-    if r.estimate is not None:
-        ephi, etheta, epsi = _euler_or_nan(r.estimate.rotation)
-        est_t = r.estimate.translation
+def record_row(records, s: int, a: int) -> list[str]:
+    """The records.csv cells of record [s, a] of a `harness.Records` table:
+    algorithm a on sample s."""
+    ok = records.error[s, a] == ""
+    tphi, ttheta, tpsi = _euler_or_nan(records.truth_rotation[s])
+    if ok:
+        ephi, etheta, epsi = _euler_or_nan(records.rotation[s, a])
+        est_t = records.translation[s, a]
     else:
         ephi = etheta = epsi = None
         est_t = (None, None, None)
+    truth_t = records.truth_translation[s]
     values = [
-        r.sample_index, r.algorithm, r.solver_tag or "",
-        "ok" if r.ok else "failed", r.error or "",
-        r.e_loc, r.e_pos,
-        r.truth.translation[0], r.truth.translation[1], r.truth.translation[2],
+        s, records.algorithms[a], records.solver_tag[s, a],
+        "ok" if ok else "failed", records.error[s, a],
+        records.e_loc[s, a] if ok else None, records.e_pos[s, a] if ok else None,
+        truth_t[0], truth_t[1], truth_t[2],
         tphi, ttheta, tpsi,
         est_t[0], est_t[1], est_t[2], ephi, etheta, epsi,
     ]
     return [_fmt(v) for v in values]
 
 
+def record_rows(records) -> list[list[str]]:
+    """The records.csv cells of every record of a table, in file order."""
+    samples, algorithms = records.e_loc.shape
+    return [record_row(records, s, a) for s in range(samples) for a in range(algorithms)]
+
+
 def write_records(records, path) -> None:
-    """records.csv of `records` through `csv.writer`, a row at a time."""
+    """records.csv of a `harness.Records` table through `csv.writer`, a row
+    at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(record_row(r))
+        for row in record_rows(records):
+            writer.writerow(row)

@@ -39,7 +39,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 
 def stats_of(records, algorithm):
-    return summarize_by_algorithm(records)[algorithm]
+    return summarize_by_algorithm(records.e_loc_by_algorithm())[algorithm]
 
 
 # --- criterion 1: zero-noise exactness ---------------------------------------------
@@ -55,12 +55,10 @@ def test_criterion_1_zero_noise_exactness():
     records = run_monte_carlo(cfg)
     elapsed = time.perf_counter() - start
 
-    vpca = [r for r in records if r.algorithm == "VPCA"]
-    pnp = [r for r in records if r.algorithm == "PNP"]
-    ok = all(r.ok for r in records)
-    max_loc = max(r.e_loc for r in vpca)
-    max_pos = max(r.e_pos for r in vpca)
-    max_pnp = max(r.e_loc for r in pnp)
+    e_loc = records.e_loc_by_algorithm()
+    ok = bool((records.error == "").all())
+    max_loc, max_pnp = e_loc["VPCA"].max(), e_loc["PNP"].max()
+    max_pos = records.e_pos[:, records.algorithms.index("VPCA")].max()
     passed = (
         ok and max_loc < 1e-6 and max_pos < 1e-8 and max_pnp < 1e-4
         and elapsed < 30.0
@@ -280,8 +278,8 @@ def test_criterion_9_determinism(tmp_path, smoke_records):
     derives every sample's generator from (seed, index), so the result is
     schedule-independent by construction."""
     rerun = run_monte_carlo(SMOKE_CFG)
-    stats_a = summarize_by_algorithm(smoke_records)
-    stats_b = summarize_by_algorithm(rerun)
+    stats_a = summarize_by_algorithm(smoke_records.e_loc_by_algorithm())
+    stats_b = summarize_by_algorithm(rerun.e_loc_by_algorithm())
     paths_a = write_results(smoke_records, stats_a, tmp_path / "a", SMOKE_CFG)
     paths_b = write_results(rerun, stats_b, tmp_path / "b", SMOKE_CFG)
     identical = (

@@ -430,6 +430,27 @@ def test_cdf_of_non_records_csv_names_missing_column(tmp_path, capsys):
         assert missing in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", [
+    "0,VPA,VPCA,ok,,nan",  # an ok NaN would read as a failure
+    "0,VPA,VPCA,ok,,-1",
+    "0,VPA,VPCA,ok,,inf",
+    "0,VPA,VPCA,ok,,",
+    "0,VPA,VPCA,weird,,0.01",
+    "0,VPA,,,,",
+    "x,VPA,VPCA,ok,,0.01",
+])
+def test_cdf_refuses_malformed_row_by_line(row, tmp_path, capsys):
+    # Line 4 is bad; the lines before it are well formed.
+    path = tmp_path / "records.csv"
+    path.write_text("sample_index,algorithm,solver_tag,status,error,e_loc_m\n"
+                    "0,VPA,VPCA,ok,,0.01\n1,VPA,,failed,DegenerateConicError,\n"
+                    f"{row}\n")
+    assert main(["cdf", str(path), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 4" in err and err.startswith("error: ")
+    assert not (tmp_path / "c" / "cdf.csv").exists()
+
+
 # --- scene-validate -------------------------------------------------------------------
 
 def test_scene_validate_ok(capsys):

@@ -11,16 +11,17 @@ import pytest
 
 from arcpose import cli, harness, sim
 from arcpose.errors import ArcPoseError, InvalidConfigError, SamplingExhaustedError
-from arcpose.frames import Pose, rotation_to_euler
+from arcpose.frames import rotation_to_euler
 from arcpose.harness import (
     DEFAULT_CDF_GRID,
     ExperimentConfig,
-    ResultRecord,
+    Records,
     _capture_block,
     config_from_dict,
     config_to_dict,
     e_loc_rows,
     e_pos_rows,
+    read_records,
     run_monte_carlo,
     summarize,
     summarize_by_algorithm,
@@ -31,12 +32,12 @@ from arcpose.harness import (
 from arcpose.sim import luminaire_points
 from arcpose.solver import solve_pairs, solve_vpa
 
-from conftest import BRANCH_ROTATIONS, branch_and_random_rotations, make_pose
+from conftest import BRANCH_ROTATIONS, branch_and_random_rotations
 from oracles import (
     capture_sample,
     e_loc_scalar,
     e_pos_scalar,
-    record_row,
+    record_rows,
     rotation_scalar,
     write_records,
 )
@@ -163,23 +164,24 @@ def test_zero_noise_vpca_run_is_exact():
         algorithms=("VPCA",), seed=5,
     )
     records = run_monte_carlo(cfg)
-    assert len(records) == 10
-    assert all(r.ok for r in records)
-    assert max(r.e_loc for r in records) < 1e-6
+    assert records.e_loc.shape == (10, 1)
+    assert (records.error == "").all()
+    assert records.e_loc.max() < 1e-6
 
 
 def test_runner_is_deterministic():
     cfg = ExperimentConfig(samples=6, sigma=2.0, algorithms=("VPA",), seed=8)
     a = run_monte_carlo(cfg)
     b = run_monte_carlo(cfg)
-    assert [(r.e_loc, r.e_pos, r.solver_tag) for r in a] == [
-        (r.e_loc, r.e_pos, r.solver_tag) for r in b
-    ]
+    assert np.array_equal(a.e_loc, b.e_loc, equal_nan=True)
+    assert np.array_equal(a.e_pos, b.e_pos, equal_nan=True)
+    assert (a.solver_tag == b.solver_tag).all()
 
 
 def rows(records):
     """Records as records.csv writes them, plus the sampler's attempt count."""
-    return [record_row(r) + [r.attempts] for r in records]
+    attempts = np.repeat(records.attempts, len(records.algorithms)).tolist()
+    return [row + [n] for row, n in zip(record_rows(records), attempts)]
 
 
 def test_runner_prefix_does_not_depend_on_run_length():
@@ -187,7 +189,8 @@ def test_runner_prefix_does_not_depend_on_run_length():
     algorithms = ("VPA", "OAVPA")
     short = run_monte_carlo(ExperimentConfig(samples=30, algorithms=algorithms, seed=4))
     long = run_monte_carlo(ExperimentConfig(samples=60, algorithms=algorithms, seed=4))
-    assert rows(long[:len(short)]) == rows(short)
+    head = rows(short)
+    assert rows(long)[:len(head)] == head
 
 
 def test_runner_records_do_not_depend_on_block_or_slice_size(monkeypatch):
@@ -204,12 +207,10 @@ def test_runner_records_do_not_depend_on_block_or_slice_size(monkeypatch):
         sliced = run_monte_carlo(cfg)
         assert rows(sliced) == rows(default)
         # Poses agree bit for bit, not just to the 12 digits records.csv keeps.
-        for a, b in zip(default, sliced):
-            assert np.array_equal(a.truth.rotation, b.truth.rotation)
-            assert np.array_equal(a.truth.translation, b.truth.translation)
-            if a.ok:
-                assert np.array_equal(a.estimate.rotation, b.estimate.rotation)
-                assert np.array_equal(a.estimate.translation, b.estimate.translation)
+        assert np.array_equal(default.truth_rotation, sliced.truth_rotation)
+        assert np.array_equal(default.truth_translation, sliced.truth_translation)
+        assert np.array_equal(default.rotation, sliced.rotation, equal_nan=True)
+        assert np.array_equal(default.translation, sliced.translation, equal_nan=True)
     assert all(attempts >= 1 for *_, attempts in rows(default))
 
 
@@ -308,47 +309,39 @@ def test_runner_matches_sample_by_sample_reference(scenario, arc_fraction):
 
     records = run_monte_carlo(cfg)
     assert (sum(ref[0] is not None for ref in reference) > 10) == (arc_fraction < 0.1)
-    for (failure, _, results), pair in zip(reference, zip(records[::2], records[1::2])):
-        for r in pair:
-            expected = failure or results[r.algorithm]
+    for s, (failure, _, results) in enumerate(reference):
+        for a, alg in enumerate(records.algorithms):
+            expected = failure or results[alg]
             if isinstance(expected, str):
-                assert r.error == expected
+                assert records.error[s, a] == expected
             else:
                 # 1e-9 m, or 1e-9 relative for the short arcs' poses metres off.
-                assert r.ok and abs(r.e_loc - expected) <= 1e-9 * max(1.0, expected)
+                assert records.error[s, a] == ""
+                assert abs(records.e_loc[s, a] - expected) <= 1e-9 * max(1.0, expected)
 
 
 def test_runner_records_per_algorithm():
     cfg = ExperimentConfig(samples=4, sigma=1.0, algorithms=("VPA", "OAVPA"), seed=2)
     records = run_monte_carlo(cfg)
-    assert len(records) == 8
-    assert {r.algorithm for r in records} == {"VPA", "OAVPA"}
+    assert records.algorithms == ("VPA", "OAVPA")
+    assert records.e_loc.shape == records.error.shape == (4, 2)
+    assert records.rotation.shape == (4, 2, 3, 3)
+    assert records.translation.shape == (4, 2, 3)
+    assert records.truth_rotation.shape == (4, 3, 3) and records.attempts.shape == (4,)
+    # The table is read-only.
+    with pytest.raises(ValueError):
+        records.e_loc[0, 0] = 0.0
 
 
 # --- aggregation --------------------------------------------------------------------
 
-def fake_records(errors_m, algorithm="VPA", failed=0):
-    pose = make_pose(t=(0, 0, 1))
-    records = [
-        ResultRecord(
-            sample_index=i, algorithm=algorithm, truth=pose, estimate=pose,
-            solver_tag="VPCA", e_loc=e, e_pos=0.0,
-        )
-        for i, e in enumerate(errors_m)
-    ]
-    records += [
-        ResultRecord(
-            sample_index=len(errors_m) + j, algorithm=algorithm, truth=pose,
-            error="DegenerateConicError",
-        )
-        for j in range(failed)
-    ]
-    return records
+def fake_e_loc(errors_m, failed=0):
+    """One algorithm's e_loc column: the given errors, then `failed` NaNs."""
+    return np.array(list(errors_m) + [math.nan] * failed)
 
 
 def test_summary_of_four_values():
-    records = fake_records([0.01, 0.02, 0.03, 0.04])
-    stats = summarize(records)
+    stats = summarize(fake_e_loc([0.01, 0.02, 0.03, 0.04]))
     assert stats.median == pytest.approx(0.025)
     assert DEFAULT_CDF_GRID[5] == 0.025
     assert stats.cdf_fraction[5] == pytest.approx(0.5)
@@ -356,30 +349,29 @@ def test_summary_of_four_values():
 
 
 def test_summary_all_equal_records():
-    stats = summarize(fake_records([0.02] * 7))
+    stats = summarize(fake_e_loc([0.02] * 7))
     assert all(v == pytest.approx(0.02) for v in stats.percentiles.values())
     assert stats.std_err == 0.0
 
 
 def test_summary_counts_failures_but_excludes_them():
-    stats = summarize(fake_records([0.01, 0.02], failed=3))
+    stats = summarize(fake_e_loc([0.01, 0.02], failed=3))
     assert stats.n_success == 2
     assert stats.n_failed == 3
     assert stats.mean == pytest.approx(0.015)
 
 
 def test_summary_without_successes():
-    stats = summarize(fake_records([], failed=2))
+    stats = summarize(fake_e_loc([], failed=2))
     assert (stats.n_success, stats.n_failed) == (0, 2)
     assert stats.mean is None and stats.std_err is None and stats.median is None
     assert stats.percentiles == dict.fromkeys(harness.PERCENTILES)
-    assert stats.cdf_grid.size == 0 and stats.cdf_fraction.size == 0
+    assert stats.cdf_fraction.size == 0
     assert summarize([]).n_failed == 0
 
 
 def test_cdf_monotone_nondecreasing():
-    records = fake_records(list(np.random.default_rng(0).uniform(0, 0.3, 100)))
-    fraction = summarize(records).cdf_fraction
+    fraction = summarize(fake_e_loc(np.random.default_rng(0).uniform(0, 0.3, 100))).cdf_fraction
     assert (np.diff(fraction) >= 0).all()
     assert fraction[-1] <= 1.0
 
@@ -389,7 +381,7 @@ def test_cdf_monotone_nondecreasing():
 def test_single_value_sweep_equals_plain_run():
     cfg = ExperimentConfig(samples=5, sigma=2.0, algorithms=("VPA",), seed=3)
     swept = sweep(cfg, "noise", [2.0])[2.0]["VPA"]
-    plain = summarize_by_algorithm(run_monte_carlo(cfg))["VPA"]
+    plain = summarize_by_algorithm(run_monte_carlo(cfg).e_loc_by_algorithm())["VPA"]
     assert swept.mean == plain.mean
     assert swept.percentiles == plain.percentiles
 
@@ -410,8 +402,7 @@ def test_noise_sweep_shares_poses():
     cfg = ExperimentConfig(samples=4, algorithms=("VPA",), seed=12)
     a = run_monte_carlo(replace(cfg, sigma=0.0))
     b = run_monte_carlo(replace(cfg, sigma=3.0))
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.truth.translation, rb.truth.translation)
+    assert np.array_equal(a.truth_translation, b.truth_translation)
 
 
 # --- serialization -----------------------------------------------------------------
@@ -419,21 +410,22 @@ def test_noise_sweep_shares_poses():
 def test_write_results_round_trip(tmp_path):
     cfg = ExperimentConfig(samples=5, sigma=1.0, algorithms=("VPA",), seed=4)
     records = run_monte_carlo(cfg)
-    stats = summarize_by_algorithm(records)
+    stats = summarize_by_algorithm(records.e_loc_by_algorithm())
     paths = write_results(records, stats, tmp_path / "out", cfg)
 
     with open(paths["records"], newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5
-    for row, rec in zip(rows, records):
-        assert int(row["sample_index"]) == rec.sample_index
-        assert float(row["e_loc_m"]) == pytest.approx(rec.e_loc, rel=1e-11)
-        assert float(row["truth_x"]) == pytest.approx(rec.truth.translation[0], rel=1e-11)
+    for s, row in enumerate(rows):
+        assert int(row["sample_index"]) == s
+        assert float(row["e_loc_m"]) == pytest.approx(records.e_loc[s, 0], rel=1e-11)
+        assert float(row["truth_x"]) == pytest.approx(records.truth_translation[s, 0],
+                                                      rel=1e-11)
 
     manifest = json.loads(paths["manifest"].read_text())
     assert manifest["seed"] == 4
     assert manifest["config"]["sigma"] == 1.0
-    attempts = [r.attempts for r in records]
+    attempts = records.attempts.tolist()
     assert manifest["pose_attempts"] == {"mean": np.mean(attempts),
                                          "max": max(attempts)}
     assert "code_version" in manifest
@@ -445,19 +437,31 @@ def test_write_results_round_trip(tmp_path):
 
 
 def hand_built_records():
-    """Records with gimbal-locked truths and estimates, whose Euler angles
+    """A table with gimbal-locked truths and estimates, whose Euler angles
     are NaN, beside plain ones; a failed record shares a truth."""
-    locked = Pose(rotation_scalar(0.3, math.pi / 2, 0.0), np.array([1.0, 2.0, 1.5]))
-    plain = make_pose(0.1, -0.2, 3.0, t=(4.0, 3.0, 1.0))
-    return [
-        ResultRecord(0, "VPA", locked, estimate=plain, solver_tag="VPCA", e_loc=0.25,
-                     e_pos=1e-3, attempts=1),
-        ResultRecord(0, "PNP", locked, error="DegenerateConicError", attempts=1),
-        ResultRecord(1, "VPA", plain, estimate=locked, solver_tag="OAVPA", e_loc=1.5e-13,
-                     e_pos=0.0, attempts=2),
-        ResultRecord(2, "OAVPA", plain, estimate=make_pose(t=(-0.0, 0.0, 1.0)),
-                     solver_tag="OAVPA", e_loc=3.0, e_pos=-0.0, attempts=1),
-    ]
+    locked, plain, level = (rotation_scalar(*angles) for angles in (
+        (0.3, math.pi / 2, 0.0), (0.1, -0.2, 3.0), (0.0, 0.0, 0.0)))
+    nan_r, nan_t = np.full((3, 3), math.nan), [math.nan] * 3
+    # A row per sample, a column per algorithm: VPA, PNP.
+    return Records(
+        algorithms=("VPA", "PNP"),
+        truth_rotation=np.array([locked, plain, plain]),
+        truth_translation=np.array([[1.0, 2.0, 1.5], [4.0, 3.0, 1.0], [4.0, 3.0, 1.0]]),
+        attempts=np.array([1, 2, 1]),
+        solver_tag=np.array([["VPCA", ""], ["OAVPA", ""], ["OAVPA", "PNP"]], dtype=object),
+        error=np.array([["", "DegenerateConicError"], ["", "NonConvergenceError"], ["", ""]],
+                       dtype=object),
+        e_loc=np.array([[0.25, math.nan], [1.5e-13, math.nan], [3.0, 0.5]]),
+        e_pos=np.array([[1e-3, math.nan], [0.0, math.nan], [-0.0, 0.125]]),
+        rotation=np.array([[plain, nan_r], [locked, nan_r], [level, plain]]),
+        translation=np.array([[[4.0, 3.0, 1.0], nan_t], [[1.0, 2.0, 1.5], nan_t],
+                              [[-0.0, 0.0, 1.0], [4.0, 3.0, 1.0]]]))
+
+
+# 11-point arcs: some captures fit no ellipse, and VPCA has no complete
+# capture to solve.
+SHORT_ARCS = ExperimentConfig(samples=60, scenario="superior_arc+superior_arc",
+                              arc_fraction=0.03, algorithms=("VPCA", "OAVPA", "PNP"), seed=13)
 
 
 @pytest.mark.parametrize("case", ["all_algorithms", "short_arcs", "hand_built"])
@@ -466,32 +470,48 @@ def test_records_csv_matches_value_at_a_time_writer(case, tmp_path):
         cfg, records = ExperimentConfig(), hand_built_records()
     else:
         cfg = (ExperimentConfig(samples=60, algorithms=("VPA", "VPCA", "OAVPA", "PNP"), seed=9)
-               if case == "all_algorithms" else
-               ExperimentConfig(samples=60, scenario="superior_arc+superior_arc",
-                                arc_fraction=0.03, algorithms=("VPCA", "OAVPA", "PNP"),
-                                seed=13))
+               if case == "all_algorithms" else SHORT_ARCS)
         records = run_monte_carlo(cfg)
-    path = write_results(records, summarize_by_algorithm(records), tmp_path / "out",
-                         cfg)["records"]
+    path = write_results(records, summarize_by_algorithm(records.e_loc_by_algorithm()),
+                         tmp_path / "out", cfg)["records"]
     write_records(records, tmp_path / "reference.csv")
     assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
     # The rows each case stands for.
-    rows = {(r.algorithm, r.solver_tag, r.error) for r in records}
+    rows = {(records.algorithms[a], records.solver_tag[s, a], records.error[s, a])
+            for s, a in np.ndindex(records.error.shape)}
     if case == "hand_built":
         assert path.read_text().count("nan") == 9
     elif case == "all_algorithms":
-        assert rows == {("VPA", "VPCA", None), ("VPCA", "VPCA", None),
-                        ("OAVPA", "OAVPA", None), ("PNP", "PNP", None)}
+        assert rows == {("VPA", "VPCA", ""), ("VPCA", "VPCA", ""),
+                        ("OAVPA", "OAVPA", ""), ("PNP", "PNP", "")}
     else:
         # VPCA fails on arcs alone; a capture failure fails every algorithm.
-        assert rows == {("VPCA", None, "NoCompleteCaptureError"), ("OAVPA", "OAVPA", None),
-                        ("PNP", "PNP", None)} | {
-            (alg, None, "DegenerateConicError") for alg in cfg.algorithms}
+        assert rows == {("VPCA", "", "NoCompleteCaptureError"), ("OAVPA", "OAVPA", ""),
+                        ("PNP", "PNP", "")} | {
+            (alg, "", "DegenerateConicError") for alg in cfg.algorithms}
+
+
+def test_read_records_round_trips_e_loc(tmp_path):
+    # At seed 3 one PnP row also fails, with NonConvergenceError.
+    cfg = replace(SHORT_ARCS, samples=120, seed=3, algorithms=("VPA", "VPCA", "OAVPA", "PNP"))
+    records = run_monte_carlo(cfg)
+    assert {"DegenerateConicError", "NoCompleteCaptureError",
+            "NonConvergenceError"} <= set(records.error.flat)
+    stats = summarize_by_algorithm(records.e_loc_by_algorithm())
+    read = read_records(write_results(records, stats, tmp_path / "out", cfg)["records"])
+    assert list(read) == list(cfg.algorithms)
+    for alg, e_loc in records.e_loc_by_algorithm().items():
+        failed = np.isnan(e_loc)
+        assert np.array_equal(np.isnan(read[alg]), failed)
+        # records.csv keeps 12 significant digits.
+        np.testing.assert_allclose(read[alg][~failed], e_loc[~failed], rtol=5e-12, atol=0)
+    assert {alg: (s.n_success, s.n_failed) for alg, s in summarize_by_algorithm(read).items()} \
+        == {alg: (s.n_success, s.n_failed) for alg, s in stats.items()}
 
 
 def test_write_results_deterministic_bytes(tmp_path):
     cfg = ExperimentConfig(samples=4, sigma=2.0, algorithms=("VPA",), seed=6)
-    stats = summarize_by_algorithm(run_monte_carlo(cfg))
+    stats = summarize_by_algorithm(run_monte_carlo(cfg).e_loc_by_algorithm())
     p1 = write_results(run_monte_carlo(cfg) and run_monte_carlo(cfg), stats,
                        tmp_path / "a", cfg)
     p2 = write_results(run_monte_carlo(cfg), stats, tmp_path / "b", cfg)
@@ -505,6 +525,6 @@ def test_write_results_unwritable_path(tmp_path):
     cfg = ExperimentConfig(samples=1, sigma=0.0, scenario=("complete", "semicircle"),
                            algorithms=("VPCA",), seed=1)
     records = run_monte_carlo(cfg)
-    stats = summarize_by_algorithm(records)
+    stats = summarize_by_algorithm(records.e_loc_by_algorithm())
     with pytest.raises(OSError):
         write_results(records, stats, blocker / "nested", cfg)
