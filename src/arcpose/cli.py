@@ -50,6 +50,7 @@ from .sim import (
     intrinsics_from_dict,
     read_numbers,
     read_object,
+    read_text,
     scene_from_dict,
 )
 from .solver import Observations, contour_lengths, solve_vpa
@@ -66,7 +67,7 @@ def _load_json(path: str) -> dict:
         if p.name == path and bundled.is_file():
             return json.loads(bundled.read_text())
         raise FileNotFoundError(f"file not found: {path}")
-    return json.loads(p.read_text())
+    return json.loads(read_text(p))
 
 
 def observations_from_dict(data: dict) -> tuple[Observations, CameraIntrinsics]:

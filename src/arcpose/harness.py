@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import time
@@ -38,14 +39,14 @@ from .sim import (
     ARC_MODES,
     Capture,
     Scene,
-    capture,
+    capture_poses,
     default_intrinsics,
     default_scene,
     intrinsics_from_dict,
     luminaire_points,
-    pose_block,
     read_numbers,
     read_object,
+    read_text,
     sample_poses,
     scene_from_dict,
     scene_to_dict,
@@ -53,7 +54,6 @@ from .sim import (
 from .solver import (
     LuminaireInfo,
     pair_inputs,
-    pair_rows,
     pnp_solve,
     solve_pairs,
 )
@@ -65,16 +65,15 @@ PERCENTILES = (50, 78, 86, 90, 95, 97)
 DEFAULT_CDF_GRID = np.round(np.linspace(0.0, 0.5, 101), 6)
 
 # Samples whose poses `run_monte_carlo` classifies, captures and fits
-# together, and rows it hands one `solve_pairs` or `pnp_solve` call. Neither
+# together (a block), and samples whose poses it draws in one sampler pass
+# and whose rows it hands one kernel call per algorithm (a group). Neither
 # changes a record: each sample draws from its own generator and each kernel
 # row is solved on its own. Blocks amortize the capture's and the fit's
-# per-call work; slices bound the kernels' temporaries (about 1 KB a pair
-# row, 20 KB a PnP row) whatever the run length. The rejection sampler runs
-# its rounds for a group of whole blocks, the most that fit in a slice (at
-# least one), so that a group takes about as many rounds as its slowest
-# sample takes candidates.
+# per-call work; a group takes about as many sampler rounds as its slowest
+# sample takes candidates, and bounds the kernels' temporaries (about 1 KB a
+# pair row, 20 KB a PnP row) whatever the run length.
 POSE_BLOCK = 24
-SOLVE_SLICE = 1024
+GROUP = 42 * POSE_BLOCK
 
 RECORD_COLUMNS = (
     "sample_index", "algorithm", "solver_tag", "status", "error",
@@ -280,11 +279,11 @@ class SummaryStats:
 # --- the runner ------------------------------------------------------------------
 
 def _pnp_inputs(cap: Capture, samples, lum, rings) -> dict:
-    """The `pnp_solve` inputs (all but `k`) of the given samples of a block
-    capture: per sample, four world points and their pixels, taken evenly
-    from the arcs of its two rows (two per arc). `lum` holds the scene index
-    of each capture row, and `rings` the run's `luminaire_points` rings,
-    from which the world points are gathered.
+    """The `pnp_solve` inputs (all but `k`) of the given samples of a
+    `capture_poses` capture: per sample, four world points and their
+    pixels, taken evenly from the arcs of its two rows (two per arc). `lum`
+    holds the scene index of each capture row, and `rings` the run's
+    `luminaire_points` rings, from which the world points are gathered.
 
     The second arc's sample phase is shifted by an eighth of a turn;
     otherwise two complete circles would contribute two parallel diameters,
@@ -307,17 +306,14 @@ def _error_names(rows) -> np.ndarray:
 def run_monte_carlo(cfg: ExperimentConfig) -> Records:
     """Run the configured experiment; one record per sample per algorithm.
 
-    Two phases. Per group of whole blocks of `POSE_BLOCK` samples, draw the
-    poses in one `sample_poses` call (each from its own generator, which
-    later draws that sample's noise). Then per block, classify its poses
-    (`pose_block`), capture and fit its pairs at once on the projections the
-    poses were accepted on (`_capture_block`), and keep, per algorithm, the
-    compact rows its kernel solves: the pair a geometric algorithm solves,
-    or PNP's four contour correspondences. Then `solve_pairs` and
-    `pnp_solve` take every row of the run to a pose, `SOLVE_SLICE` rows per
-    call, and each call's solved rows pass `Pose`'s rotation check and get
-    their errors as arrays. Every outcome is written into the `Records`
-    table in place.
+    Per group of `GROUP` samples, draw the poses in one `sample_poses` call
+    (each from its own generator, which later draws that sample's noise).
+    Per block of `POSE_BLOCK` of them, capture and fit their pairs on the
+    projections the poses were accepted on (`capture_poses`), and keep per
+    algorithm the rows its kernel solves: the pair a geometric algorithm
+    solves, or PNP's four contour correspondences. Then one `solve_pairs`
+    or `pnp_solve` call per algorithm solves the group's rows, and every
+    outcome is written into the `Records` table in place.
 
     Solver failures never abort the run: the record carries the error class
     name and no metrics. Pose-sampling exhaustion does propagate, since a
@@ -332,6 +328,8 @@ def run_monte_carlo(cfg: ExperimentConfig) -> Records:
     rings, marks, radii = points
     centers = marks[:, :, 0]
     k = cfg.intrinsics
+    # Each observation stands for the average of the location's images.
+    noise_px = cfg.sigma / math.sqrt(cfg.images_per_location)
 
     shape = (cfg.samples, len(cfg.algorithms))
     truth_r, truth_t = np.empty((cfg.samples, 3, 3)), np.empty((cfg.samples, 3))
@@ -340,92 +338,58 @@ def run_monte_carlo(cfg: ExperimentConfig) -> Records:
     e_loc, e_pos = np.full((2, *shape), np.nan)
     rotation, translation = np.full((*shape, 3, 3), np.nan), np.full((*shape, 3), np.nan)
 
-    # Per kernel, per block and algorithm: the sample index of each row, the
-    # algorithm's slot, and the rows' inputs as one array per argument.
-    kernels = {solve_pairs: [], pnp_solve: []}
-    group = POSE_BLOCK * max(1, SOLVE_SLICE // POSE_BLOCK)
-    for start in range(0, cfg.samples, POSE_BLOCK):
-        if start % group == 0:
-            drawn_at = slice(start, min(start + group, cfg.samples))
-            rngs = [np.random.default_rng([cfg.seed, index])
-                    for index in range(drawn_at.start, drawn_at.stop)]
-            drawn = sample_poses(scene, rngs, k, points, complete)
-            truth_r[drawn_at], truth_t[drawn_at], attempts[drawn_at] = drawn
-        at = slice(start % group, start % group + POSE_BLOCK)
-        block = pose_block(scene, *(a[at] for a in drawn), k, points, complete)
-        cap, pair = _capture_block(cfg, block, rngs[at])
-        # A lost capture fails every algorithm with its first failure in
-        # capture order.
-        names = _error_names(cap).reshape(-1, 2)
-        error[start:start + len(names)] = np.where(names[:, :1] != "", names[:, :1], names[:, 1:])
-        ok = np.flatnonzero((names == "").all(axis=1))
-        lum = block.pair.ravel()  # per capture row
-        for slot, alg in enumerate(cfg.algorithms):
-            if alg == "PNP":
-                kernel, rows = pnp_solve, ok
-                inputs = _pnp_inputs(cap, ok, lum, rings)
-            else:
-                both = 2 * ok[:, None] + (np.array([0, 1]) if alg == "OAVPA" else pair[ok])
-                vpca = cap.complete[both[:, 0]] & (alg != "OAVPA")
+    for start in range(0, cfg.samples, GROUP):
+        stop = min(start + GROUP, cfg.samples)
+        rngs = [np.random.default_rng([cfg.seed, index]) for index in range(start, stop)]
+        drawn = sample_poses(scene, rngs, k, points, complete)
+        truth_r[start:stop], truth_t[start:stop], attempts[start:stop] = drawn
+        # Per algorithm, per block: the sample index of each kernel row and
+        # the rows' inputs as one array per argument.
+        parts = [[] for _ in cfg.algorithms]
+        for first in range(start, stop, POSE_BLOCK):
+            at = slice(first - start, first - start + POSE_BLOCK)
+            cap, lum, order = capture_poses(scene, drawn[0][at], drawn[1][at], rngs[at], k,
+                                            points, cfg.scenario, noise_px, cfg.arc_fraction)
+            # A lost capture fails every algorithm with its first failure in
+            # capture order.
+            names = _error_names(cap).reshape(-1, 2)
+            error[first:first + len(names)] = np.where(names[:, :1] != "", names[:, :1],
+                                                       names[:, 1:])
+            ok = np.flatnonzero((names == "").all(axis=1))
+            lum = lum.ravel()  # per capture row
+            for slot, alg in enumerate(cfg.algorithms):
                 rows = ok
-                if alg == "VPCA":
-                    error[start + ok[~vpca], slot] = NoCompleteCaptureError.__name__
-                    rows, both, vpca = ok[vpca], both[vpca], vpca[vpca]
-                kernel, inputs = solve_pairs, pair_inputs(
-                    cap.coefficients[both], cap.landmarks[both[:, 0]],
-                    (centers[lum[both]], radii[lum[both]]), k, vpca)
-            kernels[kernel].append((start + rows, slot, inputs))
-        # The block's projections go before the next block is classified.
-        del block, cap
+                if alg == "PNP":
+                    inputs = _pnp_inputs(cap, ok, lum, rings)
+                else:
+                    both = 2 * ok[:, None] + (np.array([0, 1]) if alg == "OAVPA" else order[ok])
+                    vpca = cap.complete[both[:, 0]] & (alg != "OAVPA")
+                    if alg == "VPCA":
+                        error[first + ok[~vpca], slot] = NoCompleteCaptureError.__name__
+                        rows, both, vpca = ok[vpca], both[vpca], vpca[vpca]
+                    inputs = pair_inputs(cap.coefficients[both], cap.landmarks[both[:, 0]],
+                                         (centers[lum[both]], radii[lum[both]]), k, vpca)
+                parts[slot].append((first + rows, inputs))
+            # The block's capture goes before the next block is captured.
+            del cap
 
-    for kernel, parts in kernels.items():
-        if not parts:
-            continue
-        index = np.concatenate([rows for rows, _, _ in parts])
-        slots = np.concatenate([np.full(len(rows), slot) for rows, slot, _ in parts])
-        batch = {key: np.concatenate([inputs[key] for *_, inputs in parts])
-                 for key in parts[0][2]}
-        for first in range(0, len(index), SOLVE_SLICE):
-            rows = slice(first, first + SOLVE_SLICE)
-            args = {key: v[rows] for key, v in batch.items()}
-            sol = kernel(**args, f=k.f) if kernel is solve_pairs else kernel(**args, k=k)
-            # The slice's solved rows pass the `Pose` guard and are scored at once.
+        for slot, alg in enumerate(cfg.algorithms):
+            index = np.concatenate([rows for rows, _ in parts[slot]])
+            args = {key: np.concatenate([inputs[key] for _, inputs in parts[slot]])
+                    for key in parts[slot][0][1]}
+            sol = pnp_solve(**args, k=k) if alg == "PNP" else solve_pairs(**args, f=k.f)
+            # The solved rows pass the `Pose` guard and are scored at once.
             solved = sol.failure < 0
             check_rotations(sol.rotation[solved])
-            i, a = index[rows], slots[rows]
-            error[i, a] = _error_names(sol)
-            at = i[solved], a[solved]
-            tag[at] = (np.where(args["vpca"][solved], "VPCA", "OAVPA")
-                       if kernel is solve_pairs else "PNP")
+            error[index, slot] = _error_names(sol)
+            at = index[solved], slot
+            tag[at] = ("PNP" if alg == "PNP"
+                       else np.where(args["vpca"][solved], "VPCA", "OAVPA"))
             rotation[at], translation[at] = sol.rotation[solved], sol.translation[solved]
             e_loc[at] = e_loc_rows(truth_t[at[0]], sol.translation[solved])
             e_pos[at] = e_pos_rows(truth_r[at[0]], sol.rotation[solved])
     return Records(cfg.algorithms, truth_r, truth_t, attempts, tag, error, e_loc, e_pos,
                    rotation, translation)
-
-
-def _capture_block(cfg, block, rngs) -> tuple[Capture, np.ndarray]:
-    """Capture the pair of every pose of `block`, a `PoseBlock`, each with
-    its generator in `rngs`: rows 2s and 2s + 1 of the capture are sample
-    s's pair. Each observation stands for the average of
-    `cfg.images_per_location` images, so its pixel noise is
-    sigma / sqrt(images). `mixed` captures a complete luminaire whole and
-    cuts another to the image; the explicit scenarios cut each to its mode.
-
-    Also returns the pair the dispatcher solves per sample (P, 2), as 0/1
-    offsets into its two rows: `pair_rows` on the noisy contour lengths,
-    preferring a complete capture."""
-    n = block.pixels.shape[2]
-    modes = (["complete" if whole else "image_bounds" for whole in block.complete.ravel().tolist()]
-             if cfg.scenario == "mixed" else list(cfg.scenario) * len(block.pair))
-    ids = np.array([lum.id for lum in cfg.scene.luminaires])[block.pair]
-    noise_px = cfg.sigma / math.sqrt(cfg.images_per_location)
-    cap = capture(block.pixels.reshape(-1, n, 2), block.landmarks.reshape(-1, 2, 2),
-                  ids.ravel(), modes, noise_px, cfg.intrinsics,
-                  [rng for rng in rngs for _ in range(2)], cfg.arc_fraction)
-    pair = pair_rows(cap.contour_px.reshape(-1, 2).tolist(), ids.tolist(),
-                     cap.complete.reshape(-1, 2).tolist(), True)
-    return cap, np.array(pair).reshape(-1, 2)
 
 
 # --- aggregation -----------------------------------------------------------------
@@ -577,25 +541,24 @@ _READ_COLUMNS = ("sample_index", "algorithm", "status", "error", "e_loc_m")
 
 def read_records(path) -> dict[str, np.ndarray]:
     """The {algorithm: e_loc} of a records.csv, NaN where a record failed.
-    Raises InvalidConfigError naming a missing column, or the line of a
-    status other than ok or failed or of an ok e_loc_m that is not a
-    finite number >= 0."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _READ_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise InvalidConfigError(f"{path}: not a records file, missing {missing}")
-        e_loc = {}
-        for row in reader:
-            status, cell = row["status"], row["e_loc_m"]
-            try:
-                int(row["sample_index"])
-                value = float(cell) if status == "ok" else math.nan
-            except (TypeError, ValueError) as exc:
-                raise InvalidConfigError(f"{path}: line {reader.line_num}: {exc}") from exc
-            if not (status == "failed" or status == "ok" and 0 <= value < math.inf):
-                raise InvalidConfigError(
-                    f"{path}: line {reader.line_num}: status {status!r}, e_loc_m {cell!r}; "
-                    "a record is failed, or ok with a finite e_loc_m >= 0")
-            e_loc.setdefault(row["algorithm"], []).append(value)
+    Raises InvalidConfigError naming a file `read_text` cannot read, a
+    missing column, or the line of a status other than ok or failed or of
+    an ok e_loc_m that is not a finite number >= 0."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    missing = [c for c in _READ_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise InvalidConfigError(f"{path}: not a records file, missing {missing}")
+    e_loc = {}
+    for row in reader:
+        status, cell = row["status"], row["e_loc_m"]
+        try:
+            int(row["sample_index"])
+            value = float(cell) if status == "ok" else math.nan
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigError(f"{path}: line {reader.line_num}: {exc}") from exc
+        if not (status == "failed" or status == "ok" and 0 <= value < math.inf):
+            raise InvalidConfigError(
+                f"{path}: line {reader.line_num}: status {status!r}, e_loc_m {cell!r}; "
+                "a record is failed, or ok with a finite e_loc_m >= 0")
+        e_loc.setdefault(row["algorithm"], []).append(value)
     return {alg: np.array(values) for alg, values in e_loc.items()}

@@ -231,28 +231,6 @@ def classify(rotations, translations, k: CameraIntrinsics, points):
     return pixels, gm, complete, lengths
 
 
-@dataclass(frozen=True)
-class PoseBlock:
-    """P poses of `sample_poses` as `pose_block` classifies them, as
-    read-only arrays: `rotation` (P, 3, 3), `translation` (P, 3) and
-    `attempts` (P,); then the pair a capture takes, `pair` (P, 2) indices
-    into the scene's luminaires in capture order, with its clean projection:
-    contour `pixels` (P, 2, n, 2), center and mark pixels `landmarks`
-    (P, 2, 2, 2) and `complete` (P, 2)."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    attempts: np.ndarray
-    pair: np.ndarray
-    pixels: np.ndarray
-    landmarks: np.ndarray
-    complete: np.ndarray
-
-    def __post_init__(self):
-        for value in vars(self).values():
-            value.flags.writeable = False
-
-
 def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points, complete: bool):
     """Rejection-sample one camera pose per generator in `rngs`: rotations
     (P, 3, 3), translations (P, 3) and the candidates each took, the accepted
@@ -327,22 +305,6 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points, complete: bool
 
         pending = np.concatenate([active[~accepted], pending[len(active):]])
     return rotations, translations, attempts
-
-
-def pose_block(scene: Scene, rotations, translations, attempts, k: CameraIntrinsics,
-               points, complete: bool) -> PoseBlock:
-    """The `PoseBlock` of poses that `sample_poses` accepted with the same
-    `points` and `complete`: per pose, the pair a capture takes, as
-    `pair_rows` ranks the clean contours of its `classify` projection (the
-    best complete luminaire and the best other one, or with `complete` the
-    best two), and that pair's rows of the projection."""
-    pixels, landmarks, whole, lengths = classify(rotations, translations, k, points)
-    pairs = np.array(pair_rows(lengths.tolist(),
-                               [[lum.id for lum in scene.luminaires]] * len(rotations),
-                               whole.tolist(), not complete))
-    rows = np.arange(len(rotations))[:, None], pairs
-    return PoseBlock(rotations, translations, attempts, pairs, pixels[rows], landmarks[rows],
-                     whole[rows])
 
 
 # What a capture row fails on before its fit, then the checks of the fit.
@@ -440,9 +402,53 @@ def capture(clean, landmarks, ids, modes, noise_px: float, k: CameraIntrinsics,
         contour_px=contour_lengths(pixels, count))
 
 
+def capture_poses(scene: Scene, rotations, translations, rngs, k: CameraIntrinsics, points,
+                  scenario, noise_px: float, arc_fraction: float):
+    """Capture a pair of luminaires from each of P poses that `sample_poses`
+    accepted with the same `points`, pose p with its generator `rngs[p]`:
+    rows 2p and 2p + 1 of the returned `Capture` are its pair, and `lum`
+    (P, 2) their indices into the scene's luminaires.
+
+    The pair is the one `pair_rows` ranks first on the clean contours of the
+    poses' `classify` projection. `scenario` "mixed" takes the best complete
+    luminaire and the best other one, and captures a complete luminaire
+    whole and cuts another to the image; an explicit scenario, two of
+    ARC_MODES, takes the best two and cuts each to its mode.
+
+    Also returns `order` (P, 2), the pair the dispatcher solves, as 0/1
+    offsets into the pose's two rows: `pair_rows` on the noisy contour
+    lengths, preferring a complete capture."""
+    mixed = scenario == "mixed"
+    pixels, landmarks, whole, lengths = classify(rotations, translations, k, points)
+    ids = [lum.id for lum in scene.luminaires]
+    lum = np.array(pair_rows(lengths.tolist(), [ids] * len(rotations), whole.tolist(), mixed))
+    rows = np.arange(len(rotations))[:, None], lum
+    clean, landmarks = pixels[rows], landmarks[rows]
+    del pixels  # the whole projection goes before the capture's temporaries
+    modes = (["complete" if w else "image_bounds" for w in whole[rows].ravel().tolist()]
+             if mixed else list(scenario) * len(lum))
+    pair_ids = np.array(ids)[lum]
+    cap = capture(clean.reshape(-1, *clean.shape[2:]), landmarks.reshape(-1, 2, 2),
+                  pair_ids.ravel(), modes, noise_px, k,
+                  [rng for rng in rngs for _ in range(2)], arc_fraction)
+    order = pair_rows(cap.contour_px.reshape(-1, 2).tolist(), pair_ids.tolist(),
+                      cap.complete.reshape(-1, 2).tolist(), True)
+    return cap, lum, np.array(order).reshape(-1, 2)
+
+
 # --- (de)serialization ------------------------------------------------------------
-# The readers of every input file (scene, intrinsics, observations, config) take
-# its objects through `read_object` and its numbers through `read_numbers`.
+# Every input file's reader takes its text through `read_text`, its objects
+# through `read_object` and its numbers through `read_numbers`.
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at `path`, line ends kept; raises
+    InvalidConfigError naming it when it cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"cannot read {path}: {exc}") from exc
+
 
 def read_object(data, fields, what: str) -> dict:
     """`data` as a JSON object with no field outside `fields` (fail fast on

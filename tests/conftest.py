@@ -1,9 +1,10 @@
-"""Shared helpers: exact forward projection of ceiling discs, and
-rotations that cover every branch of the quaternion conversion.
+"""Shared helpers: exact forward projection of ceiling discs, rotations
+that cover every branch of the quaternion conversion, and the runner's
+capture of given poses.
 
-These build test scenes through the reference maps of `oracles` only, so
-the conic and solver tests check their subject against an independent
-forward model rather than against the simulator under test.
+The first two build test scenes through the reference maps of `oracles`
+only, so the conic and solver tests check their subject against an
+independent forward model rather than against the simulator under test.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from arcpose.frames import CameraIntrinsics, EulerAngles, Pose, rotations_from_angles
+from arcpose.sim import capture_poses, luminaire_points
 from arcpose.solver import LuminaireInfo
 
 from oracles import (
@@ -120,3 +122,12 @@ def branch_and_random_rotations():
                          size=(2000, 3))
     return np.concatenate([np.array(list(BRANCH_ROTATIONS.values())),
                            rotations_from_angles(*angles.T)])
+
+
+def capture_like_run(cfg, rotations, translations, rngs):
+    """`sim.capture_poses` of the given poses and their generators, called as
+    `harness.run_monte_carlo` calls it for the configuration `cfg`."""
+    scene = cfg.effective_scene()
+    return capture_poses(scene, rotations, translations, rngs, cfg.intrinsics,
+                         luminaire_points(scene.luminaires, cfg.contour_samples), cfg.scenario,
+                         cfg.sigma / math.sqrt(cfg.images_per_location), cfg.arc_fraction)

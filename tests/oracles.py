@@ -27,7 +27,7 @@ from arcpose.errors import (
 )
 from arcpose.frames import CameraIntrinsics, EulerAngles, Pose, _wrap_angle, pixel_to_image
 from arcpose.harness import RECORD_COLUMNS
-from arcpose.sim import _in_bounds
+from arcpose.sim import _in_bounds, classify, luminaire_points
 from arcpose.solver import Observations
 
 
@@ -262,25 +262,33 @@ def capture_observation_scalar(clean, luminaire_id, mode, noise_px, k, rng,
     return fit_ellipse_lstsq(pixel_to_image(pixels, k)), pixels
 
 
-def capture_sample(cfg, drawn, rng) -> tuple[Observations, tuple[int, int]]:
-    """The two observations of the one pose of `drawn`, a `sim.PoseBlock`
-    (its pair, cut per `cfg.scenario`, noise sigma / sqrt(images)), captured
-    one after the other from the sample's generator, and the pair the
-    dispatcher solves among them. Raises the first failure."""
+def capture_sample(cfg, rotations, translations, rng) -> tuple[Observations, tuple[int, int]]:
+    """The two observations of one pose, rotations (1, 3, 3) and
+    translations (1, 3) as `sample_poses` draws it: the pair `rank_pair`
+    takes on the clean contours of its `sim.classify` projection, cut per
+    `cfg.scenario` with noise sigma / sqrt(images) and captured one after
+    the other from the sample's generator, and the pair the dispatcher
+    solves among them. Raises the first failure."""
+    scene = cfg.effective_scene()
+    pixels, landmarks, whole, lengths = classify(
+        rotations, translations, cfg.intrinsics,
+        luminaire_points(scene.luminaires, cfg.contour_samples))
     mixed = cfg.scenario == "mixed"
-    modes = (["complete" if whole else "image_bounds" for whole in drawn.complete[0].tolist()]
+    ids = [lum.id for lum in scene.luminaires]
+    pair = list(rank_pair(lengths[0].tolist(), ids, whole[0].tolist(), mixed))
+    modes = (["complete" if whole[0, i] else "image_bounds" for i in pair]
              if mixed else list(cfg.scenario))
     noise_px = cfg.sigma / math.sqrt(cfg.images_per_location)
-    ids = [cfg.scene.luminaires[i].id for i in drawn.pair[0].tolist()]
-    fits = [capture_observation_scalar(drawn.pixels[0, c], lum_id, mode, noise_px,
+    fits = [capture_observation_scalar(pixels[0, i], ids[i], mode, noise_px,
                                        cfg.intrinsics, rng, cfg.arc_fraction)
-            for c, (lum_id, mode) in enumerate(zip(ids, modes))]
+            for i, mode in zip(pair, modes)]
     complete = np.array(modes) == "complete"
     obs = Observations(
-        luminaire=ids, coefficients=[c for c, _ in fits],
-        landmarks=np.where(complete[:, None, None], drawn.landmarks[0], np.nan),
+        luminaire=[ids[i] for i in pair], coefficients=[c for c, _ in fits],
+        landmarks=np.where(complete[:, None, None], landmarks[0, pair], np.nan),
         complete=complete, contour_px=[contour_px(p) for _, p in fits])
-    return obs, rank_pair(obs.contour_px.tolist(), ids, complete.tolist(), True)
+    return obs, rank_pair(obs.contour_px.tolist(), obs.luminaire.tolist(), complete.tolist(),
+                          True)
 
 
 # --- records.csv, one value at a time ----------------------------------------------

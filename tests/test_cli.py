@@ -81,6 +81,26 @@ def test_missing_path_does_not_fall_back_to_bundled_file(argv, tmp_path, capsys)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{"], ids=["directory", "not_utf8"])
+@pytest.mark.parametrize("command", ["scene-validate", "cdf", "run", "solve"])
+def test_unreadable_input_file_exits_2_naming_it(command, content, tmp_path, capsys):
+    # A directory, or bytes that are not UTF-8, where an input file belongs
+    # is a configuration failure: exit code 2 and the path, no traceback.
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    argv = {"scene-validate": ["scene-validate", str(path)],
+            "cdf": ["cdf", str(path), "--out", str(tmp_path / "o")],
+            "run": ["run", "--config", str(path), "--out", str(tmp_path / "o")],
+            "solve": ["solve", data_path("fixture_scene.json"), str(path)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_calls_do_not_share_flags(tmp_path):
     # The parser is built once per process; a run with every override set
     # must leave the next run at the defaults.

@@ -15,38 +15,30 @@ from arcpose.conic import fit_ellipses
 from arcpose.frames import pixel_to_image
 from arcpose.sim import (
     ARC_MODES,
-    _in_bounds,
+    capture_poses,
     default_intrinsics,
     default_scene,
     luminaire_points,
-    pose_block,
     sample_poses,
 )
 
-from oracles import capture_observation_scalar, fit_ellipse_lstsq
+from oracles import fit_ellipse_lstsq
 
 
 def arcs(mode, sigma, count=30, seed=21):
-    """Image-plane contours (cm) of `mode` at pixel noise `sigma`, from the
-    pairs of seeded poses; image_bounds takes only luminaires cut by the
-    image edge."""
+    """Image-plane contours (cm) of `mode` at pixel noise `sigma`: the
+    captured rows of seeded poses' pairs, in order. image_bounds takes the
+    `mixed` captures' luminaires cut by the image edge."""
     scene, k = default_scene(), default_intrinsics()
     rngs = [np.random.default_rng([seed, ARC_MODES.index(mode), i]) for i in range(200)]
-    points, complete = luminaire_points(scene.luminaires, 360), mode != "image_bounds"
-    drawn = pose_block(scene, *sample_poses(scene, rngs, k, points, complete), k, points,
-                       complete)
-    out = []
-    for p, rng in enumerate(rngs):
-        for c, i in enumerate(drawn.pair[p].tolist()):
-            clean = drawn.pixels[p, c]
-            if mode == "image_bounds" and _in_bounds(clean, k).all():
-                continue
-            _, pixels = capture_observation_scalar(clean, scene.luminaires[i].id, mode,
-                                                   sigma / math.sqrt(20), k, rng)
-            out.append(pixel_to_image(pixels, k))
-            if len(out) == count:
-                return out
-    raise AssertionError(f"only {len(out)} {mode} arcs")
+    points, edge = luminaire_points(scene.luminaires, 360), mode == "image_bounds"
+    rotations, translations, _ = sample_poses(scene, rngs, k, points, not edge)
+    cap, _, _ = capture_poses(scene, rotations, translations, rngs, k, points,
+                              "mixed" if edge else (mode, mode), sigma / math.sqrt(20), 0.6)
+    out = [pixel_to_image(pixels[:n], k) for pixels, n in zip(cap.pixels, cap.count.tolist())
+           if not edge or n < 360]
+    assert len(out) >= count, f"only {len(out)} {mode} arcs"
+    return out[:count]
 
 
 def block(contours):

@@ -15,8 +15,8 @@ from arcpose.frames import rotation_to_euler
 from arcpose.harness import (
     DEFAULT_CDF_GRID,
     ExperimentConfig,
+    ALGORITHMS,
     Records,
-    _capture_block,
     config_from_dict,
     config_to_dict,
     e_loc_rows,
@@ -32,7 +32,7 @@ from arcpose.harness import (
 from arcpose.sim import luminaire_points
 from arcpose.solver import solve_pairs, solve_vpa
 
-from conftest import BRANCH_ROTATIONS, branch_and_random_rotations
+from conftest import BRANCH_ROTATIONS, branch_and_random_rotations, capture_like_run
 from oracles import (
     capture_sample,
     e_loc_scalar,
@@ -197,25 +197,48 @@ def test_runner_records_do_not_depend_on_block_or_slice_size(monkeypatch):
     cfg = ExperimentConfig(samples=40, algorithms=("VPA", "VPCA", "OAVPA", "PNP"),
                            seed=9)
     default = run_monte_carlo(cfg)
-    # The sampler's group is the whole blocks that fit in a slice, at least
-    # one: (8, 8) draws one block a group, (3, 10) three, so that 40 samples
-    # end inside a block and inside a group, and (7, 5) one block of more
-    # samples than a slice.
-    for block, size in ((8, 8), (3, 10), (7, 5)):
+    # (POSE_BLOCK, GROUP): (8, 8) draws and solves one block a group, (3, 9)
+    # three, so that 40 samples end inside a block and inside a group,
+    # (3, 10) ends each group inside a block, and (7, 5) has a group of fewer
+    # samples than a block.
+    for block, group in ((8, 8), (3, 9), (3, 10), (7, 5)):
         monkeypatch.setattr(harness, "POSE_BLOCK", block)
-        monkeypatch.setattr(harness, "SOLVE_SLICE", size)
-        sliced = run_monte_carlo(cfg)
-        assert rows(sliced) == rows(default)
+        monkeypatch.setattr(harness, "GROUP", group)
+        grouped = run_monte_carlo(cfg)
+        assert rows(grouped) == rows(default)
         # Poses agree bit for bit, not just to the 12 digits records.csv keeps.
-        assert np.array_equal(default.truth_rotation, sliced.truth_rotation)
-        assert np.array_equal(default.truth_translation, sliced.truth_translation)
-        assert np.array_equal(default.rotation, sliced.rotation, equal_nan=True)
-        assert np.array_equal(default.translation, sliced.translation, equal_nan=True)
+        assert np.array_equal(default.truth_rotation, grouped.truth_rotation)
+        assert np.array_equal(default.truth_translation, grouped.truth_translation)
+        assert np.array_equal(default.rotation, grouped.rotation, equal_nan=True)
+        assert np.array_equal(default.translation, grouped.translation, equal_nan=True)
     assert all(attempts >= 1 for *_, attempts in rows(default))
 
 
+def test_group_whose_every_capture_fails(monkeypatch):
+    # 1% arcs keep 4 of 360 contour points, too few to fit, so every kernel
+    # solves a group of zero rows and every record fails with the capture.
+    calls = []
+
+    def counted(kernel, rows):
+        def call(**args):
+            calls.append((kernel.__name__, len(args[rows])))
+            return kernel(**args)
+        return call
+
+    monkeypatch.setattr(harness, "solve_pairs", counted(harness.solve_pairs, "coeffs"))
+    monkeypatch.setattr(harness, "pnp_solve", counted(harness.pnp_solve, "world"))
+    cfg = ExperimentConfig(scenario="superior_arc+superior_arc", arc_fraction=0.01,
+                           samples=30, algorithms=ALGORITHMS, seed=6)
+    records = run_monte_carlo(cfg)
+    assert sorted(calls) == [("pnp_solve", 0)] + [("solve_pairs", 0)] * 3
+    assert (records.error == "ArcTooShortError").all()
+    assert (records.solver_tag == "").all()
+    for values in (records.e_loc, records.e_pos, records.rotation, records.translation):
+        assert np.isnan(values).all()
+
+
 def test_runner_rejects_a_solved_row_that_is_no_rotation(monkeypatch, tmp_path, capsys):
-    # The kernel's rotations pass the `Pose` guard as a slice: one skewed
+    # The kernel's rotations pass the `Pose` guard as a group: one skewed
     # rotation among them stops the run, as a bad `Pose` would.
     real = harness.solve_pairs
 
@@ -257,23 +280,22 @@ def reference_records(cfg):
     out = []
     for index in range(cfg.samples):
         rng = np.random.default_rng([cfg.seed, index])
-        complete = cfg.scenario != "mixed"
-        drawn = sim.pose_block(scene, *sim.sample_poses(scene, [rng], k, points, complete), k,
-                               points, complete)
+        rotations, translations, _ = sim.sample_poses(scene, [rng], k, points,
+                                                      cfg.scenario != "mixed")
         try:
-            obs, (first, second) = capture_sample(cfg, drawn, rng)
+            obs, (first, second) = capture_sample(cfg, rotations, translations, rng)
         except (ArcPoseError, ValueError) as exc:
             out.append((type(exc).__name__, None, None))
             continue
         results = {}
         try:
             translation = solve_vpa(obs, scene.luminaire_map(), k).pose.translation
-            results["VPA"] = e_loc_scalar(drawn.translation[0], translation)
+            results["VPA"] = e_loc_scalar(translations[0], translation)
         except (ArcPoseError, ValueError) as exc:
             results["VPA"] = type(exc).__name__
         sol = solve_pairs(**one_row(obs, 0, 1, False, scene.luminaire_map(), k), f=k.f)
         results["OAVPA"] = (type(sol.error(0)).__name__ if sol.error(0)
-                            else e_loc_scalar(drawn.translation[0], sol.translation[0]))
+                            else e_loc_scalar(translations[0], sol.translation[0]))
         out.append((None, tuple(obs.luminaire[[first, second]].tolist()), results))
     return out
 
@@ -295,13 +317,10 @@ def test_runner_matches_sample_by_sample_reference(scenario, arc_fraction):
     for start in range(0, cfg.samples, harness.POSE_BLOCK):
         rngs = [np.random.default_rng([cfg.seed, i])
                 for i in range(start, min(start + harness.POSE_BLOCK, cfg.samples))]
-        complete = cfg.scenario != "mixed"
-        drawn = sim.pose_block(scene, *sim.sample_poses(scene, rngs, cfg.intrinsics, points,
-                                                        complete),
-                               cfg.intrinsics, points, complete)
-        cap, pair = _capture_block(cfg, drawn, rngs)
+        drawn = sim.sample_poses(scene, rngs, cfg.intrinsics, points, cfg.scenario != "mixed")
+        cap, _, order = capture_like_run(cfg, *drawn[:2], rngs)
         for j in range(len(rngs)):
-            rows = 2 * j + pair[j]
+            rows = 2 * j + order[j]
             error = cap.error(2 * j) or cap.error(2 * j + 1)
             captured.append((type(error).__name__ if error else None,
                              None if error else tuple(cap.luminaire[rows].tolist())))

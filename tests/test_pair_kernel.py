@@ -1,8 +1,8 @@
 """The batched cone-to-pose kernel `solve_pairs`: batch-size invariance, per
 row error isolation, and agreement with a scalar reference chain.
 
-Rows come from seeded Monte Carlo samples of the harness's capture phase, so
-they cover the arcs the experiments produce.
+Rows come from the captures of seeded Monte Carlo samples, so they cover
+the arcs the experiments produce.
 """
 
 import math
@@ -22,7 +22,7 @@ from arcpose.errors import (
     ParallelLineError,
 )
 from arcpose.harness import ExperimentConfig
-from arcpose.sim import luminaire_points, pose_block, sample_poses
+from arcpose.sim import luminaire_points, sample_poses
 from arcpose.solver import pair_inputs, solve_pairs
 
 from oracles import capture_sample, rot_x, rot_y, rot_z
@@ -42,9 +42,9 @@ def captured_pairs(scenario, samples=40, seed=3):
     for index in range(samples):
         rng = np.random.default_rng([seed, index])
         complete = cfg.scenario != "mixed"
-        drawn = pose_block(scene, *sample_poses(scene, [rng], cfg.intrinsics, points, complete),
-                           cfg.intrinsics, points, complete)
-        obs, (first, second) = capture_sample(cfg, drawn, rng)
+        rotations, translations, _ = sample_poses(scene, [rng], cfg.intrinsics, points,
+                                                  complete)
+        obs, (first, second) = capture_sample(cfg, rotations, translations, rng)
         pairs.append((obs, first, second, bool(obs.complete[first])))
         pairs.append((obs, 0, 1, False))
     return pairs, scene.luminaire_map(), cfg.intrinsics

@@ -8,25 +8,28 @@ samples (seed 2, 40 samples: one of them runs all three heading restarts).
 
 import numpy as np
 
-from arcpose.harness import ExperimentConfig, _capture_block, _pnp_inputs
-from arcpose.sim import contour_angles, luminaire_points, pose_block, sample_poses
+from arcpose.harness import ExperimentConfig, _pnp_inputs
+from arcpose.sim import contour_angles, luminaire_points, sample_poses
 from arcpose.solver import PNP_CHECKS, pnp_solve
+
+from conftest import capture_like_run
 
 FIELDS = ("rotation", "translation", "rms_px", "iterations", "above_plane", "failure")
 
 
 def captured_samples(samples=40, seed=2):
-    """The config, the run's `luminaire_points` and, per sample, the pose
-    block and block capture of the harness's first `samples` samples."""
+    """The config, the run's `luminaire_points` and, per sample, the scene
+    indices of its pair and its capture, as the harness captures its first
+    `samples` samples."""
     cfg = ExperimentConfig(samples=samples, seed=seed)
     scene = cfg.effective_scene()
     points = luminaire_points(scene.luminaires, cfg.contour_samples)
     out = []
     for index in range(samples):
         rng = np.random.default_rng([seed, index])
-        drawn = pose_block(scene, *sample_poses(scene, [rng], cfg.intrinsics, points, False),
-                           cfg.intrinsics, points, False)
-        out.append((drawn, _capture_block(cfg, drawn, [rng])[0]))
+        rotations, translations, _ = sample_poses(scene, [rng], cfg.intrinsics, points, False)
+        cap, lum, _ = capture_like_run(cfg, rotations, translations, [rng])
+        out.append((lum, cap))
     return cfg, points, out
 
 
@@ -34,7 +37,7 @@ def captured_rows(samples=40, seed=2):
     """world (N, 4, 3), pixels (N, 4, 2) and the intrinsics of the PNP rows
     the harness builds for the first `samples` samples."""
     cfg, (rings, _, _), captured = captured_samples(samples, seed)
-    rows = [_pnp_inputs(cap, [0], drawn.pair.ravel(), rings) for drawn, cap in captured]
+    rows = [_pnp_inputs(cap, [0], lum.ravel(), rings) for lum, cap in captured]
     return (np.concatenate([r["world"] for r in rows]),
             np.concatenate([r["pixels"] for r in rows]), cfg.intrinsics)
 
@@ -46,10 +49,10 @@ def test_world_points_are_circle_points_of_the_kept_angles():
     cfg, (rings, _, _), captured = captured_samples()
     lums = cfg.effective_scene().luminaires
     angles = contour_angles(cfg.contour_samples)
-    for drawn, cap in captured:
-        got = _pnp_inputs(cap, [0], drawn.pair.ravel(), rings)
+    for pair, cap in captured:
+        got = _pnp_inputs(cap, [0], pair.ravel(), rings)
         world, pixels = [], []
-        for row, lum in enumerate(drawn.pair[0].tolist()):
+        for row, lum in enumerate(pair[0].tolist()):
             n = cap.count[row]
             shift = row * (n // 8)
             for idx in ((n // 4 + shift) % n, (3 * n // 4 + shift) % n):

@@ -29,20 +29,20 @@ from arcpose.sim import (
     Scene,
     _in_bounds,
     _project_points_pixel,
+    capture_poses,
     classify,
     contour_angles,
     luminaire_points,
-    pose_block,
     sample_poses,
     scene_from_dict,
     scene_to_dict,
     default_intrinsics,
     default_scene,
 )
-from arcpose.harness import ExperimentConfig, _capture_block
-from arcpose.solver import LuminaireInfo, pair_rows
+from arcpose.harness import ExperimentConfig
+from arcpose.solver import LuminaireInfo
 
-from conftest import make_pose
+from conftest import capture_like_run, make_pose
 from oracles import image_to_pixel, project_to_image, rank_pair, rotation_scalar, world_to_camera
 
 
@@ -138,28 +138,26 @@ def test_upright_center_sees_all_four_with_wide_lens(scene):
 
 
 def draw_poses(scene, k, rngs, complete=False):
-    """The `pose_block` of `sample_poses` with the scene's 360-point
-    contours."""
-    points = luminaire_points(scene.luminaires, 360)
-    return pose_block(scene, *sample_poses(scene, rngs, k, points, complete), k, points,
-                      complete)
+    """The rotations and translations `sample_poses` draws with the scene's
+    360-point contours."""
+    rotations, translations, _ = sample_poses(scene, rngs, k,
+                                              luminaire_points(scene.luminaires, 360), complete)
+    return rotations, translations
 
 
 def test_sample_pose_postcondition(scene, k):
     rngs = [np.random.default_rng([40, i]) for i in range(200)]
-    drawn = draw_poses(scene, k, rngs)
-    pixels, *_ = classify(drawn.rotation, drawn.translation, k,
-                          luminaire_points(scene.luminaires, 360))
+    rotations, translations = draw_poses(scene, k, rngs)
+    pixels, *_ = classify(rotations, translations, k, luminaire_points(scene.luminaires, 360))
     fractions = _in_bounds(pixels, k).mean(axis=2)
     assert ((fractions >= sim.MIN_FRACTION).sum(axis=1) >= 2).all()
-    x, y, z = drawn.translation.T
+    x, y, z = translations.T
     assert ((0 <= x) & (x <= 8) & (0 <= y) & (y <= 6) & (0.5 <= z) & (z <= 2.0)).all()
 
 
 def test_sample_pose_require_complete(scene, k):
     rngs = [np.random.default_rng([41, i]) for i in range(50)]
-    drawn = draw_poses(scene, k, rngs, complete=True)
-    _, _, complete, _ = classify(drawn.rotation, drawn.translation, k,
+    _, _, complete, _ = classify(*draw_poses(scene, k, rngs, complete=True), k,
                                  luminaire_points(scene.luminaires, 360))
     assert (complete.sum(axis=1) >= 2).all()
 
@@ -175,8 +173,8 @@ def test_sample_pose_empty_scene(k):
 def test_sample_pose_deterministic(scene, k):
     a = draw_poses(scene, k, [np.random.default_rng(7)])
     b = draw_poses(scene, k, [np.random.default_rng(7)])
-    assert np.array_equal(a.rotation, b.rotation)
-    assert np.array_equal(a.translation, b.translation)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def scalar_sample_pose(scene, rng, k, complete):
@@ -255,43 +253,51 @@ def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
     seeds = [[stream, i] for i in range(120)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     points = luminaire_points(scene.luminaires, 360)
-    # Rounds in lockstep over 120 generators, then a block of 100 and one of
-    # 20, as the runner draws a group and classifies its blocks.
-    drawn = sample_poses(scene, rngs, k, points, complete)
-    blocks = [pose_block(scene, *(a[rows] for a in drawn), k, points, complete)
-              for rows in (slice(0, 100), slice(100, 120))]
+    # Rounds in lockstep over 120 generators, then noise-free captures of a
+    # block of 100 and one of 20, as the runner draws a group and captures
+    # its blocks.
+    rotations, translations, drawn_attempts = sample_poses(scene, rngs, k, points, complete)
+    states = [rng.bit_generator.state for rng in rngs]
+    scenario = ("complete", "complete") if complete else "mixed"
+    rows = []  # per sample: its block's capture, its pair and its first row
+    for block in (slice(0, 100), slice(100, 120)):
+        cap, lum, _ = capture_poses(scene, rotations[block], translations[block], rngs[block],
+                                    k, points, scenario, 0.0, 0.6)
+        rows += [(cap, pair, 2 * j) for j, pair in enumerate(lum.tolist())]
     attempts = []
-    rows = [(block, p) for block in blocks for p in range(len(block.pair))]
-    for seed, rng, (got, p) in zip(seeds, rngs, rows):
+    for p, (seed, state, (cap, pair, row)) in enumerate(zip(seeds, states, rows)):
         ref_rng = np.random.default_rng(seed)
         pose, n, reference = scalar_sample_pose(scene, ref_rng, k, complete)
         attempts.append(n)
-        assert np.array_equal(got.rotation[p], pose.rotation)
-        assert np.array_equal(got.translation[p], pose.translation)
-        assert got.attempts[p] == n
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert tuple(got.pair[p].tolist()) == rank_pair(
+        assert np.array_equal(rotations[p], pose.rotation)
+        assert np.array_equal(translations[p], pose.translation)
+        assert drawn_attempts[p] == n
+        assert state == ref_rng.bit_generator.state
+        assert tuple(pair) == rank_pair(
             [length for *_, length in reference], [lum.id for lum in scene.luminaires],
             [whole for *_, whole, _ in reference], not complete)
         # The accepted pose's projection gives every luminaire's fraction,
         # completeness, length, center and mark.
-        pixels, landmarks, whole, lengths = classify(got.rotation[p][None],
-                                                     got.translation[p][None], k, points)
+        pixels, landmarks, whole, lengths = classify(rotations[p][None],
+                                                     translations[p][None], k, points)
         for i, (_, gm, fraction, ref_whole, length) in enumerate(reference):
             assert (_in_bounds(pixels[0, i], k).mean(), whole[0, i], lengths[0, i]) == (
                 fraction, ref_whole, length)
             assert np.array_equal(landmarks[0, i], gm, equal_nan=True)
-        # The block holds the pair's rows of that projection.
-        for c, i in enumerate(got.pair[p].tolist()):
+        # The capture takes the pair's rows of that projection: noise-free,
+        # a row keeps clean pixels, and a complete row the clean center and
+        # mark (`mixed` captures a luminaire whole only when it is complete).
+        for c, i in enumerate(pair):
             ref_pixels, gm, _, ref_whole, _ = reference[i]
-            assert got.complete[p, c] == ref_whole
-            assert np.array_equal(got.pixels[p, c], ref_pixels, equal_nan=True)
-            assert np.array_equal(got.landmarks[p, c], gm, equal_nan=True)
+            kept = cap.keep[row + c, :cap.count[row + c]]
+            assert cap.luminaire[row + c] == scene.luminaires[i].id
+            assert cap.complete[row + c] == (complete or ref_whole)
+            assert np.array_equal(cap.pixels[row + c, :len(kept)], ref_pixels[kept],
+                                  equal_nan=True)
+            assert np.array_equal(cap.landmarks[row + c],
+                                  gm if cap.complete[row + c] else np.full((2, 2), np.nan),
+                                  equal_nan=True)
     assert len(attempts) == len(seeds)
-    for got in blocks:
-        for name in ("rotation", "translation", "attempts", "pair", "pixels", "landmarks",
-                     "complete"):
-            assert not getattr(got, name).flags.writeable, name
     # The case needs rejections to mean anything.
     assert max(attempts) > 3 and np.mean(attempts) > 1.5
 
@@ -365,8 +371,10 @@ def test_visibility_bounds_agree_at_tangency(contour_samples, offset):
     scene, k = offset_camera() if offset else (default_scene(), default_intrinsics())
     rngs = [np.random.default_rng([contour_samples, i]) for i in range(10)]
     drawn = draw_poses(scene, k, rngs, complete=True)
+    _, pairs, _ = capture_poses(scene, *drawn, rngs, k, luminaire_points(scene.luminaires, 360),
+                                ("complete", "complete"), 0.0, 0.6)
     rotations, translations, tangent = [], [], []
-    for r, t, pair in zip(drawn.rotation, drawn.translation, drawn.pair.tolist()):
+    for r, t, pair in zip(*drawn, pairs.tolist()):
         for i in pair:
             lum = scene.luminaires[i]
             for n, side, offset_m in itertools.product(edge_normals(k), (-1, 1),
@@ -463,12 +471,21 @@ def test_rows_outside_the_image_fail_and_draw_nothing(scene, k):
 
 
 def test_visibility_classification_ignores_noise(scene, k):
-    # Classification runs on the clean projection, so it cannot depend on sigma.
-    drawn = draw_poses(scene, k, [np.random.default_rng(43)])
-    views = visibility_at(scene, Pose(drawn.rotation[0], drawn.translation[0]), k)
-    for c, i in enumerate(drawn.pair[0].tolist()):
-        assert drawn.complete[0, c] == views[i].complete
-        assert np.array_equal(drawn.pixels[0, c], views[i].pixels)
+    # Classification runs on the clean projection, so the pair a pose
+    # captures and how each row is cut cannot depend on sigma.
+    rng = np.random.default_rng(43)
+    drawn = draw_poses(scene, k, [rng])
+    views = visibility_at(scene, Pose(drawn[0][0], drawn[1][0]), k)
+    points = luminaire_points(scene.luminaires, 360)
+    (clean, lum, _), (noisy, noisy_lum, _) = (
+        capture_poses(scene, *drawn, [copy.deepcopy(rng)], k, points, "mixed", noise_px, 0.6)
+        for noise_px in (0.0, 3.0))
+    assert np.array_equal(lum, noisy_lum)
+    for c, i in enumerate(lum[0].tolist()):
+        assert clean.complete[c] == noisy.complete[c] == views[i].complete
+        assert np.array_equal(clean.keep[c], noisy.keep[c])
+        kept = clean.keep[c, :clean.count[c]]
+        assert np.array_equal(clean.pixels[c, :len(kept)], views[i].pixels[kept])
 
 
 # --- truncation ------------------------------------------------------------------------
@@ -569,18 +586,11 @@ def upright_view(scene, k):
 
 
 def capture_upright(cfg, vis, rng):
-    """The harness's capture of the pair it takes from the views `vis`, and
-    the clean pixels of that pair's two rows."""
-    pair = pair_rows([[v.contour_px for v in vis]], [[v.luminaire_id for v in vis]],
-                     [[v.complete for v in vis]], cfg.scenario == "mixed")[0]
+    """The harness's capture from the pose of `upright_view`, whose views
+    are `vis`, and the clean pixels of its pair's two rows."""
     pose = make_pose(t=(4.0, 3.0, 0.5))
-    drawn = sim.PoseBlock(
-        pose.rotation[None], pose.translation[None], np.array([1]), np.array([pair]),
-        np.array([[vis[i].pixels for i in pair]]),
-        np.array([[(vis[i].center, vis[i].mark) for i in pair]]),
-        np.array([[vis[i].complete for i in pair]]))
-    cap, _ = _capture_block(cfg, drawn, [rng])
-    return cap, [vis[i].pixels for i in pair]
+    cap, lum, _ = capture_like_run(cfg, pose.rotation[None], pose.translation[None], [rng])
+    return cap, [vis[i].pixels for i in lum[0].tolist()]
 
 
 def test_average_of_identical_captures_matches_single_fit(scene, k):
@@ -672,14 +682,18 @@ def test_capture_matches_per_image_reference(scene, k, mode):
     # sigma: the same kept points, center and mark, and averaged noise of the
     # same distribution, N(0, 0.447^2) px.
     noise, ref_noise = [], []
+    points = luminaire_points(scene.luminaires, 360)
+    ids = [lum.id for lum in scene.luminaires]
     for sample in range(25):
         rng = np.random.default_rng([ARC_MODES.index(mode), sample])
         drawn = draw_poses(scene, k, [rng])
-        pose = Pose(drawn.rotation[0], drawn.translation[0])
-        for c, i in enumerate(drawn.pair[0].tolist()):
+        pose = Pose(drawn[0][0], drawn[1][0])
+        # The pair the runner captures, from the pose's clean projection.
+        pixels, landmarks, whole, lengths = classify(*drawn, k, points)
+        for i in rank_pair(lengths[0].tolist(), ids, whole[0].tolist(), True):
             lum = scene.luminaires[i]
             ref = reference_observation(lum, pose, k, mode, copy.deepcopy(rng))
-            cap = sim.capture(drawn.pixels[0, c:c + 1], drawn.landmarks[0, c:c + 1], [lum.id],
+            cap = sim.capture(pixels[0, i:i + 1], landmarks[0, i:i + 1], [lum.id],
                               [mode], 2.0 / math.sqrt(20), k, [rng], 0.6)
             count = cap.count[0]
             assert np.array_equal(cap.keep[0, :count], ref[1])
