@@ -63,11 +63,13 @@ def _load_json(path: str) -> dict:
     if not p.exists():
         # A bare file name falls back to the files bundled with the package
         # (e.g. defaults.json); a path with a directory never does.
-        bundled = resources.files("arcpose") / "data" / p.name
-        if p.name == path and bundled.is_file():
-            return json.loads(bundled.read_text())
-        raise FileNotFoundError(f"file not found: {path}")
-    return json.loads(read_text(p))
+        p = resources.files("arcpose") / "data" / p.name
+        if p.name != path or not p.is_file():
+            raise FileNotFoundError(f"file not found: {path}")
+    try:
+        return json.loads(read_text(p))
+    except json.JSONDecodeError as exc:
+        raise InvalidConfigError(f"{p}: not valid JSON: {exc}") from exc
 
 
 def observations_from_dict(data: dict) -> tuple[Observations, CameraIntrinsics]:
@@ -351,7 +353,7 @@ def main(argv=None) -> int:
         if args.command == "scene-validate":
             return cmd_scene_validate(args)
         parser.error(f"unknown command {args.command!r}")
-    except (InvalidConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InvalidConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArcPoseError, ValueError) as exc:

@@ -151,12 +151,15 @@ def _inside(points, rotation, translation, k: CameraIntrinsics) -> np.ndarray:
     """Where `_in_bounds` holds for `_project_points_pixel` of the same
     arguments, without building the pixel array."""
     z, u, v = _project(points, rotation, translation, k)
-    with np.errstate(invalid="ignore"):
-        return (z > 0) & (u >= 0) & (u <= k.width) & (v >= 0) & (v <= k.height)
+    return (z > 0) & _within(u, v, k)
 
 
 def _in_bounds(pixels: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    u, v = pixels[..., 0], pixels[..., 1]
+    return _within(pixels[..., 0], pixels[..., 1], k)
+
+
+def _within(u, v, k: CameraIntrinsics) -> np.ndarray:
+    """Where pixel coordinates u, v lie inside the image; False at NaN."""
     with np.errstate(invalid="ignore"):
         return (u >= 0) & (u <= k.width) & (v >= 0) & (v <= k.height)
 
@@ -208,26 +211,29 @@ def classify(rotations, translations, k: CameraIntrinsics, points):
     contour pixels stay NaN and its length is 0. The others are projected
     and classified one luminaire at a time, which keeps the temporaries to P
     contours: one gathered call over the whole block allocates megabytes,
-    whose fresh pages cost every block hundreds of page faults."""
+    whose fresh pages cost every block hundreds of page faults. Lengths come
+    from the contiguous u and v; only a cut contour is summed by mask."""
     rings, marks, _ = points
     shown = ~visibility_bounds(rotations, translations, k, points)[1]
     pixels = np.full((len(rotations), len(rings), rings.shape[2], 2), np.nan)
     gm = _project_points_pixel(marks, rotations[:, None], translations[:, None], k)
-    complete = np.zeros((len(rotations), len(rings)), dtype=bool)
+    complete = _in_bounds(gm, k).all(axis=2) & shown
     lengths = np.zeros(complete.shape)
     for i, ring in enumerate(rings):
         p = np.flatnonzero(shown[:, i])
-        px = pixels[p, i] = _project_points_pixel(ring, rotations[p], translations[p], k)
-        inside = _in_bounds(px, k)
-        complete[p, i] = inside.all(axis=1) & _in_bounds(gm[p, i], k).all(axis=1)
+        z, u, v = _project(ring, rotations[p], translations[p], k)
+        behind = ~(z > 0)
+        u[behind] = v[behind] = np.nan
+        pixels[p, i, :, 0], pixels[p, i, :, 1] = u, v
+        inside = _within(u, v, k)
+        complete[p, i] &= inside.all(axis=1)
         # Segment lengths to the next contour point, wrapping around.
-        step = np.empty_like(px)
-        np.subtract(px[:, 1:], px[:, :-1], out=step[:, :-1])
-        np.subtract(px[:, 0], px[:, -1], out=step[:, -1])
-        step *= step
-        seg = np.sqrt(step[..., 0] + step[..., 1])
+        du, dv = np.roll(u, -1, axis=1) - u, np.roll(v, -1, axis=1) - v
+        seg = np.sqrt(du * du + dv * dv)
         both = inside & np.roll(inside, -1, axis=1)
-        lengths[p, i] = [row[kept].sum() for row, kept in zip(seg, both)]
+        whole = both.all(axis=1)  # a row that `row[kept].sum()` would copy whole
+        lengths[p[whole], i] = seg[whole].sum(axis=1)
+        lengths[p[~whole], i] = [row[kept].sum() for row, kept in zip(seg[~whole], both[~whole])]
     return pixels, gm, complete, lengths
 
 
@@ -387,11 +393,12 @@ def capture(clean, landmarks, ids, modes, noise_px: float, k: CameraIntrinsics,
     keep = (start[:, None] + np.arange(count.max())) % n
     for i in np.flatnonzero(np.array(modes) == "image_bounds"):
         keep[i, :count[i]] = np.flatnonzero(inside[i])
-    index = np.arange(m)[:, None], keep
-    pixels = noise[index]
+    # One flat index into the (m n, 2) rows: a fifteenth of two index arrays' cost.
+    index = keep + n * np.arange(m)[:, None]
+    pixels = np.take(noise.reshape(-1, 2), index, axis=0)
     del noise  # before the fit's temporaries
     pixels *= noise_px
-    pixels += clean[index]
+    pixels += np.take(clean.reshape(-1, 2), index, axis=0)
     fits = fit_ellipses(pixel_to_image(pixels, k), np.where(cut < 0, count, 0))
     complete = np.array(modes) == "complete"
     return Capture(

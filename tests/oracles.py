@@ -11,6 +11,9 @@ did before it captured whole blocks. The scalar rotation, quaternion and
 metric definitions are those the batched `frames` and `harness` functions
 replaced, and the records writer formats one value at a time through NumPy
 scalars, as `harness.write_results` did before it formatted whole rows.
+`classify_rows` is `sim.classify` as it measured each luminaire before it
+worked on the contiguous u and v arrays: on the strided pixel array, with
+one masked sum per row.
 """
 
 import csv
@@ -27,7 +30,13 @@ from arcpose.errors import (
 )
 from arcpose.frames import CameraIntrinsics, EulerAngles, Pose, _wrap_angle, pixel_to_image
 from arcpose.harness import RECORD_COLUMNS
-from arcpose.sim import _in_bounds, classify, luminaire_points
+from arcpose.sim import (
+    _in_bounds,
+    _project_points_pixel,
+    classify,
+    luminaire_points,
+    visibility_bounds,
+)
 from arcpose.solver import Observations
 
 
@@ -235,6 +244,31 @@ def rank_pair(lengths, ids, complete, prefer_complete):
     order = sorted(range(len(ids)), key=lambda i: (-lengths[i], ids[i]))
     first = next((i for i in order if prefer_complete and complete[i]), order[0])
     return first, next(i for i in order if i != first)
+
+
+def classify_rows(rotations, translations, k, points):
+    """`sim.classify` with the (P, n, 2) pixels of each luminaire, their
+    segment lengths from the interleaved u and v, and the masked
+    `row[kept].sum()` of every row."""
+    rings, marks, _ = points
+    shown = ~visibility_bounds(rotations, translations, k, points)[1]
+    pixels = np.full((len(rotations), len(rings), rings.shape[2], 2), np.nan)
+    gm = _project_points_pixel(marks, rotations[:, None], translations[:, None], k)
+    complete = np.zeros((len(rotations), len(rings)), dtype=bool)
+    lengths = np.zeros(complete.shape)
+    for i, ring in enumerate(rings):
+        p = np.flatnonzero(shown[:, i])
+        px = pixels[p, i] = _project_points_pixel(ring, rotations[p], translations[p], k)
+        inside = _in_bounds(px, k)
+        complete[p, i] = inside.all(axis=1) & _in_bounds(gm[p, i], k).all(axis=1)
+        step = np.empty_like(px)
+        np.subtract(px[:, 1:], px[:, :-1], out=step[:, :-1])
+        np.subtract(px[:, 0], px[:, -1], out=step[:, -1])
+        step *= step
+        seg = np.sqrt(step[..., 0] + step[..., 1])
+        both = inside & np.roll(inside, -1, axis=1)
+        lengths[p, i] = [row[kept].sum() for row, kept in zip(seg, both)]
+    return pixels, gm, complete, lengths
 
 
 def capture_observation_scalar(clean, luminaire_id, mode, noise_px, k, rng,

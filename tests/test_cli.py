@@ -101,6 +101,30 @@ def test_unreadable_input_file_exits_2_naming_it(command, content, tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("location", ["on_disk", "bundled"])
+@pytest.mark.parametrize("command", ["scene-validate", "run", "solve"])
+def test_non_json_input_file_exits_2_naming_it(command, location, tmp_path, monkeypatch,
+                                               capsys):
+    # A file that is not valid JSON is a configuration failure: exit code 2,
+    # its path and the decoder's message, on disk or among the bundled files.
+    path = tmp_path / "data" / "broken.json"
+    path.parent.mkdir()
+    path.write_text('{"samples": 3,')
+    name = str(path) if location == "on_disk" else "broken.json"
+    argv = {"scene-validate": ["scene-validate", name],
+            "run": ["run", "--config", name, "--out", str(tmp_path / "o")],
+            "solve": ["solve", data_path("fixture_scene.json"), name]}[command]
+    if location == "bundled":
+        # The package's data directory is tmp_path / "data", and the file is
+        # not in the working directory.
+        monkeypatch.setattr(cli.resources, "files", lambda package: tmp_path)
+        monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON: Expecting property name")
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 def test_main_calls_do_not_share_flags(tmp_path):
     # The parser is built once per process; a run with every override set
     # must leave the next run at the defaults.

@@ -1,6 +1,7 @@
 """Coordinate transforms, projection, and rotation conversions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,30 @@ def test_principal_point_maps_to_ics_origin(intrinsics):
 def test_pixel_to_image_hand_value(intrinsics):
     # dx*(720-320) = 1.25e-3 * 400 = 0.5 cm
     assert np.allclose(pixel_to_image([720.0, 240.0], intrinsics), [0.5, 0.0])
+
+
+@pytest.mark.parametrize("shape", ["tuple", "list", "points", "blocks", "ints", "float32"])
+def test_pixel_to_image_matches_pair_broadcast(intrinsics, shape):
+    # Per axis, bit for bit as the pair broadcast over the last axis, NaN, inf
+    # and signed zeros included.
+    k = intrinsics
+    rng = np.random.default_rng(5)
+    p = rng.uniform(-100, 740, size=(3, 50, 2))
+    p[0, :4] = [[np.nan, 1.0], [np.inf, -np.inf], [k.u0, k.v0], [-0.0, 0.0]]
+    p = {"tuple": (p[1, 0, 0], p[1, 0, 1]), "list": p[1].tolist(), "points": p[0],
+         "blocks": p, "ints": [[720, 240], [0, 480]], "float32": p.astype(np.float32)}[shape]
+    got = pixel_to_image(p, k)
+    expected = np.multiply(np.subtract(p, (k.u0, k.v0), dtype=float), (k.dx, k.dy))
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_pixel_to_image_overflow_is_inf_without_warning():
+    k = CameraIntrinsics(f=0.4, dx=4.0, dy=4.0, u0=320.0, v0=240.0, width=640, height=480)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pixel_to_image([[1e308, -1e308], [320.0, 1e308]], k)
+    assert got.tolist() == [[math.inf, -math.inf], [0.0, math.inf]]
 
 
 def test_image_to_pixel_hand_values(intrinsics):

@@ -178,6 +178,25 @@ def test_runner_is_deterministic():
     assert (a.solver_tag == b.solver_tag).all()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 1])
+def test_generators_match_default_rng(seed):
+    indices = [0, 1023, 2**32]
+    for rng, index in zip(harness._generators(seed, indices), indices, strict=True):
+        assert rng.bit_generator.state == np.random.default_rng([seed, index]).bit_generator.state
+
+
+def test_seed_beyond_32_bits_writes_default_rng_records(monkeypatch, tmp_path):
+    # A two-word seed: the records of the runner's generators and of one
+    # `default_rng([seed, index])` per sample are the same bytes.
+    argv = ["run", "--samples", "30", "--seed", "4294967301", "--algorithms", "VPA,OAVPA"]
+    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 0
+    monkeypatch.setattr(harness, "_generators", lambda seed, indices: [
+        np.random.default_rng([seed, index]) for index in indices])
+    assert cli.main(argv + ["--out", str(tmp_path / "reference")]) == 0
+    assert ((tmp_path / "run" / "records.csv").read_bytes()
+            == (tmp_path / "reference" / "records.csv").read_bytes())
+
+
 def rows(records):
     """Records as records.csv writes them, plus the sampler's attempt count."""
     attempts = np.repeat(records.attempts, len(records.algorithms)).tolist()

@@ -23,6 +23,7 @@ from arcpose.frames import (
     Pose,
     _wrap_angle,
     pixel_to_image,
+    rotations_from_angles,
 )
 from arcpose.sim import (
     ARC_MODES,
@@ -43,7 +44,14 @@ from arcpose.harness import ExperimentConfig
 from arcpose.solver import LuminaireInfo
 
 from conftest import capture_like_run, make_pose
-from oracles import image_to_pixel, project_to_image, rank_pair, rotation_scalar, world_to_camera
+from oracles import (
+    classify_rows,
+    image_to_pixel,
+    project_to_image,
+    rank_pair,
+    rotation_scalar,
+    world_to_camera,
+)
 
 
 @pytest.fixture
@@ -160,6 +168,39 @@ def test_sample_pose_require_complete(scene, k):
     _, _, complete, _ = classify(*draw_poses(scene, k, rngs, complete=True), k,
                                  luminaire_points(scene.luminaires, 360))
     assert (complete.sum(axis=1) >= 2).all()
+
+
+def test_classify_matches_row_by_row_oracle(scene, k):
+    # Tilts up to 80 degrees, with half the cameras within 30 cm of a wall
+    # and half just under a luminaire, put luminaires across the image edge
+    # and wholly or partly behind the camera. Every output must equal the
+    # per-row oracle's bit for bit, NaN payloads and sign bits included.
+    rng = np.random.default_rng(21)
+    points = luminaire_points(scene.luminaires, 360)
+    room = np.array(scene.room)
+    tilt = math.radians(80.0)
+    counts = np.zeros(3, dtype=int)
+    for _ in range(60):
+        rotations = rotations_from_angles(
+            *rng.uniform(-1, 1, size=(3, 24)) * [[tilt], [tilt], [math.pi]])
+        wall = rng.uniform([0, 0, 0.5], [*room[:2], 2.0], size=(12, 3))
+        side, gap = rng.integers(2, size=12), rng.uniform(0, 0.3, size=12)  # x or y wall
+        wall[np.arange(12), side] = np.where(rng.integers(2, size=12), room[side] - gap, gap)
+        under = (points[1][rng.integers(len(scene.luminaires), size=12), :, 0]
+                 + rng.uniform([-0.3, -0.3, -0.3], [0.3, 0.3, -0.05], size=(12, 3)))
+        translations = np.concatenate([wall, under])
+        got = classify(rotations, translations, k, points)
+        for a, b in zip(got, classify_rows(rotations, translations, k, points)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        # Projected rows kept whole (one contiguous sum), cut at the image
+        # edge (a masked sum), and partly behind the camera.
+        shown = ~sim.visibility_bounds(rotations, translations, k, points)[1]
+        pixels = got[0][shown]
+        inside = _in_bounds(pixels, k)
+        whole = (inside & np.roll(inside, -1, axis=1)).all(axis=1)
+        counts += [whole.sum(), (~whole).sum(), np.isnan(pixels).any(axis=(1, 2)).sum()]
+    assert (counts > 0).all()
 
 
 def test_sample_pose_empty_scene(k):
