@@ -12,7 +12,7 @@ Unit convention: world and camera points are in meters; intrinsics (focal
 length, pixel pitch) and image-plane coordinates are in cm, matching typical
 sensor data sheets. The two never need an explicit conversion factor because
 projection only uses the dimensionless ratio x/z:  x_img[cm] = f[cm] * x/z.
-The projection itself runs batched in `sim._project`.
+`camera_to_pixel` is the one pinhole map from camera points to pixels.
 
 Rotation convention: the camera pose R maps CCS to WCS, P_w = R @ P_c + t.
 Euler angles (phi, theta, psi) rotate about the fixed x, y, z axes in that
@@ -122,7 +122,7 @@ def _wrap_angle(a: float) -> float:
     return math.pi if a <= -math.pi else a
 
 
-# --- PCS -> ICS ----------------------------------------------------------------
+# --- PCS <-> ICS, CCS -> PCS ----------------------------------------------------
 
 def pixel_to_image(p, k: CameraIntrinsics) -> np.ndarray:
     """Pixel (u, v) to image-plane (x, y) in cm: x = dx*(u-u0), y = dy*(v-v0).
@@ -138,6 +138,13 @@ def pixel_to_image(p, k: CameraIntrinsics) -> np.ndarray:
             np.subtract(p[..., i], origin, out=out[..., i])
             out[..., i] *= size
     return out
+
+
+def camera_to_pixel(cam, z, k: CameraIntrinsics):
+    """Pixel coordinates u, v (...) of camera points cam (..., 3) at depths z
+    (...): u = (f x / z) / dx + u0 and v = (f y / z) / dy + v0, the inverse
+    of `pixel_to_image` on the image plane z = f."""
+    return (k.f * cam[..., 0] / z) / k.dx + k.u0, (k.f * cam[..., 1] / z) / k.dy + k.v0
 
 
 # --- Euler angles / quaternions -------------------------------------------------

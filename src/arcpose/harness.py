@@ -51,12 +51,7 @@ from .sim import (
     scene_from_dict,
     scene_to_dict,
 )
-from .solver import (
-    LuminaireInfo,
-    pair_inputs,
-    pnp_solve,
-    solve_pairs,
-)
+from .solver import LuminaireInfo, pnp_solve, solve_pairs
 
 ALGORITHMS = ("VPA", "VPCA", "OAVPA", "PNP")
 CONFIG_SCHEMA_VERSION = 1
@@ -127,6 +122,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("samples", "images_per_location", "contour_samples", "seed"):
+            if type(getattr(self, name)) is not int:  # a bool is an int too
+                raise InvalidConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.samples < 1:
             raise InvalidConfigError(f"samples must be >= 1, got {self.samples}")
         if self.images_per_location < 1:
@@ -139,8 +137,10 @@ class ExperimentConfig:
             raise InvalidConfigError("contour_samples must be >= 8")
         if not 0 < self.arc_fraction <= 1:
             raise InvalidConfigError("arc_fraction must lie in (0, 1]")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise InvalidConfigError(f"seed must be a non-negative int, got {self.seed}")
+        if isinstance(self.algorithms, str):
+            raise InvalidConfigError(f"algorithms must be a tuple, got {self.algorithms!r}")
         algorithms = tuple(self.algorithms)
         if not algorithms:
             raise InvalidConfigError("algorithms must not be empty")
@@ -303,16 +303,6 @@ def _error_names(rows) -> np.ndarray:
     return np.array([cls.__name__ for cls, _ in rows.CHECKS] + [""], dtype=object)[rows.failure]
 
 
-def _generators(seed: int, indices) -> list:
-    """`np.random.default_rng([seed, index])` per index at half the cost: the
-    list's little-endian 32-bit words as the uint32 array `SeedSequence` keeps."""
-    def words(value):
-        return [value >> s & 0xFFFFFFFF for s in range(0, max(value.bit_length(), 1), 32)]
-    head = words(seed)
-    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        np.array(head + words(index), dtype=np.uint32)))) for index in indices]
-
-
 def run_monte_carlo(cfg: ExperimentConfig) -> Records:
     """Run the configured experiment; one record per sample per algorithm.
 
@@ -350,7 +340,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> Records:
 
     for start in range(0, cfg.samples, GROUP):
         stop = min(start + GROUP, cfg.samples)
-        rngs = _generators(cfg.seed, range(start, stop))
+        rngs = [np.random.default_rng([cfg.seed, index]) for index in range(start, stop)]
         drawn = sample_poses(scene, rngs, k, points, complete)
         truth_r[start:stop], truth_t[start:stop], attempts[start:stop] = drawn
         # Per algorithm, per block: the sample index of each kernel row and
@@ -377,8 +367,8 @@ def run_monte_carlo(cfg: ExperimentConfig) -> Records:
                     if alg == "VPCA":
                         error[first + ok[~vpca], slot] = NoCompleteCaptureError.__name__
                         rows, both, vpca = ok[vpca], both[vpca], vpca[vpca]
-                    inputs = pair_inputs(cap.coefficients[both], cap.landmarks[both[:, 0]],
-                                         (centers[lum[both]], radii[lum[both]]), k, vpca)
+                    inputs = dict(coeffs=cap.coefficients[both], vpca=vpca, radius=radii[lum[both]],
+                                  landmarks=cap.landmarks[both[:, 0]], centers=centers[lum[both]])
                 parts[slot].append((first + rows, inputs))
             # The block's capture goes before the next block is captured.
             del cap
@@ -387,7 +377,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> Records:
             index = np.concatenate([rows for rows, _ in parts[slot]])
             args = {key: np.concatenate([inputs[key] for _, inputs in parts[slot]])
                     for key in parts[slot][0][1]}
-            sol = pnp_solve(**args, k=k) if alg == "PNP" else solve_pairs(**args, f=k.f)
+            sol = (pnp_solve if alg == "PNP" else solve_pairs)(**args, k=k)
             # The solved rows pass the `Pose` guard and are scored at once.
             solved = sol.failure < 0
             check_rotations(sol.rotation[solved])

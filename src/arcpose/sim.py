@@ -33,6 +33,7 @@ from .errors import (
 from .frames import (
     CameraIntrinsics,
     _wrap_angle,
+    camera_to_pixel,
     pixel_to_image,
     rotations_from_angles,
 )
@@ -134,9 +135,7 @@ def _project(points, rotation, translation, k: CameraIntrinsics):
     cam = diff.swapaxes(-1, -2) @ rotation
     z = cam[..., 2]
     with np.errstate(invalid="ignore", divide="ignore"):
-        u = (k.f * cam[..., 0] / z) / k.dx + k.u0
-        v = (k.f * cam[..., 1] / z) / k.dy + k.v0
-    return z, u, v
+        return (z, *camera_to_pixel(cam, z, k))
 
 
 def _project_points_pixel(points, rotation, translation, k: CameraIntrinsics):

@@ -15,8 +15,7 @@ problems at once:
 
 The Monte Carlo harness runs a whole experiment through both. One frame
 takes the same path: `solve_vpa` picks the pair of an `Observations` record
-with `pair_rows`, builds its row with `pair_inputs` and makes one
-`solve_pairs` call.
+with `pair_rows` and makes one `solve_pairs` call on it.
 
 World knowledge (luminaire centers, radii, mark orientation) arrives with the
 observation ids, the way an optical broadcast channel would deliver it.
@@ -60,6 +59,7 @@ from .frames import (
     _freeze,
     _wrap_angle,
     angles_from_rotation,
+    camera_to_pixel,
     pixel_to_image,
 )
 
@@ -298,18 +298,19 @@ class PairSolutions(_KernelRows):
     failure: np.ndarray
 
 
-def solve_pairs(coeffs, points, centers, marks, radius, vpca, f: float) -> PairSolutions:
+def solve_pairs(coeffs, landmarks, centers, radius, vpca, k: CameraIntrinsics) -> PairSolutions:
     """Camera poses of N luminaire pairs in one pass of array operations.
 
     Row i solves the circle-and-arc problem (VPCA) when `vpca[i]`, else the
-    arcs-only problem (OAVPA). Inputs, per row:
+    arcs-only problem (OAVPA). Inputs, per row, as a `Capture` or an
+    `Observations` record holds them:
 
     * coeffs (N, 2, 5): ellipse coefficients (a, b, c, d, e) of the first
       and second observation;
-    * points (N, 2, 2): image-plane center and mark (cm) of the first
-      observation, read on VPCA rows only;
-    * centers (N, 2, 3): world centers of both luminaires; marks (N, 3):
-      world mark of the first; radius (N, 2): both radii.
+    * landmarks (N, 2, 2): center and mark pixels of the first observation,
+      read on VPCA rows only;
+    * centers (N, 2, 3), radius (N, 2): world centers and radii of both
+      luminaires; the first one's mark is built as `LuminaireInfo.mark_w` is.
 
     Both cones are decomposed and the second only resolves which candidate
     normal is the real one. VPCA lifts the first luminaire's center and mark
@@ -322,32 +323,34 @@ def solve_pairs(coeffs, points, centers, marks, radius, vpca, f: float) -> PairS
     n = len(vpca)
     coeffs = np.asarray(coeffs, dtype=float).reshape(2 * n, 5)
     centers = np.asarray(centers, dtype=float)
+    radius = np.asarray(radius, dtype=float)
     with np.errstate(all="ignore"):
         # Observations are rows 2i and 2i + 1. A cone matrix that is not
         # finite (coefficients that are not, or entries that overflow) becomes
         # diag(0, 0, 1), which is no cone, so eigh never sees a NaN.
-        q = cone_matrices(coeffs, f)
+        q = cone_matrices(coeffs, k.f)
         q[~np.isfinite(q).all(axis=(1, 2))] = np.diag([0.0, 0.0, 1.0])
         lambdas, r_a_c, _, not_cone = decompose_cones(q)
         slopes, normals = section_normals(lambdas, r_a_c)
         pick, gap, ambiguous = disambiguate(normals.reshape(n, 2, 2, 3))
         pick = pick.ravel()
         obs = np.arange(2 * n)
-        k = slopes[obs, pick]
-        b_led, parallel = plane_intercepts(lambdas, k, np.asarray(radius, float).ravel())
+        chosen = slopes[obs, pick]
+        b_led, parallel = plane_intercepts(lambdas, chosen, radius.ravel())
 
         # The observation whose plane each lifted point lies on: VPCA lifts
         # the first luminaire's center and mark, OAVPA both ellipse centers.
         on = obs - np.where(vpca, 1, 0).repeat(2) * (obs % 2)
         ellipse_xy, no_center = ellipse_centers(coeffs)
-        xy = np.where(vpca[:, None, None], points, ellipse_xy.reshape(n, 2, 2))
+        xy = np.where(vpca[:, None, None], pixel_to_image(landmarks, k),
+                      ellipse_xy.reshape(n, 2, 2))
         no_center = no_center.reshape(n, 2) & ~vpca[:, None]
         lifted, along, behind = lift_to_planes(
-            xy.reshape(2 * n, 2), k[on], b_led[on], r_a_c[on], f
+            xy.reshape(2 * n, 2), chosen[on], b_led[on], r_a_c[on], k.f
         )
 
         phi, theta, gimbal = tilt(normals[obs[::2], pick[::2]])
-        second = np.where(vpca[:, None], marks, centers[:, 1])
+        second = np.where(vpca[:, None], centers[:, 0] + radius[:, :1] * _PLUS_Y, centers[:, 1])
         g = np.where(vpca[:, None], _PLUS_Y, _unit(centers[:, 1] - centers[:, 0]))
         lifted = lifted.reshape(n, 2, 3)
         cos_sin, norm, residual = heading(g, _unit(lifted[:, 1] - lifted[:, 0]),
@@ -368,7 +371,7 @@ def solve_pairs(coeffs, points, centers, marks, radius, vpca, f: float) -> PairS
             ]),
         ])
     return PairSolutions(
-        rotation=rotation, translation=t, gap=gap, chosen_k=k.reshape(n, 2),
+        rotation=rotation, translation=t, gap=gap, chosen_k=chosen.reshape(n, 2),
         psi_residual=np.where(vpca, residual, np.nan),
         failure=np.where(checks.any(axis=0), checks.argmax(axis=0), -1),
     )
@@ -393,23 +396,6 @@ def pair_rows(lengths, ids, complete, prefer_complete: bool) -> list[tuple[int, 
     return pairs
 
 
-def pair_inputs(coeffs, landmarks, luminaires, k: CameraIntrinsics, vpca) -> dict:
-    """The `solve_pairs` inputs (all but `f`) of S luminaire pairs: both
-    observations' ellipse coefficients (S, 2, 5), the first one's center and
-    mark pixels (S, 2, 2), read on the rows where `vpca` (S,), and
-    `luminaires`, the world centers (S, 2, 3) and radii (S, 2) of each
-    pair's two luminaires. The first one's mark is built as
-    `LuminaireInfo.mark_w` is."""
-    vpca = np.asarray(vpca, dtype=bool)
-    centers, radius = (np.asarray(a, dtype=float) for a in luminaires)
-    return dict(
-        coeffs=np.asarray(coeffs, dtype=float),
-        points=np.where(vpca[:, None, None], pixel_to_image(landmarks, k), np.nan),
-        centers=centers, marks=centers[:, 0] + radius[:, :1] * _PLUS_Y, radius=radius,
-        vpca=vpca,
-    )
-
-
 def solve_vpa(observations: Observations, luminaires: Mapping[str, LuminaireInfo],
               k: CameraIntrinsics) -> PoseEstimate:
     """The pose of one frame: circle-and-arc when the pair that `pair_rows`
@@ -429,9 +415,8 @@ def solve_vpa(observations: Observations, luminaires: Mapping[str, LuminaireInfo
             raise UnknownLuminaireError(f"luminaire id {lum_id!r} not in scene")
         pair.append(luminaires[lum_id])
     vpca = bool(obs.complete[both[0]])
-    sol = solve_pairs(**pair_inputs(
-        obs.coefficients[both][None], obs.landmarks[both[:1]],
-        ([[lum.center_w for lum in pair]], [[lum.radius for lum in pair]]), k, [vpca]), f=k.f)
+    sol = solve_pairs(obs.coefficients[both][None], obs.landmarks[both[:1]],
+                      [[lum.center_w for lum in pair]], [[lum.radius for lum in pair]], [vpca], k)
     error = sol.error(0)
     if error is not None:
         raise error
@@ -504,9 +489,7 @@ def _camera_frame(x, world):
 
 def _reprojection(cam, pixels, k: CameraIntrinsics) -> np.ndarray:
     """`pnp_residuals` from the camera coordinates of the world points."""
-    z = np.maximum(cam[..., 2], 1e-6)  # keep residuals finite behind the camera
-    u = (k.f * cam[..., 0] / z) / k.dx + k.u0
-    v = (k.f * cam[..., 1] / z) / k.dy + k.v0
+    u, v = camera_to_pixel(cam, np.maximum(cam[..., 2], 1e-6), k)  # finite behind the camera
     return np.concatenate([u - pixels[..., 0], v - pixels[..., 1]], axis=-1)
 
 
@@ -578,8 +561,7 @@ def _homography_inits(pixels, centroid, centered, svals, vt, k: CameraIntrinsics
     ex, ey = vt[:, 0], vt[:, 1]
     sx = _matmul(centered, ex[:, :, None])[..., 0]
     sy = _matmul(centered, ey[:, :, None])[..., 0]
-    mx = (pixels[..., 0] - k.u0) * k.dx / k.f
-    my = (pixels[..., 1] - k.v0) * k.dy / k.f
+    mx, my = np.moveaxis(pixel_to_image(pixels, k) / k.f, -1, 0)
     zero, one = np.zeros_like(sx), np.ones_like(sx)
     dlt = np.stack([
         np.stack([sx, sy, one, zero, zero, zero, -mx * sx, -mx * sy, -mx], axis=-1),

@@ -129,6 +129,23 @@ def test_config_validation():
         ExperimentConfig(scenario="bogus")
 
 
+@pytest.mark.parametrize("name,value", [
+    ("samples", 2.5), ("samples", True), ("images_per_location", 20.0),
+    ("contour_samples", 8.5), ("contour_samples", False), ("seed", True), ("seed", 1.0),
+])
+def test_config_refuses_a_count_that_is_no_int_by_name(name, value):
+    # A float count would fail deep in the runner, or run a ring of unevenly
+    # spaced points; a bool is no count even though Python counts it an int.
+    with pytest.raises(InvalidConfigError, match=f"{name} must be an int, got {value!r}"):
+        ExperimentConfig(**{name: value})
+
+
+def test_config_refuses_a_bare_algorithm_string():
+    # A string is a sequence of letters: "VPA" would read as 'V', 'P', 'A'.
+    with pytest.raises(InvalidConfigError, match="algorithms must be a tuple, got 'VPA'"):
+        ExperimentConfig(algorithms="VPA")
+
+
 def test_config_scenario_parsing():
     assert ExperimentConfig(scenario="complete+semicircle").scenario == (
         "complete", "semicircle",
@@ -178,23 +195,14 @@ def test_runner_is_deterministic():
     assert (a.solver_tag == b.solver_tag).all()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 1])
-def test_generators_match_default_rng(seed):
-    indices = [0, 1023, 2**32]
-    for rng, index in zip(harness._generators(seed, indices), indices, strict=True):
-        assert rng.bit_generator.state == np.random.default_rng([seed, index]).bit_generator.state
-
-
-def test_seed_beyond_32_bits_writes_default_rng_records(monkeypatch, tmp_path):
-    # A two-word seed: the records of the runner's generators and of one
-    # `default_rng([seed, index])` per sample are the same bytes.
-    argv = ["run", "--samples", "30", "--seed", "4294967301", "--algorithms", "VPA,OAVPA"]
-    assert cli.main(argv + ["--out", str(tmp_path / "run")]) == 0
-    monkeypatch.setattr(harness, "_generators", lambda seed, indices: [
-        np.random.default_rng([seed, index]) for index in indices])
-    assert cli.main(argv + ["--out", str(tmp_path / "reference")]) == 0
+def test_seed_beyond_64_bits_completes_and_repeats(tmp_path):
+    # Seed 2**64 + 1 takes three 32-bit words in each sample's
+    # `default_rng([seed, index])`; two runs write the same bytes.
+    argv = ["run", "--samples", "30", "--seed", str(2**64 + 1), "--algorithms", "VPA,OAVPA"]
+    for out in ("run", "again"):
+        assert cli.main(argv + ["--out", str(tmp_path / out)]) == 0
     assert ((tmp_path / "run" / "records.csv").read_bytes()
-            == (tmp_path / "reference" / "records.csv").read_bytes())
+            == (tmp_path / "again" / "records.csv").read_bytes())
 
 
 def rows(records):
@@ -312,7 +320,7 @@ def reference_records(cfg):
             results["VPA"] = e_loc_scalar(translations[0], translation)
         except (ArcPoseError, ValueError) as exc:
             results["VPA"] = type(exc).__name__
-        sol = solve_pairs(**one_row(obs, 0, 1, False, scene.luminaire_map(), k), f=k.f)
+        sol = solve_pairs(**one_row(obs, 0, 1, False, scene.luminaire_map()), k=k)
         results["OAVPA"] = (type(sol.error(0)).__name__ if sol.error(0)
                             else e_loc_scalar(translations[0], sol.translation[0]))
         out.append((None, tuple(obs.luminaire[[first, second]].tolist()), results))

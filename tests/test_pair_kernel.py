@@ -23,7 +23,7 @@ from arcpose.errors import (
 )
 from arcpose.harness import ExperimentConfig
 from arcpose.sim import luminaire_points, sample_poses
-from arcpose.solver import pair_inputs, solve_pairs
+from arcpose.solver import solve_pairs
 
 from oracles import capture_sample, rot_x, rot_y, rot_z
 
@@ -50,14 +50,14 @@ def captured_pairs(scenario, samples=40, seed=3):
     return pairs, scene.luminaire_map(), cfg.intrinsics
 
 
-def one_row(obs, first, second, vpca, lums, k):
-    """The `pair_inputs` of rows `first` and `second` of an `Observations`
-    record, solved as VPCA when `vpca`, as a batch of one."""
+def one_row(obs, first, second, vpca, lums):
+    """The `solve_pairs` inputs (all but `k`) of rows `first` and `second` of
+    an `Observations` record, solved as VPCA when `vpca`, as a batch of one."""
     both = [first, second]
     pair = [lums[lum_id] for lum_id in obs.luminaire[both].tolist()]
-    return pair_inputs(obs.coefficients[both][None], obs.landmarks[[first]],
-                       ([[lum.center_w for lum in pair]], [[lum.radius for lum in pair]]),
-                       k, [vpca])
+    return dict(coeffs=obs.coefficients[both][None], landmarks=obs.landmarks[[first]],
+                centers=np.array([[lum.center_w for lum in pair]]),
+                radius=np.array([[lum.radius for lum in pair]]), vpca=np.array([vpca]))
 
 
 def stack(rows):
@@ -73,16 +73,16 @@ def assert_row_equal(batch, row, one):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_one_batch_equals_batches_of_one(scenario):
     pairs, lums, k = captured_pairs(scenario)
-    rows = [one_row(*pair, lums, k) for pair in pairs]
-    batch = solve_pairs(**stack(rows), f=k.f)
+    rows = [one_row(*pair, lums) for pair in pairs]
+    batch = solve_pairs(**stack(rows), k=k)
     assert (batch.failure < 0).mean() > 0.9
     for i, row in enumerate(rows):
-        assert_row_equal(batch, i, solve_pairs(**row, f=k.f))
+        assert_row_equal(batch, i, solve_pairs(**row, k=k))
 
 
 def test_failed_rows_are_isolated():
     pairs, lums, k = captured_pairs("mixed", samples=12)
-    rows = [one_row(*pair, lums, k) for pair in pairs]
+    rows = [one_row(*pair, lums) for pair in pairs]
     vpca_row = next(r for r in rows if r["vpca"][0])
     oavpa_row = next(r for r in rows if not r["vpca"][0])
 
@@ -108,13 +108,14 @@ def test_failed_rows_are_isolated():
         (variant(vpca_row, coeffs=twin), AmbiguousDisambiguationError),
         (variant(oavpa_row, centers=vertical), DegenerateDirectionError),
     ]
-    # A mark far out along the image x-axis: on one side its ray meets the
-    # tilted luminaire plane behind the camera.
+    # A mark far out along the image x-axis (1e4 cm from the principal
+    # point): on one side its ray meets the tilted luminaire plane behind
+    # the camera.
     for sign in (1.0, -1.0):
-        points = np.array(vpca_row["points"], float)
-        points[0, 1] = [sign * 1e4, 0.0]
-        row = variant(vpca_row, points=points)
-        if isinstance(solve_pairs(**row, f=k.f).error(0), BehindCameraError):
+        landmarks = np.array(vpca_row["landmarks"], float)
+        landmarks[0, 1] = [k.u0 + sign * 1e4 / k.dx, k.v0]
+        row = variant(vpca_row, landmarks=landmarks)
+        if isinstance(solve_pairs(**row, k=k).error(0), BehindCameraError):
             bad.append((row, BehindCameraError))
             break
     assert len(bad) == 5
@@ -125,9 +126,9 @@ def test_failed_rows_are_isolated():
     ]
 
     mixed = rows[:8] + [row for row, _ in bad] + rows[8:]
-    batch = solve_pairs(**stack(mixed), f=k.f)
+    batch = solve_pairs(**stack(mixed), k=k)
     for i, row in enumerate(mixed):
-        one = solve_pairs(**row, f=k.f)
+        one = solve_pairs(**row, k=k)
         assert_row_equal(batch, i, one)
         if 8 <= i < 8 + len(bad):
             expected = bad[i - 8][1]
@@ -135,6 +136,25 @@ def test_failed_rows_are_isolated():
             assert isinstance(one.error(0), expected)
         else:
             assert batch.error(i) is None
+
+
+def test_arcs_only_rows_do_not_read_landmarks():
+    # An arcs-only row gives the same bits whatever its landmarks hold, NaN
+    # or finite; a VPCA row lifts its landmarks, so moving them moves its pose.
+    pairs, lums, k = captured_pairs("complete+semicircle", samples=12)
+    rows = stack([one_row(*pair, lums) for pair in pairs])
+    arcs = ~rows["vpca"]
+    assert arcs.any() and not arcs.all() and np.isfinite(rows["landmarks"][arcs]).all()
+    base = solve_pairs(**rows, k=k)
+    moved = rows["landmarks"] + [[[3.0, -2.0]]]
+    for landmarks in (np.where(arcs[:, None, None], np.nan, rows["landmarks"]), moved):
+        sol = solve_pairs(**{**rows, "landmarks": landmarks}, k=k)
+        for name in FIELDS:
+            assert np.array_equal(getattr(sol, name)[arcs], getattr(base, name)[arcs],
+                                  equal_nan=True), name
+    solved = ~arcs & (base.failure < 0)
+    assert solved.any()
+    assert (np.abs(sol.translation - base.translation).max(axis=1)[solved] > 1e-6).all()
 
 
 # --- the scalar chain the kernel replaced, kept here as its reference ----------
@@ -196,8 +216,9 @@ def ref_heading(g, h, phi, theta):
     return math.atan2(cs[1], cs[0]), float(np.linalg.norm(a @ cs - (h - c)))
 
 
-def ref_solve(row, f):
-    """Pose (R, t) of one `pair_inputs` row by the scalar chain."""
+def ref_solve(row, k):
+    """Pose (R, t) of one `one_row` row by the scalar chain."""
+    f = k.f
     vpca = bool(row["vpca"][0])
     coeffs, centers = np.asarray(row["coeffs"])[0], np.asarray(row["centers"])[0]
     radius = np.asarray(row["radius"])[0]
@@ -210,9 +231,9 @@ def ref_solve(row, f):
             and np.linalg.norm(cand_b[j][1] - cand_b[sj][1]) <= 1e-6):
         raise AmbiguousDisambiguationError
     if vpca:
-        pts = np.asarray(row["points"])[0]
+        pts = [((u - k.u0) * k.dx, (v - k.v0) * k.dy) for u, v in row["landmarks"][0]]
         lifted = [ref_lift(p, lam_a, r_a, cand_a[i][0], radius[0], f) for p in pts]
-        world = [centers[0], np.asarray(row["marks"])[0]]
+        world = [centers[0], centers[0] + [0.0, radius[0], 0.0]]
     else:
         lifted = []
         for (lam, r, cand, pick), e, rad in zip(
@@ -244,11 +265,11 @@ def ref_solve(row, f):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_kernel_matches_scalar_reference(scenario):
     pairs, lums, k = captured_pairs(scenario, samples=25, seed=11)
-    rows = [one_row(*pair, lums, k) for pair in pairs]
-    sol = solve_pairs(**stack(rows), f=k.f)
+    rows = [one_row(*pair, lums) for pair in pairs]
+    sol = solve_pairs(**stack(rows), k=k)
     for i, row in enumerate(rows):
         try:
-            rot, t = ref_solve(row, k.f)
+            rot, t = ref_solve(row, k)
         except Exception as exc:  # the reference raises the class alone
             assert type(sol.error(i)) is type(exc)
             continue
