@@ -125,6 +125,12 @@ class ExperimentConfig:
         for name in ("samples", "images_per_location", "contour_samples", "seed"):
             if type(getattr(self, name)) is not int:  # a bool is an int too
                 raise InvalidConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in ("sigma", "radius", "arc_fraction"):
+            value = getattr(self, name)
+            if value is None and name == "radius":  # the scene's own radii
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidConfigError(f"{name} must be a number, got {value!r}")
         if self.samples < 1:
             raise InvalidConfigError(f"samples must be >= 1, got {self.samples}")
         if self.images_per_location < 1:
@@ -415,7 +421,7 @@ def summarize(e_loc) -> SummaryStats:
         mean=float(errors.mean()),
         std_err=std_err,
         median=float(np.median(errors)),
-        percentiles={p: float(np.percentile(errors, p)) for p in PERCENTILES},
+        percentiles=dict(zip(PERCENTILES, np.percentile(errors, PERCENTILES).tolist())),
         cdf_fraction=(errors[None, :] <= DEFAULT_CDF_GRID[:, None]).mean(axis=1),
     )
 

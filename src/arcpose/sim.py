@@ -65,9 +65,10 @@ BOUND_MARGIN = 1e-9
 SOLO_AFTER = 64
 
 # Straddling luminaires whose contours one `_inside` call of a sampler round
-# projects. A first round over 1008 poses has some 230 of them; in pieces of
-# 48 the projection's temporaries (about 26 KB a 360-point contour) stay
-# near 1.2 MB however many generators `sample_poses` runs.
+# projects. A first round over 1008 poses has some 210 of them, about 100 on
+# the candidates the bounds leave open; in pieces of 48 the projection's
+# temporaries (about 26 KB a 360-point contour) stay near 1.2 MB however
+# many generators `sample_poses` runs.
 STRADDLE_PIECE = 48
 
 
@@ -208,31 +209,39 @@ def classify(rotations, translations, k: CameraIntrinsics, points):
     the image) and visible contour length (P, L). A luminaire that
     `visibility_bounds` puts wholly outside the image is not projected: its
     contour pixels stay NaN and its length is 0. The others are projected
-    and classified one luminaire at a time, which keeps the temporaries to P
-    contours: one gathered call over the whole block allocates megabytes,
-    whose fresh pages cost every block hundreds of page faults. Lengths come
-    from the contiguous u and v; only a cut contour is summed by mask."""
+    one luminaire at a time, which keeps the temporaries to P contours: one
+    gathered call over the whole block allocates megabytes, whose fresh
+    pages cost every block hundreds of page faults. A luminaire that the
+    bounds put wholly inside keeps the completeness of its center and mark
+    and the contiguous sum of its segment lengths; only the rows that
+    straddle the image edge are tested point by point, in one gather after
+    the loop, and a cut contour summed by mask."""
     rings, marks, _ = points
-    shown = ~visibility_bounds(rotations, translations, k, points)[1]
+    inview, outside = visibility_bounds(rotations, translations, k, points)
     pixels = np.full((len(rotations), len(rings), rings.shape[2], 2), np.nan)
     gm = _project_points_pixel(marks, rotations[:, None], translations[:, None], k)
-    complete = _in_bounds(gm, k).all(axis=2) & shown
+    complete = _in_bounds(gm, k).all(axis=2) & ~outside
     lengths = np.zeros(complete.shape)
     for i, ring in enumerate(rings):
-        p = np.flatnonzero(shown[:, i])
+        p = np.flatnonzero(~outside[:, i])
         z, u, v = _project(ring, rotations[p], translations[p], k)
         behind = ~(z > 0)
         u[behind] = v[behind] = np.nan
         pixels[p, i, :, 0], pixels[p, i, :, 1] = u, v
-        inside = _within(u, v, k)
-        complete[p, i] &= inside.all(axis=1)
         # Segment lengths to the next contour point, wrapping around.
         du, dv = np.roll(u, -1, axis=1) - u, np.roll(v, -1, axis=1) - v
-        seg = np.sqrt(du * du + dv * dv)
-        both = inside & np.roll(inside, -1, axis=1)
-        whole = both.all(axis=1)  # a row that `row[kept].sum()` would copy whole
-        lengths[p[whole], i] = seg[whole].sum(axis=1)
-        lengths[p[~whole], i] = [row[kept].sum() for row, kept in zip(seg[~whole], both[~whole])]
+        lengths[p, i] = np.sqrt(du * du + dv * dv).sum(axis=1)
+    # The rows the bounds leave undecided are tested point by point, and
+    # their cut contours summed by mask.
+    cut = np.nonzero(~(inview | outside))
+    px = pixels[cut]
+    inside = _in_bounds(px, k)
+    complete[cut] &= inside.all(axis=1)
+    both = inside & np.roll(inside, -1, axis=1)
+    part = ~both.all(axis=1)
+    du, dv = np.moveaxis(np.roll(px[part], -1, axis=1) - px[part], -1, 0)
+    seg = np.sqrt(du * du + dv * dv)
+    lengths[cut[0][part], cut[1][part]] = [row[kept].sum() for row, kept in zip(seg, both[part])]
     return pixels, gm, complete, lengths
 
 
@@ -255,14 +264,19 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points, complete: bool
     `rotations_from_angles` call and tests them together, so the rounds
     number about the slowest generator's candidates whatever P is.
     `visibility_bounds` gives a luminaire wholly inside the image fraction
-    1.0 and one wholly outside it 0; only the luminaires that straddle the
-    image edge are projected, `STRADDLE_PIECE` of the round's at a time.
-    Those fractions then meet the same `MIN_FRACTION` (or `complete`) test
-    as projected ones, so a fraction of 1.0 is not shown when
-    `MIN_FRACTION` exceeds 1. Each generator draws only its own candidates,
-    so it ends where drawing its poses one at a time would leave it. Raises
-    SamplingExhaustedError when a pose is still rejected after
-    `MAX_ATTEMPTS` candidates.
+    1.0, with its center and mark inside too (the five half-space tests are
+    linear, so the disc meets them wherever its ring does), and one wholly
+    outside it 0. Those fractions meet the same `MIN_FRACTION` (or
+    `complete`) test as projected ones, so a fraction of 1.0 is not shown
+    when `MIN_FRACTION` exceeds 1. A candidate is decided on them alone
+    when it shows two luminaires with every straddler at fraction 0, or
+    fewer than two with every straddler at 1. Only the candidates still
+    open project their straddling rings, `STRADDLE_PIECE` of the round's at
+    a time; with `complete`, a straddler that shows every contour point
+    then projects its center and mark. Each generator draws only its own
+    candidates, so it ends where drawing its poses one at a time would
+    leave it. Raises SamplingExhaustedError when a pose is still rejected
+    after `MAX_ATTEMPTS` candidates.
     """
     length, width, _ = scene.room
     low, high = HEIGHT_RANGE
@@ -271,6 +285,7 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points, complete: bool
             f"scene has {len(scene.luminaires)} luminaires, a pose needs 2"
         )
     rings, marks, _ = points
+    shows = (lambda f: f == 1.0) if complete else (lambda f: f >= MIN_FRACTION)
 
     count = len(rngs)
     rotations = np.empty((count, 3, 3))
@@ -296,17 +311,23 @@ def sample_poses(scene: Scene, rngs, k: CameraIntrinsics, points, complete: bool
         r, t = rotations[active], translations[active]
         inside, outside = visibility_bounds(r, t, k, points)
         fractions = inside.astype(float)
-        straddle = np.nonzero(~(inside | outside))
-        for first in range(0, len(straddle[0]), STRADDLE_PIECE):
-            p, i = (a[first:first + STRADDLE_PIECE] for a in straddle)
-            hits = _inside(rings[i], r[p], t[p], k)
-            fractions[p, i] = np.count_nonzero(hits, axis=1) / hits.shape[1]
-        if complete:
-            marks_in = _inside(marks, r[:, None], t[:, None], k).all(axis=2)
-            shown = (fractions == 1.0) & marks_in
-        else:
-            shown = fractions >= MIN_FRACTION
-        accepted = shown.sum(axis=1) >= 2
+        accepted = shows(fractions).sum(axis=1) >= 2
+        # Open: short of two shown with every straddler at fraction 0, not
+        # with every straddler at 1. Only the open candidates are projected.
+        rows = np.flatnonzero(~accepted & (shows(1.0 - outside).sum(axis=1) >= 2))
+        if len(rows):
+            p, i = np.nonzero(~(inside | outside)[rows])
+            straddle = rows[p], i
+            for first in range(0, len(straddle[0]), STRADDLE_PIECE):
+                p, i = (a[first:first + STRADDLE_PIECE] for a in straddle)
+                hits = _inside(rings[i], r[p], t[p], k)
+                fractions[p, i] = np.count_nonzero(hits, axis=1) / hits.shape[1]
+            shown = shows(fractions[rows])
+            # With `complete`, a straddler that shows whole needs its center and mark inside.
+            p, i = np.nonzero(shown & ~inside[rows]) if complete else ((), ())
+            if len(p):
+                shown[p, i] = _inside(marks[i], r[rows[p]], t[rows[p]], k).all(axis=1)
+            accepted[rows] = shown.sum(axis=1) >= 2
 
         pending = np.concatenate([active[~accepted], pending[len(active):]])
     return rotations, translations, attempts
@@ -342,12 +363,14 @@ class Capture(EllipseFits):
 
 
 def capture(clean, landmarks, ids, modes, noise_px: float, k: CameraIntrinsics,
-            rngs, arc_fraction: float) -> Capture:
+            rngs, arc_fraction: float, whole) -> Capture:
     """The observations of M luminaires of ids `ids` (M,), from their clean
     projections: contour pixels `clean` (M, n, 2), NaN where a point is not
     projected, and center and mark pixels `landmarks` (M, 2, 2). Each row's
     noisy contour pixels are cut to the part `modes[m]` keeps, and all rows
-    are fitted in one `fit_ellipses` call.
+    are fitted in one `fit_ellipses` call. `whole` (M,) flags rows whose
+    clean contour lies wholly inside the image, as `classify`'s completeness
+    does; only the other rows' pixels are tested against the image bounds.
 
     Every contour point gets zero-mean Gaussian noise of std `noise_px` on u
     and v. The mean of n images with pixel noise of std sigma has noise of
@@ -373,7 +396,9 @@ def capture(clean, landmarks, ids, modes, noise_px: float, k: CameraIntrinsics,
         raise ValueError(f"mode must be one of {ARC_MODES}")
     m, n = clean.shape[:2]
     spans = {"semicircle": n // 2, "superior_arc": int(round(n * arc_fraction))}
-    inside = _in_bounds(clean, k)
+    inside = np.ones((m, n), dtype=bool)
+    rest = np.flatnonzero(~np.asarray(whole))
+    inside[rest] = _in_bounds(clean[rest], k)
     count = np.where([mode == "image_bounds" for mode in modes], inside.sum(axis=1), n)
     start = np.zeros(m, dtype=int)
     shown = inside.any(axis=1)
@@ -429,14 +454,14 @@ def capture_poses(scene: Scene, rotations, translations, rngs, k: CameraIntrinsi
     ids = [lum.id for lum in scene.luminaires]
     lum = np.array(pair_rows(lengths.tolist(), [ids] * len(rotations), whole.tolist(), mixed))
     rows = np.arange(len(rotations))[:, None], lum
-    clean, landmarks = pixels[rows], landmarks[rows]
+    clean, landmarks, whole = pixels[rows], landmarks[rows], whole[rows].ravel()
     del pixels  # the whole projection goes before the capture's temporaries
-    modes = (["complete" if w else "image_bounds" for w in whole[rows].ravel().tolist()]
+    modes = (["complete" if w else "image_bounds" for w in whole.tolist()]
              if mixed else list(scenario) * len(lum))
     pair_ids = np.array(ids)[lum]
     cap = capture(clean.reshape(-1, *clean.shape[2:]), landmarks.reshape(-1, 2, 2),
                   pair_ids.ravel(), modes, noise_px, k,
-                  [rng for rng in rngs for _ in range(2)], arc_fraction)
+                  [rng for rng in rngs for _ in range(2)], arc_fraction, whole)
     order = pair_rows(cap.contour_px.reshape(-1, 2).tolist(), pair_ids.tolist(),
                       cap.complete.reshape(-1, 2).tolist(), True)
     return cap, lum, np.array(order).reshape(-1, 2)

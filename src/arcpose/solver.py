@@ -30,6 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .conic import (
+    _EPS,
     _KernelRows,
     cone_matrices,
     decompose_cones,
@@ -540,7 +541,7 @@ def _lstsq_steps(jac, res) -> np.ndarray:
     one batched SVD: singular values at or below eps * max(2P, 6) times the
     largest count as zero."""
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
+    keep = s > _EPS * max(jac.shape[1:]) * s[:, :1]
     coef = np.divide(-(u * res[:, :, None]).sum(axis=1), s, out=np.zeros_like(s),
                      where=keep)
     return (vt * coef[:, :, None]).sum(axis=1)
@@ -632,6 +633,7 @@ def _refine(world, pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
     ran = np.zeros((m, _ATTEMPTS), dtype=bool)
 
     row = np.concatenate([np.arange(m), np.flatnonzero(has_h)])
+    live = np.bincount(row, minlength=m)  # lanes running per row
     lanes = _lanes(row, np.repeat([0, 1], [m, len(row) - m]),
                    np.concatenate([base, h_init[has_h]]), world[row], pixels[row], k)
     while len(lanes["row"]):
@@ -660,7 +662,9 @@ def _refine(world, pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
         x_at[at], cost_at[at], iters_at[at] = lanes["x"][done], lanes["cost"][done], iters[done]
         ran[at] = True
         lanes = {key: value[~done] for key, value in lanes.items()}
-        ended = np.setdiff1d(at[0], lanes["row"])
+        gone = np.bincount(at[0], minlength=m)
+        live -= gone
+        ended = np.flatnonzero((gone > 0) & (live == 0))
         if not len(ended):
             continue
         best, above = _best_attempts(x_at[ended], cost_at[ended], ran[ended],
@@ -670,6 +674,7 @@ def _refine(world, pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
         retry = (above | ~(rms <= PNP_RESTART_RMS)) & (following < _ATTEMPTS)
         if retry.any():
             row, slot = ended[retry], following[retry]
+            live[row] += 1
             x0 = base[row]
             x0[:, 2] = _RESTART_PSI[slot - 2]
             new = _lanes(row, slot, x0, world[row], pixels[row], k)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -138,6 +139,23 @@ def test_config_refuses_a_count_that_is_no_int_by_name(name, value):
     # spaced points; a bool is no count even though Python counts it an int.
     with pytest.raises(InvalidConfigError, match=f"{name} must be an int, got {value!r}"):
         ExperimentConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("sigma", "2"), ("sigma", True), ("sigma", None), ("radius", "0.1"), ("radius", False),
+    ("arc_fraction", True), ("arc_fraction", "0.6"), ("arc_fraction", [0.6]),
+])
+def test_config_refuses_a_value_that_is_no_number_by_name(name, value):
+    # A string would fail the range check with a bare TypeError, and a bool
+    # would run as 1 and write a manifest that `config_from_dict` refuses.
+    message = f"{name} must be a number, got {value!r}"
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+        ExperimentConfig(**{name: value})
+
+
+def test_config_takes_an_int_where_a_number_is_asked():
+    cfg = ExperimentConfig(sigma=2, radius=None, arc_fraction=1)
+    assert (cfg.sigma, cfg.radius, cfg.arc_fraction) == (2, None, 1)
 
 
 def test_config_refuses_a_bare_algorithm_string():

@@ -2,6 +2,7 @@
 luminaire: projection, averaged pixel noise, arc truncation and the fit."""
 
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -91,7 +92,8 @@ def visibility_at(scene, pose, k, contour_samples=360):
 def capture_row(vis, mode, noise_px, k, rng, arc_fraction=0.6):
     """`sim.capture` of the one luminaire `vis`."""
     return sim.capture(vis.pixels[None], np.stack([vis.center, vis.mark])[None],
-                       [vis.luminaire_id], [mode], noise_px, k, [rng], arc_fraction)
+                       [vis.luminaire_id], [mode], noise_px, k, [rng], arc_fraction,
+                       [vis.complete])
 
 
 def capture_observation(vis, mode, noise_px, k, rng, arc_fraction=0.6):
@@ -218,14 +220,14 @@ def test_sample_pose_deterministic(scene, k):
     assert np.array_equal(a[1], b[1])
 
 
-def scalar_sample_pose(scene, rng, k, complete):
+def scalar_sample_pose(scene, rng, k, complete, contour_samples=360):
     """The one-pose-at-a-time rejection loop the batched sampler replaced:
     a validated `EulerAngles` and `Pose` per attempt, and all rings
     projected alone. Returns the pose, its attempt count and the visibility
     fields of its projection (pixels, center and mark pixels, fraction,
     completeness and contour length per luminaire)."""
     length, width, _ = scene.room
-    angles = contour_angles(360)
+    angles = contour_angles(contour_samples)
     rings = np.stack([lum.circle_points(angles) for lum in scene.luminaires])
     marks = np.stack([np.stack([lum.center_w, lum.mark_w]) for lum in scene.luminaires])
 
@@ -279,13 +281,16 @@ def offset_camera():
     return Scene(room=(8.0, 6.0, 3.0), luminaires=lums), k
 
 
-@pytest.mark.parametrize("stream,complete,solo_after,offset",
-                         [(0, False, 64, False), (2, True, 64, False), (0, False, 2, False),
-                          (3, False, 64, True), (4, True, 64, True)],
-                         ids=["0-64", "2-64", "0-2", "offset", "offset-complete"])
-def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
-                                                  solo_after, offset, monkeypatch):
+@pytest.mark.parametrize("stream,complete,solo_after,offset,contour_samples",
+                         [(0, False, 64, False, 360), (2, True, 64, False, 360),
+                          (0, False, 2, False, 360), (3, False, 64, True, 360),
+                          (4, True, 64, True, 360), (12, True, 64, False, 8)],
+                         ids=["0-64", "2-64", "0-2", "offset", "offset-complete", "complete-8"])
+def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete, solo_after,
+                                                  offset, contour_samples, monkeypatch):
     # solo_after=2: after two rounds the generators advance one at a time.
+    # 8-point rings, stream 12: two straddling rings show every point, so
+    # their center and mark are projected to decide.
     monkeypatch.setattr(sim, "SOLO_AFTER", solo_after)
     # A round projects its straddling luminaires four at a time.
     monkeypatch.setattr(sim, "STRADDLE_PIECE", 4)
@@ -293,7 +298,7 @@ def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
         scene, k = offset_camera()
     seeds = [[stream, i] for i in range(120)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    points = luminaire_points(scene.luminaires, 360)
+    points = luminaire_points(scene.luminaires, contour_samples)
     # Rounds in lockstep over 120 generators, then noise-free captures of a
     # block of 100 and one of 20, as the runner draws a group and captures
     # its blocks.
@@ -308,7 +313,8 @@ def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
     attempts = []
     for p, (seed, state, (cap, pair, row)) in enumerate(zip(seeds, states, rows)):
         ref_rng = np.random.default_rng(seed)
-        pose, n, reference = scalar_sample_pose(scene, ref_rng, k, complete)
+        pose, n, reference = scalar_sample_pose(scene, ref_rng, k, complete,
+                                                contour_samples)
         attempts.append(n)
         assert np.array_equal(rotations[p], pose.rotation)
         assert np.array_equal(translations[p], pose.translation)
@@ -343,6 +349,60 @@ def test_batched_sampler_matches_scalar_reference(scene, k, stream, complete,
     assert max(attempts) > 3 and np.mean(attempts) > 1.5
 
 
+@pytest.mark.parametrize("contour_samples", [8, 360])
+@pytest.mark.parametrize("complete", [False, True], ids=["mixed", "complete"])
+@pytest.mark.parametrize("offset", [False, True], ids=["default", "offset"])
+def test_sampler_projects_only_open_candidates(scene, k, contour_samples, complete, offset,
+                                               monkeypatch):
+    # A candidate with two luminaires wholly inside the image is accepted,
+    # and one with fewer than two not wholly outside rejected, on the
+    # closed-form bounds alone. `_inside` sees each straddling ring of the
+    # candidates still open once and, with `complete`, the center and mark
+    # of each such ring that shows whole.
+    if offset:
+        scene, k = offset_camera()
+    points = luminaire_points(scene.luminaires, contour_samples)
+    candidates, calls = [], {2: [], contour_samples: []}
+    bounds, inside_of = sim.visibility_bounds, sim._inside
+
+    def drawn(rotations, translations, *args):
+        candidates.append((rotations, translations))
+        return bounds(rotations, translations, *args)
+
+    def projected(pts, rotation, translation, *args):
+        # Which luminaire each row is, by its world points.
+        every = points[0] if pts.shape[-1] == contour_samples else points[1]
+        lum = [next(i for i, row in enumerate(every) if np.array_equal(row, p)) for p in pts]
+        calls[pts.shape[-1]].append((rotation, translation, np.array(lum, dtype=int)))
+        return inside_of(pts, rotation, translation, *args)
+
+    monkeypatch.setattr(sim, "visibility_bounds", drawn)
+    monkeypatch.setattr(sim, "_inside", projected)
+    rngs = [np.random.default_rng([33, i]) for i in range(150)]
+    sample_poses(scene, rngs, k, points, complete)
+    monkeypatch.undo()
+
+    def pairs(calls):
+        """The (pose, luminaire) pairs of the calls, in a sortable form."""
+        return sorted((r.ravel().tolist(), t.tolist(), i)
+                      for rs, ts, lums in calls for r, t, i in zip(rs, ts, lums.tolist()))
+
+    rotations, translations = (np.concatenate(a) for a in zip(*candidates))
+    inside, outside = sim.visibility_bounds(rotations, translations, k, points)
+    decided = (inside.sum(axis=1) >= 2) | ((~outside).sum(axis=1) < 2)
+    # Both decisions occur, and some candidates stay open.
+    assert (inside.sum(axis=1) >= 2).any() and ((~outside).sum(axis=1) < 2).any()
+    assert not decided.all()
+    p, lum = np.nonzero(~(inside | outside) & ~decided[:, None])
+    straddlers = [(rotations[p], translations[p], lum)]
+    assert pairs(calls[contour_samples]) == pairs(straddlers)
+    whole = sim._inside(points[0][lum], rotations[p], translations[p], k).all(axis=1)
+    shown_whole = [(rotations[p[whole]], translations[p[whole]], lum[whole])]
+    assert pairs(calls[2]) == (pairs(shown_whole) if complete else [])
+    if (contour_samples, offset) == (8, False):  # the default scene's 8-point rings
+        assert whole.any()
+
+
 @pytest.mark.parametrize("solo_after", [64, 3])
 def test_sampler_exhausts_after_max_attempts(scene, k, solo_after, monkeypatch):
     monkeypatch.setattr(sim, "SOLO_AFTER", solo_after)
@@ -372,8 +432,9 @@ def edge_normals(k):
 
 def check_bounds(scene, k, rotations, translations, contour_samples):
     """`visibility_bounds` of P poses against the count of every contour
-    point that passes `_inside`: a luminaire put inside has all its points
-    in the image, one put outside none. Returns both masks."""
+    point that passes `_inside`: a luminaire put inside has all its points,
+    center and mark in the image, one put outside no contour point. Returns
+    both masks."""
     points = luminaire_points(scene.luminaires, contour_samples)
     inside, outside = sim.visibility_bounds(rotations, translations, k, points)
     assert not (inside & outside).any()
@@ -383,6 +444,10 @@ def check_bounds(scene, k, rotations, translations, contour_samples):
                                             translations[rows, None], k), axis=2)
         assert (hits[inside[rows]] == contour_samples).all()
         assert (hits[outside[rows]] == 0).all()
+        # The disc meets the five half-spaces wherever its ring does, so a
+        # luminaire put inside has its center and mark inside too.
+        landmarks = sim._inside(points[1], rotations[rows, None], translations[rows, None], k)
+        assert landmarks.all(axis=2)[inside[rows]].all()
     return inside, outside
 
 
@@ -502,13 +567,33 @@ def test_rows_outside_the_image_fail_and_draw_nothing(scene, k):
     fresh = np.random.default_rng(5).bit_generator.state
     for mode in ARC_MODES:
         rngs = [np.random.default_rng(5) for _ in range(3)]
-        cap = sim.capture(clean, landmarks, ["L1", "L2", "L3"], [mode] * 3, 1.0, k, rngs, 0.6)
+        cap = sim.capture(clean, landmarks, ["L1", "L2", "L3"], [mode] * 3, 1.0, k, rngs, 0.6,
+                          [False] * 3)
         for row, lum_id in enumerate(["L1", "L2"]):
             error = cap.error(row)
             assert isinstance(error, NotVisibleError)
             assert str(error) == f"luminaire {lum_id!r} does not project into the image"
             assert rngs[row].bit_generator.state == fresh
         assert cap.failure[2] == -1 and rngs[2].bit_generator.state != fresh
+
+
+@pytest.mark.parametrize("mode", ARC_MODES)
+def test_capture_completeness_flags_skip_only_bounds_tests(scene, k, mode):
+    # `capture` trusts a row flagged whole to lie in the image; with
+    # `classify`'s flags it equals, field by field, the capture that tests
+    # every row point by point.
+    rngs = [np.random.default_rng([23, i]) for i in range(40)]
+    points = luminaire_points(scene.luminaires, 360)
+    pixels, landmarks, whole, _ = classify(*draw_poses(scene, k, rngs), k, points)
+    assert whole.any() and not whole.all()
+    ids = [lum.id for lum in scene.luminaires] * len(rngs)
+    caps = [sim.capture(pixels.reshape(-1, 360, 2), landmarks.reshape(-1, 2, 2), ids,
+                        [mode] * len(ids), 1.0, k,
+                        [np.random.default_rng([24, i]) for i in range(len(ids))], 0.6, flags)
+            for flags in (whole.ravel(), np.zeros(whole.size, dtype=bool))]
+    for field in dataclasses.fields(sim.Capture):
+        a, b = (getattr(cap, field.name) for cap in caps)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_visibility_classification_ignores_noise(scene, k):
@@ -735,7 +820,7 @@ def test_capture_matches_per_image_reference(scene, k, mode):
             lum = scene.luminaires[i]
             ref = reference_observation(lum, pose, k, mode, copy.deepcopy(rng))
             cap = sim.capture(pixels[0, i:i + 1], landmarks[0, i:i + 1], [lum.id],
-                              [mode], 2.0 / math.sqrt(20), k, [rng], 0.6)
+                              [mode], 2.0 / math.sqrt(20), k, [rng], 0.6, whole[0, i:i + 1])
             count = cap.count[0]
             assert np.array_equal(cap.keep[0, :count], ref[1])
             if mode == "complete":
