@@ -42,6 +42,7 @@ from .harness import (
     run_monte_carlo,
     summarize_by_algorithm,
     sweep,
+    sweep_configs,
     write_cdf,
     write_results,
 )
@@ -140,8 +141,16 @@ def observations_from_dict(data: dict) -> tuple[Observations, CameraIntrinsics]:
                         complete=complete, contour_px=contour_lengths(points, counts)), k
 
 
-def _default_out() -> str:
-    return os.environ.get("ARCPOSE_OUT", "results")
+def _out_dir(path: str | None) -> Path:
+    """The output directory `path` (default $ARCPOSE_OUT or ./results),
+    made before any work; raises InvalidConfigError naming it when it cannot
+    be made."""
+    out = Path(path or os.environ.get("ARCPOSE_OUT", "results"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write {out}: {exc}") from exc
+    return out
 
 
 def _float_list(text: str) -> list[float]:
@@ -281,9 +290,9 @@ def _echo_config(args, cfg) -> None:
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     _echo_config(args, cfg)
+    out_dir = _out_dir(args.out)
     records = run_monte_carlo(cfg)
     stats = summarize_by_algorithm(records.e_loc_by_algorithm())
-    out_dir = args.out or _default_out()
     paths = write_results(records, stats, out_dir, cfg)
     _print_summary(stats)
     print(f"wrote {paths['records']}, {paths['cdf']}, {paths['manifest']}")
@@ -293,10 +302,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args, parameter: str) -> int:
     cfg = _config_from_args(args)
     _echo_config(args, cfg)
-    results = sweep(cfg, parameter, args.sigmas if parameter == "noise" else args.radii)
-    out_dir = Path(args.out or _default_out())
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"sweep_{parameter}.csv"
+    values = args.sigmas if parameter == "noise" else args.radii
+    sweep_configs(cfg, parameter, values)  # a bad value makes no directory
+    path = _out_dir(args.out) / f"sweep_{parameter}.csv"
+    results = sweep(cfg, parameter, values)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "value", "algorithm", "n_success", "n_failed",
@@ -314,10 +323,9 @@ def cmd_sweep(args, parameter: str) -> int:
 
 
 def cmd_cdf(args) -> int:
-    stats = summarize_by_algorithm(read_records(args.records))
-    out_dir = Path(args.out or _default_out())
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "cdf.csv"
+    records = read_records(args.records)
+    path = _out_dir(args.out) / "cdf.csv"
+    stats = summarize_by_algorithm(records)
     write_cdf(stats, path)
     _print_summary(stats)
     print(f"wrote {path}")

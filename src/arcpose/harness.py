@@ -66,7 +66,7 @@ DEFAULT_CDF_GRID = np.round(np.linspace(0.0, 0.5, 101), 6)
 # row is solved on its own. Blocks amortize the capture's and the fit's
 # per-call work; a group takes about as many sampler rounds as its slowest
 # sample takes candidates, and bounds the kernels' temporaries (about 1 KB a
-# pair row, 20 KB a PnP row) whatever the run length.
+# pair row, 14 KB a PnP row) whatever the run length.
 POSE_BLOCK = 24
 GROUP = 42 * POSE_BLOCK
 
@@ -122,6 +122,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in (("scene", Scene), ("intrinsics", CameraIntrinsics)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidConfigError(
+                    f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for name in ("samples", "images_per_location", "contour_samples", "seed"):
             if type(getattr(self, name)) is not int:  # a bool is an int too
                 raise InvalidConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
@@ -431,23 +435,30 @@ def summarize_by_algorithm(e_loc_by_algorithm) -> dict[str, SummaryStats]:
     return {alg: summarize(e_loc) for alg, e_loc in sorted(e_loc_by_algorithm.items())}
 
 
-def sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
-    """Re-run the experiment across noise levels or radii.
-
-    Every value reuses the master seed, so the underlying pose stream is
-    shared and the runs are pairwise comparable. Returns
-    {value: {algorithm: SummaryStats}}.
-    """
+def sweep_configs(cfg: ExperimentConfig, parameter: str, values) -> dict:
+    """{value: config} of a sweep across noise levels or radii: `cfg` with
+    its sigma or radius set to each value. Raises InvalidConfigError for a
+    bad parameter, for values that are not strictly ascending, or for the
+    first value whose configuration fails its checks."""
     if parameter not in ("noise", "radius"):
         raise InvalidConfigError(f"sweep parameter must be noise or radius, got {parameter!r}")
     values = [float(v) for v in values]
     if not values or any(a >= b for a, b in zip(values, values[1:])):
         raise InvalidConfigError("sweep values must be nonempty and strictly ascending")
-    # Every value's configuration is checked before the first run.
     name = "sigma" if parameter == "noise" else "radius"
-    subs = [dataclasses.replace(cfg, **{name: value}) for value in values]
+    return {value: dataclasses.replace(cfg, **{name: value}) for value in values}
+
+
+def sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
+    """Re-run the experiment across noise levels or radii.
+
+    Every value reuses the master seed, so the underlying pose stream is
+    shared and the runs are pairwise comparable. Every value's configuration
+    is checked (`sweep_configs`) before the first run. Returns
+    {value: {algorithm: SummaryStats}}.
+    """
     return {value: summarize_by_algorithm(run_monte_carlo(sub).e_loc_by_algorithm())
-            for value, sub in zip(values, subs)}
+            for value, sub in sweep_configs(cfg, parameter, values).items()}
 
 
 # --- serialization -----------------------------------------------------------------

@@ -442,11 +442,8 @@ PNP_CHECKS = (
 _STEP_SCALES = np.ldexp(1.0, -np.arange(12))
 _STEP_TOL = 1e-10
 _MAX_ITERATIONS = 100
-# A row's attempt slots, in the order they rank on a tie: the upright init,
-# the homography init, then the upright init with its heading turned by +90,
-# +180 and +270 degrees.
+# Restart headings of the upright init, in the order they run: +90, +180, +270 degrees.
 _RESTART_PSI = np.array([_wrap_angle(0.5 * math.pi * turn) for turn in (1, 2, 3)])
-_ATTEMPTS = 2 + len(_RESTART_PSI)
 
 
 @dataclass(frozen=True)
@@ -587,39 +584,55 @@ def _homography_inits(pixels, centroid, centered, svals, vt, k: CameraIntrinsics
     return x0, has & np.isfinite(x0).all(axis=1)
 
 
-def _best_attempts(x_at, cost_at, ran, ceiling):
-    """Each row's best attempt slot among those run, ranked by (camera at or
-    above the plane, cost) with ties to the earlier slot, and its plane
-    flag."""
-    above = x_at[..., 5] >= ceiling[:, None]
-    lane = np.arange(len(ran))
-    best = np.zeros(len(ran), dtype=int)
-    for slot in range(1, _ATTEMPTS):
-        b_above, b_cost = above[lane, best], cost_at[lane, best]
-        better = ran[:, slot] & ((above[:, slot] < b_above) | (
-            (above[:, slot] == b_above) & (cost_at[:, slot] < b_cost)))
-        best[better] = slot
-    return best, above[lane, best]
-
-
-def _lanes(row, slot, x, world, pixels, k: CameraIntrinsics) -> dict:
-    """New Gauss-Newton lanes: attempt `slot` of row `row`, from parameters
-    x (L, 6), with the world points and pixels of those rows."""
+def _gauss_newton(x, world, pixels, k: CameraIntrinsics):
+    """Gauss-Newton lanes from parameters x (L, 6), each with its world points
+    (L, P, 3) and pixels (L, P, 2); returns each lane's parameters (L, 6), cost
+    and iterations at its stop. A step takes the longest of `_STEP_SCALES`
+    that does not raise the cost; a lane stops when none does, when its step
+    is under `_STEP_TOL` or after `_MAX_ITERATIONS`."""
+    out_x, out_cost, out_iters = np.empty_like(x), np.empty(len(x)), np.empty(len(x), int)
+    lane = np.arange(len(x))
     r, d, cam = _camera_frame(x, world)
     res = _reprojection(cam, pixels, k)
-    return dict(row=row, slot=slot, world=world, pixels=pixels, x=x, r=r, d=d,
-                cam=cam, res=res, cost=(res * res).sum(axis=1),
-                iters=np.zeros(len(row), dtype=int))
+    cost = (res * res).sum(axis=1)
+    iters = 0
+    while len(lane):
+        iters += 1
+        step = _lstsq_steps(_jacobian(x[:, 2], r, d, cam, k), res)
+        trial = x[:, None] + _STEP_SCALES[:, None] * step[:, None]
+        r, d, cam = _camera_frame(trial, world[:, None])
+        res = _reprojection(cam, pixels[:, None], k)
+        trial_cost = (res * res).sum(axis=2)
+        ok = np.isfinite(trial_cost) & (trial_cost <= cost[:, None])
+        pick = np.arange(len(ok)), ok.argmax(axis=1)
+        improved = ok[pick]
+        moved = _STEP_SCALES[pick[1], None] * step
+        # A lane that did not improve stops here, so only its x and cost matter.
+        x = np.where(improved[:, None], trial[pick], x)
+        cost = np.where(improved, trial_cost[pick], cost)
+        r, d, cam, res = r[pick], d[pick], cam[pick], res[pick]
+        done = (~improved | (np.sqrt((moved * moved).sum(axis=1)) < _STEP_TOL)
+                | (iters == _MAX_ITERATIONS))
+        if done.any():
+            out_x[lane[done]], out_cost[lane[done]], out_iters[lane[done]] = (
+                x[done], cost[done], iters)
+            go = ~done
+            lane, x, cost, world, pixels, r, d, cam, res = (
+                a[go] for a in (lane, x, cost, world, pixels, r, d, cam, res))
+    return out_x, out_cost, out_iters
 
 
 def _refine(world, pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
     """Gauss-Newton over every attempt of M rows; returns the parameters
     (M, 6), cost, iterations and plane flag of each row's best attempt.
 
-    Each attempt runs as one lane of an active set. Both inits start at
-    once; when a row has no lane left and its best attempt so far is above
-    the plane or has an RMS over `PNP_RESTART_RMS`, its next heading restart
-    starts in the next iteration.
+    One `_gauss_newton` call runs every row's upright init and the homography
+    init of each row that has one. Then, for each heading of `_RESTART_PSI`
+    in turn, one call retries from the upright pose at that heading the rows
+    whose best is above the plane or has an RMS not at or under
+    `PNP_RESTART_RMS`. The upright attempt is the first best; a later one
+    wins when it is below the plane and the best is not, or on the same side
+    with a strictly lower cost.
     """
     m, p = world.shape[:2]
     base = np.zeros((m, 6))
@@ -627,62 +640,29 @@ def _refine(world, pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
     base[:, 5] -= 2.0
     h_init, has_h = _homography_inits(pixels, centroid, centered, svals, vt, k)
     ceiling = world[:, :, 2].min(axis=1)
-    x_at = np.zeros((m, _ATTEMPTS, 6))
-    cost_at = np.full((m, _ATTEMPTS), np.inf)
-    iters_at = np.zeros((m, _ATTEMPTS), dtype=int)
-    ran = np.zeros((m, _ATTEMPTS), dtype=bool)
+
+    def keep(row, x, cost, iters):
+        """Make attempts x (L, 6) of rows `row` their best where they win."""
+        x_above = x[:, 5] >= ceiling[row]
+        wins = (x_above < above[row]) | ((x_above == above[row]) & (cost < best_cost[row]))
+        row = row[wins]
+        best_x[row], best_cost[row], best_iters[row], above[row] = (
+            x[wins], cost[wins], iters[wins], x_above[wins])
 
     row = np.concatenate([np.arange(m), np.flatnonzero(has_h)])
-    live = np.bincount(row, minlength=m)  # lanes running per row
-    lanes = _lanes(row, np.repeat([0, 1], [m, len(row) - m]),
-                   np.concatenate([base, h_init[has_h]]), world[row], pixels[row], k)
-    while len(lanes["row"]):
-        x, cost = lanes["x"], lanes["cost"]
-        step = _lstsq_steps(
-            _jacobian(x[:, 2], lanes["r"], lanes["d"], lanes["cam"], k), lanes["res"])
-        # Every step length at once; the longest that does not raise the cost wins.
-        trial = x[:, None] + _STEP_SCALES[:, None] * step[:, None]
-        r, d, cam = _camera_frame(trial, lanes["world"][:, None])
-        res = _reprojection(cam, lanes["pixels"][:, None], k)
-        trial_cost = (res * res).sum(axis=2)
-        ok = np.isfinite(trial_cost) & (trial_cost <= cost[:, None])
-        pick = np.arange(len(ok)), ok.argmax(axis=1)
-        improved = ok[pick]
-        moved = _STEP_SCALES[pick[1], None] * step
-        iters = lanes["iters"] + 1
-        # A lane that did not improve ends here, so only its x and cost matter.
-        lanes.update(x=np.where(improved[:, None], trial[pick], x),
-                     cost=np.where(improved, trial_cost[pick], cost),
-                     r=r[pick], d=d[pick], cam=cam[pick], res=res[pick], iters=iters)
-        done = (~improved | (np.sqrt((moved * moved).sum(axis=1)) < _STEP_TOL)
-                | (iters == _MAX_ITERATIONS))
-        if not done.any():
-            continue
-        at = lanes["row"][done], lanes["slot"][done]
-        x_at[at], cost_at[at], iters_at[at] = lanes["x"][done], lanes["cost"][done], iters[done]
-        ran[at] = True
-        lanes = {key: value[~done] for key, value in lanes.items()}
-        gone = np.bincount(at[0], minlength=m)
-        live -= gone
-        ended = np.flatnonzero((gone > 0) & (live == 0))
-        if not len(ended):
-            continue
-        best, above = _best_attempts(x_at[ended], cost_at[ended], ran[ended],
-                                     ceiling[ended])
-        rms = np.sqrt(cost_at[ended, best] / (2 * p))
-        following = 2 + ran[ended, 2:].sum(axis=1)
-        retry = (above | ~(rms <= PNP_RESTART_RMS)) & (following < _ATTEMPTS)
-        if retry.any():
-            row, slot = ended[retry], following[retry]
-            live[row] += 1
-            x0 = base[row]
-            x0[:, 2] = _RESTART_PSI[slot - 2]
-            new = _lanes(row, slot, x0, world[row], pixels[row], k)
-            lanes = {key: np.concatenate([value, new[key]]) for key, value in lanes.items()}
-
-    best, above = _best_attempts(x_at, cost_at, ran, ceiling)
-    lane = np.arange(m)
-    return x_at[lane, best], cost_at[lane, best], iters_at[lane, best], above
+    x, cost, iters = _gauss_newton(np.concatenate([base, h_init[has_h]]), world[row],
+                                   pixels[row], k)
+    best_x, best_cost, best_iters = x[:m].copy(), cost[:m].copy(), iters[:m].copy()
+    above = best_x[:, 5] >= ceiling
+    keep(row[m:], x[m:], cost[m:], iters[m:])
+    for psi in _RESTART_PSI:
+        row = np.flatnonzero(above | ~(np.sqrt(best_cost / (2 * p)) <= PNP_RESTART_RMS))
+        if not len(row):
+            break
+        x0 = base[row]
+        x0[:, 2] = psi
+        keep(row, *_gauss_newton(x0, world[row], pixels[row], k))
+    return best_x, best_cost, best_iters, above
 
 
 def pnp_solve(world, pixels, k: CameraIntrinsics) -> PnpSolutions:

@@ -101,6 +101,35 @@ def test_unreadable_input_file_exits_2_naming_it(command, content, tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, work, below", [
+    ("run", "run_monte_carlo", ""), ("sweep-noise", "sweep", "x"),
+    ("cdf", "summarize_by_algorithm", ""),
+])
+def test_unwritable_out_exits_2_naming_it_before_any_work(command, work, below, tmp_path,
+                                                         monkeypatch, capsys):
+    # An existing file at --out, or above it, is a configuration failure:
+    # exit code 2 and the path, no traceback, and no experiment run first.
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = blocker / below if below else blocker
+    records = tmp_path / "records.csv"
+    records.write_text("sample_index,algorithm,solver_tag,status,error,e_loc_m\n"
+                       "0,VPA,VPCA,ok,,0.01\n")
+    cfg = tiny_config(tmp_path)
+    argv = {"run": ["run", "--config", cfg],
+            "sweep-noise": ["sweep-noise", "--config", cfg, "--sigma", "0"],
+            "cdf": ["cdf", str(records)]}[command]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, refuse)
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert blocker.read_text() == "x"
+
+
 @pytest.mark.parametrize("location", ["on_disk", "bundled"])
 @pytest.mark.parametrize("command", ["scene-validate", "run", "solve"])
 def test_non_json_input_file_exits_2_naming_it(command, location, tmp_path, monkeypatch,

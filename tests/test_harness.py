@@ -153,6 +153,19 @@ def test_config_refuses_a_value_that_is_no_number_by_name(name, value):
         ExperimentConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name,kind,value", [
+    ("scene", "Scene", "x"), ("scene", "Scene", None),
+    ("scene", "Scene", {"room": [8, 6, 3], "luminaires": []}),
+    ("intrinsics", "CameraIntrinsics", None), ("intrinsics", "CameraIntrinsics", "default"),
+])
+def test_config_refuses_a_scene_or_intrinsics_of_another_type_by_name(name, kind, value):
+    # Either would construct and then fail inside the runner with a bare
+    # AttributeError.
+    message = f"{name} must be a {kind}, got {value!r}"
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+        ExperimentConfig(**{name: value})
+
+
 def test_config_takes_an_int_where_a_number_is_asked():
     cfg = ExperimentConfig(sigma=2, radius=None, arc_fraction=1)
     assert (cfg.sigma, cfg.radius, cfg.arc_fraction) == (2, None, 1)

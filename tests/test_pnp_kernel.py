@@ -1,6 +1,7 @@
-"""The batched Gauss-Newton PnP kernel `pnp_solve`: a row's result does not
-depend on the rows solved with it, and a bad row fails by name without
-touching the others.
+"""The batched Gauss-Newton PnP kernel `pnp_solve`: its attempts run in a
+fixed schedule and each row keeps its best, a row's result does not depend
+on the rows solved with it, and a bad row fails by name without touching the
+others.
 
 Rows are the harness's four contour correspondences of seeded Monte Carlo
 samples (seed 2, 40 samples: one of them runs all three heading restarts).
@@ -8,9 +9,10 @@ samples (seed 2, 40 samples: one of them runs all three heading restarts).
 
 import numpy as np
 
+from arcpose import solver
 from arcpose.harness import ExperimentConfig, _pnp_inputs
 from arcpose.sim import contour_angles, luminaire_points, sample_poses
-from arcpose.solver import PNP_CHECKS, pnp_solve
+from arcpose.solver import PNP_CHECKS, PNP_RESTART_RMS, pnp_solve
 
 from conftest import capture_like_run
 
@@ -66,6 +68,58 @@ def assert_rows_equal(a, rows_a, b, rows_b):
     for name in FIELDS:
         assert np.array_equal(getattr(a, name)[rows_a], getattr(b, name)[rows_b],
                               equal_nan=True), name
+
+
+def test_attempts_run_in_schedule_and_each_row_keeps_its_best(monkeypatch):
+    # One Gauss-Newton call runs every row's upright init, then the
+    # homography init of each row that has one. Then, for the heading turns
+    # +90, +180 and +270 degrees in turn, one call retries from the upright
+    # pose so turned each row whose best so far is above the plane or has an
+    # RMS over PNP_RESTART_RMS. A later attempt is the best when it is below
+    # the plane and the best is not, or on the same side with a lower cost.
+    world, pixels, k = captured_rows()
+    calls = []
+    gauss_newton = solver._gauss_newton
+
+    def spy(x, lane_world, lane_pixels, k):
+        out = gauss_newton(x, lane_world, lane_pixels, k)
+        calls.append((x.copy(), np.concatenate([lane_world, lane_pixels], axis=2), out))
+        return out
+
+    monkeypatch.setattr(solver, "_gauss_newton", spy)
+    sol = pnp_solve(world, pixels, k)
+    n, p = world.shape[:2]
+    row_of = {a.tobytes(): i for i, a in enumerate(np.concatenate([world, pixels], axis=2))}
+    assert len(row_of) == n
+    centroid = world.mean(axis=1)
+    upright = np.zeros((n, 6))
+    upright[:, 3:] = centroid - [0.0, 0.0, 2.0]
+    centered = world - centroid[:, None]
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    h_init, has_h = solver._homography_inits(pixels, centroid, centered, svals, vt, k)
+    ceiling = world[:, :, 2].min(axis=1)
+
+    best = [None] * n  # (above the plane, cost, x, iterations) of each row
+    for turn, (x0, lanes, (x, cost, iters)) in enumerate(calls):
+        rows = [row_of[a.tobytes()] for a in lanes]
+        if turn == 0:
+            assert rows == list(range(n)) + np.flatnonzero(has_h).tolist()
+            assert np.array_equal(x0, np.concatenate([upright, h_init[has_h]]))
+        else:
+            assert rows == [i for i, (above, cost, _, _) in enumerate(best)
+                            if above or not np.sqrt(cost / (2 * p)) <= PNP_RESTART_RMS]
+            assert np.array_equal(np.delete(x0, 2, axis=1), np.delete(upright[rows], 2, axis=1))
+            assert np.allclose(np.exp(1j * x0[:, 2]), 1j ** turn)
+        for lane, i in enumerate(rows):
+            attempt = (x[lane, 5] >= ceiling[i], cost[lane], x[lane], iters[lane])
+            if best[i] is None or attempt[0] < best[i][0] or (
+                    attempt[0] == best[i][0] and attempt[1] < best[i][1]):
+                best[i] = attempt
+    assert len(calls) == 4  # one row runs all three restarts
+    assert np.array_equal(sol.iterations, [b[3] for b in best])
+    assert np.array_equal(sol.translation, [b[2][3:] for b in best])
+    assert np.array_equal(sol.rms_px, [np.sqrt(b[1] / (2 * p)) for b in best])
+    assert np.array_equal(sol.above_plane, [b[0] for b in best])
 
 
 def test_rows_do_not_depend_on_the_batch():
