@@ -43,6 +43,14 @@ def _freeze(obj, **arrays):
         object.__setattr__(obj, name, arr)
 
 
+def _check_number(value, name: str, kind=float):
+    """Raise ValueError naming `name` unless `value` is a number (an int for
+    `kind=int`); a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        noun = "an int" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics: f, dx, dy in cm; principal point and size in pixels."""
@@ -56,6 +64,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("f", "dx", "dy", "u0", "v0", "width", "height"):
+            _check_number(getattr(self, name), name, int if name in ("width", "height") else float)
         if not (self.f > 0 and self.dx > 0 and self.dy > 0):
             raise ValueError("focal length and pixel pitch must be positive")
         if not (0 < self.u0 < self.width and 0 < self.v0 < self.height):
@@ -155,8 +165,7 @@ def rotations_from_angles(phi, theta, psi) -> np.ndarray:
 
     The one builder of this composition. Each matrix is built with libm's
     cos and sin and the same two 3x3 products as on its own, so it does not
-    depend on the angles beside it. (NumPy's vectorized cos and sin differ
-    from libm in the last bit on some inputs.)
+    depend on the angles beside it.
     """
     phi, theta, psi = (np.asarray(a, dtype=float).tolist() for a in (phi, theta, psi))
     n = len(phi)

@@ -149,9 +149,11 @@ class ExperimentConfig:
             raise InvalidConfigError("arc_fraction must lie in (0, 1]")
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be a non-negative int, got {self.seed}")
-        if isinstance(self.algorithms, str):
-            raise InvalidConfigError(f"algorithms must be a tuple, got {self.algorithms!r}")
-        algorithms = tuple(self.algorithms)
+        try:  # a bare string would read as its letters: 'V', 'P', 'A'
+            algorithms = tuple(None if isinstance(self.algorithms, str) else self.algorithms)
+        except TypeError:
+            raise InvalidConfigError(
+                f"algorithms must be a tuple, got {self.algorithms!r}") from None
         if not algorithms:
             raise InvalidConfigError("algorithms must not be empty")
         for i, alg in enumerate(algorithms):

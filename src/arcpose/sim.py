@@ -32,6 +32,7 @@ from .errors import (
 )
 from .frames import (
     CameraIntrinsics,
+    _check_number,
     _wrap_angle,
     camera_to_pixel,
     pixel_to_image,
@@ -80,7 +81,12 @@ class Scene:
     luminaires: tuple[LuminaireInfo, ...]
 
     def __post_init__(self):
-        length, width, height = self.room
+        try:
+            length, width, height = self.room
+            for value in self.room:
+                _check_number(value, "room")
+        except (TypeError, ValueError):
+            raise ValueError(f"room must be 3 numbers, got {self.room!r}") from None
         if not (length > 0 and width > 0 and height > 0):
             raise ValueError(f"room dimensions must be positive, got {self.room}")
         object.__setattr__(self, "luminaires", tuple(self.luminaires))

@@ -57,6 +57,7 @@ from .errors import (
 from .frames import (
     CameraIntrinsics,
     Pose,
+    _check_number,
     _freeze,
     _wrap_angle,
     angles_from_rotation,
@@ -89,9 +90,12 @@ class LuminaireInfo:
     mark_w: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        _check_number(self.radius, "radius")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         center = np.asarray(self.center_w, dtype=float)
+        if center.shape != (3,):
+            raise ValueError(f"center must hold 3 coordinates, got {self.center_w!r}")
         _freeze(self, center_w=center, mark_w=center + self.radius * _PLUS_Y)
 
     def circle_points(self, angles) -> np.ndarray:

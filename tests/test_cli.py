@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -333,6 +335,20 @@ def test_run_repeated_seed_identical_csv(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a" / "records.csv").read_bytes() == (
         tmp_path / "b" / "records.csv").read_bytes()
+
+
+def test_records_do_not_depend_on_the_hash_seed(tmp_path):
+    # Two processes that order str-keyed sets and dicts differently must write
+    # the same records.csv byte for byte.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for hash_seed in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "arcpose.cli", "run", "--samples", "30",
+                        "--seed", "11", "--algorithms", "VPA,VPCA,OAVPA,PNP",
+                        "--out", str(tmp_path / hash_seed)], check=True, capture_output=True,
+                       env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath))
+    assert (tmp_path / "1" / "records.csv").read_bytes() == (
+        tmp_path / "2" / "records.csv").read_bytes()
 
 
 @pytest.mark.parametrize("config,field", [

@@ -171,10 +171,12 @@ def test_config_takes_an_int_where_a_number_is_asked():
     assert (cfg.sigma, cfg.radius, cfg.arc_fraction) == (2, None, 1)
 
 
-def test_config_refuses_a_bare_algorithm_string():
-    # A string is a sequence of letters: "VPA" would read as 'V', 'P', 'A'.
-    with pytest.raises(InvalidConfigError, match="algorithms must be a tuple, got 'VPA'"):
-        ExperimentConfig(algorithms="VPA")
+@pytest.mark.parametrize("value", ["VPA", None, 5])
+def test_config_refuses_a_bare_algorithm_string(value):
+    # A string is a sequence of letters: "VPA" would read as 'V', 'P', 'A';
+    # None and 5 would fail `tuple` with a bare TypeError.
+    with pytest.raises(InvalidConfigError, match=f"algorithms must be a tuple, got {value!r}"):
+        ExperimentConfig(algorithms=value)
 
 
 def test_config_scenario_parsing():

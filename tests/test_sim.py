@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -126,6 +127,26 @@ def test_default_scene_layout(scene):
 def test_default_intrinsics_fov(k):
     # Half-width 320 px * 1.25e-3 cm = 0.4 cm = f, i.e. a 90-degree FOV.
     assert math.isclose(2 * math.degrees(math.atan(k.u0 * k.dx / k.f)), 90.0)
+
+
+_CENTER = np.array([2.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda k: dataclasses.replace(k, f="0.4"), "f must be a number, got '0.4'"),
+    (lambda k: dataclasses.replace(k, width=640.5), "width must be an int, got 640.5"),
+    (lambda k: LuminaireInfo("L1", _CENTER, "0.1"), "radius must be a number, got '0.1'"),
+    (lambda k: LuminaireInfo("L1", _CENTER, radius=None), "radius must be a number, got None"),
+    (lambda k: LuminaireInfo("L1", _CENTER[:2], 0.1), "center must hold 3 coordinates"),
+    (lambda k: Scene(room=("8", 6, 3), luminaires=()), "room must be 3 numbers"),
+    (lambda k: Scene(room=(8, 6), luminaires=()), "room must be 3 numbers"),
+], ids=["text_f", "fractional_width", "text_radius", "null_radius", "short_center",
+        "text_room", "short_room"])
+def test_value_classes_refuse_a_wrong_typed_field_by_name(k, build, message):
+    # Each would fail a comparison or an unpacking with a bare TypeError or
+    # ValueError, or (a fractional width) construct.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(k)
 
 
 def test_scene_rejects_luminaire_outside_room():
