@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .conic import DISCRIMINANT_SLACK, fit_ellipses
 from .errors import ArcPoseError, DegenerateConicError, InvalidConfigError
-from .frames import CameraIntrinsics, pixel_to_image, rotation_to_euler
+from .frames import CameraIntrinsics, pixel_to_image, read_numbers, rotation_to_euler
 from .harness import (
     PERCENTILES,
     ExperimentConfig,
@@ -49,7 +49,6 @@ from .harness import (
 from .sim import (
     default_intrinsics,
     intrinsics_from_dict,
-    read_numbers,
     read_object,
     read_text,
     scene_from_dict,
@@ -95,9 +94,7 @@ def observations_from_dict(data: dict) -> tuple[Observations, CameraIntrinsics]:
                            "complete", "center_proj", "mark_proj"), where)
         if "luminaire_id" not in item:
             raise InvalidConfigError(f"{where}: missing field 'luminaire_id'")
-        lum_id = item["luminaire_id"]
-        if not isinstance(lum_id, str):
-            raise InvalidConfigError(f"{where}: luminaire_id must be a string")
+        lum_id = item["luminaire_id"]  # `Observations` checks that it is a string
         ids.append(lum_id)
         where = f"observation {index} ({lum_id!r})"
         if ("ellipse" in item) == ("contour_pixels" in item):

@@ -2,8 +2,9 @@
 
 Every failure mode that a caller may want to catch gets its own class so that
 the Monte Carlo harness can record solver failures by name without string
-matching. All classes derive from ArcPoseError; plain ValueError is reserved
-for violated call preconditions (wrong argument shapes, missing fields).
+matching. All classes derive from ArcPoseError. InvalidConfigError is also a
+ValueError: a malformed field of a file or a value class raises it by name, no
+longer a plain ValueError, which is left to other violated call preconditions.
 """
 
 
@@ -90,5 +91,6 @@ class ArcTooShortError(ArcPoseError):
 
 # --- harness errors ----------------------------------------------------------
 
-class InvalidConfigError(ArcPoseError):
-    """Experiment/CLI configuration failed validation."""
+class InvalidConfigError(ArcPoseError, ValueError):
+    """An input file, a value class's field or the experiment/CLI
+    configuration failed validation."""

@@ -24,11 +24,14 @@ tilt from a surface normal before the heading is known.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import GimbalLockError
+from .errors import GimbalLockError, InvalidConfigError
 
 ROTATION_TOL = 1e-10
 _EYE = np.eye(3)
@@ -43,12 +46,68 @@ def _freeze(obj, **arrays):
         object.__setattr__(obj, name, arr)
 
 
-def _check_number(value, name: str, kind=float):
-    """Raise ValueError naming `name` unless `value` is a number (an int for
-    `kind=int`); a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        noun = "an int" if kind is int else "a number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
+def read_numbers(value, what: str, shape=(), kind=float):
+    """The number check of every input path: a finite number or, with a one-
+    or two-axis `shape` (None for any length), a list, tuple or ndarray of
+    them or of equal-length rows, as `kind`: a Python float or int (which
+    takes only integers), or an array of that dtype. A NumPy value counts as
+    what its `tolist` gives; a bool is no number. Otherwise raises
+    InvalidConfigError naming `what` and the value. A JSON list is checked
+    with one pass of `type` over its numbers and one of `len` over its rows,
+    and read with one `np.fromiter`."""
+    if not shape:  # Python's checks cost a tenth of NumPy's on one number
+        if (isinstance(value, bool)
+                or not isinstance(value, int if kind is int else (int, float))
+                or not abs(value) <= sys.float_info.max):
+            # A NumPy scalar counts as its Python value; a longdouble has none.
+            if isinstance(value, np.generic) and not isinstance(value.item(), np.generic):
+                return read_numbers(value.item(), what, shape, kind)
+            noun = "an int" if kind is int else "a finite number"
+            raise InvalidConfigError(f"{what} must be {noun}, got {reprlib.repr(value)}")
+        return kind(value)
+    arr = _json_array(value, shape, kind) if isinstance(value, list) else None
+    if arr is None and isinstance(value, (list, tuple, np.ndarray)):
+        arr = _json_array(_json_lists(value), shape, kind)
+    if arr is not None:
+        return arr
+    dims = ", ".join("N" if n is None else str(n) for n in shape)
+    noun = "ints" if kind is int else "finite numbers"
+    raise InvalidConfigError(
+        f"{what} must be a ({dims}) array of {noun}, got {reprlib.repr(value)}")
+
+
+def _json_array(value: list, shape, kind):
+    """`read_numbers` of a JSON list, or None where it fails the checks."""
+    numbers, size = value, (len(value),)
+    try:
+        if len(shape) == 2:  # a row that is no list fails `len` or the type check
+            size = (len(value), *set(map(len, value)))
+            numbers = list(chain.from_iterable(value))
+        # `type`, not `isinstance`: a JSON boolean is a Python int.
+        if (len(size) == len(shape) and all(n in (None, m) for n, m in zip(shape, size))
+                and set(map(type, numbers)) <= ({int} if kind is int else {int, float})):
+            arr = np.fromiter(numbers, kind, len(numbers))
+            if np.isfinite(arr).all():
+                return arr.reshape(size)
+    except (TypeError, OverflowError):  # OverflowError: an integer beyond the dtype
+        pass
+    return None
+
+
+def _json_lists(value):
+    """`value` with each tuple, ndarray and NumPy scalar in it as JSON lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_lists(item) for item in value]
+    return value
+
+
+def read_id(value, what: str) -> str:
+    """A luminaire id, a str; raises InvalidConfigError naming `what` if not."""
+    if not isinstance(value, str):
+        raise InvalidConfigError(f"{what} must be a string, got {reprlib.repr(value)}")
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -65,11 +124,15 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("f", "dx", "dy", "u0", "v0", "width", "height"):
-            _check_number(getattr(self, name), name, int if name in ("width", "height") else float)
+            value = read_numbers(getattr(self, name), f"intrinsics {name}",
+                                 kind=int if name in ("width", "height") else float)
+            object.__setattr__(self, name, value)
         if not (self.f > 0 and self.dx > 0 and self.dy > 0):
-            raise ValueError("focal length and pixel pitch must be positive")
+            raise InvalidConfigError("intrinsics f, dx and dy must be positive, "
+                                     f"got {self.f}, {self.dx}, {self.dy}")
         if not (0 < self.u0 < self.width and 0 < self.v0 < self.height):
-            raise ValueError("principal point must lie inside the image")
+            raise InvalidConfigError(f"intrinsics principal point ({self.u0}, {self.v0}) must "
+                                     f"lie inside the {self.width}x{self.height} image")
 
 
 @dataclass(frozen=True)

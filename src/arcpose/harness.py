@@ -33,6 +33,7 @@ from .frames import (
     CameraIntrinsics,
     check_rotations,
     euler_angles,
+    read_numbers,
     rotations_to_quaternions,
 )
 from .sim import (
@@ -44,7 +45,6 @@ from .sim import (
     default_scene,
     intrinsics_from_dict,
     luminaire_points,
-    read_numbers,
     read_object,
     read_text,
     sample_poses,
@@ -126,23 +126,20 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), kind):
                 raise InvalidConfigError(
                     f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
-        for name in ("samples", "images_per_location", "contour_samples", "seed"):
-            if type(getattr(self, name)) is not int:  # a bool is an int too
-                raise InvalidConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name in ("sigma", "radius", "arc_fraction"):
+        for name, kind in (("sigma", float), ("radius", float), ("arc_fraction", float),
+                           ("samples", int), ("images_per_location", int),
+                           ("contour_samples", int), ("seed", int)):
             value = getattr(self, name)
-            if value is None and name == "radius":  # the scene's own radii
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidConfigError(f"{name} must be a number, got {value!r}")
+            if value is not None or name != "radius":  # None: the scene's own radii
+                object.__setattr__(self, name, read_numbers(value, name, kind=kind))
         if self.samples < 1:
             raise InvalidConfigError(f"samples must be >= 1, got {self.samples}")
         if self.images_per_location < 1:
             raise InvalidConfigError("images_per_location must be >= 1")
-        if not 0 <= self.sigma < math.inf:
-            raise InvalidConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.radius is not None and not 0 < self.radius < math.inf:
-            raise InvalidConfigError(f"radius must be finite and positive, got {self.radius}")
+        if not self.sigma >= 0:
+            raise InvalidConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if self.radius is not None and not self.radius > 0:
+            raise InvalidConfigError(f"radius must be positive, got {self.radius}")
         if self.contour_samples < 8:
             raise InvalidConfigError("contour_samples must be >= 8")
         if not 0 < self.arc_fraction <= 1:
@@ -200,21 +197,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                            "config schema_version", kind=int)
     if version != CONFIG_SCHEMA_VERSION:
         raise InvalidConfigError(f"unsupported config schema_version {version}")
-    kwargs = {}
+    kwargs = {name: value for name, value in data.items() if name != "schema_version"}
     if "scene" in data:
         kwargs["scene"] = scene_from_dict(data["scene"])
     if "intrinsics" in data:
         kwargs["intrinsics"] = intrinsics_from_dict(data["intrinsics"])
-    for name in ("sigma", "radius", "arc_fraction"):
-        if name in data:
-            # A null radius keeps the scene's own radii.
-            kwargs[name] = (None if name == "radius" and data[name] is None
-                            else read_numbers(data[name], f"config field {name!r}"))
-    for name in ("samples", "images_per_location", "contour_samples", "seed"):
-        if name in data:
-            kwargs[name] = read_numbers(data[name], f"config field {name!r}", kind=int)
-    if "scenario" in data:
-        kwargs["scenario"] = data["scenario"]
     if "algorithms" in data:
         if not isinstance(data["algorithms"], list):
             raise InvalidConfigError("config field 'algorithms' must be a list")
@@ -440,14 +427,14 @@ def summarize_by_algorithm(e_loc_by_algorithm) -> dict[str, SummaryStats]:
 def sweep_configs(cfg: ExperimentConfig, parameter: str, values) -> dict:
     """{value: config} of a sweep across noise levels or radii: `cfg` with
     its sigma or radius set to each value. Raises InvalidConfigError for a
-    bad parameter, for values that are not strictly ascending, or for the
-    first value whose configuration fails its checks."""
+    bad parameter, for values that are no finite numbers or not strictly
+    ascending, or for the first value whose configuration fails its checks."""
     if parameter not in ("noise", "radius"):
         raise InvalidConfigError(f"sweep parameter must be noise or radius, got {parameter!r}")
-    values = [float(v) for v in values]
+    name = "sigma" if parameter == "noise" else "radius"
+    values = read_numbers(values, f"{name} sweep values", (None,)).tolist()
     if not values or any(a >= b for a, b in zip(values, values[1:])):
         raise InvalidConfigError("sweep values must be nonempty and strictly ascending")
-    name = "sigma" if parameter == "noise" else "radius"
     return {value: dataclasses.replace(cfg, **{name: value}) for value in values}
 
 

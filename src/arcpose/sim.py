@@ -17,9 +17,7 @@ on the clean (noise-free) projection.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -32,10 +30,10 @@ from .errors import (
 )
 from .frames import (
     CameraIntrinsics,
-    _check_number,
     _wrap_angle,
     camera_to_pixel,
     pixel_to_image,
+    read_numbers,
     rotations_from_angles,
 )
 from .solver import LuminaireInfo, contour_lengths, pair_rows
@@ -81,19 +79,20 @@ class Scene:
     luminaires: tuple[LuminaireInfo, ...]
 
     def __post_init__(self):
-        try:
-            length, width, height = self.room
-            for value in self.room:
-                _check_number(value, "room")
-        except (TypeError, ValueError):
-            raise ValueError(f"room must be 3 numbers, got {self.room!r}") from None
+        room = tuple(read_numbers(self.room, "scene room", (3,)).tolist())
+        length, width, height = room
         if not (length > 0 and width > 0 and height > 0):
-            raise ValueError(f"room dimensions must be positive, got {self.room}")
+            raise InvalidConfigError(f"scene room dimensions must be positive, got {room}")
+        object.__setattr__(self, "room", room)
         object.__setattr__(self, "luminaires", tuple(self.luminaires))
-        for lum in self.luminaires:
+        ids = [lum.id for lum in self.luminaires]
+        for i, lum in enumerate(self.luminaires):
+            if lum.id in ids[:i]:
+                raise InvalidConfigError(f"repeated luminaire id {lum.id!r}")
             x, y, z = lum.center_w
             if not (0 <= x <= length and 0 <= y <= width and 0 < z <= height):
-                raise ValueError(f"luminaire {lum.id!r} lies outside the room")
+                raise InvalidConfigError(
+                    f"luminaire {lum.id!r} center {[x, y, z]} lies outside the room {room}")
 
     def luminaire_map(self) -> dict[str, LuminaireInfo]:
         return {lum.id: lum for lum in self.luminaires}
@@ -474,8 +473,8 @@ def capture_poses(scene: Scene, rotations, translations, rngs, k: CameraIntrinsi
 
 
 # --- (de)serialization ------------------------------------------------------------
-# Every input file's reader takes its text through `read_text`, its objects
-# through `read_object` and its numbers through `read_numbers`.
+# Every input file's reader takes its text through `read_text` and its objects
+# through `read_object`; the value classes check the fields (`read_numbers`).
 
 def read_text(path) -> str:
     """The UTF-8 text of the file at `path`, line ends kept; raises
@@ -498,40 +497,6 @@ def read_object(data, fields, what: str) -> dict:
     return data
 
 
-def read_numbers(value, what: str, shape=(), kind=float):
-    """A finite JSON number or, with a one- or two-axis `shape` (None for
-    any length), a JSON list of them or of equal-length rows, as `kind`: a
-    Python float or int, or an array of that dtype; an int takes only JSON
-    integers. Raises InvalidConfigError naming `what` for a boolean, string
-    or null, a list holding one, a row that is no list, a ragged list,
-    another shape, or an integer beyond the dtype's range. An array is
-    checked with one pass of `type` over its numbers and one of `len` over
-    its rows, and read with one `np.fromiter`."""
-    noun = "JSON integer" if kind is int else "finite JSON number"
-    if not shape:  # Python's checks cost a tenth of NumPy's on one number
-        if (isinstance(value, bool)
-                or not isinstance(value, int if kind is int else (int, float))
-                or not abs(value) <= sys.float_info.max):
-            raise InvalidConfigError(f"{what} must be a {noun}")
-        return kind(value)
-    if isinstance(value, list):
-        numbers, size = value, (len(value),)
-        try:
-            if len(shape) == 2:  # a row that is no list fails `len` or the type check
-                size = (len(value), *set(map(len, value)))
-                numbers = list(chain.from_iterable(value))
-            # `type`, not `isinstance`: a JSON boolean is a Python int.
-            if (len(size) == len(shape) and all(n in (None, m) for n, m in zip(shape, size))
-                    and set(map(type, numbers)) <= ({int} if kind is int else {int, float})):
-                arr = np.fromiter(numbers, kind, len(numbers))
-                if np.isfinite(arr).all():
-                    return arr.reshape(size)
-        except (TypeError, OverflowError):  # OverflowError: an integer beyond the dtype
-            pass
-    dims = ", ".join("N" if n is None else str(n) for n in shape)
-    raise InvalidConfigError(f"{what} must be a ({dims}) array of {noun}s")
-
-
 def scene_to_dict(scene: Scene) -> dict:
     return {
         "schema_version": SCENE_SCHEMA_VERSION,
@@ -548,42 +513,23 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def intrinsics_from_dict(data: dict) -> CameraIntrinsics:
-    """Parse an intrinsics mapping; width and height are integers."""
+    """Parse an intrinsics mapping; `CameraIntrinsics` checks its fields."""
     fields = ("f", "dx", "dy", "u0", "v0", "width", "height")
     read_object(data, fields, "intrinsics")
-    values = [read_numbers(data.get(name), f"intrinsics {name}",
-                           kind=int if name in ("width", "height") else float)
-              for name in fields]
-    try:
-        return CameraIntrinsics(*values)
-    except ValueError as exc:
-        raise InvalidConfigError(f"intrinsics: {exc}") from exc
+    return CameraIntrinsics(*map(data.get, fields))
 
 
 def scene_from_dict(data: dict) -> Scene:
-    """Parse a scene mapping: a room and at least two luminaires with unique
-    ids."""
+    """Parse a scene mapping: a room and at least two luminaires, which
+    `Scene` and `LuminaireInfo` check field by field."""
     read_object(data, ("schema_version", "room", "luminaires"), "scene")
     version = read_numbers(data.get("schema_version"), "scene schema_version", kind=int)
     if version != SCENE_SCHEMA_VERSION:
         raise InvalidConfigError(f"unsupported scene schema_version {version}")
-    room = tuple(read_numbers(data.get("room"), "scene room", (3,)).tolist())
     items = data.get("luminaires")
     if not isinstance(items, list) or len(items) < 2:
         raise InvalidConfigError("scene luminaires must be a list of at least 2")
-    lums = {}
     for index, item in enumerate(items):
-        where = f"luminaire {index}"
-        read_object(item, ("id", "center", "radius"), where)
-        lum_id = item.get("id")
-        if not isinstance(lum_id, str):
-            raise InvalidConfigError(f"{where}: id must be a string")
-        if lum_id in lums:
-            raise InvalidConfigError(f"repeated luminaire id {lum_id!r}")
-        where = f"luminaire {index} ({lum_id!r})"
-        lums[lum_id] = (read_numbers(item.get("center"), f"{where}: center", (3,)),
-                        read_numbers(item.get("radius"), f"{where}: radius"))
-    try:
-        return Scene(room, tuple(LuminaireInfo(i, *parts) for i, parts in lums.items()))
-    except ValueError as exc:
-        raise InvalidConfigError(f"scene: {exc}") from exc
+        read_object(item, ("id", "center", "radius"), f"luminaire {index}")
+    return Scene(data.get("room"), tuple(
+        LuminaireInfo(item.get("id"), item.get("center"), item.get("radius")) for item in items))

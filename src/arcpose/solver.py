@@ -57,12 +57,13 @@ from .errors import (
 from .frames import (
     CameraIntrinsics,
     Pose,
-    _check_number,
     _freeze,
     _wrap_angle,
     angles_from_rotation,
     camera_to_pixel,
     pixel_to_image,
+    read_id,
+    read_numbers,
 )
 
 DISAMBIGUATION_TIE_TOL = 1e-6
@@ -90,13 +91,14 @@ class LuminaireInfo:
     mark_w: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _check_number(self.radius, "radius")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        center = np.asarray(self.center_w, dtype=float)
-        if center.shape != (3,):
-            raise ValueError(f"center must hold 3 coordinates, got {self.center_w!r}")
-        _freeze(self, center_w=center, mark_w=center + self.radius * _PLUS_Y)
+        object.__setattr__(self, "id", read_id(self.id, "luminaire id"))
+        where = f"luminaire {self.id!r}"
+        radius = read_numbers(self.radius, f"{where} radius")
+        if not radius > 0:
+            raise InvalidConfigError(f"{where} radius must be positive, got {radius}")
+        center = read_numbers(self.center_w, f"{where} center", (3,))
+        object.__setattr__(self, "radius", radius)
+        _freeze(self, center_w=center, mark_w=center + radius * _PLUS_Y)
 
     def circle_points(self, angles) -> np.ndarray:
         """World points on the margin at the given parameter angles.
@@ -117,8 +119,8 @@ class Observations:
     (a, b, c, d, e), center and mark pixels `landmarks` (M, 2, 2), NaN where
     absent, `complete` (M,), whether the whole contour plus the center and
     mark were readable, and `contour_px` (M,), each contour's
-    `contour_lengths` (0 when unknown). Raises InvalidConfigError for a
-    repeated id, or a complete row whose landmarks are not finite."""
+    `contour_lengths` (0 when unknown). Raises InvalidConfigError for an id
+    that is no string or repeated, or a complete row with a landmark not finite."""
 
     luminaire: np.ndarray
     coefficients: np.ndarray
@@ -127,12 +129,13 @@ class Observations:
     contour_px: np.ndarray
 
     def __post_init__(self):
+        ids = [read_id(lum_id, f"observation {i}: luminaire_id")
+               for i, lum_id in enumerate(self.luminaire)]
         for name, dtype in (("luminaire", str), ("coefficients", float),
                             ("landmarks", float), ("complete", bool), ("contour_px", float)):
             value = np.array(getattr(self, name), dtype=dtype)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        ids = self.luminaire.tolist()
         for i, lum_id in enumerate(ids):
             if lum_id in ids[:i]:
                 raise InvalidConfigError(f"repeated luminaire_id {lum_id!r}")

@@ -2,10 +2,11 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 
 import numpy as np
@@ -16,9 +17,16 @@ from hypothesis import strategies as st
 from arcpose import cli
 from arcpose.cli import main, observations_from_dict
 from arcpose.errors import ArcPoseError, InvalidConfigError
+from arcpose.frames import CameraIntrinsics, read_numbers
 from arcpose.harness import ExperimentConfig, config_from_dict, config_to_dict
-from arcpose.sim import intrinsics_from_dict, read_numbers, scene_from_dict
-from arcpose.solver import solve_vpa
+from arcpose.sim import (
+    Scene,
+    default_intrinsics,
+    default_scene,
+    intrinsics_from_dict,
+    scene_from_dict,
+)
+from arcpose.solver import LuminaireInfo, solve_vpa
 
 # Ground truth of the bundled zero-noise fixture (generated by the simulator
 # with seed 0; see data/fixture_observations.json).
@@ -385,7 +393,8 @@ def test_non_finite_sigma_or_radius_exits_2(tmp_path, capsys, argv, field):
     # radius exhausted the pose sampler. Both are refused before any run.
     rc = main(argv + ["--samples", "5", "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert f"error: {field} must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and "finite number" in err and "inf" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -551,8 +560,8 @@ def test_scene_validate_ok(capsys):
 @pytest.mark.parametrize("patch, message", [
     (lambda s: s.update(luminaires=[], oops=True), "oops"),
     (lambda s: s.update(room="863"), "scene room"),
-    (lambda s: s["luminaires"][0].update(center="223"), "luminaire 0 ('L1'): center"),
-    (lambda s: s["luminaires"][0].update(radius=True), "luminaire 0 ('L1'): radius"),
+    (lambda s: s["luminaires"][0].update(center="223"), "luminaire 'L1' center"),
+    (lambda s: s["luminaires"][0].update(radius=True), "luminaire 'L1' radius"),
     # L3 relabelled L1 once passed, and `arcpose run` on it measured a mean
     # error of 52 cm against 2.5 cm.
     (lambda s: s["luminaires"][2].update(id="L1"), "repeated luminaire id 'L1'"),
@@ -560,9 +569,9 @@ def test_scene_validate_ok(capsys):
     (lambda s: s.update(luminaires=s["luminaires"][:1]), "at least 2"),
     # A boolean among numbers was once read as 1.
     (lambda s: s.update(room=[True, 6, 3]), "scene room"),
-    (lambda s: s["luminaires"][0].update(center=[2, True, 3]), "luminaire 0 ('L1'): center"),
+    (lambda s: s["luminaires"][0].update(center=[2, True, 3]), "luminaire 'L1' center"),
     (lambda s: s.update(room=[[8], 6, 3]), "scene room"),
-    (lambda s: s["luminaires"][0].update(center=[10 ** 400, 2, 3]), "luminaire 0 ('L1'): center"),
+    (lambda s: s["luminaires"][0].update(center=[10 ** 400, 2, 3]), "luminaire 'L1' center"),
 ], ids=["unknown_field", "text_room", "text_center", "bool_radius", "repeated_id",
         "no_luminaires", "one_luminaire", "bool_in_room", "bool_in_center", "list_in_room",
         "huge_int_center"])
@@ -608,6 +617,46 @@ def test_read_numbers_returns_array_or_raises_named_error(shape, value):
         return
     assert arr.dtype == float and np.isfinite(arr).all()
     assert arr.shape == tuple(len(value) if n is None else n for n in shape)
+
+
+NUMPY_SCALARS = (st.booleans().map(np.bool_) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+                 | st.integers(0, 2 ** 16 - 1).map(np.uint16) | st.floats(width=32).map(np.float32)
+                 | st.floats().map(np.float64))
+FIELD_VALUES = (JSON_VALUES | NUMPY_SCALARS
+                | st.lists(JSON_VALUES | NUMPY_SCALARS, max_size=4).map(tuple))
+# Valid keyword arguments of each value class, and its numeric fields.
+VALID_FIELDS = {
+    CameraIntrinsics: asdict(default_intrinsics()),
+    LuminaireInfo: {"id": "L1", "center_w": [2.0, 2.0, 3.0], "radius": 0.15},
+    Scene: {"room": (8.0, 6.0, 3.0), "luminaires": default_scene().luminaires},
+    ExperimentConfig: {},
+}
+NUMERIC_FIELDS = ([(CameraIntrinsics, name) for name in VALID_FIELDS[CameraIntrinsics]]
+                  + [(LuminaireInfo, "center_w"), (LuminaireInfo, "radius"), (Scene, "room")]
+                  + [(ExperimentConfig, name) for name in (
+                      "sigma", "radius", "arc_fraction", "samples", "images_per_location",
+                      "contour_samples", "seed")])
+
+
+@pytest.mark.parametrize("cls, name", NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_FIELDS])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(value=FIELD_VALUES)
+def test_value_classes_return_or_raise_invalid_config(cls, name, value):
+    # Any JSON value, NumPy scalar or tuple in place of a numeric field of
+    # `CameraIntrinsics`, `LuminaireInfo`, `Scene` or `ExperimentConfig` gives
+    # an instance that holds the field as finite Python numbers, or
+    # InvalidConfigError.
+    try:
+        got = getattr(cls(**{**VALID_FIELDS[cls], name: value}), name)
+    except InvalidConfigError:
+        return
+    if got is None:  # a config's radius: the scene's own radii
+        assert (cls, name) == (ExperimentConfig, "radius")
+        return
+    items = (got.tolist() if isinstance(got, np.ndarray)
+             else list(got) if isinstance(got, tuple) else [got])
+    assert all(type(item) in (int, float) and math.isfinite(item) for item in items)
 
 
 def field_paths(value, path=()):

@@ -27,6 +27,7 @@ from arcpose.harness import (
     summarize,
     summarize_by_algorithm,
     sweep,
+    sweep_configs,
     write_results,
 )
 
@@ -119,11 +120,13 @@ def test_config_validation():
         ExperimentConfig(sigma=-0.5)
     # Every JSON reader refuses a non-finite number; the config does too.
     for bad in (math.inf, math.nan):
-        with pytest.raises(InvalidConfigError, match="sigma must be finite"):
+        with pytest.raises(InvalidConfigError, match="sigma must be a finite number"):
             ExperimentConfig(sigma=bad)
-    for bad in (math.inf, math.nan, -math.inf, 0.0):
-        with pytest.raises(InvalidConfigError, match="radius must be finite and positive"):
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(InvalidConfigError, match="radius must be a finite number"):
             ExperimentConfig(radius=bad)
+    with pytest.raises(InvalidConfigError, match="radius must be positive, got 0.0"):
+        ExperimentConfig(radius=0.0)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(images_per_location=0)
     with pytest.raises(InvalidConfigError):
@@ -148,7 +151,7 @@ def test_config_refuses_a_count_that_is_no_int_by_name(name, value):
 def test_config_refuses_a_value_that_is_no_number_by_name(name, value):
     # A string would fail the range check with a bare TypeError, and a bool
     # would run as 1 and write a manifest that `config_from_dict` refuses.
-    message = f"{name} must be a number, got {value!r}"
+    message = f"{name} must be a finite number, got {value!r}"
     with pytest.raises(InvalidConfigError, match=re.escape(message)):
         ExperimentConfig(**{name: value})
 
@@ -475,6 +478,23 @@ def test_sweep_validation():
         sweep(cfg, "noise", [])
     with pytest.raises(InvalidConfigError):
         sweep(cfg, "noise", [0.0, 0.0])
+
+
+@pytest.mark.parametrize("values", [[True, "2"], [0.5, None], "12", (np.bool_(True), 2.0)],
+                         ids=["bool_and_text", "null", "text", "numpy_bool"])
+def test_sweep_configs_refuses_a_value_that_is_no_number_by_name(values):
+    # `float(v)` once ran a boolean as sigma 1.0 and the text "2" as 2.0.
+    message = f"sigma sweep values must be a (N) array of finite numbers, got {values!r}"
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+        sweep_configs(ExperimentConfig(samples=2), "noise", values)
+
+
+def test_sweep_configs_reads_a_tuple_or_an_array_as_python_floats():
+    cfg = ExperimentConfig(samples=2)
+    for values in ((1, 2.5), np.array([1.0, 2.5]), [np.float32(1.0), np.int64(2) + 0.5]):
+        configs = sweep_configs(cfg, "radius", values)
+        assert list(configs) == [1.0, 2.5] and all(type(v) is float for v in configs)
+        assert [c.radius for c in configs.values()] == [1.0, 2.5]
 
 
 def test_noise_sweep_shares_poses():

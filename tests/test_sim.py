@@ -133,20 +133,66 @@ _CENTER = np.array([2.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda k: dataclasses.replace(k, f="0.4"), "f must be a number, got '0.4'"),
-    (lambda k: dataclasses.replace(k, width=640.5), "width must be an int, got 640.5"),
-    (lambda k: LuminaireInfo("L1", _CENTER, "0.1"), "radius must be a number, got '0.1'"),
-    (lambda k: LuminaireInfo("L1", _CENTER, radius=None), "radius must be a number, got None"),
-    (lambda k: LuminaireInfo("L1", _CENTER[:2], 0.1), "center must hold 3 coordinates"),
-    (lambda k: Scene(room=("8", 6, 3), luminaires=()), "room must be 3 numbers"),
-    (lambda k: Scene(room=(8, 6), luminaires=()), "room must be 3 numbers"),
-], ids=["text_f", "fractional_width", "text_radius", "null_radius", "short_center",
-        "text_room", "short_room"])
+    (lambda k: dataclasses.replace(k, f="0.4"), "intrinsics f must be a finite number, got '0.4'"),
+    (lambda k: dataclasses.replace(k, width=640.5), "intrinsics width must be an int, got 640.5"),
+    (lambda k: dataclasses.replace(k, f=math.inf), "intrinsics f must be a finite number, got inf"),
+    (lambda k: LuminaireInfo("L1", _CENTER, "0.1"),
+     "luminaire 'L1' radius must be a finite number, got '0.1'"),
+    (lambda k: LuminaireInfo("L1", _CENTER, radius=None),
+     "luminaire 'L1' radius must be a finite number, got None"),
+    (lambda k: LuminaireInfo("L1", [1, 2, 3], math.inf),
+     "luminaire 'L1' radius must be a finite number, got inf"),
+    (lambda k: LuminaireInfo("L1", _CENTER[:2], 0.1),
+     "luminaire 'L1' center must be a (3) array of finite numbers, got array([2., 2.])"),
+    (lambda k: LuminaireInfo("L1", ["2", "2", "3"], 0.1),
+     "luminaire 'L1' center must be a (3) array of finite numbers, got ['2', '2', '3']"),
+    (lambda k: LuminaireInfo(5, [True, 2, 3], 0.1), "luminaire id must be a string, got 5"),
+    (lambda k: LuminaireInfo("L1", [True, 2, 3], 0.1),
+     "luminaire 'L1' center must be a (3) array of finite numbers, got [True, 2, 3]"),
+    (lambda k: LuminaireInfo("L1", [1, 2, None], 0.1),
+     "luminaire 'L1' center must be a (3) array of finite numbers, got [1, 2, None]"),
+    (lambda k: LuminaireInfo("L1", {"a": 1}, 0.1),
+     "luminaire 'L1' center must be a (3) array of finite numbers, got {'a': 1}"),
+    (lambda k: LuminaireInfo("L1", "abc", 0.1),
+     "luminaire 'L1' center must be a (3) array of finite numbers, got 'abc'"),
+    (lambda k: Scene(room=("8", 6, 3), luminaires=()),
+     "scene room must be a (3) array of finite numbers, got ('8', 6, 3)"),
+    (lambda k: Scene(room=(8, 6), luminaires=()),
+     "scene room must be a (3) array of finite numbers, got (8, 6)"),
+    (lambda k: ExperimentConfig(samples=np.float64(5.0)), "samples must be an int, got 5.0"),
+    (lambda k: ExperimentConfig(seed=np.bool_(True)), "seed must be an int, got True"),
+    (lambda k: ExperimentConfig(sigma=np.float64("nan")), "sigma must be a finite number, got nan"),
+], ids=["text_f", "fractional_width", "infinite_f", "text_radius", "null_radius",
+        "infinite_radius", "short_center", "text_center", "int_id", "bool_in_center",
+        "null_in_center", "object_center", "string_center", "text_room", "short_room",
+        "numpy_float_samples", "numpy_bool_seed", "numpy_nan_sigma"])
 def test_value_classes_refuse_a_wrong_typed_field_by_name(k, build, message):
     # Each would fail a comparison or an unpacking with a bare TypeError or
-    # ValueError, or (a fractional width) construct.
-    with pytest.raises(ValueError, match=re.escape(message)):
+    # ValueError, or construct: a text center was read as its numbers, a
+    # boolean as 1, a null as NaN and an infinite radius or focal length as is.
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
         build(k)
+
+
+def test_value_classes_read_numpy_numbers_as_python_numbers(k):
+    # A NumPy number counts as its Python value and is stored as one, so no
+    # float32 or int64 reaches the kernels or the manifest.
+    cfg = ExperimentConfig(samples=np.int64(3), sigma=np.float32(0.5), radius=np.int64(1))
+    assert (cfg.samples, cfg.sigma, cfg.radius) == (3, 0.5, 1.0)
+    assert (type(cfg.samples), type(cfg.sigma), type(cfg.radius)) == (int, float, float)
+    intrinsics = dataclasses.replace(k, f=np.float32(0.5), width=np.uint16(640))
+    assert type(intrinsics.f) is float and type(intrinsics.width) is int
+    lum = LuminaireInfo(np.str_("L1"), (np.float64(2), np.int64(2), 3), np.float32(0.25))
+    assert type(lum.id) is str and lum.center_w.tolist() == [2.0, 2.0, 3.0]
+    assert type(lum.radius) is float and lum.radius == 0.25
+
+
+def test_scene_refuses_a_repeated_luminaire_id():
+    # `luminaire_map` would keep one of the two without a word.
+    first, second = default_scene().luminaires[:2]
+    twin = LuminaireInfo(first.id, second.center_w, second.radius)
+    with pytest.raises(InvalidConfigError, match="repeated luminaire id 'L1'"):
+        Scene(room=(8.0, 6.0, 3.0), luminaires=(first, twin))
 
 
 def test_scene_rejects_luminaire_outside_room():

@@ -143,6 +143,17 @@ def test_direct_call_rejects_repeated_id():
         solve_vpa(dataclasses.replace(obs, luminaire=["L1", "L1"]), lums, k)
 
 
+@pytest.mark.parametrize("ids", [[5, 6], np.array([5, 6]), ["L1", None]],
+                         ids=["ints", "int_array", "null"])
+def test_observations_refuse_an_id_that_is_no_string(ids):
+    # A str array once turned the ids 5 and 6 into '5' and '6' without a word.
+    obs, _, _ = fixture_frame()
+    bad = next(i for i, lum_id in enumerate(ids) if not isinstance(lum_id, str))
+    with pytest.raises(InvalidConfigError,
+                       match=f"observation {bad}: luminaire_id must be a string, got"):
+        dataclasses.replace(obs, luminaire=ids)
+
+
 # --- disambiguate ------------------------------------------------------------------
 
 def unit(v):
