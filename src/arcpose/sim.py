@@ -17,6 +17,7 @@ on the clean (noise-free) projection.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,10 @@ class Scene:
         if not (length > 0 and width > 0 and height > 0):
             raise InvalidConfigError(f"scene room dimensions must be positive, got {room}")
         object.__setattr__(self, "room", room)
+        if not (isinstance(self.luminaires, (list, tuple))
+                and all(isinstance(lum, LuminaireInfo) for lum in self.luminaires)):
+            raise InvalidConfigError("scene luminaires must be a list or tuple of LuminaireInfo, "
+                                     f"got {reprlib.repr(self.luminaires)}")
         object.__setattr__(self, "luminaires", tuple(self.luminaires))
         ids = [lum.id for lum in self.luminaires]
         for i, lum in enumerate(self.luminaires):

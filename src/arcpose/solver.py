@@ -24,6 +24,7 @@ observation ids, the way an optical broadcast channel would deliver it.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -119,8 +120,9 @@ class Observations:
     (a, b, c, d, e), center and mark pixels `landmarks` (M, 2, 2), NaN where
     absent, `complete` (M,), whether the whole contour plus the center and
     mark were readable, and `contour_px` (M,), each contour's
-    `contour_lengths` (0 when unknown). Raises InvalidConfigError for an id
-    that is no string or repeated, or a complete row with a landmark not finite."""
+    `contour_lengths` (0 when unknown). Raises InvalidConfigError for ids
+    that are no list, tuple or 1-D array, an id that is no string or repeated, or a
+    complete row with a landmark not finite."""
 
     luminaire: np.ndarray
     coefficients: np.ndarray
@@ -129,6 +131,11 @@ class Observations:
     contour_px: np.ndarray
 
     def __post_init__(self):
+        # A record's own ids are a 1-D array, which `dataclasses.replace` passes back.
+        if not (isinstance(self.luminaire, (list, tuple))
+                or isinstance(self.luminaire, np.ndarray) and self.luminaire.ndim == 1):
+            raise InvalidConfigError("observation luminaire ids must be a list, tuple or 1-D "
+                                     f"array, got {reprlib.repr(self.luminaire)}")
         ids = [read_id(lum_id, f"observation {i}: luminaire_id")
                for i, lum_id in enumerate(self.luminaire)]
         for name, dtype in (("luminaire", str), ("coefficients", float),
@@ -541,14 +548,21 @@ def _jacobian(psi, r, d, cam, k: CameraIntrinsics) -> np.ndarray:
 
 
 def _lstsq_steps(jac, res) -> np.ndarray:
-    """The steps (M, 6) that `np.linalg.lstsq(jac[i], -res[i])` returns, from
-    one batched SVD: singular values at or below eps * max(2P, 6) times the
-    largest count as zero."""
-    u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    keep = s > _EPS * max(jac.shape[1:]) * s[:, :1]
-    coef = np.divide(-(u * res[:, :, None]).sum(axis=1), s, out=np.zeros_like(s),
-                     where=keep)
-    return (vt * coef[:, :, None]).sum(axis=1)
+    """The steps (M, 6) that minimise |jac[i] @ step + res[i]|, from one batched
+    QR of [jac | res]: R's leading 6x6 block R6 and last column c give
+    R6 @ step = -c[:6]. A lane with some |R6_ii| at or below eps * max(2P, 6)
+    times its largest |R6_jj| is rank deficient: its R6 is swapped for the
+    identity, so that the batched solve cannot raise, and its step is NaN, so
+    that no trial of it is accepted."""
+    n = jac.shape[2]
+    qr = np.linalg.qr(np.concatenate([jac, res[:, :, None]], axis=2), mode="r")
+    r6 = qr[:, :n, :n]
+    diag = np.abs(np.diagonal(r6, axis1=1, axis2=2))
+    singular = (diag <= _EPS * max(jac.shape[1:]) * diag.max(axis=1, keepdims=True)).any(axis=1)
+    r6[singular] = np.eye(n)
+    step = np.linalg.solve(r6, -qr[:, :n, n:])[..., 0]
+    step[singular] = np.nan
+    return step
 
 
 def _homography_inits(pixels, centroid, centered, svals, vt, k: CameraIntrinsics):

@@ -591,8 +591,9 @@ def test_records_csv_matches_value_at_a_time_writer(case, tmp_path):
 
 
 def test_read_records_round_trips_e_loc(tmp_path):
-    # At seed 3 one PnP row also fails, with NonConvergenceError.
-    cfg = replace(SHORT_ARCS, samples=120, seed=3, algorithms=("VPA", "VPCA", "OAVPA", "PNP"))
+    # At SHORT_ARCS's seed 13 one PnP row also fails, with NonConvergenceError:
+    # Gauss-Newton stops after 8 iterations at an RMS of 118 px.
+    cfg = replace(SHORT_ARCS, samples=120, algorithms=("VPA", "VPCA", "OAVPA", "PNP"))
     records = run_monte_carlo(cfg)
     assert {"DegenerateConicError", "NoCompleteCaptureError",
             "NonConvergenceError"} <= set(records.error.flat)

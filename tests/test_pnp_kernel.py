@@ -167,3 +167,51 @@ def test_bad_rows_fail_by_name_and_leave_the_others():
     few = pnp_solve(world[:, :3], pixels[:, :3], k)
     assert (few.failure == 0).all()
     assert str(few.error(0)) == "need at least 4 correspondences"
+
+
+def conditioned_jacobians(rng, lanes, max_cond):
+    """(lanes, 8, 6) Jacobians whose condition numbers spread log-uniformly
+    from 1 to `max_cond`, and (lanes, 8) residuals."""
+    u = np.linalg.qr(rng.normal(size=(lanes, 8, 6)))[0]
+    v = np.linalg.qr(rng.normal(size=(lanes, 6, 6)))[0]
+    cond = np.logspace(0, np.log10(max_cond), lanes)
+    s = cond[:, None] ** -np.linspace(0.0, 1.0, 6)
+    return (u * s[:, None]) @ v, rng.normal(size=(lanes, 8)), cond
+
+
+def test_steps_are_least_squares_solutions():
+    jac, res, cond = conditioned_jacobians(np.random.default_rng(5), 200, 1e6)
+    assert np.allclose(np.linalg.cond(jac), cond, rtol=1e-6)
+    steps = solver._lstsq_steps(jac, res)
+    for i in range(len(jac)):
+        np.testing.assert_allclose(steps[i], np.linalg.lstsq(jac[i], -res[i], rcond=None)[0],
+                                   rtol=1e-8, atol=0)
+
+
+def test_a_rank_deficient_lane_gets_no_step_and_leaves_the_others():
+    jac, res, _ = conditioned_jacobians(np.random.default_rng(6), 20, 1e3)
+    dependent = jac.copy()
+    dependent[7, :, 5] = 2.0 * dependent[7, :, 4]
+    steps = solver._lstsq_steps(dependent, res)
+    assert not np.isfinite(steps[7]).any()
+    others = np.arange(20) != 7
+    assert np.array_equal(steps[others], solver._lstsq_steps(jac[others], res[others]))
+
+
+def test_gauss_newton_stops_a_rank_deficient_lane_where_it_started():
+    # With every world point behind the camera the depths are clamped, so the
+    # pixels do not depend on the camera's height: the Jacobian's t_z column
+    # is zero.
+    world, pixels, k = captured_rows(samples=3)
+    x0 = np.zeros((len(world), 6))
+    x0[:, 3:] = world.mean(axis=1) - [0.0, 0.0, 2.0]
+    behind = world.copy()
+    behind[0, :, 2] = x0[0, 5] - 1.0
+    jac = solver.pnp_jacobian(x0[:1], behind[:1], k)
+    assert not jac[0, :, 5].any()
+    x, cost, iters = solver._gauss_newton(x0, behind, pixels, k)
+    res = solver.pnp_residuals(x0[0], behind[0], pixels[0], k)
+    assert np.array_equal(x[0], x0[0]) and cost[0] == (res * res).sum() and iters[0] == 1
+    rest = solver._gauss_newton(x0[1:], world[1:], pixels[1:], k)
+    for got, alone in zip((x, cost, iters), rest):
+        assert np.array_equal(got[1:], alone)

@@ -195,6 +195,17 @@ def test_scene_refuses_a_repeated_luminaire_id():
         Scene(room=(8.0, 6.0, 3.0), luminaires=(first, twin))
 
 
+@pytest.mark.parametrize("luminaires", [("L1", "L2"), iter(default_scene().luminaires),
+                                        default_scene().luminaires[0]],
+                         ids=["ids", "iterator", "one_luminaire"])
+def test_scene_refuses_luminaires_that_are_no_list_by_name(luminaires):
+    # Ids in place of luminaires once raised a bare AttributeError, one
+    # luminaire a bare TypeError, and an iterator was drained into the scene.
+    with pytest.raises(InvalidConfigError,
+                       match="scene luminaires must be a list or tuple of LuminaireInfo"):
+        Scene(room=(8.0, 6.0, 3.0), luminaires=luminaires)
+
+
 def test_scene_rejects_luminaire_outside_room():
     with pytest.raises(ValueError):
         Scene(room=(4.0, 4.0, 3.0),

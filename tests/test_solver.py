@@ -154,6 +154,17 @@ def test_observations_refuse_an_id_that_is_no_string(ids):
         dataclasses.replace(obs, luminaire=ids)
 
 
+@pytest.mark.parametrize("ids", [5, "L1", np.array("L1"), np.array([["L1", "L2"]])],
+                         ids=["int", "str", "scalar_array", "2d_array"])
+def test_observations_refuse_ids_that_are_no_list_by_name(ids):
+    # An int or a 0-d array once raised a bare TypeError, and a str built a
+    # record whose ids were one 0-d array.
+    obs, _, _ = fixture_frame()
+    with pytest.raises(InvalidConfigError,
+                       match="observation luminaire ids must be a list, tuple or 1-D array"):
+        dataclasses.replace(obs, luminaire=ids)
+
+
 # --- disambiguate ------------------------------------------------------------------
 
 def unit(v):
