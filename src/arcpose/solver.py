@@ -121,8 +121,9 @@ class Observations:
     absent, `complete` (M,), whether the whole contour plus the center and
     mark were readable, and `contour_px` (M,), each contour's
     `contour_lengths` (0 when unknown). Raises InvalidConfigError for ids
-    that are no list, tuple or 1-D array, an id that is no string or repeated, or a
-    complete row with a landmark not finite."""
+    that are no list, tuple or 1-D array, an id that is no string or repeated,
+    numbers that are no ints or floats (NaN is one), a `complete` that is no
+    boolean, or a complete row with a landmark not finite."""
 
     luminaire: np.ndarray
     coefficients: np.ndarray
@@ -138,9 +139,19 @@ class Observations:
                                      f"array, got {reprlib.repr(self.luminaire)}")
         ids = [read_id(lum_id, f"observation {i}: luminaire_id")
                for i, lum_id in enumerate(self.luminaire)]
-        for name, dtype in (("luminaire", str), ("coefficients", float),
-                            ("landmarks", float), ("complete", bool), ("contour_px", float)):
-            value = np.array(getattr(self, name), dtype=dtype)
+        object.__setattr__(self, "luminaire", np.array(ids, dtype=str))
+        self.luminaire.flags.writeable = False
+        # A bare cast would read text, None and booleans as numbers and any
+        # string as True. NaN stays legal: absent landmarks and unfitted rows hold it.
+        for name, kinds, noun in (("coefficients", "iuf", "numbers"),
+                                  ("landmarks", "iuf", "numbers"),
+                                  ("complete", "b", "booleans"),
+                                  ("contour_px", "iuf", "numbers")):
+            value = np.array(getattr(self, name))
+            if value.dtype.kind not in kinds and value.size:
+                raise InvalidConfigError(f"observation {name} must be {noun}, "
+                                         f"got {reprlib.repr(getattr(self, name))}")
+            value = value.astype(bool if noun == "booleans" else float, copy=False)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         for i, lum_id in enumerate(ids):
@@ -452,9 +463,14 @@ PNP_CHECKS = (
 )
 
 # Gauss-Newton tries each step at full length and then halved, 12 lengths in
-# all, and stops at a step norm under 1e-10 or after 100 iterations.
+# all, and stops at a step norm under 1e-10 or after 100 iterations. It also
+# stops where it is once the reduction its model predicts is at most
+# `_GAIN_TOL` of the cost (MINPACK's ftol: Moré, Garbow & Hillstrom, User
+# Guide for MINPACK-1, 1980); such a step moves the pose by far less than
+# any record shows.
 _STEP_SCALES = np.ldexp(1.0, -np.arange(12))
 _STEP_TOL = 1e-10
+_GAIN_TOL = 1e-8
 _MAX_ITERATIONS = 100
 # Restart headings of the upright init, in the order they run: +90, +180, +270 degrees.
 _RESTART_PSI = np.array([_wrap_angle(0.5 * math.pi * turn) for turn in (1, 2, 3)])
@@ -547,22 +563,24 @@ def _jacobian(psi, r, d, cam, k: CameraIntrinsics) -> np.ndarray:
     return duv.transpose(0, 3, 2, 1).reshape(len(r), -1, 6)
 
 
-def _lstsq_steps(jac, res) -> np.ndarray:
-    """The steps (M, 6) that minimise |jac[i] @ step + res[i]|, from one batched
-    QR of [jac | res]: R's leading 6x6 block R6 and last column c give
-    R6 @ step = -c[:6]. A lane with some |R6_ii| at or below eps * max(2P, 6)
-    times its largest |R6_jj| is rank deficient: its R6 is swapped for the
-    identity, so that the batched solve cannot raise, and its step is NaN, so
-    that no trial of it is accepted."""
+def _lstsq_steps(jac, res):
+    """The steps (M, 6) that minimise |jac[i] @ step + res[i]|, and the cost
+    reductions (M,) they predict, |res[i]|^2 less that minimum, from one
+    batched QR of [jac | res]: R's leading 6x6 block R6 and last column c give
+    R6 @ step = -c[:6] and the reduction |c[:6]|^2. A lane with some |R6_ii|
+    at or below eps * max(2P, 6) times its largest |R6_jj| is rank deficient:
+    its R6 is swapped for the identity, so that the batched solve cannot
+    raise, and its step is NaN, so that no trial of it is accepted."""
     n = jac.shape[2]
     qr = np.linalg.qr(np.concatenate([jac, res[:, :, None]], axis=2), mode="r")
     r6 = qr[:, :n, :n]
     diag = np.abs(np.diagonal(r6, axis1=1, axis2=2))
     singular = (diag <= _EPS * max(jac.shape[1:]) * diag.max(axis=1, keepdims=True)).any(axis=1)
     r6[singular] = np.eye(n)
-    step = np.linalg.solve(r6, -qr[:, :n, n:])[..., 0]
+    c = qr[:, :n, n:]
+    step = np.linalg.solve(r6, -c)[..., 0]
     step[singular] = np.nan
-    return step
+    return step, (c * c).sum(axis=(1, 2))
 
 
 def _homography_inits(pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
@@ -610,7 +628,10 @@ def _gauss_newton(x, world, pixels, k: CameraIntrinsics):
     (L, P, 3) and pixels (L, P, 2); returns each lane's parameters (L, 6), cost
     and iterations at its stop. A step takes the longest of `_STEP_SCALES`
     that does not raise the cost; a lane stops when none does, when its step
-    is under `_STEP_TOL` or after `_MAX_ITERATIONS`."""
+    is under `_STEP_TOL` or after `_MAX_ITERATIONS`. It also stops where it
+    is when the reduction its step predicts is at most `_GAIN_TOL` times its
+    cost: that step is set to NaN, as a rank-deficient lane's is, so no trial
+    of it is accepted."""
     out_x, out_cost, out_iters = np.empty_like(x), np.empty(len(x)), np.empty(len(x), int)
     lane = np.arange(len(x))
     r, d, cam = _camera_frame(x, world)
@@ -619,7 +640,8 @@ def _gauss_newton(x, world, pixels, k: CameraIntrinsics):
     iters = 0
     while len(lane):
         iters += 1
-        step = _lstsq_steps(_jacobian(x[:, 2], r, d, cam, k), res)
+        step, gain = _lstsq_steps(_jacobian(x[:, 2], r, d, cam, k), res)
+        step[gain <= _GAIN_TOL * cost] = np.nan  # nothing left to gain
         trial = x[:, None] + _STEP_SCALES[:, None] * step[:, None]
         r, d, cam = _camera_frame(trial, world[:, None])
         res = _reprojection(cam, pixels[:, None], k)
@@ -691,7 +713,8 @@ def pnp_solve(world, pixels, k: CameraIntrinsics) -> PnpSolutions:
 
     Row i minimizes the summed squared pixel reprojection error of world
     points world[i] (P, 3) against their pixels pixels[i] (P, 2) over the six
-    pose parameters, stopping at step norm < 1e-10 or 100 iterations. Each
+    pose parameters, stopping when the next step's predicted reduction is at
+    most 1e-8 of the cost, at step norm < 1e-10 or after 100 iterations. Each
     row refines the upright pose 2 m under the centroid of its points
     (deliberately ignorant of the true pose) and, for coplanar points, a
     closed-form homography pose: the upright init alone strands Gauss-Newton

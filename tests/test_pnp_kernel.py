@@ -182,20 +182,52 @@ def conditioned_jacobians(rng, lanes, max_cond):
 def test_steps_are_least_squares_solutions():
     jac, res, cond = conditioned_jacobians(np.random.default_rng(5), 200, 1e6)
     assert np.allclose(np.linalg.cond(jac), cond, rtol=1e-6)
-    steps = solver._lstsq_steps(jac, res)
+    steps, _ = solver._lstsq_steps(jac, res)
     for i in range(len(jac)):
         np.testing.assert_allclose(steps[i], np.linalg.lstsq(jac[i], -res[i], rcond=None)[0],
                                    rtol=1e-8, atol=0)
+
+
+def test_gains_are_the_cost_less_the_least_squares_residual():
+    # The reduction the Gauss-Newton model predicts for the full step: the
+    # cost |res|^2 less the least-squares residual |jac @ step + res|^2.
+    jac, res, _ = conditioned_jacobians(np.random.default_rng(5), 200, 1e6)
+    _, gains = solver._lstsq_steps(jac, res)
+    for i in range(len(jac)):
+        left = np.linalg.lstsq(jac[i], -res[i], rcond=None)[1][0]
+        np.testing.assert_allclose(gains[i], res[i] @ res[i] - left, rtol=1e-8, atol=0)
 
 
 def test_a_rank_deficient_lane_gets_no_step_and_leaves_the_others():
     jac, res, _ = conditioned_jacobians(np.random.default_rng(6), 20, 1e3)
     dependent = jac.copy()
     dependent[7, :, 5] = 2.0 * dependent[7, :, 4]
-    steps = solver._lstsq_steps(dependent, res)
+    steps, gains = solver._lstsq_steps(dependent, res)
     assert not np.isfinite(steps[7]).any()
     others = np.arange(20) != 7
-    assert np.array_equal(steps[others], solver._lstsq_steps(jac[others], res[others]))
+    alone = solver._lstsq_steps(jac[others], res[others])
+    assert np.array_equal(steps[others], alone[0]) and np.array_equal(gains[others], alone[1])
+
+
+def test_a_lane_restarted_where_it_converged_stops_at_once():
+    # Noisy correspondences (sigma 2 px) leave every lane a positive cost. At
+    # a converged lane's stop its model predicts a gain of at most _GAIN_TOL
+    # of that cost, so a restart from there stops before any step.
+    world, pixels, k = captured_rows(samples=10)
+    x0 = np.zeros((len(world), 6))
+    x0[:, 3:] = world.mean(axis=1) - [0.0, 0.0, 2.0]
+    x, cost, iters = solver._gauss_newton(x0, world, pixels, k)
+    rms = np.sqrt(cost / (2 * world.shape[1]))
+    converged = (iters < solver._MAX_ITERATIONS) & (rms <= PNP_RESTART_RMS)
+    assert converged.sum() >= 8 and (cost > 0).all() and (iters > 1).all()
+    x, cost = x[converged], cost[converged]
+    world, pixels = world[converged], pixels[converged]
+    res = solver.pnp_residuals(x, world, pixels, k)
+    _, gains = solver._lstsq_steps(solver.pnp_jacobian(x, world, k), res)
+    assert (gains <= solver._GAIN_TOL * cost).all()
+    again = solver._gauss_newton(x, world, pixels, k)
+    assert np.array_equal(again[0], x) and np.array_equal(again[1], cost)
+    assert (again[2] == 1).all()
 
 
 def test_gauss_newton_stops_a_rank_deficient_lane_where_it_started():

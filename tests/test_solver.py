@@ -165,6 +165,30 @@ def test_observations_refuse_ids_that_are_no_list_by_name(ids):
         dataclasses.replace(obs, luminaire=ids)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("coefficients", dict(coefficients=[["1", "0", "1", "0", "0"], [True, 0, 1, 0, 0]],
+                          contour_px=["3", None])),
+    ("coefficients", dict(coefficients=[[True, False, True, False, False]] * 2)),
+    ("landmarks", dict(landmarks=[[[None, 1.0], [2.0, 3.0]]] * 2)),
+    ("contour_px", dict(contour_px=["3", None])),
+    ("complete", dict(complete="false")),
+    ("complete", dict(complete=[0, 1])),
+], ids=["text_coefficients_and_lengths", "bool_coefficients", "null_landmark",
+        "text_contour_px", "text_complete", "int_complete"])
+def test_observations_refuse_values_of_the_wrong_kind_by_name(field, bad):
+    # A bare cast once read each of these as numbers (None as NaN) or as
+    # True, and constructed the record without a word.
+    row = dict(luminaire=["L1", "L2"], coefficients=np.zeros((2, 5)),
+               landmarks=np.full((2, 2, 2), np.nan), complete=[False, False],
+               contour_px=[3.0, 4.0])
+    obs = Observations(**row)  # NaN landmarks and int lengths are legal
+    assert Observations(**dict(row, contour_px=[3, 4])).contour_px.dtype == float
+    assert np.isnan(obs.landmarks).all()
+    noun = "booleans" if field == "complete" else "numbers"
+    with pytest.raises(InvalidConfigError, match=f"observation {field} must be {noun}, got"):
+        Observations(**dict(row, **bad))
+
+
 # --- disambiguate ------------------------------------------------------------------
 
 def unit(v):
