@@ -113,6 +113,13 @@ class LuminaireInfo:
         return self.center_w + ring
 
 
+def _holds_bool(value) -> bool:
+    """Whether a list or tuple holds a bool at any depth: NumPy reads one
+    beside numbers as 1 or 0."""
+    return isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, (list, tuple)) and any(map(_holds_bool, value)))
+
+
 @dataclass(frozen=True)
 class Observations:
     """M luminaires as seen in one (averaged) image, as read-only arrays:
@@ -120,10 +127,11 @@ class Observations:
     (a, b, c, d, e), center and mark pixels `landmarks` (M, 2, 2), NaN where
     absent, `complete` (M,), whether the whole contour plus the center and
     mark were readable, and `contour_px` (M,), each contour's
-    `contour_lengths` (0 when unknown). Raises InvalidConfigError for ids
-    that are no list, tuple or 1-D array, an id that is no string or repeated,
-    numbers that are no ints or floats (NaN is one), a `complete` that is no
-    boolean, or a complete row with a landmark not finite."""
+    `contour_lengths` (0 when unknown). Raises InvalidConfigError naming the
+    field for ids that are no list, tuple or 1-D array, an id that is no
+    string or repeated, numbers that are no ints or floats (NaN is one; a
+    bool is none), a `complete` that is no boolean, a field of another shape
+    than the ids give, or a complete row with a landmark not finite."""
 
     luminaire: np.ndarray
     coefficients: np.ndarray
@@ -143,15 +151,25 @@ class Observations:
         self.luminaire.flags.writeable = False
         # A bare cast would read text, None and booleans as numbers and any
         # string as True. NaN stays legal: absent landmarks and unfitted rows hold it.
-        for name, kinds, noun in (("coefficients", "iuf", "numbers"),
-                                  ("landmarks", "iuf", "numbers"),
-                                  ("complete", "b", "booleans"),
-                                  ("contour_px", "iuf", "numbers")):
-            value = np.array(getattr(self, name))
-            if value.dtype.kind not in kinds and value.size:
+        m = len(ids)
+        for name, shape, kinds, noun in (("coefficients", (m, 5), "iuf", "numbers"),
+                                         ("landmarks", (m, 2, 2), "iuf", "numbers"),
+                                         ("complete", (m,), "b", "booleans"),
+                                         ("contour_px", (m,), "iuf", "numbers")):
+            given = getattr(self, name)
+            try:
+                value = np.array(given)
+            except ValueError:  # rows of unequal lengths
+                value = None
+            if value is not None and value.size and (
+                    value.dtype.kind not in kinds or noun == "numbers" and _holds_bool(given)):
                 raise InvalidConfigError(f"observation {name} must be {noun}, "
-                                         f"got {reprlib.repr(getattr(self, name))}")
-            value = value.astype(bool if noun == "booleans" else float, copy=False)
+                                         f"got {reprlib.repr(given)}")
+            if value is None or value.shape != shape and (value.size or m):
+                got = reprlib.repr(given) if value is None else f"shape {value.shape}"
+                raise InvalidConfigError(f"observation {name} must be a {shape} array for "
+                                         f"{m} luminaires, got {got}")
+            value = value.astype(bool if noun == "booleans" else float, copy=False).reshape(shape)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         for i, lum_id in enumerate(ids):
@@ -462,16 +480,26 @@ PNP_CHECKS = (
     (NonConvergenceError, f"PnP residual exceeds {PNP_FAIL_RMS:g} px after restarts"),
 )
 
-# Gauss-Newton tries each step at full length and then halved, 12 lengths in
-# all, and stops at a step norm under 1e-10 or after 100 iterations. It also
-# stops where it is once the reduction its model predicts is at most
-# `_GAIN_TOL` of the cost (MINPACK's ftol: Moré, Garbow & Hillstrom, User
-# Guide for MINPACK-1, 1980); such a step moves the pose by far less than
-# any record shows.
-_STEP_SCALES = np.ldexp(1.0, -np.arange(12))
+# Gauss-Newton with Levenberg-Marquardt damping (Moré, The Levenberg-Marquardt
+# algorithm: implementation and theory, 1978). Each iteration tries one step,
+# the solution s of (JᵀJ + λD) s = -Jᵀr with D = diag(JᵀJ) floored at 1e-12,
+# and takes it when it strictly lowers the cost. Each lane has its own λ,
+# starting at `_LAMBDA_0` times its largest D, and its own ν, both updated as
+# in Nielsen (IMM-REP-1999-05): a step taken scales λ by
+# max(1/3, 1 - (2ρ - 1)³), ρ the cost reduction over the one the damped model
+# predicts, and resets ν to 2; a step refused scales λ by ν and doubles ν.
+# A lane stops where it is when its Jacobian is rank deficient or when the
+# reduction the undamped model predicts is at most `_GAIN_TOL` of its cost
+# (MINPACK's ftol: Moré, Garbow & Hillstrom, User Guide for MINPACK-1, 1980):
+# neither depends on λ. It also stops after a step taken shorter than
+# `_STEP_TOL`, after `_MAX_ITERATIONS` iterations (refused steps count), or
+# once λ is no longer below `_LAMBDA_MAX`.
+_LAMBDA_0 = 1e-4
+_LAMBDA_MAX = 1e16
 _STEP_TOL = 1e-10
 _GAIN_TOL = 1e-8
 _MAX_ITERATIONS = 100
+_EYE6 = np.eye(6)
 # Restart headings of the upright init, in the order they run: +90, +180, +270 degrees.
 _RESTART_PSI = np.array([_wrap_angle(0.5 * math.pi * turn) for turn in (1, 2, 3)])
 
@@ -482,8 +510,8 @@ class PnpSolutions(_KernelRows):
     `failure` indexes the PNP_CHECKS entry a row failed (-1: solved; rows
     that fail before Gauss-Newton runs hold NaN, 0 and False). `rms_px` is
     the reprojection RMS of the attempt kept, `iterations` its Gauss-Newton
-    iterations and `above_plane` whether it puts the camera at or above the
-    lowest world point."""
+    iterations (refused steps count) and `above_plane` whether it puts the
+    camera at or above the lowest world point."""
 
     CHECKS = PNP_CHECKS
     rotation: np.ndarray
@@ -537,50 +565,61 @@ def pnp_jacobian(x, world, k: CameraIntrinsics) -> np.ndarray:
 def _jacobian(psi, r, d, cam, k: CameraIntrinsics) -> np.ndarray:
     """`pnp_jacobian` from the headings (M,) and the `_camera_frame` of x.
 
-    Chain rule through R = Rz(psi) Ry(theta) Rx(phi), cam = d @ R with
-    d = world - t, and the pinhole division. With dR/dphi = R [e_x]x,
-    dR/dtheta = [Rz e_y]x R and dR/dpsi = [e_z]x R, d cam / d phi is
-    (0, cam_z, -cam_y), d cam / d theta is (-d_z c, -d_z s, d_x c + d_y s) @ R
-    for (c, s) = (cos psi, sin psi), d cam / d psi is (d_y, -d_x, 0) @ R and
-    d cam / d t_j is -R[j] for every point. Where the depth is clamped behind
-    the camera it is constant, so its derivative term vanishes. See Hartley &
-    Zisserman, Multiple View Geometry, 2nd ed., A6.
+    A pixel coordinate's gradient over the camera coordinates is
+    g = f (e_x - (x / z) e_z) / z for u (e_y and y for v); where the depth is
+    clamped behind the camera it is constant, so the e_z term vanishes. With
+    cam = Rᵀ d, d = world - t, a turn about a world axis a moves the pixel by
+    a . ((R g) x d), and t_j moves it by -(R g)_j. R = Rz(psi) Ry(theta)
+    Rx(phi) turns phi about R e_x, theta about Rz e_y = (-sin psi, cos psi, 0)
+    and psi about e_z. See Hartley & Zisserman, Multiple View Geometry, 2nd
+    ed., A6.
     """
-    c, s = np.cos(psi)[:, None, None], np.sin(psi)[:, None, None]
-    r0, r1, r2 = r[:, None, 0], r[:, None, 1], r[:, None, 2]
-    d0, d1, d2 = d[..., 0, None], d[..., 1, None], d[..., 2, None]
-    dcam = np.empty((len(r), 6) + cam.shape[1:])  # (M, parameter, point, xyz)
-    dcam[:, 0, :, 0] = 0.0
-    dcam[:, 0, :, 1] = cam[..., 2]
-    dcam[:, 0, :, 2] = -cam[..., 1]
-    dcam[:, 1] = (d0 * c + d1 * s) * r2 - d2 * (c * r0 + s * r1)
-    dcam[:, 2] = d1 * r0 - d0 * r1
-    dcam[:, 3:] = -r[:, :, None]
-    live = cam[:, None, :, 2:] > 1e-6
-    z = np.where(live, cam[:, None, :, 2:], 1e-6)
-    duv = (dcam[..., :2] - cam[:, None, :, :2] / z * (dcam[..., 2:] * live)) / z
-    duv *= k.f / np.array([k.dx, k.dy])
-    return duv.transpose(0, 3, 2, 1).reshape(len(r), -1, 6)
+    z = np.maximum(cam[..., 2], 1e-6)
+    # x / z and y / z where the depth is live, else 0, and f / z in pixels: (M, 2, P).
+    ratio = cam[..., :2].transpose(0, 2, 1) * ((cam[..., 2] > 1e-6) / z)[:, None]
+    focal = np.array([[k.f / k.dx], [k.f / k.dy]]) / z[:, None]
+    # R g for u and v: (M, 2, P, 3).
+    rg = focal[..., None] * (r.transpose(0, 2, 1)[:, :2, None]
+                             - ratio[..., None] * r[:, None, None, :, 2])
+    g0, g1, g2 = rg[..., 0], rg[..., 1], rg[..., 2]
+    d0, d1, d2 = d[:, None, :, 0], d[:, None, :, 1], d[:, None, :, 2]
+    turn0, turn1, turn2 = g1 * d2 - g2 * d1, g2 * d0 - g0 * d2, g0 * d1 - g1 * d0
+    axis = r[:, None, None, :, 0]  # R e_x
+    jac = np.empty(rg.shape[:3] + (6,))  # (M, u or v, point, parameter)
+    jac[..., 0] = turn0 * axis[..., 0] + turn1 * axis[..., 1] + turn2 * axis[..., 2]
+    jac[..., 1] = np.cos(psi)[:, None, None] * turn1 - np.sin(psi)[:, None, None] * turn0
+    jac[..., 2] = turn2
+    np.negative(rg, out=jac[..., 3:])
+    return jac.reshape(len(r), -1, 6)
+
+
+def _qr_model(aug):
+    """The Gauss-Newton model of lanes aug = [J | r] (M, 2P, 7), from one
+    batched QR: R's leading 6x6 block R6, transposed in the lower triangle of
+    a (M, 6, 6) block, the first six entries c of R's last column, and which
+    lanes are rank deficient. R6 @ s = -c gives the step that minimises
+    |J s + r|, and |c|^2 the cost reduction it predicts. A lane is rank
+    deficient when some |R6_ii| is at or below eps * max(2P, 6) times its
+    largest |R6_jj|."""
+    n = aug.shape[2] - 1
+    rt = np.linalg.qr(aug, mode="raw")[0]  # R transposed, with reflectors above its diagonal
+    diag = np.abs(np.diagonal(rt[:, :n, :n], axis1=1, axis2=2))
+    singular = (diag <= _EPS * max(aug.shape[1], n) * diag.max(axis=1, keepdims=True)).any(axis=1)
+    return rt[:, :n, :n], rt[:, n, :n], singular
 
 
 def _lstsq_steps(jac, res):
-    """The steps (M, 6) that minimise |jac[i] @ step + res[i]|, and the cost
-    reductions (M,) they predict, |res[i]|^2 less that minimum, from one
-    batched QR of [jac | res]: R's leading 6x6 block R6 and last column c give
-    R6 @ step = -c[:6] and the reduction |c[:6]|^2. A lane with some |R6_ii|
-    at or below eps * max(2P, 6) times its largest |R6_jj| is rank deficient:
-    its R6 is swapped for the identity, so that the batched solve cannot
-    raise, and its step is NaN, so that no trial of it is accepted."""
-    n = jac.shape[2]
-    qr = np.linalg.qr(np.concatenate([jac, res[:, :, None]], axis=2), mode="r")
-    r6 = qr[:, :n, :n]
-    diag = np.abs(np.diagonal(r6, axis1=1, axis2=2))
-    singular = (diag <= _EPS * max(jac.shape[1:]) * diag.max(axis=1, keepdims=True)).any(axis=1)
-    r6[singular] = np.eye(n)
-    c = qr[:, :n, n:]
-    step = np.linalg.solve(r6, -c)[..., 0]
+    """The undamped steps (M, 6) that minimise |jac[i] @ step + res[i]| and
+    the cost reductions (M,) they predict, from `_qr_model`: the model whose
+    gain and rank test stop a damped lane. A rank-deficient lane's R6 is
+    swapped for the identity, so that the batched solve cannot raise, and its
+    step is NaN."""
+    r6t, c, singular = _qr_model(np.concatenate([jac, res[:, :, None]], axis=2))
+    r6 = np.triu(r6t.transpose(0, 2, 1))
+    r6[singular] = np.eye(jac.shape[2])
+    step = np.linalg.solve(r6, -c[..., None])[..., 0]
     step[singular] = np.nan
-    return step, (c * c).sum(axis=(1, 2))
+    return step, (c * c).sum(axis=1)
 
 
 def _homography_inits(pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
@@ -619,50 +658,83 @@ def _homography_inits(pixels, centroid, centered, svals, vt, k: CameraIntrinsics
     basis = np.stack([ex, ey, np.cross(ex, ey)], axis=-1)
     rotation = _matmul(basis, q.transpose(0, 2, 1))
     t_pose = centroid - _matmul(rotation, h[:, :, 2:])[..., 0]
-    x0 = np.concatenate([[angles_from_rotation(r) for r in rotation], t_pose], axis=1)
+    x0 = np.concatenate([[angles_from_rotation(r) for r in rotation.tolist()], t_pose], axis=1)
     return x0, has & np.isfinite(x0).all(axis=1)
 
 
+def _damped_model(jac, res, cost):
+    """What the damped loop keeps of lanes with Jacobians jac (M, 2P, 6),
+    residuals res (M, 2P) and costs (M,): JᵀJ (M, 6, 6), its diagonal
+    floored at 1e-12 as the damping scales D (M, 6), -Jᵀr (M, 6, 1), and
+    whether each lane stops where it is: it is rank deficient, or the
+    undamped model predicts a cost reduction of at most `_GAIN_TOL` times
+    its cost (`_qr_model`)."""
+    n = jac.shape[2]
+    aug = np.concatenate([jac, res[:, :, None]], axis=2)
+    _, c, singular = _qr_model(aug)
+    gram = aug.transpose(0, 2, 1) @ aug
+    normal = gram[:, :n, :n]
+    return (normal, np.maximum(np.diagonal(normal, axis1=1, axis2=2), 1e-12),
+            -gram[:, :n, n:], singular | ~((c * c).sum(axis=1) > _GAIN_TOL * cost))
+
+
+def _damped_steps(normal, scale, neg_grad, lam):
+    """The steps (M, 6) that solve (JᵀJ + λD) s = -Jᵀr, one batched 6x6
+    solve, from `_damped_model`'s JᵀJ, D and -Jᵀr and each lane's λ (M,)."""
+    return np.linalg.solve(normal + _EYE6 * (lam[:, None] * scale)[:, None], neg_grad)[..., 0]
+
+
 def _gauss_newton(x, world, pixels, k: CameraIntrinsics):
-    """Gauss-Newton lanes from parameters x (L, 6), each with its world points
-    (L, P, 3) and pixels (L, P, 2); returns each lane's parameters (L, 6), cost
-    and iterations at its stop. A step takes the longest of `_STEP_SCALES`
-    that does not raise the cost; a lane stops when none does, when its step
-    is under `_STEP_TOL` or after `_MAX_ITERATIONS`. It also stops where it
-    is when the reduction its step predicts is at most `_GAIN_TOL` times its
-    cost: that step is set to NaN, as a rank-deficient lane's is, so no trial
-    of it is accepted."""
+    """Damped Gauss-Newton lanes from parameters x (L, 6), each with its world
+    points (L, P, 3) and pixels (L, P, 2); returns each lane's parameters
+    (L, 6), cost and iterations at its stop. The step rule and the stops are
+    those of the comment above `_LAMBDA_0`. A lane's Jacobian is formed again
+    only after a step it takes."""
     out_x, out_cost, out_iters = np.empty_like(x), np.empty(len(x)), np.empty(len(x), int)
     lane = np.arange(len(x))
     r, d, cam = _camera_frame(x, world)
     res = _reprojection(cam, pixels, k)
     cost = (res * res).sum(axis=1)
+    normal, scale, neg_grad, stop = _damped_model(_jacobian(x[:, 2], r, d, cam, k), res, cost)
+    lam = _LAMBDA_0 * scale.max(axis=1)
+    nu = np.full(len(x), 2.0)
+    done = np.zeros(len(x), dtype=bool)
     iters = 0
-    while len(lane):
+    while True:
         iters += 1
-        step, gain = _lstsq_steps(_jacobian(x[:, 2], r, d, cam, k), res)
-        step[gain <= _GAIN_TOL * cost] = np.nan  # nothing left to gain
-        trial = x[:, None] + _STEP_SCALES[:, None] * step[:, None]
-        r, d, cam = _camera_frame(trial, world[:, None])
-        res = _reprojection(cam, pixels[:, None], k)
-        trial_cost = (res * res).sum(axis=2)
-        ok = np.isfinite(trial_cost) & (trial_cost <= cost[:, None])
-        pick = np.arange(len(ok)), ok.argmax(axis=1)
-        improved = ok[pick]
-        moved = _STEP_SCALES[pick[1], None] * step
-        # A lane that did not improve stops here, so only its x and cost matter.
-        x = np.where(improved[:, None], trial[pick], x)
-        cost = np.where(improved, trial_cost[pick], cost)
-        r, d, cam, res = r[pick], d[pick], cam[pick], res[pick]
-        done = (~improved | (np.sqrt((moved * moved).sum(axis=1)) < _STEP_TOL)
-                | (iters == _MAX_ITERATIONS))
-        if done.any():
-            out_x[lane[done]], out_cost[lane[done]], out_iters[lane[done]] = (
-                x[done], cost[done], iters)
-            go = ~done
-            lane, x, cost, world, pixels, r, d, cam, res = (
-                a[go] for a in (lane, x, cost, world, pixels, r, d, cam, res))
-    return out_x, out_cost, out_iters
+        # A lane done after its last step counts that step's iteration; one
+        # whose model says stop counts this one.
+        end = stop | done
+        if end.any():
+            out_x[lane[end]], out_cost[lane[end]], out_iters[lane[end]] = (
+                x[end], cost[end], iters - done[end])
+            go = ~end
+            lane, x, cost, lam, nu, normal, scale, neg_grad, world, pixels = (
+                a[go] for a in (lane, x, cost, lam, nu, normal, scale, neg_grad, world, pixels))
+            if not len(lane):
+                return out_x, out_cost, out_iters
+        step = _damped_steps(normal, scale, neg_grad, lam)
+        trial = x + step
+        r, d, cam = _camera_frame(trial, world)
+        res = _reprojection(cam, pixels, k)
+        trial_cost = (res * res).sum(axis=1)
+        taken = trial_cost < cost
+        # rho: the cost reduction over the damped model's, s . (λ D s - Jᵀr).
+        predicted = (step * (lam[:, None] * scale * step + neg_grad[..., 0])).sum(axis=1)
+        rho = (cost - trial_cost) / predicted
+        lam = lam * np.where(taken, np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3), nu)
+        nu = np.where(taken, 2.0, 2 * nu)
+        x = np.where(taken[:, None], trial, x)
+        cost = np.where(taken, trial_cost, cost)
+        done = ((taken & ((step * step).sum(axis=1) < _STEP_TOL ** 2))
+                | (iters == _MAX_ITERATIONS) | ~(lam < _LAMBDA_MAX))
+        stop = np.zeros(len(lane), dtype=bool)
+        if not taken.any():
+            continue
+        moved = slice(None) if taken.all() else np.flatnonzero(taken)
+        normal[moved], scale[moved], neg_grad[moved], stop[moved] = _damped_model(
+            _jacobian(trial[moved, 2], r[moved], d[moved], cam[moved], k), res[moved],
+            cost[moved])
 
 
 def _refine(world, pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
@@ -713,20 +785,21 @@ def pnp_solve(world, pixels, k: CameraIntrinsics) -> PnpSolutions:
 
     Row i minimizes the summed squared pixel reprojection error of world
     points world[i] (P, 3) against their pixels pixels[i] (P, 2) over the six
-    pose parameters, stopping when the next step's predicted reduction is at
-    most 1e-8 of the cost, at step norm < 1e-10 or after 100 iterations. Each
-    row refines the upright pose 2 m under the centroid of its points
-    (deliberately ignorant of the true pose) and, for coplanar points, a
-    closed-form homography pose: the upright init alone strands Gauss-Newton
-    in spurious local minima for strongly tilted views. Planar targets also
-    admit a mirror pose on the far side of the target plane; the camera is
-    below the luminaires, so attempts below the plane win over those above
-    it regardless of residual, then the lower cost wins, then the earlier
-    attempt. The heading is the least observable parameter from a ceiling
-    view, so while a row's best is above the plane or has an RMS above
-    `PNP_RESTART_RMS` pixels, it retries from the upright pose with its
-    heading turned by 90, 180 and 270 degrees in turn. A row whose best RMS
-    still exceeds `PNP_FAIL_RMS` fails.
+    pose parameters by damped Gauss-Newton (Levenberg-Marquardt), one trial
+    step per iteration, stopping when the undamped step's predicted reduction
+    is at most 1e-8 of the cost, after a step under 1e-10 or after 100
+    iterations, refused steps included. Each row refines the upright pose 2 m
+    under the centroid of its points (deliberately ignorant of the true pose)
+    and, for coplanar points, a closed-form homography pose: the upright init
+    alone strands Gauss-Newton in spurious local minima for strongly tilted
+    views. Planar targets also admit a mirror pose on the far side of the
+    target plane; the camera is below the luminaires, so attempts below the
+    plane win over those above it regardless of residual, then the lower cost
+    wins, then the earlier attempt. The heading is the least observable
+    parameter from a ceiling view, so while a row's best is above the plane or
+    has an RMS above `PNP_RESTART_RMS` pixels, it retries from the upright
+    pose with its heading turned by 90, 180 and 270 degrees in turn. A row
+    whose best RMS still exceeds `PNP_FAIL_RMS` fails.
 
     A row that fails a check leaves the other rows as they are, and each row
     is solved on its own: its result is the same, bit for bit, in a batch of

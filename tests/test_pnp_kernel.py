@@ -4,13 +4,14 @@ on the rows solved with it, and a bad row fails by name without touching the
 others.
 
 Rows are the harness's four contour correspondences of seeded Monte Carlo
-samples (seed 2, 40 samples: one of them runs all three heading restarts).
+samples (seed 2, 40 samples). No row of them restarts, so the schedule test
+swaps two pixels of one row to make it run all three heading restarts.
 """
 
 import numpy as np
 
 from arcpose import solver
-from arcpose.harness import ExperimentConfig, _pnp_inputs
+from arcpose.harness import ExperimentConfig, _pnp_inputs, run_monte_carlo
 from arcpose.sim import contour_angles, luminaire_points, sample_poses
 from arcpose.solver import PNP_CHECKS, PNP_RESTART_RMS, pnp_solve
 
@@ -78,6 +79,9 @@ def test_attempts_run_in_schedule_and_each_row_keeps_its_best(monkeypatch):
     # RMS over PNP_RESTART_RMS. A later attempt is the best when it is below
     # the plane and the best is not, or on the same side with a lower cost.
     world, pixels, k = captured_rows()
+    # With the pixels of its first two points swapped, no attempt fits row 0
+    # to PNP_RESTART_RMS, so it runs all three restarts.
+    pixels[0, [0, 1]] = pixels[0, [1, 0]]
     calls = []
     gauss_newton = solver._gauss_newton
 
@@ -207,6 +211,43 @@ def test_a_rank_deficient_lane_gets_no_step_and_leaves_the_others():
     others = np.arange(20) != 7
     alone = solver._lstsq_steps(jac[others], res[others])
     assert np.array_equal(steps[others], alone[0]) and np.array_equal(gains[others], alone[1])
+
+
+def test_damped_steps_tend_to_least_squares_steps():
+    # (JᵀJ + λD) s = -Jᵀr is the Gauss-Newton normal equation as λ -> 0. The
+    # normal equations square the condition number, so it stays at 1e3.
+    jac, res, _ = conditioned_jacobians(np.random.default_rng(7), 50, 1e3)
+    normal, scale, neg_grad, _ = solver._damped_model(jac, res, (res * res).sum(axis=1))
+    lstsq = np.array([np.linalg.lstsq(j, -r, rcond=None)[0] for j, r in zip(jac, res)])
+    errors = []
+    for lam in (1e-6, 1e-10, 1e-14):
+        steps = solver._damped_steps(normal, scale, neg_grad, np.full(len(jac), lam))
+        errors.append((np.abs(steps - lstsq) / np.abs(lstsq).max(axis=1, keepdims=True)).max())
+    assert errors[0] > 1e3 * errors[1] > 1e6 * errors[2] and errors[2] < 1e-8
+
+
+def test_a_lane_cost_never_rises(monkeypatch):
+    # The cost each lane stops at when its iterations are capped at 1, 2, ...:
+    # a refused step leaves it, and a taken one strictly lowers it.
+    world, pixels, k = captured_rows(samples=10)
+    centroid = world.mean(axis=1)
+    x0 = np.zeros((len(world), 6))
+    x0[:, 3:] = centroid - [0.0, 0.0, 2.0]
+    res = solver.pnp_residuals(x0, world, pixels, k)
+    costs, iters = [(res * res).sum(axis=1)], np.zeros(len(world), int)
+    while (iters == len(costs) - 1).any():
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", len(costs))
+        _, cost, iters = solver._gauss_newton(x0, world, pixels, k)
+        costs.append(cost)
+    assert len(costs) > 20
+    assert (np.diff(costs, axis=0) <= 0).all()
+
+
+def test_noiseless_rows_solve_to_the_truth():
+    records = run_monte_carlo(ExperimentConfig(samples=200, sigma=0.0, algorithms=("PNP",),
+                                               seed=4))
+    assert (records.error == "").all()
+    assert records.e_loc_by_algorithm()["PNP"].max() <= 1e-9
 
 
 def test_a_lane_restarted_where_it_converged_stops_at_once():

@@ -4,6 +4,7 @@ and the point-correspondence baseline."""
 import dataclasses
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -173,11 +174,14 @@ def test_observations_refuse_ids_that_are_no_list_by_name(ids):
     ("contour_px", dict(contour_px=["3", None])),
     ("complete", dict(complete="false")),
     ("complete", dict(complete=[0, 1])),
+    ("coefficients", dict(coefficients=[[True, 0, 1, 0, 0], [1, 0, 1, 0, 0]])),
+    ("contour_px", dict(contour_px=[True, 2])),
 ], ids=["text_coefficients_and_lengths", "bool_coefficients", "null_landmark",
-        "text_contour_px", "text_complete", "int_complete"])
+        "text_contour_px", "text_complete", "int_complete", "bool_in_int_coefficients",
+        "bool_in_int_contour_px"])
 def test_observations_refuse_values_of_the_wrong_kind_by_name(field, bad):
-    # A bare cast once read each of these as numbers (None as NaN) or as
-    # True, and constructed the record without a word.
+    # A bare cast once read each of these as numbers (None as NaN, True beside
+    # ints as 1) or as True, and constructed the record without a word.
     row = dict(luminaire=["L1", "L2"], coefficients=np.zeros((2, 5)),
                landmarks=np.full((2, 2, 2), np.nan), complete=[False, False],
                contour_px=[3.0, 4.0])
@@ -186,6 +190,24 @@ def test_observations_refuse_values_of_the_wrong_kind_by_name(field, bad):
     assert np.isnan(obs.landmarks).all()
     noun = "booleans" if field == "complete" else "numbers"
     with pytest.raises(InvalidConfigError, match=f"observation {field} must be {noun}, got"):
+        Observations(**dict(row, **bad))
+
+
+@pytest.mark.parametrize("field, bad, got", [
+    ("coefficients", dict(coefficients=np.zeros((3, 5))),
+     "(2, 5) array for 2 luminaires, got shape (3, 5)"),
+    ("landmarks", dict(landmarks=np.full((2, 2), np.nan)),
+     "(2, 2, 2) array for 2 luminaires, got shape (2, 2)"),
+    ("complete", dict(complete=[False]), "(2,) array for 2 luminaires, got shape (1,)"),
+    ("contour_px", dict(contour_px=[1.0, 2, 3]), "(2,) array for 2 luminaires, got shape (3,)"),
+], ids=["three_coefficient_rows", "2d_landmarks", "one_complete", "three_contour_px"])
+def test_observations_refuse_a_field_of_the_wrong_shape_by_name(field, bad, got):
+    # Each once constructed: no field's rows were checked against the ids.
+    row = dict(luminaire=["L1", "L2"], coefficients=np.zeros((2, 5)),
+               landmarks=np.full((2, 2, 2), np.nan), complete=[False, False],
+               contour_px=[3.0, 4.0])
+    message = re.escape(f"observation {field} must be a {got}")
+    with pytest.raises(InvalidConfigError, match=message):
         Observations(**dict(row, **bad))
 
 
