@@ -66,7 +66,7 @@ DEFAULT_CDF_GRID = np.round(np.linspace(0.0, 0.5, 101), 6)
 # row is solved on its own. Blocks amortize the capture's and the fit's
 # per-call work; a group takes about as many sampler rounds as its slowest
 # sample takes candidates, and bounds the kernels' temporaries (about 1 KB a
-# pair row, 7.2 KB a PnP row at the `tracemalloc` peak of a 1008-row call)
+# pair row, 6.7 KB a PnP row at the `tracemalloc` peak of a 1008-row call)
 # whatever the run length.
 POSE_BLOCK = 24
 GROUP = 42 * POSE_BLOCK

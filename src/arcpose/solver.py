@@ -483,18 +483,19 @@ PNP_CHECKS = (
 # Gauss-Newton with Levenberg-Marquardt damping (Moré, The Levenberg-Marquardt
 # algorithm: implementation and theory, 1978). Each iteration tries one step,
 # the solution s of (JᵀJ + λD) s = -Jᵀr with D = diag(JᵀJ) floored at 1e-12,
-# and takes it when it strictly lowers the cost. Each lane has its own λ,
-# starting at `_LAMBDA_0` times its largest D, and its own ν, both updated as
-# in Nielsen (IMM-REP-1999-05): a step taken scales λ by
-# max(1/3, 1 - (2ρ - 1)³), ρ the cost reduction over the one the damped model
-# predicts, and resets ν to 2; a step refused scales λ by ν and doubles ν.
+# and takes it when it strictly lowers the cost. D carries the units of JᵀJ,
+# so λ is a pure number. Each lane has its own λ, starting at `_LAMBDA_0`,
+# and its own ν, both updated as in Nielsen (IMM-REP-1999-05): a step taken
+# scales λ by max(1/3, 1 - (2ρ - 1)³), ρ the cost reduction over the one the
+# damped model predicts, and resets ν to 2; a step refused scales λ by ν and
+# doubles ν.
 # A lane stops where it is when its Jacobian is rank deficient or when the
 # reduction the undamped model predicts is at most `_GAIN_TOL` of its cost
 # (MINPACK's ftol: Moré, Garbow & Hillstrom, User Guide for MINPACK-1, 1980):
 # neither depends on λ. It also stops after a step taken shorter than
 # `_STEP_TOL`, after `_MAX_ITERATIONS` iterations (refused steps count), or
 # once λ is no longer below `_LAMBDA_MAX`.
-_LAMBDA_0 = 1e-4
+_LAMBDA_0 = 1.0
 _LAMBDA_MAX = 1e16
 _STEP_TOL = 1e-10
 _GAIN_TOL = 1e-8
@@ -608,20 +609,6 @@ def _qr_model(aug):
     return rt[:, :n, :n], rt[:, n, :n], singular
 
 
-def _lstsq_steps(jac, res):
-    """The undamped steps (M, 6) that minimise |jac[i] @ step + res[i]| and
-    the cost reductions (M,) they predict, from `_qr_model`: the model whose
-    gain and rank test stop a damped lane. A rank-deficient lane's R6 is
-    swapped for the identity, so that the batched solve cannot raise, and its
-    step is NaN."""
-    r6t, c, singular = _qr_model(np.concatenate([jac, res[:, :, None]], axis=2))
-    r6 = np.triu(r6t.transpose(0, 2, 1))
-    r6[singular] = np.eye(jac.shape[2])
-    step = np.linalg.solve(r6, -c[..., None])[..., 0]
-    step[singular] = np.nan
-    return step, (c * c).sum(axis=1)
-
-
 def _homography_inits(pixels, centroid, centered, svals, vt, k: CameraIntrinsics):
     """Closed-form pose candidates (M, 6) for coplanar world points, and which
     rows have one.
@@ -629,9 +616,12 @@ def _homography_inits(pixels, centroid, centered, svals, vt, k: CameraIntrinsics
     Fits each row's plane-to-image homography by DLT (one (M, 2P, 9) SVD) and
     decomposes it into a rotation and translation (cheirality fixed so the
     plane sits in front of the camera). A row has no candidate when its
-    points are not coplanar enough or the decomposition degenerates; a
-    candidate seeds Gauss-Newton, nothing more. `centered` holds the world
-    points less their `centroid`, `svals` and `vt` its SVD.
+    points are not coplanar enough, the decomposition degenerates or the
+    pose puts a point at or behind the depth `_reprojection` clamps to: there
+    the point's pixel is some 1e8 px off and its Jacobian row some 1e9, and a
+    damped lane started there does not leave. A candidate seeds Gauss-Newton,
+    nothing more. `centered` holds the world points less their `centroid`,
+    `svals` and `vt` its SVD.
     """
     m, p = pixels.shape[:2]
     ex, ey = vt[:, 0], vt[:, 1]
@@ -659,7 +649,10 @@ def _homography_inits(pixels, centroid, centered, svals, vt, k: CameraIntrinsics
     rotation = _matmul(basis, q.transpose(0, 2, 1))
     t_pose = centroid - _matmul(rotation, h[:, :, 2:])[..., 0]
     x0 = np.concatenate([[angles_from_rotation(r) for r in rotation.tolist()], t_pose], axis=1)
-    return x0, has & np.isfinite(x0).all(axis=1)
+    # A point's depth: the offset of the plane origin, h's third column, along
+    # the optical axis plus its own offset from the origin along that axis.
+    depth = _matmul(centered, rotation[:, :, 2:])[..., 0] + h[:, 2:, 2]
+    return x0, has & np.isfinite(x0).all(axis=1) & (depth > 1e-6).all(axis=1)
 
 
 def _damped_model(jac, res, cost):
@@ -668,7 +661,8 @@ def _damped_model(jac, res, cost):
     floored at 1e-12 as the damping scales D (M, 6), -Jᵀr (M, 6, 1), and
     whether each lane stops where it is: it is rank deficient, or the
     undamped model predicts a cost reduction of at most `_GAIN_TOL` times
-    its cost (`_qr_model`)."""
+    its cost (`_qr_model`). JᵀJ and -Jᵀr come from one Gram product of
+    [J | r]: forming them as R6ᵀR6 and -R6ᵀc from the QR ran slower."""
     n = jac.shape[2]
     aug = np.concatenate([jac, res[:, :, None]], axis=2)
     _, c, singular = _qr_model(aug)
@@ -696,7 +690,7 @@ def _gauss_newton(x, world, pixels, k: CameraIntrinsics):
     res = _reprojection(cam, pixels, k)
     cost = (res * res).sum(axis=1)
     normal, scale, neg_grad, stop = _damped_model(_jacobian(x[:, 2], r, d, cam, k), res, cost)
-    lam = _LAMBDA_0 * scale.max(axis=1)
+    lam = np.full(len(x), _LAMBDA_0)
     nu = np.full(len(x), 2.0)
     done = np.zeros(len(x), dtype=bool)
     iters = 0

@@ -126,6 +126,21 @@ def test_attempts_run_in_schedule_and_each_row_keeps_its_best(monkeypatch):
     assert np.array_equal(sol.above_plane, [b[0] for b in best])
 
 
+def test_homography_inits_put_every_point_in_front_of_the_camera():
+    # A decomposition that puts a point at or behind the depth the projection
+    # clamps to is no candidate; every candidate puts all points in front.
+    world, pixels, k = captured_rows()
+    centroid = world.mean(axis=1)
+    centered = world - centroid[:, None]
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    h_init, has_h = solver._homography_inits(pixels, centroid, centered, svals, vt, k)
+    depth = solver._camera_frame(np.where(np.isfinite(h_init), h_init, 0.0), world)[2][..., 2]
+    in_front = (depth > 1e-6).all(axis=1)
+    assert in_front[has_h].all()
+    dropped = np.isfinite(h_init).all(axis=1) & ~has_h
+    assert dropped.sum() >= 5 and not in_front[dropped].any()
+
+
 def test_rows_do_not_depend_on_the_batch():
     world, pixels, k = captured_rows()
     whole = pnp_solve(world, pixels, k)
@@ -183,10 +198,21 @@ def conditioned_jacobians(rng, lanes, max_cond):
     return (u * s[:, None]) @ v, rng.normal(size=(lanes, 8)), cond
 
 
+def qr_steps(jac, res):
+    """The undamped steps (M, 6) of `solver._qr_model`, R6 @ step = -c, NaN
+    where a lane is rank deficient, and the cost reductions |c|^2 (M,) the
+    model predicts."""
+    r6t, c, singular = solver._qr_model(np.concatenate([jac, res[:, :, None]], axis=2))
+    steps = np.full(c.shape, np.nan)
+    for i in np.flatnonzero(~singular):
+        steps[i] = np.linalg.solve(np.triu(r6t[i].T), -c[i])
+    return steps, (c * c).sum(axis=1)
+
+
 def test_steps_are_least_squares_solutions():
     jac, res, cond = conditioned_jacobians(np.random.default_rng(5), 200, 1e6)
     assert np.allclose(np.linalg.cond(jac), cond, rtol=1e-6)
-    steps, _ = solver._lstsq_steps(jac, res)
+    steps, _ = qr_steps(jac, res)
     for i in range(len(jac)):
         np.testing.assert_allclose(steps[i], np.linalg.lstsq(jac[i], -res[i], rcond=None)[0],
                                    rtol=1e-8, atol=0)
@@ -196,7 +222,7 @@ def test_gains_are_the_cost_less_the_least_squares_residual():
     # The reduction the Gauss-Newton model predicts for the full step: the
     # cost |res|^2 less the least-squares residual |jac @ step + res|^2.
     jac, res, _ = conditioned_jacobians(np.random.default_rng(5), 200, 1e6)
-    _, gains = solver._lstsq_steps(jac, res)
+    _, gains = qr_steps(jac, res)
     for i in range(len(jac)):
         left = np.linalg.lstsq(jac[i], -res[i], rcond=None)[1][0]
         np.testing.assert_allclose(gains[i], res[i] @ res[i] - left, rtol=1e-8, atol=0)
@@ -206,10 +232,10 @@ def test_a_rank_deficient_lane_gets_no_step_and_leaves_the_others():
     jac, res, _ = conditioned_jacobians(np.random.default_rng(6), 20, 1e3)
     dependent = jac.copy()
     dependent[7, :, 5] = 2.0 * dependent[7, :, 4]
-    steps, gains = solver._lstsq_steps(dependent, res)
+    steps, gains = qr_steps(dependent, res)
     assert not np.isfinite(steps[7]).any()
     others = np.arange(20) != 7
-    alone = solver._lstsq_steps(jac[others], res[others])
+    alone = qr_steps(jac[others], res[others])
     assert np.array_equal(steps[others], alone[0]) and np.array_equal(gains[others], alone[1])
 
 
@@ -264,7 +290,7 @@ def test_a_lane_restarted_where_it_converged_stops_at_once():
     x, cost = x[converged], cost[converged]
     world, pixels = world[converged], pixels[converged]
     res = solver.pnp_residuals(x, world, pixels, k)
-    _, gains = solver._lstsq_steps(solver.pnp_jacobian(x, world, k), res)
+    _, gains = qr_steps(solver.pnp_jacobian(x, world, k), res)
     assert (gains <= solver._GAIN_TOL * cost).all()
     again = solver._gauss_newton(x, world, pixels, k)
     assert np.array_equal(again[0], x) and np.array_equal(again[1], cost)
